@@ -113,29 +113,27 @@ class Run:
 # shared extraction helpers
 # ---------------------------------------------------------------------------
 
-def _group_from_config(cfg):
+def _group_from_config(cfg, system):
     """GroupWithShift from explicit generators or a finite-support system."""
     D = cfg.get("D", 2)
-    if "generators" in cfg:
+    if system is None:
         gens = [(_parse_scalar(g[0], D), _parse_scalar(g[1], D))
                 for g in cfg["generators"]]
         shift = cfg.get("shift", [0, 0])
         shift = (_parse_scalar(shift[0], D), _parse_scalar(shift[1], D))
         return closure_of_group(gens, shift=shift, D=D)
-    system = load_system(cfg["system"])
     gens, shift = system.value_group()
     return closure_of_group(gens, shift=shift)
 
 
-def _tau_group_from_config(cfg):
+def _tau_group_from_config(cfg, system):
     """(Group1D M(tau), shift r) for the mixing verdict."""
     D = cfg.get("D", 2)
-    if "generators" in cfg:
+    if system is None:
         gens = [_parse_scalar(g[1], D) for g in cfg["generators"]]
         shift = cfg.get("shift", [0, 0])
         r = _parse_scalar(shift[1], D)
         return closure_1d(gens), r
-    system = load_system(cfg["system"])
     sup = system.tau_support()
     diffs = [v - sup[0] for v in sup[1:]] or [sup[0] - sup[0]]
     return closure_1d(diffs), sup[0]
@@ -180,9 +178,16 @@ def _request_from_config(cfg):
 
 def cmd_classify(run):
     cfg = run.config
-    g = _group_from_config(cfg)
+    system = None if "generators" in cfg else load_system(cfg["system"])
+    if system is not None and not hasattr(system, "tau_support"):
+        # only renewal systems have an exact finite support group
+        print(f"error: classify needs a renewal system or explicit "
+              f"generators; use the spectral command for a {system.kind} "
+              f"system", file=sys.stderr)
+        return EXIT_PARSE
+    g = _group_from_config(cfg, system)
     case = classify_case(g)
-    M, r = _tau_group_from_config(cfg)
+    M, r = _tau_group_from_config(cfg, system)
     if case.variant == "Degenerate":
         verdict = "NotWeaklyMixing"
         line = "Degenerate / not weakly mixing"
@@ -280,8 +285,7 @@ def cmd_renewal(run):
     cfg = run.config
     atoms = None
     if "system" in cfg:
-        system = load_system(cfg["system"])
-        atoms = [(int(float(a[0])), a[1], a[2]) for a in system.atoms]
+        atoms = load_system(cfg["system"]).atoms
     ts = [Fraction(t).limit_denominator(10 ** 6) if isinstance(t, float)
           else Fraction(t) for t in cfg["t_values"]]
     rows = counterexample_scan(ts, atoms=atoms)
@@ -332,12 +336,13 @@ def cmd_verify(run):
                                     workers=run.args.workers)
             sigma = flow_variance([[cov[0, 0]]], system.nu_tau)
         g = 1.0 / math.sqrt(2 * math.pi * sigma)
-        for win in cfg["windows"]:
-            w, lo, hi = float(win[0]), float(win[1]), float(win[2])
+        wins = [("flow", float(win[0]), float(win[1]), float(win[2]))
+                for win in cfg["windows"]]
+        # one set of sample paths serves every window
+        ests = estimate_lclt(system, HistogramSpec(t=t, windows=wins), N,
+                             run.args.seed, workers=run.args.workers)
+        for (_, w, lo, hi), est in zip(wins, ests):
             predicted = g * math.exp(-w * w / (2 * sigma)) * (hi - lo)
-            est = estimate_mlclt(system, t, N, run.args.seed,
-                                 window=("flow", w, lo, hi),
-                                 workers=run.args.workers)
             tol = (3 * est.std_error + 0.10 * abs(predicted)) * scale
             checks.append((f"flow window w={w} [{lo},{hi})", predicted,
                            est, tol, None))

@@ -5,9 +5,11 @@ counter-based Philox substreams, one per fixed-size sample block (block b
 uses key seed + (b << 64)).  Blocks are reduced in block order, so results
 are bit-identical for any worker count.
 
-The path kernels are vectorized per block: each sample carries its current
-cell, accumulated roof time and accumulated section sums, and all samples
-advance one crossing per loop iteration until their time budget is spent.
+One vectorized path engine serves every system through the protocol of
+``systems`` (``draw_start``, ``draw_base``, ``step``, ``tau``, ``phi``): each
+sample carries its current cell, accumulated roof time and accumulated
+section sum, and all live samples advance one crossing per loop iteration
+until their time budget is spent.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySetWarning
-from .systems import pm_map
 
 BLOCK_SIZE = 1 << 18
+_SIGMA_BLOCK = 512
 _LATTICE_TOL = 1e-6
 
 
@@ -51,15 +53,16 @@ def _block_rng(seed: int, b: int):
     return np.random.Generator(np.random.Philox(key=seed + (b << 64)))
 
 
-def _block_plan(N: int):
-    n_blocks = (N + BLOCK_SIZE - 1) // BLOCK_SIZE
-    return [(b, min(BLOCK_SIZE, N - b * BLOCK_SIZE)) for b in range(n_blocks)]
+def _block_plan(N: int, block: int):
+    n_blocks = (N + block - 1) // block
+    return [(b, min(block, N - b * block)) for b in range(n_blocks)]
 
 
-def _run_blocks(N, seed, workers, block_fn):
-    """Run block_fn(block_index, block_size, rng) for every block and return
-    the results in block order regardless of worker count."""
-    plan = _block_plan(N)
+def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
+    """Run block_fn(block_index, block_size, rng) for every block of at most
+    ``block`` samples and return the results in block order regardless of
+    worker count."""
+    plan = _block_plan(N, block)
 
     def job(item):
         b, n = item
@@ -72,127 +75,53 @@ def _run_blocks(N, seed, workers, block_fn):
 
 
 # ---------------------------------------------------------------------------
-# path kernels
+# path engine
 # ---------------------------------------------------------------------------
 
-def _paths_renewal(system, t, n, rng):
-    cur = np.searchsorted(system.size_biased_cum, rng.random(n),
-                          side="right").astype(np.int64)
-    cur = np.minimum(cur, len(system.ys) - 1)
-    start = cur.copy()
-    s0 = rng.random(n) * system.ys[cur]
-    target = s0 + t
-    acc = system.ys[cur].copy()
-    psi = np.zeros(n)
-    ncross = np.zeros(n, dtype=np.int64)
+def _flow(system, state, s, dt, rng):
+    """Run flow points (state, s) forward for time dt.  Returns the end cells
+    and heights, psi = the sum of phi over every cell left (the start cell
+    included) and the crossing count."""
+    cur = state.copy()
+    target = s + dt
+    acc = system.tau(cur)
+    psi = np.zeros(len(cur))
+    ncross = np.zeros(len(cur), dtype=np.int64)
     alive = acc <= target
     while np.any(alive):
         idx = np.flatnonzero(alive)
-        psi[idx] += system.xs[cur[idx]]
+        live = cur[idx]
+        psi[idx] += system.phi(live)
         ncross[idx] += 1
-        draw = np.searchsorted(system.cum, rng.random(len(idx)),
-                               side="right")
-        draw = np.minimum(draw, len(system.ys) - 1)
-        cur[idx] = draw
-        acc[idx] += system.ys[draw]
+        nxt = system.step(live, rng)
+        cur[idx] = nxt
+        acc[idx] += system.tau(nxt)
         alive[idx] = acc[idx] <= target[idx]
-    s_end = target - (acc - system.ys[cur])
-    raw = (psi - s0 * system.xs[start] / system.ys[start]
-           + s_end * system.xs[cur] / system.ys[cur])
-    return {"start": start, "s0": s0, "psi": psi, "raw": raw,
-            "end": cur, "s_end": s_end, "ncross": ncross}
-
-
-def _paths_markov(system, t, n, rng):
-    ns = system.n_states
-    k = np.searchsorted(system.size_biased_cum, rng.random(n), side="right")
-    k = np.minimum(k, ns * ns - 1)
-    cur_i, cur_j = divmod(k, ns)
-    taus = system.f[:, :, 1]
-    phis = system.f[:, :, 0]
-    start = k.copy()
-    s0 = rng.random(n) * taus[cur_i, cur_j]
-    target = s0 + t
-    acc = taus[cur_i, cur_j].copy()
-    psi = np.zeros(n)
-    ncross = np.zeros(n, dtype=np.int64)
-    alive = acc <= target
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        psi[idx] += phis[cur_i[idx], cur_j[idx]]
-        ncross[idx] += 1
-        u = rng.random(len(idx))
-        i_new = cur_j[idx]
-        rows = system.cumP[i_new]
-        j_new = np.minimum((u[:, None] < rows).argmax(axis=1), ns - 1)
-        cur_i[idx] = i_new
-        cur_j[idx] = j_new
-        acc[idx] += taus[i_new, j_new]
-        alive[idx] = acc[idx] <= target[idx]
-    s_end = target - (acc - taus[cur_i, cur_j])
-    raw = (psi - s0 * phis[start // ns, start % ns]
-           / taus[start // ns, start % ns]
-           + s_end * phis[cur_i, cur_j] / taus[cur_i, cur_j])
-    return {"start": start, "s0": s0, "psi": psi, "raw": raw,
-            "end": cur_i * ns + cur_j, "s_end": s_end, "ncross": ncross}
-
-
-_PM_BURN = 1500
-
-
-def _pm_stationary_states(system, n, rng):
-    """Fresh nu-distributed (roof-size-biased) ambient points: uniform
-    starts, vectorized burn-in, then roof-weighted rejection."""
-    need = n
-    out = []
-    while need > 0:
-        batch = max(need + need // 3 + 64, 256)
-        x = rng.random(batch) * (1 - 1e-9) + 1e-9
-        for _ in range(_PM_BURN):
-            x = pm_map(x, system.alpha)
-        if system.roof_id == "unit":
-            keep = x
-        else:
-            w = system._roof(x)
-            keep = x[rng.random(batch) * float(np.max(w)) < w]
-        out.append(keep[:need])
-        need -= len(out[-1])
-    return np.concatenate(out)
-
-
-def _paths_pm(system, t, n, rng):
-    x = _pm_stationary_states(system, n, rng)
-    roof = system._roof
-    rate = lambda y: system._rate(y) - system.rate_mean
-    start = x.copy()
-    tau0 = roof(x)
-    s0 = rng.random(n) * tau0
-    target = s0 + t
-    acc = tau0.copy()
-    psi = np.zeros(n)
-    ncross = np.zeros(n, dtype=np.int64)
-    alive = acc <= target
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        xi = x[idx]
-        psi[idx] += rate(xi) * roof(xi)
-        ncross[idx] += 1
-        xn = pm_map(xi, system.alpha)
-        x[idx] = xn
-        acc[idx] += roof(xn)
-        alive[idx] = acc[idx] <= target[idx]
-    s_end = target - (acc - roof(x))
-    raw = psi - s0 * rate(start) + s_end * rate(x)
-    return {"start": start, "s0": s0, "psi": psi, "raw": raw,
-            "end": x, "s_end": s_end, "ncross": ncross}
-
-
-_KERNELS = {"renewal": _paths_renewal, "markov": _paths_markov,
-            "pm": _paths_pm}
+    s_end = target - (acc - system.tau(cur))
+    return {"end": cur, "s_end": s_end, "psi": psi, "ncross": ncross}
 
 
 def _paths(system, t, n, rng):
-    return _KERNELS[system.kind](system, t, n, rng)
+    """n flow paths of length t from the flow-invariant measure: a
+    size-biased start cell, a uniform height, then the engine.  ``raw`` is
+    the flow integral, with the two partial cells at the constant rate."""
+    start = system.draw_start(n, rng)
+    s0 = rng.random(n) * system.tau(start)
+    blk = _flow(system, start, s0, t, rng)
+    blk["start"], blk["s0"] = start, s0
+    end = blk["end"]
+    blk["raw"] = (blk["psi"] - s0 * system.phi(start) / system.tau(start)
+                  + blk["s_end"] * system.phi(end) / system.tau(end))
+    return blk
+
+
+def _base_walk(system, n, rng):
+    """Yield (phi, tau) along n parallel base trajectories started from the
+    base-invariant measure, one base step per item."""
+    state = system.draw_base(n, rng)
+    while True:
+        yield system.phi(state), system.tau(state)
+        state = system.step(state, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -280,45 +209,8 @@ def sample_flow_integrals(system, t, N, seed, workers=1, field="raw"):
 
 
 # ---------------------------------------------------------------------------
-# base-step kernels (no fiber) for variance and moderate deviations
+# base sums for variance and moderate deviations
 # ---------------------------------------------------------------------------
-
-def _base_stepper(system, n, rng):
-    """Initialize n parallel base trajectories; returns (state, advance)
-    where advance() yields (phi, tau) arrays for the next step."""
-    if system.kind == "renewal":
-        def advance(_state):
-            idx = np.searchsorted(system.cum, rng.random(n), side="right")
-            idx = np.minimum(idx, len(system.ys) - 1)
-            return None, system.xs[idx], system.ys[idx]
-        return None, advance
-    if system.kind == "markov":
-        ns = system.n_states
-        state = np.searchsorted(np.cumsum(system.stationary), rng.random(n),
-                                side="right")
-        state = np.minimum(state, ns - 1)
-
-        def advance(i_cur):
-            u = rng.random(n)
-            j = np.minimum((u[:, None] < system.cumP[i_cur]).argmax(axis=1),
-                           ns - 1)
-            phi = system.f[i_cur, j, 0]
-            tau = system.f[i_cur, j, 1]
-            return j, phi, tau
-        return state, advance
-    if system.kind == "pm":
-        x = rng.random(n) * (1 - 1e-9) + 1e-9
-        for _ in range(_PM_BURN):
-            x = pm_map(x, system.alpha)
-
-        def advance(x_cur):
-            phi = ((system._rate(x_cur) - system.rate_mean)
-                   * system._roof(x_cur))
-            tau = system._roof(x_cur)
-            return pm_map(x_cur, system.alpha), phi, tau
-        return x, advance
-    raise ValueError(f"unknown system kind {system.kind}")
-
 
 def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
                    workers=1):
@@ -326,29 +218,17 @@ def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
     centered at the block means.  Returns (2x2 covariance, 2x2 standard
     errors)."""
     def block_fn(b, n_traj, rng):
-        state, advance = _base_stepper(system, n_traj, rng)
+        walk = _base_walk(system, n_traj, rng)
         sums = np.zeros((n_traj, 2))
         for _ in range(block_len):
-            state, phi, tau = advance(state)
+            phi, tau = next(walk)
             sums[:, 0] += phi
             sums[:, 1] += tau
         return sums
 
     # one rng block per chunk of trajectories
-    chunk = 512
-    all_sums = []
-    plan = [(b, min(chunk, n_blocks - b * chunk))
-            for b in range((n_blocks + chunk - 1) // chunk)]
-
-    def job(item):
-        b, n_traj = item
-        return block_fn(b, n_traj, _block_rng(seed, b))
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            all_sums = list(ex.map(job, plan))
-    else:
-        all_sums = [job(item) for item in plan]
+    all_sums = _run_blocks(n_blocks, seed, workers, block_fn,
+                           block=_SIGMA_BLOCK)
     sums = np.vstack(all_sums) / math.sqrt(block_len)
     cov = np.cov(sums.T)
     se = np.abs(cov) * math.sqrt(2.0 / (len(sums) - 1)) \
@@ -380,7 +260,7 @@ def estimate_correlation(system, setA, setB, t_grid, N, seed, workers=1,
         rows.append((int((a0 & bmask).sum()), int(a0.sum()),
                      int(bmask.sum())))
         for t_prev, t_next in zip(t_grid, t_grid[1:]):
-            blk = _advance(system, cur, s_end, t_next - t_prev, rng)
+            blk = _flow(system, cur, s_end, t_next - t_prev, rng)
             cur, s_end = blk["end"], blk["s_end"]
             bmask = in_set(setB, J, cur, s_end)
             rows.append((int((a0 & bmask).sum()), int(a0.sum()),
@@ -400,58 +280,6 @@ def estimate_correlation(system, setA, setB, t_grid, N, seed, workers=1,
     return series
 
 
-def _advance(system, states, s, dt, rng):
-    """Continue existing flow points for additional time dt (same kernel
-    loop as _paths but with prescribed starting cells/heights)."""
-    kind = system.kind
-    n = len(s)
-    if kind == "renewal":
-        cur = states.copy()
-        tau_of = lambda c: system.ys[c]
-        phi_of = lambda c: system.xs[c]
-
-        def step(idx):
-            d = np.searchsorted(system.cum, rng.random(len(idx)),
-                                side="right")
-            return np.minimum(d, len(system.ys) - 1)
-    elif kind == "markov":
-        ns = system.n_states
-        cur = states.copy()
-        tau_of = lambda c: system.f[c // ns, c % ns, 1]
-        phi_of = lambda c: system.f[c // ns, c % ns, 0]
-
-        def step(idx):
-            i_new = cur[idx] % ns
-            u = rng.random(len(idx))
-            j = np.minimum((u[:, None] < system.cumP[i_new]).argmax(axis=1),
-                           ns - 1)
-            return i_new * ns + j
-    elif kind == "pm":
-        cur = states.copy()
-        tau_of = lambda c: system._roof(c)
-        phi_of = lambda c: (system._rate(c) - system.rate_mean) \
-            * system._roof(c)
-
-        def step(idx):
-            return pm_map(cur[idx], system.alpha)
-    else:
-        raise ValueError(kind)
-
-    target = s + dt
-    acc = tau_of(cur).copy() if hasattr(tau_of(cur), "copy") \
-        else np.full(n, tau_of(cur))
-    psi = np.zeros(n)
-    alive = acc <= target
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        psi[idx] += phi_of(cur[idx])
-        cur[idx] = step(idx)
-        acc[idx] += tau_of(cur[idx])
-        alive[idx] = acc[idx] <= target[idx]
-    s_end = target - (acc - tau_of(cur))
-    return {"end": cur, "s_end": s_end, "psi": psi}
-
-
 def moderate_dev_diagnostic(system, w_list, K_list, R=1.0, seed=0,
                             N=200_000, workers=1):
     """Empirical moderate-deviation table: for each w, the scaled sum
@@ -468,13 +296,13 @@ def moderate_dev_diagnostic(system, w_list, K_list, R=1.0, seed=0,
         n_cap = int(10 * w / system.nu_tau)
 
         def block_fn(b, n, rng):
-            state, advance = _base_stepper(system, n, rng)
+            walk = _base_walk(system, n, rng)
             S = np.zeros((n, 2))
             counts = np.zeros(len(K_list))
             step = 0
             while step < n_cap:
                 step += 1
-                state, phi, tau = advance(state)
+                phi, tau = next(walk)
                 S[:, 0] += phi
                 S[:, 1] += tau
                 # ball unreachable once the roof sum is far past the center

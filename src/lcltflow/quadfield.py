@@ -168,10 +168,16 @@ class QuadScalar:
         return (self - o).sign() <= 0
 
     def __gt__(self, other):
-        return not self.__le__(other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return (self - o).sign() > 0
 
     def __ge__(self, other):
-        return not self.__lt__(other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return (self - o).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

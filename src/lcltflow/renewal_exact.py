@@ -145,9 +145,9 @@ def _palm_sweep(atoms, t, prune_bound=None, check_zero_integer=False):
         if len(states) > _STATE_CAP:
             raise StateExplosion(f"DP states exceeded {_STATE_CAP}")
         S, Tp, Tq = key
-        if check_zero_integer and S == 0:
-            assert Tq == 0, \
-                f"zero-reward renewal at non-integer time {Tp}+{Tq}*sqrt"
+        if check_zero_integer and S == 0 and Tq != 0:
+            raise ValueError(
+                f"zero-reward renewal at non-integer time {Tp}+{Tq}*sqrt")
         for k in range(len(ys)):
             yp, yq = ys[k]
             p2, q2 = Tp + yp, Tq + yq
@@ -372,10 +372,11 @@ def _exact_time(t):
 def counterexample_scan(t_values, atoms=None):
     """Exact sqrt(t) P(S_{N_t} = 0) over t_values with the cell of frac(t).
 
-    Returns rows (t, cell, sqrt_t_times_p, pruned_mass).  Asserts the
+    Returns rows (t, cell, sqrt_t_times_p, pruned_mass).  Requires the
     structural identity that every zero-reward renewal happens at an integer
     time, so the last zero-reward renewal before t is at floor(t) and the
-    value factorizes through the cell of frac(t).
+    value factorizes through the cell of frac(t); raises ValueError for atoms
+    that break it.
     """
     if atoms is None:
         atoms = section_61_atoms()
@@ -391,9 +392,11 @@ def counterexample_scan(t_values, atoms=None):
         p0 = Fraction(0)
         for S, T, _gap, w in finals:
             if S == 0:
-                assert T.frac().is_zero(), "zero-reward renewal off-lattice"
-                assert T.floor() == t_exact.floor(), \
-                    "last zero-reward renewal is not at floor(t)"
+                if not T.frac().is_zero():
+                    raise ValueError("zero-reward renewal off-lattice")
+                if T.floor() != t_exact.floor():
+                    raise ValueError(
+                        "last zero-reward renewal is not at floor(t)")
                 p0 += w
         rows.append((float(t_exact), frac_cell(t_exact),
                      math.sqrt(float(t_exact)) * float(p0), float(pruned)))

@@ -2,19 +2,28 @@
 
 Three base families: iid reward-renewal processes (finite atoms with exact
 coordinates), finite-state Markov shifts with per-transition values, and the
-intermittent interval map with a neutral fixed point, used both through its
-first-return (induced) map and directly as an ambient suspension.
+intermittent interval map with a neutral fixed point, used directly as an
+ambient suspension whose first-return structure over (1/2, 1] is exposed
+through ``return_time``.
 
-Every system exposes the same small surface used by the flow integrator and
-the Monte Carlo kernels: ``tau_of``, ``phi_of`` (per-cell integral of the
-observable), ``step``, ``sample_base`` and ``sample_size_biased``.
+Each system is a suspension flow given by a base step, a roof tau and a
+per-cell observable integral phi, and exposes it through one vectorised
+protocol on arrays of base states, which is all the Monte Carlo engine uses:
+
+- ``draw_start(n, rng)``: n states from the roof-size-biased measure (the
+  base marginal of the flow-invariant measure);
+- ``draw_base(n, rng)``: n states from the base-invariant measure;
+- ``step(states, rng)``: one application of the base dynamics;
+- ``tau(states)`` and ``phi(states)``: roof and per-cell integral.
+
+States are atom indices (renewal), flat edge indices i*n + j for the
+transition i -> j being traversed (Markov), and points of (0, 1] (the
+intermittent map).
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,76 +31,6 @@ from scipy.optimize import brentq
 
 from .errors import MixedRingError, ReturnTimeOverflow
 from .quadfield import QuadScalar, as_quad
-
-
-# ---------------------------------------------------------------------------
-# flow plumbing shared by all systems
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FlowPoint:
-    """A point of the suspension space: base state plus fiber height s in
-    [0, tau(state))."""
-    state: object
-    s: float
-
-
-class ObservableProfile:
-    """Intra-cell observable profile.  The default constant-rate profile
-    spreads the per-cell integral phi_check(x) uniformly over [0, tau(x))."""
-
-    def __init__(self, mode="constant_rate"):
-        if mode != "constant_rate":
-            raise ValueError(f"unknown profile mode {mode!r}")
-        self.mode = mode
-
-    def rate(self, phi_check, tau):
-        return phi_check / tau
-
-
-def step_base(system, state, rng):
-    """One application of the base dynamics (iid draw / chain transition /
-    induced-map step)."""
-    return system.step(state, rng)
-
-
-def flow_integrate(system, start: FlowPoint, t: float, rng=None):
-    """Integrate the flow observable for time t from ``start``.
-
-    Returns (integral, end FlowPoint, n_crossings).  Full cells contribute
-    their exact per-cell integrals; the two partial cells contribute via the
-    constant-rate profile.  The crossing count satisfies
-    S_tau(n, x) <= t + s < S_tau(n + 1, x).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    state, s = start.state, float(start.s)
-    tau = system.tau_of(state)
-    if not 0 <= s < tau:
-        raise ValueError(f"fiber height {s} outside [0, {tau})")
-    integral = 0.0
-    remaining = t
-    crossings = 0
-    while s + remaining >= tau:
-        seg = tau - s
-        integral += system.phi_of(state) / tau * seg
-        remaining -= seg
-        state = system.step(state, rng)
-        crossings += 1
-        s = 0.0
-        tau = system.tau_of(state)
-        if tau <= 0:
-            raise ValueError("roof must be positive")
-    integral += system.phi_of(state) / tau * remaining
-    return integral, FlowPoint(state, s + remaining), crossings
-
-
-def sample_stationary(system, rng) -> FlowPoint:
-    """Draw a flow point from the invariant measure nu (x) Leb / nu(tau):
-    size-biased base cell, then uniform height."""
-    state = system.sample_size_biased(rng)
-    s = rng.random() * system.tau_of(state)
-    return FlowPoint(state, s)
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +74,25 @@ class RenewalBase:
 
     kind = "renewal"
 
-    def tau_of(self, i):
-        return self.ys[i]
+    def _draw(self, cum, n, rng):
+        idx = np.searchsorted(cum, rng.random(n), side="right")
+        return np.minimum(idx, len(self.ys) - 1)
 
-    def phi_of(self, i):
-        return self.xs[i]
+    def draw_start(self, n, rng):
+        return self._draw(self.size_biased_cum, n, rng)
 
-    def step(self, state, rng):
-        return int(np.searchsorted(self.cum, rng.random(), side="right"))
+    def draw_base(self, n, rng):
+        return self._draw(self.cum, n, rng)
 
-    def sample_base(self, rng):
-        return self.step(None, rng)
+    def step(self, states, rng):
+        # iid atoms: the next cell does not depend on the current one
+        return self.draw_base(len(states), rng)
 
-    def sample_size_biased(self, rng):
-        return int(np.searchsorted(self.size_biased_cum, rng.random(),
-                                   side="right"))
+    def tau(self, states):
+        return self.ys[states]
+
+    def phi(self, states):
+        return self.xs[states]
 
     def value_group(self):
         """Generators and shift for the support group of (phi_check, tau):
@@ -183,8 +126,8 @@ class RenewalBase:
 
 class MarkovShiftBase:
     """Finite-state chain with per-transition values f(i, j) = (phi, tau).
-    Flow state = the current edge (i, j): the point sits in the fiber over
-    the transition being traversed."""
+    Flow state = the flat index i*n + j of the current edge (i, j): the point
+    sits in the fiber over the transition being traversed."""
 
     def __init__(self, P, f):
         P = np.asarray(P, dtype=float)
@@ -210,7 +153,10 @@ class MarkovShiftBase:
         if np.max(np.abs(pi @ P - pi)) > 1e-12:
             raise ValueError("stationary vector inaccurate")
         self.stationary = pi
+        self.stationary_cum = np.cumsum(pi)
         self.cumP = np.cumsum(P, axis=1)
+        self.edge_phi = self.f[:, :, 0].ravel()
+        self.edge_tau = self.f[:, :, 1].ravel()
         edge_w = pi[:, None] * P
         self.nu_phi = float(np.sum(edge_w * self.f[:, :, 0]))
         self.nu_tau = float(np.sum(edge_w * self.f[:, :, 1]))
@@ -219,29 +165,30 @@ class MarkovShiftBase:
 
     kind = "markov"
 
-    def tau_of(self, edge):
-        return self.f[edge[0], edge[1], 1]
+    def _edges_from(self, i, rng):
+        """Edges i -> j with j drawn from row i of P."""
+        ns = self.n_states
+        u = rng.random(len(i))
+        j = np.minimum((u[:, None] < self.cumP[i]).argmax(axis=1), ns - 1)
+        return i * ns + j
 
-    def phi_of(self, edge):
-        return self.f[edge[0], edge[1], 0]
+    def draw_start(self, n, rng):
+        k = np.searchsorted(self.size_biased_cum, rng.random(n),
+                            side="right")
+        return np.minimum(k, self.n_states ** 2 - 1)
 
-    def step(self, edge, rng):
-        i = edge[1]
-        j = int(np.searchsorted(self.cumP[i], rng.random(), side="right"))
-        return (i, min(j, self.n_states - 1))
+    def draw_base(self, n, rng):
+        i = np.searchsorted(self.stationary_cum, rng.random(n), side="right")
+        return self._edges_from(np.minimum(i, self.n_states - 1), rng)
 
-    def sample_base(self, rng):
-        i = int(np.searchsorted(np.cumsum(self.stationary), rng.random(),
-                                side="right"))
-        i = min(i, self.n_states - 1)
-        j = int(np.searchsorted(self.cumP[i], rng.random(), side="right"))
-        return (i, min(j, self.n_states - 1))
+    def step(self, states, rng):
+        return self._edges_from(states % self.n_states, rng)
 
-    def sample_size_biased(self, rng):
-        k = int(np.searchsorted(self.size_biased_cum, rng.random(),
-                                side="right"))
-        k = min(k, self.n_states ** 2 - 1)
-        return divmod(k, self.n_states)
+    def tau(self, states):
+        return self.edge_tau[states]
+
+    def phi(self, states):
+        return self.edge_phi[states]
 
     def value_group(self):
         """Support-value generators for (phi, tau) over the edges.  For a
@@ -328,8 +275,11 @@ class PMTowerBase:
     per-cell observable integral = (g(state) - m) * upsilon(state) with m the
     invariant-measure mean of g weighted by upsilon (estimated once from a
     deterministic ensemble).  The induced first-return structure over
-    (1/2, 1] is exposed through ``return_time`` and ``induced_map``.
+    (1/2, 1] is exposed through ``return_time``.
     """
+
+    # iterations pushing uniform starts towards the invariant measure
+    _BURN = 1500
 
     def __init__(self, alpha, phi_check="x_centered", roof="unit"):
         if not 0 < alpha < 0.5:
@@ -360,26 +310,37 @@ class PMTowerBase:
 
     # -- ambient suspension interface -----------------------------------
 
-    def tau_of(self, x):
-        return float(self._roof(x))
+    def draw_base(self, n, rng):
+        """Fresh (approximately) invariant points: uniform starts pushed
+        through a ``_BURN``-step burn-in."""
+        x = rng.random(n) * (1 - 1e-9) + 1e-9
+        for _ in range(self._BURN):
+            x = pm_map(x, self.alpha)
+        return x
 
-    def phi_of(self, x):
-        return float((self._rate(x) - self.rate_mean) * self._roof(x))
+    def draw_start(self, n, rng):
+        """Roof-size-biased points: burnt-in batches, thinned by roof-weighted
+        rejection unless the roof is constant."""
+        need = n
+        out = []
+        while need > 0:
+            batch = max(need + need // 3 + 64, 256)
+            x = self.draw_base(batch, rng)
+            if self.roof_id != "unit":
+                w = self._roof(x)
+                x = x[rng.random(batch) * float(np.max(w)) < w]
+            out.append(x[:need])
+            need -= len(out[-1])
+        return np.concatenate(out)
 
-    def step(self, x, rng=None):
-        return pm_map(x, self.alpha)
+    def step(self, states, rng):
+        return pm_map(states, self.alpha)
 
-    def sample_base(self, rng):
-        ens = _pm_acim_ensemble(self.alpha)
-        return float(ens[rng.integers(len(ens))])
+    def tau(self, states):
+        return self._roof(states)
 
-    def sample_size_biased(self, rng):
-        if self.roof_id == "unit":
-            return self.sample_base(rng)
-        ens = _pm_acim_ensemble(self.alpha)
-        w = self._roof(ens)
-        cum = np.cumsum(w / w.sum())
-        return float(ens[np.searchsorted(cum, rng.random())])
+    def phi(self, states):
+        return (self._rate(states) - self.rate_mean) * self._roof(states)
 
     # -- induced first-return structure ---------------------------------
 
@@ -393,25 +354,10 @@ class PMTowerBase:
         out = np.asarray(1 + k)
         return int(out) if out.ndim == 0 else out
 
-    def induced_map(self, x):
-        return pm_first_return(x, self.alpha)[0]
-
     @classmethod
     def from_json(cls, obj):
         return cls(obj["alpha"], obj.get("phi_check", "x_centered"),
                    obj.get("roof", "unit"))
-
-
-def induced_observable(system: PMTowerBase, f_on_tower, x: float):
-    """Sum of f along the excursion of x in (1/2, 1]: f(x) + f(Fx) + ... up
-    to the step before the first return."""
-    _, r = pm_first_return(x, system.alpha)
-    total = 0.0
-    y = x
-    for _ in range(r):
-        total += f_on_tower(y)
-        y = pm_map(y, system.alpha)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def test_classify_degenerate_and_nonmixing(tmp_path, capsys):
     assert "not weakly mixing" in capsys.readouterr().out
 
 
+def test_classify_markov_points_to_spectral(tmp_path, capsys):
+    code, _ = run(tmp_path, "classify", {"system": MARKOV_SYSTEM})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "spectral" in err and "Traceback" not in err
+
+
 def test_classify_explicit_generators(tmp_path):
     cfg = {"generators": [[[0, 1, 0, 1], [1, 1, 0, 1]],
                           [[1, 1, 0, 1], [0, 1, 1, 1]]],
@@ -159,6 +167,26 @@ def test_renewal_scan(tmp_path, capsys):
     lines = (tmp_path / "out" / "scan.csv").read_text().splitlines()
     assert lines[0] == "t,frac_cell,sqrt_t_times_p,pruned_mass"
     assert len(lines) == 4
+
+
+def test_renewal_scan_rejects_non_integer_rewards(tmp_path, capsys):
+    # the +-1/2 coin: rewards reach the exact scan unchanged and are rejected
+    half_coin = {"type": "renewal", "D": 2,
+                 "atoms": [[-0.5, 0, 1, 0, 1, 2], [0.5, 0, 1, 0, 1, 2]]}
+    code, _ = run(tmp_path, "renewal",
+                  {"system": half_coin, "t_values": [10]})
+    assert code == 3
+    assert "rewards must be integers" in capsys.readouterr().err
+
+
+def test_renewal_scan_rejects_off_lattice_zero_rewards(tmp_path, capsys):
+    # durations 1 and sqrt2: S = 0 recurs at times off the integer lattice
+    sys = {"type": "renewal", "D": 2,
+           "atoms": [[-1, 0, 1, 0, 1, 2], [1, 0, 0, 1, 1, 2]]}
+    code, _ = run(tmp_path, "renewal", {"system": sys, "t_values": [5]})
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-integer time" in err and "Traceback" not in err
 
 
 def test_correlate(tmp_path):

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from lcltflow.errors import EmptySetWarning
-from lcltflow.montecarlo import (EstimateWithCI, HistogramSpec, estimate_lclt,
-                                 estimate_mlclt, estimate_correlation,
-                                 estimate_sigma, full_set,
-                                 moderate_dev_diagnostic,
+from lcltflow.montecarlo import (EstimateWithCI, HistogramSpec, _flow,
+                                 _paths, estimate_lclt, estimate_mlclt,
+                                 estimate_correlation, estimate_sigma,
+                                 full_set, moderate_dev_diagnostic,
                                  sample_flow_integrals)
 from lcltflow.quadfield import QuadScalar
-from lcltflow.systems import RenewalBase
+from lcltflow.systems import MarkovShiftBase, PMTowerBase, RenewalBase
+
+from flowref import flow_integrate, sample_stationary
 
 S2 = QuadScalar.sqrtD(2)
 SQ2 = math.sqrt(2)
@@ -28,6 +30,22 @@ def osc_system():
 def coin_system():
     half = Fraction(1, 2)
     return RenewalBase([(-1, 1, half), (1, 1, half)])
+
+
+def chain3_system():
+    P = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    f = np.zeros((3, 3, 2))
+    f[:, :, 1] = 1.0
+    f[0, 1] = [1.0, SQ2]
+    f[1, 2] = [-1.0, 3.0]
+    f[2, 0] = [0.0, 2.0]
+    f[0, 0, 0] = 0.5
+    f[1, 1, 0] = -0.5
+    return MarkovShiftBase(P, f)
+
+
+SYSTEMS = {"renewal": osc_system, "markov": chain3_system,
+           "pm": lambda: PMTowerBase(0.25)}
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +64,45 @@ def test_bit_identical_across_worker_counts():
     assert e1.point == e3.point and e1.std_error == e3.std_error
 
 
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_engine_bit_identical_across_worker_counts(kind):
+    sys = SYSTEMS[kind]()
+    # two path blocks, except for pm, where every start pays a burn-in and
+    # the multi-block check is left to the base sums below
+    N = (1 << 18) + 300 if kind != "pm" else 600
+    a = sample_flow_integrals(sys, 6.0, N, seed=8, workers=1)
+    b = sample_flow_integrals(sys, 6.0, N, seed=8, workers=2)
+    assert np.array_equal(a, b)
+    # three 512-trajectory blocks of base sums
+    s1 = estimate_sigma(sys, n_blocks=1100, block_len=50, seed=8, workers=1)
+    s2 = estimate_sigma(sys, n_blocks=1100, block_len=50, seed=8, workers=3)
+    assert np.array_equal(s1[0], s2[0]) and np.array_equal(s1[1], s2[1])
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_engine_matches_scalar_reference(kind):
+    # the n = 1 scalar loop over system.step and the vectorised engine
+    # consume the same random stream and land on the same cell
+    sys = SYSTEMS[kind]()
+    tau = lambda x: sys.tau(np.array([x]))[0]
+    phi = lambda x: sys.phi(np.array([x]))[0]
+    for seed in range(8):
+        t = 3.0 + 2.5 * seed
+        start = sample_stationary(sys, np.random.default_rng(seed))
+        blk = _paths(sys, 0.0, 1, np.random.default_rng(seed))
+        assert blk["start"][0] == start.state and blk["s0"][0] == start.s
+        val, end, ncross = flow_integrate(sys, start, t,
+                                          np.random.default_rng(100 + seed))
+        eng = _flow(sys, np.array([start.state]), np.array([start.s]), t,
+                    np.random.default_rng(100 + seed))
+        assert eng["end"][0] == end.state
+        assert eng["ncross"][0] == ncross
+        assert eng["s_end"][0] == pytest.approx(end.s, abs=1e-12)
+        raw = (eng["psi"][0] - start.s * phi(start.state) / tau(start.state)
+               + eng["s_end"][0] * phi(end.state) / tau(end.state))
+        assert raw == pytest.approx(val, abs=1e-12)
+
+
 def test_seed_changes_samples():
     sys = osc_system()
     a = sample_flow_integrals(sys, 10.0, 10_000, seed=1)
@@ -57,11 +114,14 @@ def test_lclt_marginalizes_mlclt():
     # with full conditioning sets the two estimators share the code path and
     # must agree exactly, not just statistically
     sys = osc_system()
-    win = ("flow", 0.0, -0.5, 0.5)
-    spec = HistogramSpec(t=25.0, windows=[win, ("flow", 1.0, -0.5, 0.5)])
+    spec = HistogramSpec(t=25.0, windows=[("flow", 0.0, -0.5, 0.5),
+                                          ("flow", 1.0, -0.5, 0.5),
+                                          ("flow", -1.0, -0.5, 0.5),
+                                          ("section", 1, 0)])
     hist = estimate_lclt(sys, spec, 200_000, seed=9)
-    joint = estimate_mlclt(sys, 25.0, 200_000, 9, window=win)
-    assert hist[0].point == joint.point
+    for win, est in zip(spec.windows, hist):
+        joint = estimate_mlclt(sys, 25.0, 200_000, 9, window=win)
+        assert (est.point, est.std_error) == (joint.point, joint.std_error)
 
 
 def test_estimate_with_ci_helper():

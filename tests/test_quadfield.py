@@ -95,6 +95,18 @@ def test_json_pair_round_trip():
     assert QuadScalar.from_pair(x.to_pair(), 2) == x
 
 
+def test_order_against_foreign_types_raises():
+    # every comparison defers to the other operand, so an unrelated type
+    # raises TypeError instead of answering False
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(S2, op)("x") is NotImplemented
+    with pytest.raises(TypeError):
+        S2 > "x"
+    with pytest.raises(TypeError):
+        S2 >= "x"
+    assert S2 > 1 and S2 >= Fraction(7, 5) and not S2 > S2 and S2 >= S2
+
+
 @given(scalars, scalars)
 @settings(max_examples=200)
 def test_order_consistent_with_floats(a, b):

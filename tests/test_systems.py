@@ -8,9 +8,10 @@ import pytest
 
 from lcltflow.errors import MixedRingError, ReturnTimeOverflow
 from lcltflow.quadfield import QuadScalar, as_quad
-from lcltflow.systems import (FlowPoint, MarkovShiftBase, PMTowerBase,
-                              RenewalBase, flow_integrate, load_system,
-                              pm_first_return, pm_map, sample_stationary)
+from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
+                              load_system, pm_first_return, pm_map)
+
+from flowref import FlowPoint, flow_integrate, sample_stationary
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -66,17 +67,19 @@ def test_renewal_value_group_and_tau_support():
 def test_renewal_sampling_frequencies():
     sys = osc_system()
     rng = np.random.default_rng(7)
-    draws = np.array([sys.sample_base(rng) for _ in range(20000)])
+    draws = sys.draw_base(20000, rng)
     freq = np.bincount(draws, minlength=3) / len(draws)
     assert np.allclose(freq, [1 / 3, 1 / 3, 1 / 3], atol=0.02)
-    sb = np.array([sys.sample_size_biased(rng) for _ in range(20000)])
+    nxt = np.bincount(sys.step(draws, rng), minlength=3) / len(draws)
+    assert np.allclose(nxt, [1 / 3, 1 / 3, 1 / 3], atol=0.02)
+    sb = sys.draw_start(20000, rng)
     sfreq = np.bincount(sb, minlength=3) / len(sb)
     expect = sys.probs * sys.ys / sys.nu_tau
     assert np.allclose(sfreq, expect, atol=0.02)
 
 
 # ---------------------------------------------------------------------------
-# flow integration
+# flow integration (scalar reference in tests/flowref.py)
 # ---------------------------------------------------------------------------
 
 def test_flow_integrate_additive_and_counts_crossings():
@@ -91,7 +94,7 @@ def test_flow_integrate_additive_and_counts_crossings():
     assert a + b == pytest.approx(full, abs=1e-12)
     assert n1 + n2 == ncross
     assert end2.s == pytest.approx(end.s, abs=1e-12)
-    assert 0 <= end.s < sys.tau_of(end.state)
+    assert 0 <= end.s < sys.tau(np.array([end.state]))[0]
 
 
 def test_flow_integrate_deterministic_single_atom():
@@ -159,12 +162,16 @@ def test_markov_validation():
 def test_markov_step_follows_transition_structure():
     sys = MarkovShiftBase(P3, f3_table())
     rng = np.random.default_rng(5)
-    edge = sys.sample_base(rng)
+    edge = sys.draw_base(200, rng)
+    assert np.all(sys.P[edge // 3, edge % 3] > 0)
     for _ in range(200):
         nxt = sys.step(edge, rng)
-        assert nxt[0] == edge[1]
-        assert sys.P[nxt[0], nxt[1]] > 0
+        assert np.array_equal(nxt // 3, edge % 3)
+        assert np.all(sys.P[nxt // 3, nxt % 3] > 0)
         edge = nxt
+    # edge values are the per-transition table entries
+    assert np.array_equal(sys.phi(edge), f3_table()[edge // 3, edge % 3, 0])
+    assert np.array_equal(sys.tau(edge), f3_table()[edge // 3, edge % 3, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +232,7 @@ def test_pm_return_time_tail_exponent():
 def test_pm_observable_centered():
     sys = PMTowerBase(0.25)
     rng = np.random.default_rng(4)
-    xs = np.array([sys.sample_base(rng) for _ in range(50_000)])
-    vals = np.array([sys.phi_of(x) for x in xs[:5000]])
+    vals = sys.phi(sys.draw_base(5000, rng))
     assert abs(vals.mean()) < 0.02
     assert 0 < sys.nu_tau <= 1.5
 
