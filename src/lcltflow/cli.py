@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import LcltError
+from .errors import ConfigError, LcltError
 from .groups import (CaseLabel, classify_case, closure_1d, closure_of_group,
                      covolume, interval)
 from .montecarlo import (HistogramSpec, estimate_correlation, estimate_lclt,
@@ -48,15 +48,26 @@ EXIT_VERIFY = 4
 # config plumbing
 # ---------------------------------------------------------------------------
 
+def _is_integral(x):
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, float) and x.is_integer())
+
+
 def _parse_scalar(v, D=2):
-    """Exact scalar from JSON: number, [num, den], or [pn, pd, qn, qd]."""
-    if isinstance(v, (int, float)):
-        return as_quad(Fraction(v).limit_denominator(10 ** 12), D)
-    if isinstance(v, list) and len(v) == 2:
-        return as_quad(Fraction(v[0], v[1]), D)
-    if isinstance(v, list) and len(v) == 4:
-        return QuadScalar(Fraction(v[0], v[1]), Fraction(v[2], v[3]), D)
-    raise ValueError(f"cannot parse scalar {v!r}")
+    """Exact scalar from JSON: an integer, [num, den] or [pn, pd, qn, qd],
+    all entries integral and denominators nonzero.  A non-integral float is
+    rejected, never rationalised."""
+    parts = v if isinstance(v, list) else [v]
+    lengths = (2, 4) if isinstance(v, list) else (1,)
+    if (len(parts) not in lengths or not all(map(_is_integral, parts))
+            or 0 in parts[1::2]):
+        raise ConfigError(
+            f"cannot parse scalar {v!r}: give an integer, [num, den] or "
+            f"[pn, pd, qn, qd] (p + q sqrt(D)) with integer entries")
+    n = [int(x) for x in parts]
+    if len(n) == 4:
+        return QuadScalar(Fraction(n[0], n[1]), Fraction(n[2], n[3]), D)
+    return as_quad(Fraction(*n), D)
 
 
 def _atomic_write(path, text):
@@ -428,6 +439,9 @@ def main(argv=None):
         return _COMMANDS[args.command](run)
     except (KeyError, TypeError) as e:
         print(f"error: bad configuration: {e!r}", file=sys.stderr)
+        return EXIT_PARSE
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (LcltError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)

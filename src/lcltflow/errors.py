@@ -5,6 +5,10 @@ class LcltError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(LcltError):
+    """A configuration value is malformed (exit code 2, not 3)."""
+
+
 # -- exact group arithmetic ------------------------------------------------
 
 class MixedRingError(LcltError):

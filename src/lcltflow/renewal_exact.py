@@ -66,13 +66,6 @@ class ExactDistribution:
             acc = acc + v
         return acc + self.pruned_mass
 
-    def prob_S(self, S: int):
-        out = Fraction(0)
-        for (s, _), p in self.mass.items():
-            if s == S:
-                out = out + p
-        return out
-
     def to_json(self):
         def enc(v):
             if isinstance(v, QuadScalar):
@@ -169,14 +162,6 @@ def _palm_sweep(atoms, t, prune_bound=None, check_zero_integer=False):
     return states, finals, pruned
 
 
-def _palm_layers(atoms, t, prune_bound=None, check_zero_integer=False):
-    """Maximal renewal paths at horizon t: (finals, pruned) as produced by
-    the merged-state sweep."""
-    _, finals, pruned = _palm_sweep(atoms, t, prune_bound,
-                                    check_zero_integer)
-    return finals, pruned
-
-
 def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
     """Exact law of (S_{N_t}, t - t_{N_t}) with N_t = max{n : t_n <= t}.
 
@@ -191,7 +176,7 @@ def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
     t = t if isinstance(t, QuadScalar) else as_quad(t)
     bound = _prune_bound(atoms, t) if prune else None
     if mode == PalmStart:
-        finals, pruned = _palm_layers(atoms, t, prune_bound=bound)
+        finals, pruned = _palm_sweep(atoms, t, prune_bound=bound)[1:]
         mass = {}
         for S, T, _gap, w in finals:
             key = (S, t - T)
@@ -386,9 +371,10 @@ def counterexample_scan(t_values, atoms=None):
         t_exact = _exact_time(t)
         if float(t_exact) < 1:
             raise ValueError("scan requires t >= 1")
-        finals, pruned = _palm_layers(
+        # [1:] frees this t's state table before the next sweep builds one
+        finals, pruned = _palm_sweep(
             atoms, t_exact, prune_bound=_prune_bound(atoms, t_exact),
-            check_zero_integer=True)
+            check_zero_integer=True)[1:]
         p0 = Fraction(0)
         for S, T, _gap, w in finals:
             if S == 0:

@@ -5,6 +5,10 @@ is a finite complex matrix, so its leading eigenvalue curve, the quadratic
 expansion at 0, the Fourier-inversion point probabilities and the
 unit-modulus eigenvalue set are all computable to near machine precision.
 These serve as rigorous oracles, independent of Monte Carlo sampling.
+
+Each oracle stacks its operators over all its t values and makes one
+stacked eigen-solve or matrix power.  Lattice Fourier inversion is an exact
+finite inverse DFT; the smoothed kernel expectation is the only quadrature.
 """
 
 from __future__ import annotations
@@ -46,26 +50,51 @@ class TwistedOperatorModel:
 
 def twisted_matrix(model: TwistedOperatorModel, t) -> np.ndarray:
     """(P_t)_{ji} = P(i,j) exp(i <t, f(i,j)>): the transfer matrix twisted
-    by the Fourier character of the transition values."""
+    by the Fourier character of the transition values.  A single t of
+    shape (d,) gives one (k, k) matrix, a (G, d) stack of t values a
+    (G, k, k) stack."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (model.d,):
-        raise ValueError(f"t has shape {t.shape}, expected ({model.d},)")
-    phase = np.tensordot(model.f, t, axes=([2], [0]))
-    return (model.chain.P * np.exp(1j * phase)).T
+    if t.ndim > 2 or t.shape[-1] != model.d:
+        raise ValueError(f"t has shape {t.shape}, expected ({model.d},) "
+                         f"or (G, {model.d})")
+    phase = np.einsum("ijk,...k->...ij", model.f, t)
+    return np.swapaxes(model.chain.P * np.exp(1j * phase), -1, -2)
 
 
-def leading_eigenvalue(P_t: np.ndarray, gap_tol: float = 1e-8):
-    """Maximal-modulus eigenvalue and its eigenvector, residual <= 1e-12,
-    eigenvector phase fixed by making its largest-modulus entry real
-    positive.  Raises NoGapError when the top two moduli tie within
-    ``gap_tol``."""
+def _t_stack(model: TwistedOperatorModel, t_grid) -> np.ndarray:
+    """A grid of t values as a (G, d) array; a flat list holds scalar t."""
+    ts = np.asarray(t_grid, dtype=float)
+    return ts.reshape(len(ts), -1 if ts.size else model.d)
+
+
+_GAP_TOL = 1e-8
+
+
+def _modulus(z):
+    # hypot is bit-equal to the scalar abs(z); the vectorised np.abs on
+    # complex arrays can differ from it in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def _eig_sorted(P_t: np.ndarray):
+    """Eigenvalues and eigenvectors of a (..., k, k) stack, sorted by
+    decreasing modulus, and the gap |lambda_0| - |lambda_1| (inf if k = 1)."""
     w, V = np.linalg.eig(P_t)
-    order = np.argsort(-np.abs(w))
-    lam = w[order[0]]
-    if len(w) > 1 and abs(abs(w[order[0]]) - abs(w[order[1]])) < gap_tol:
-        raise NoGapError(f"leading moduli tie: |{w[order[0]]:.6g}| vs "
-                         f"|{w[order[1]]:.6g}|")
-    v = V[:, order[0]]
+    order = np.argsort(-np.abs(w), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    V = np.take_along_axis(V, order[..., None, :], axis=-1)
+    mod = _modulus(w)
+    gap = (mod[..., 0] - mod[..., 1] if w.shape[-1] > 1
+           else np.full(w.shape[:-1], math.inf))
+    return w, V, gap
+
+
+def _leading(P_t: np.ndarray, gap_tol: float = _GAP_TOL):
+    """(lambda, v, gap) of one matrix; see leading_eigenvalue."""
+    w, V, gap = _eig_sorted(P_t)
+    if gap < gap_tol:
+        raise NoGapError(f"leading moduli tie: |{w[0]:.6g}| vs |{w[1]:.6g}|")
+    v = V[:, 0]
     # one Rayleigh-quotient refinement pass
     lam = complex(np.vdot(v, P_t @ v) / np.vdot(v, v))
     k = int(np.argmax(np.abs(v)))
@@ -73,37 +102,34 @@ def leading_eigenvalue(P_t: np.ndarray, gap_tol: float = 1e-8):
     resid = float(np.linalg.norm(P_t @ v - lam * v))
     if resid > 1e-12 * max(1.0, float(np.linalg.norm(P_t))):
         raise NoGapError(f"eigenpair residual {resid:.3g} above tolerance")
+    return lam, v, float(gap)
+
+
+def leading_eigenvalue(P_t: np.ndarray, gap_tol: float = _GAP_TOL):
+    """Maximal-modulus eigenvalue and its eigenvector, residual <= 1e-12,
+    eigenvector phase fixed by making its largest-modulus entry real
+    positive.  Raises NoGapError when the top two moduli tie within
+    ``gap_tol``."""
+    lam, v, _gap = _leading(P_t, gap_tol)
     return lam, v
 
 
 class EigenCurve:
-    """Lazy cache of leading eigendata of a twisted-operator model along
-    sampled t values."""
+    """Lazy cache of leading eigendata (lambda, v, gap) of a
+    twisted-operator model, keyed by t."""
 
-    def __init__(self, model: TwistedOperatorModel, ts=()):
+    def __init__(self, model: TwistedOperatorModel):
         self.model = model
         self._cache = {}
-        for t in ts:
-            self.eig(t)
 
     def eig(self, t):
         key = tuple(np.atleast_1d(np.asarray(t, dtype=float)))
         if key not in self._cache:
-            P_t = twisted_matrix(self.model, key)
-            w = np.linalg.eig(P_t)[0]
-            order = np.argsort(-np.abs(w))
-            lam, v = leading_eigenvalue(P_t)
-            gap = (abs(w[order[0]]) - abs(w[order[1]])
-                   if len(w) > 1 else float("inf"))
-            self._cache[key] = (lam, v, float(gap))
+            self._cache[key] = _leading(twisted_matrix(self.model, key))
         return self._cache[key]
 
     def lam(self, t):
         return self.eig(t)[0]
-
-    @property
-    def samples(self):
-        return sorted(self._cache)
 
 
 def _richardson(F, h):
@@ -115,14 +141,13 @@ def _richardson(F, h):
     return (16 * r2 - r1) / 15
 
 
-def expansion_fit(curve: EigenCurve, nu_f=None, h=0.02):
+def expansion_fit(curve: EigenCurve, h=0.02):
     """Quadratic expansion log lambda_t = i <drift, t> - t' m t + O(|t|^3).
 
     drift and the symmetric matrix m are extracted from odd/even parts of
     log lambda along coordinate (and diagonal) directions with Richardson
     extrapolation; ``residual_order`` is the log-log slope of the remainder
-    over |t| in [1e-3, 1e-1].  ``nu_f``, when given, is only used to seed
-    the returned record; the fit itself is independent of it.
+    over |t| in [1e-3, 1e-1].
     """
     model = curve.model
     d = model.d
@@ -131,11 +156,6 @@ def expansion_fit(curve: EigenCurve, nu_f=None, h=0.02):
 
     def logl(tvec):
         return cmath.log(curve.lam(tvec))
-
-    def dir_vec(k):
-        e = np.zeros(d)
-        e[k] = 1.0
-        return e
 
     def odd_coef(u):
         def F(hh):
@@ -147,13 +167,14 @@ def expansion_fit(curve: EigenCurve, nu_f=None, h=0.02):
             return -((logl(hh * u) + logl(-hh * u)) / 2).real / hh ** 2
         return _richardson(F, h)
 
-    drift = np.array([odd_coef(dir_vec(k)) for k in range(d)])
+    e = np.eye(d)
+    drift = np.array([odd_coef(e[k]) for k in range(d)])
     m = np.zeros((d, d))
     for k in range(d):
-        m[k, k] = even_coef(dir_vec(k))
+        m[k, k] = even_coef(e[k])
     for k in range(d):
         for j in range(k + 1, d):
-            mixed = even_coef(dir_vec(k) + dir_vec(j))
+            mixed = even_coef(e[k] + e[j])
             m[k, j] = m[j, k] = (mixed - m[k, k] - m[j, j]) / 2
 
     u = np.ones(d) / math.sqrt(d)
@@ -205,14 +226,11 @@ def _integrate(fvec, a, b, osc_rate, tol=1e-12, depth=20):
                for x, y in zip(edges, edges[1:]))
 
 
-def _char_fn(model: TwistedOperatorModel, n: int):
-    pi = model.chain.stationary
-
-    def char(t):
-        P_t = twisted_matrix(model, t)
-        return complex(np.sum(np.linalg.matrix_power(P_t, n) @ pi))
-
-    return char
+def _characteristic(model: TwistedOperatorModel, n: int, ts) -> np.ndarray:
+    """E[exp(i <t, S_n>)] = 1' P_t^n pi under the stationary start, for a
+    (G, d) stack of t values."""
+    P_tn = np.linalg.matrix_power(twisted_matrix(model, ts), n)
+    return (P_tn @ model.chain.stationary).sum(axis=-1)
 
 
 def fourier_lclt(model: TwistedOperatorModel, n: int, v, mode="LatticeExact",
@@ -221,59 +239,46 @@ def fourier_lclt(model: TwistedOperatorModel, n: int, v, mode="LatticeExact",
     (mode 'LatticeExact'), or the smoothed kernel expectation
     E[h_d(S_n - n nu(f) - v)] with h_1 frequency profile
     (1/eps - |t|/eps^2) 1_{|t|<eps} (mode 'Smoothed').
+
+    For integer f, S_n lies in the box lo_k = n min f_k <= s_k <= n max f_k
+    = hi_k and its characteristic function is a trigonometric polynomial of
+    degree below N_k = hi_k - lo_k + 1 in t_k, so the inverse DFT on the grid
+    2 pi j / N_k is exact.  Targets off the lattice or outside the box (which
+    the DFT would alias into it) have probability 0.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (model.d,):
         raise ValueError("v has the wrong dimension")
-    if n == 0:
-        if mode == "LatticeExact":
-            return 1.0 if np.allclose(v + 0.0, np.round(v)) and \
-                np.all(np.abs(v) < 1e-12) else 0.0
-    char = _char_fn(model, n)
     target = n * model.nu_f + v
-    rate = n * model.f_max + float(np.max(np.abs(target))) + 1.0
 
     if mode == "LatticeExact":
-        off = np.abs(model.f - np.round(model.f))[model.chain.P > 0]
-        if off.size and float(np.max(off)) > 1e-9:
+        f_used = model.f[model.chain.P > 0]
+        f_int = np.rint(f_used).astype(np.int64)
+        if np.max(np.abs(f_used - f_int)) > 1e-9:
             raise ValueError("LatticeExact requires integer-valued f")
-        if np.max(np.abs(target - np.round(target))) > 1e-9:
+        lo, hi = n * f_int.min(axis=0), n * f_int.max(axis=0)
+        m = np.rint(target).astype(np.int64)
+        if np.max(np.abs(target - m)) > 1e-9 or np.any((m < lo) | (m > hi)):
             return 0.0
-
-        def outer(t1_arr):
-            out = np.empty(len(t1_arr), dtype=complex)
-            for i, t1 in enumerate(t1_arr):
-                if model.d == 1:
-                    out[i] = char([t1]) * cmath.exp(-1j * t1 * target[0])
-                else:
-                    def inner(t2_arr):
-                        vals = np.empty(len(t2_arr), dtype=complex)
-                        for j, t2 in enumerate(t2_arr):
-                            vals[j] = char([t1, t2]) * cmath.exp(
-                                -1j * (t1 * target[0] + t2 * target[1]))
-                        return vals
-                    out[i] = _integrate(inner, -math.pi, math.pi, rate)
-            return out
-
-        val = _integrate(outer, -math.pi, math.pi, rate)
-        return float(val.real) / (2 * math.pi) ** model.d
+        N = hi - lo + 1
+        J = np.indices(tuple(N)).reshape(model.d, -1).T
+        chars = _characteristic(model, n, 2 * np.pi * J / N)
+        # exp(-i <t_j, m>) with the phase reduced exactly modulo 2 pi
+        phase = np.exp(-2j * np.pi * ((J * m) % N / N).sum(axis=1))
+        return float(np.mean(chars * phase).real)
 
     if mode == "Smoothed":
         if not eps or eps <= 0:
             raise ValueError("Smoothed mode needs eps > 0")
-
-        def hhat(t):
-            return np.where(np.abs(t) < eps, 1 / eps - np.abs(t) / eps ** 2,
-                            0.0)
-
         if model.d != 1:
             raise ValueError("Smoothed mode implemented for d = 1")
+        rate = n * model.f_max + float(np.max(np.abs(target))) + 1.0
 
-        def fvec(t_arr):
-            out = np.empty(len(t_arr), dtype=complex)
-            for i, t in enumerate(t_arr):
-                out[i] = hhat(t) * char([t]) * cmath.exp(-1j * t * target[0])
-            return out
+        def fvec(t):
+            hhat = np.where(np.abs(t) < eps, 1 / eps - np.abs(t) / eps ** 2,
+                            0.0)
+            return (hhat * _characteristic(model, n, t[:, None])
+                    * np.exp(-1j * t * target[0]))
 
         val = _integrate(fvec, -eps, eps, rate)
         return float(val.real) / (2 * math.pi)
@@ -289,14 +294,10 @@ def unit_modulus_scan(model: TwistedOperatorModel, t_grid, tol=1e-8):
     "shift": float or None}.  Nonzero detections at t in t0 Z mean the value
     group is M = (2 pi / t0) Z with coset shift arg(lambda(t0)) / t0.
     """
-    detections = []
-    for t in t_grid:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        P_t = twisted_matrix(model, t_arr)
-        w = np.linalg.eig(P_t)[0]
-        lam = w[np.argmax(np.abs(w))]
-        if abs(abs(lam) - 1.0) < tol:
-            detections.append((tuple(t_arr), complex(lam)))
+    ts = _t_stack(model, t_grid)
+    lam = _eig_sorted(twisted_matrix(model, ts))[0][:, 0]
+    hit = np.abs(_modulus(lam) - 1.0) < tol
+    detections = [(tuple(t), complex(l)) for t, l in zip(ts[hit], lam[hit])]
     result = {"detections": detections, "inferred_M": None, "shift": None}
     nonzero = [t for t, _ in detections
                if float(np.linalg.norm(t)) > 1e-12]
@@ -319,13 +320,8 @@ def unit_modulus_scan(model: TwistedOperatorModel, t_grid, tol=1e-8):
 def eigen_curve_rows(model: TwistedOperatorModel, t_grid):
     """CSV-ready rows (t components..., Re lambda, Im lambda, |lambda|, gap)
     along a grid; ties are reported with gap 0 and the raw top eigenvalue."""
-    rows = []
-    for t in t_grid:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        P_t = twisted_matrix(model, t_arr)
-        w = np.linalg.eig(P_t)[0]
-        order = np.argsort(-np.abs(w))
-        lam = w[order[0]]
-        gap = (abs(w[order[0]]) - abs(w[order[1]])) if len(w) > 1 else math.inf
-        rows.append(list(t_arr) + [lam.real, lam.imag, abs(lam), gap])
-    return rows
+    ts = _t_stack(model, t_grid)
+    w, _V, gap = _eig_sorted(twisted_matrix(model, ts))
+    lam = w[:, 0]
+    return np.column_stack([ts, lam.real, lam.imag, _modulus(lam),
+                            gap]).tolist()

@@ -33,6 +33,18 @@ from .errors import MixedRingError, ReturnTimeOverflow
 from .quadfield import QuadScalar, as_quad
 
 
+def _cdf_table(weights):
+    """Cumulative sums along the last axis for inverse-CDF draws (the drawn
+    index is the number of entries <= u), set to +inf from the last cell of
+    positive weight on.  A float cumulative sum can end below 1; the inf
+    sends a u past its end to that cell instead of a zero-weight one."""
+    w = np.asarray(weights, dtype=float)
+    last = w.shape[-1] - 1 - np.argmax(w[..., ::-1] > 0, axis=-1)
+    cum = np.cumsum(w, axis=-1)
+    cum[np.arange(w.shape[-1]) >= np.expand_dims(last, -1)] = np.inf
+    return cum
+
+
 # ---------------------------------------------------------------------------
 # reward renewal
 # ---------------------------------------------------------------------------
@@ -59,7 +71,7 @@ class RenewalBase:
         self.xs = np.array([float(a[0]) for a in self.atoms])
         self.ys = np.array([float(a[1]) for a in self.atoms])
         self.probs = np.array([float(a[2]) for a in self.atoms])
-        self.cum = np.cumsum(self.probs)
+        self.cum = _cdf_table(self.probs)
         try:
             self.nu_tau_exact = sum((a[1] * a[2] for a in self.atoms),
                                     start=as_quad(0))
@@ -70,13 +82,12 @@ class RenewalBase:
             self.nu_tau_exact = None
             self.nu_tau = float(np.dot(self.probs, self.ys))
         sb = self.probs * self.ys / self.nu_tau
-        self.size_biased_cum = np.cumsum(sb / sb.sum())
+        self.size_biased_cum = _cdf_table(sb / sb.sum())
 
     kind = "renewal"
 
     def _draw(self, cum, n, rng):
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        return np.minimum(idx, len(self.ys) - 1)
+        return np.searchsorted(cum, rng.random(n), side="right")
 
     def draw_start(self, n, rng):
         return self._draw(self.size_biased_cum, n, rng)
@@ -153,33 +164,31 @@ class MarkovShiftBase:
         if np.max(np.abs(pi @ P - pi)) > 1e-12:
             raise ValueError("stationary vector inaccurate")
         self.stationary = pi
-        self.stationary_cum = np.cumsum(pi)
-        self.cumP = np.cumsum(P, axis=1)
+        self.stationary_cum = _cdf_table(pi)
+        self.cumP = _cdf_table(P)
         self.edge_phi = self.f[:, :, 0].ravel()
         self.edge_tau = self.f[:, :, 1].ravel()
         edge_w = pi[:, None] * P
         self.nu_phi = float(np.sum(edge_w * self.f[:, :, 0]))
         self.nu_tau = float(np.sum(edge_w * self.f[:, :, 1]))
         sb = (edge_w * self.f[:, :, 1]).ravel()
-        self.size_biased_cum = np.cumsum(sb / sb.sum())
+        self.size_biased_cum = _cdf_table(sb / sb.sum())
 
     kind = "markov"
 
     def _edges_from(self, i, rng):
         """Edges i -> j with j drawn from row i of P."""
-        ns = self.n_states
         u = rng.random(len(i))
-        j = np.minimum((u[:, None] < self.cumP[i]).argmax(axis=1), ns - 1)
-        return i * ns + j
+        j = (u[:, None] < self.cumP[i]).argmax(axis=1)
+        return i * self.n_states + j
 
     def draw_start(self, n, rng):
-        k = np.searchsorted(self.size_biased_cum, rng.random(n),
-                            side="right")
-        return np.minimum(k, self.n_states ** 2 - 1)
+        return np.searchsorted(self.size_biased_cum, rng.random(n),
+                               side="right")
 
     def draw_base(self, n, rng):
         i = np.searchsorted(self.stationary_cum, rng.random(n), side="right")
-        return self._edges_from(np.minimum(i, self.n_states - 1), rng)
+        return self._edges_from(i, rng)
 
     def step(self, states, rng):
         return self._edges_from(states % self.n_states, rng)
@@ -189,18 +198,6 @@ class MarkovShiftBase:
 
     def phi(self, states):
         return self.edge_phi[states]
-
-    def value_group(self):
-        """Support-value generators for (phi, tau) over the edges.  For a
-        chain this is a superset of the true minimal group (cohomology can
-        shrink it); the spectral unit-modulus scan is the sound detector."""
-        vals = [(Fraction(self.f[i, j, 0]).limit_denominator(10 ** 9),
-                 Fraction(self.f[i, j, 1]).limit_denominator(10 ** 9))
-                for i in range(self.n_states) for j in range(self.n_states)
-                if self.P[i, j] > 0]
-        shift = vals[0]
-        gens = [(v[0] - shift[0], v[1] - shift[1]) for v in vals[1:]]
-        return gens or [(0, 0)], shift
 
     @classmethod
     def from_json(cls, obj):

@@ -225,6 +225,28 @@ def test_unknown_command_is_parse_error(tmp_path):
     assert cli.main(["frobnicate", cfg]) == 2
 
 
+@pytest.mark.parametrize("b", [1.4142135623730951, 0.5, "x", [1, 0], [1, 2, 3],
+                               [0, 1, 1, 0]])
+def test_inexact_or_malformed_scalar_is_parse_error(tmp_path, capsys, b):
+    # a float is never rationalised: sqrt(2) as a float would otherwise
+    # classify as a rational (degenerate) generator set
+    code, _ = run(tmp_path, "classify", {"generators": [[0, 1], [1, b]]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "[num, den]" in err and "Traceback" not in err
+
+
+def test_integer_and_pair_scalars_classify(tmp_path, capsys):
+    cfg = {"generators": [[0, 1.0], [1, [0, 1, 1, 1]], [1, [1, 1, 1, 1]]],
+           "shift": [0, [0, 3]]}
+    code, _ = run(tmp_path, "classify", cfg)
+    assert code == 0
+    assert capsys.readouterr().out.strip() == (
+        "Case D, a=1, b=0.41421356237309515, d=1, covolume=1, "
+        "flow mixing: yes")
+
+
 def test_math_domain_error(tmp_path):
     # rewards with nonzero mean: a domain error, not a config parse error
     bad = {"type": "renewal", "D": 2,

@@ -41,11 +41,14 @@ def chain3():
     return MarkovShiftBase(P3, f)
 
 
-def int_chain3():
+def int_chain3(roofs=(1, 1, 1, 1, 1, 1)):
     """Integer-valued observable on the same transition structure, with
-    stationary mean zero (all six edges carry weight 1/6)."""
+    stationary mean zero (all six edges carry weight 1/6), and the given
+    roofs on the edges 00, 01, 11, 12, 20, 22."""
     f = np.zeros((3, 3, 2))
-    f[:, :, 1] = 1.0
+    for (i, j), r in zip([(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)],
+                         roofs):
+        f[i, j, 1] = r
     f[0, 0, 0] = 1.0
     f[0, 1, 0] = -1.0
     f[1, 1, 0] = 2.0
@@ -129,21 +132,23 @@ def test_lattice_exact_coin_binomial():
 
 
 def _enumerate_chain3_pmf(sys, n):
-    """Exact pmf of S_n under the stationary start, by path enumeration."""
+    """Exact pmf of S_n = (phi, tau) sums under the stationary start, by
+    path enumeration."""
     pmf = {}
     states = range(3)
     for path in itertools.product(states, repeat=n + 1):
         p = sys.stationary[path[0]]
-        s = 0.0
+        s = np.zeros(2)
         ok = True
         for i, j in zip(path, path[1:]):
             if sys.P[i][j] == 0:
                 ok = False
                 break
             p *= sys.P[i][j]
-            s += sys.f[i, j, 0]
+            s += sys.f[i, j]
         if ok and p > 0:
-            pmf[round(s)] = pmf.get(round(s), 0.0) + p
+            key = tuple(int(round(x)) for x in s)
+            pmf[key] = pmf.get(key, 0.0) + p
     return pmf
 
 
@@ -151,10 +156,43 @@ def test_lattice_exact_matches_path_enumeration():
     sys = int_chain3()
     model = TwistedOperatorModel(sys, components=(0,))
     assert abs(model.nu_f[0]) < 1e-14
-    pmf = _enumerate_chain3_pmf(sys, 4)
+    pmf = {}
+    for (s, _), p in _enumerate_chain3_pmf(sys, 4).items():
+        pmf[s] = pmf.get(s, 0.0) + p
     for v in range(-8, 9):
         assert fourier_lclt(model, 4, [float(v)]) == pytest.approx(
             pmf.get(v, 0.0), abs=1e-10)
+
+
+def test_lattice_exact_d2_matches_path_enumeration():
+    sys = int_chain3(roofs=(1, 2, 3, 1, 2, 3))
+    model = TwistedOperatorModel(sys)
+    # v is taken relative to n nu_f = (0, 8): mean phi 0, mean roof 2
+    assert 4 * model.nu_f == pytest.approx([0.0, 8.0], abs=1e-12)
+    pmf = _enumerate_chain3_pmf(sys, 4)
+    # the reachable box is [-12, 12] x [4, 12]; go one beyond it
+    for s in itertools.product(range(-13, 14), range(3, 14)):
+        got = fourier_lclt(model, 4, [s[0], s[1] - 8])
+        assert got == pytest.approx(pmf.get(s, 0.0), abs=1e-10)
+
+
+def test_lattice_exact_coin_d2_binomial():
+    # (S_6, T_6) = (0, 6) relative to n nu_f = (0, 6): C(6, 3) / 2^6
+    model = TwistedOperatorModel(coin_chain())
+    assert fourier_lclt(model, 6, [0.0, 0.0]) == pytest.approx(20 / 64,
+                                                               abs=1e-12)
+    assert fourier_lclt(model, 6, [2.0, 0.0]) == pytest.approx(15 / 64,
+                                                               abs=1e-12)
+
+
+def test_lattice_exact_outside_reachable_box_is_zero():
+    # |S_10| <= 10 and T_10 = 10 exactly: the DFT would alias these targets
+    # onto reachable points, so they must be cut off by the box
+    coin1 = TwistedOperatorModel(coin_chain(), components=(0,))
+    assert fourier_lclt(coin1, 10, [12.0]) == 0.0
+    assert fourier_lclt(coin1, 10, [-22.0]) == 0.0
+    coin2 = TwistedOperatorModel(coin_chain())
+    assert fourier_lclt(coin2, 10, [0.0, 1.0]) == 0.0
 
 
 def test_lattice_exact_rejects_noninteger_values():
@@ -209,6 +247,30 @@ def test_unit_modulus_scan_aperiodic_case():
     res = unit_modulus_scan(model, grid)
     assert res["detections"] == []
     assert res["inferred_M"].kind == "R"
+
+
+def test_grid_scans_match_per_point_leading_eigenvalue():
+    model = TwistedOperatorModel(chain3())
+    axis = np.pi * np.arange(-8, 9) / 8
+    grid = [[a, b] for a in axis for b in axis]
+    rows = eigen_curve_rows(model, grid)
+    scan = unit_modulus_scan(model, grid)
+    hits = []
+    for t, row in zip(grid, rows):
+        assert row[:2] == t
+        try:
+            lam, _ = leading_eigenvalue(twisted_matrix(model, t))
+        except NoGapError:
+            assert row[5] < 1e-8
+            continue
+        assert complex(row[2], row[3]) == pytest.approx(lam, abs=1e-12)
+        assert row[4] == pytest.approx(abs(lam), abs=1e-12)
+        if abs(abs(lam) - 1) < 1e-8:
+            hits.append((tuple(t), lam))
+    assert len(scan["detections"]) == len(hits) >= 1
+    for (t, lam), (t_ref, lam_ref) in zip(scan["detections"], hits):
+        assert t == t_ref
+        assert lam == pytest.approx(lam_ref, abs=1e-12)
 
 
 def test_eigen_curve_rows_shape():

@@ -174,6 +174,30 @@ def test_markov_step_follows_transition_structure():
     assert np.array_equal(sys.tau(edge), f3_table()[edge // 3, edge % 3, 1])
 
 
+class _TopDrawRng:
+    """Every uniform draw is 1 - 2^-53, the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, 1 - 2.0 ** -53)
+
+
+def test_top_uniform_draw_never_lands_on_zero_weight_cell():
+    # float cumulative sums of 0.6, 0.3, 0.1 end at 1 - 2^-53 itself, so the
+    # top draw is past every cumulative entry
+    assert np.cumsum([0.6, 0.3, 0.1])[-1] == 1 - 2.0 ** -53
+    rng = _TopDrawRng()
+    P = [[0, .6, .3, .1], [.5, .5, 0, 0], [.5, 0, .5, 0], [.5, 0, 0, .5]]
+    chain = MarkovShiftBase(P, np.ones((4, 4, 2)))
+    w = chain.P.ravel()
+    assert np.all(w[chain.step(np.arange(16), rng)] > 0)
+    assert np.all(w[chain.draw_start(4, rng)] > 0)
+    assert np.all(w[chain.draw_base(4, rng)] > 0)
+    renewal = RenewalBase([(1, 1, Fraction(6, 10)), (-1, 1, Fraction(3, 10)),
+                           (-3, 1, Fraction(1, 10)), (5, 1, 0)])
+    assert np.all(renewal.draw_base(4, rng) == 2)
+    assert np.all(renewal.draw_start(4, rng) == 2)
+
+
 # ---------------------------------------------------------------------------
 # intermittent interval map
 # ---------------------------------------------------------------------------
