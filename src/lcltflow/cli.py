@@ -124,44 +124,46 @@ class Run:
 # shared extraction helpers
 # ---------------------------------------------------------------------------
 
-def _group_from_config(cfg, system):
-    """GroupWithShift from explicit generators or a finite-support system."""
-    D = cfg.get("D", 2)
-    if system is None:
-        gens = [(_parse_scalar(g[0], D), _parse_scalar(g[1], D))
-                for g in cfg["generators"]]
-        shift = cfg.get("shift", [0, 0])
-        shift = (_parse_scalar(shift[0], D), _parse_scalar(shift[1], D))
-        return closure_of_group(gens, shift=shift, D=D)
-    gens, shift = system.value_group()
-    return closure_of_group(gens, shift=shift)
-
-
-def _tau_group_from_config(cfg, system):
-    """(Group1D M(tau), shift r) for the mixing verdict."""
-    D = cfg.get("D", 2)
-    if system is None:
-        gens = [_parse_scalar(g[1], D) for g in cfg["generators"]]
-        shift = cfg.get("shift", [0, 0])
-        r = _parse_scalar(shift[1], D)
-        return closure_1d(gens), r
-    sup = system.tau_support()
-    diffs = [v - sup[0] for v in sup[1:]] or [sup[0] - sup[0]]
-    return closure_1d(diffs), sup[0]
-
-
 def _fmt_param(v):
     if isinstance(v, QuadScalar):
         return repr(float(v)) if not v.is_rational() else str(v.p)
     return str(v)
 
 
+def _object(cfg, key):
+    """cfg[key], which must be a JSON object."""
+    obj = cfg[key]
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, not {obj!r}")
+    return obj
+
+
+def _system(cfg, kind, command):
+    """The config's system, which ``command`` needs to be of ``kind``."""
+    system = load_system(cfg["system"])
+    if system.kind != kind:
+        raise ConfigError(
+            f"{command} needs a {kind} system, not a {system.kind} system "
+            f"(spectral takes a markov system; classify also takes explicit "
+            f"generators)")
+    return system
+
+
+# the exact parameters each case label carries
+_CASE_PARAMS = {"A": (), "B": ("a",), "C": ("alpha", "beta"),
+                "D": ("a", "b", "d"), "E": ("a_p", "b_p", "c_p", "d_p")}
+
+
 def _params_from_config(cfg):
-    case_cfg = cfg["case"]
+    case_cfg = _object(cfg, "case")
     D = cfg.get("D", 2)
-    case = CaseLabel(case_cfg["variant"],
-                     **{k: _parse_scalar(v, D)
-                        for k, v in case_cfg.items() if k != "variant"})
+    variant = case_cfg["variant"]
+    missing = [k for k in _CASE_PARAMS.get(variant, ()) if k not in case_cfg]
+    if missing:
+        raise ConfigError(f"case {variant} needs {', '.join(missing)}")
+    case = CaseLabel(variant, **{k: _parse_scalar(v, D)
+                                 for k, v in case_cfg.items()
+                                 if k != "variant"})
     if "sigma_flow" in cfg:
         sigma_flow = float(cfg["sigma_flow"])
     else:
@@ -170,7 +172,7 @@ def _params_from_config(cfg):
 
 
 def _request_from_config(cfg):
-    req = cfg["request"]
+    req = _object(cfg, "request")
     target = req.get("target")
     if target is not None:
         target = [interval(target[0], target[1])]
@@ -189,21 +191,26 @@ def _request_from_config(cfg):
 
 def cmd_classify(run):
     cfg = run.config
-    system = None if "generators" in cfg else load_system(cfg["system"])
-    if system is not None and not hasattr(system, "tau_support"):
+    if "generators" in cfg:
+        D = cfg.get("D", 2)
+
+        def vec(v):
+            return (_parse_scalar(v[0], D), _parse_scalar(v[1], D))
+
+        gens = [vec(v) for v in cfg["generators"]]
+        shift = vec(cfg.get("shift", [0, 0]))
+    else:
         # only renewal systems have an exact finite support group
-        print(f"error: classify needs a renewal system or explicit "
-              f"generators; use the spectral command for a {system.kind} "
-              f"system", file=sys.stderr)
-        return EXIT_PARSE
-    g = _group_from_config(cfg, system)
+        D = None
+        gens, shift = _system(cfg, "renewal", "classify").value_group()
+    g = closure_of_group(gens, shift=shift, D=D)
     case = classify_case(g)
-    M, r = _tau_group_from_config(cfg, system)
     if case.variant == "Degenerate":
         verdict = "NotWeaklyMixing"
         line = "Degenerate / not weakly mixing"
     else:
-        verdict = mixing_classify(M, r)
+        # the tau-projection of the same generators and shift
+        verdict = mixing_classify(closure_1d([v[1] for v in gens]), shift[1])
         parts = [f"Case {case.variant}"]
         parts += [f"{k}={_fmt_param(v)}" for k, v in sorted(
             case.params.items())]
@@ -244,7 +251,7 @@ def _mc_windows(cfg, t):
         elif w[0] == "section":
             wins.append(("section", float(w[1]), int(w[2])))
         else:
-            raise ValueError(f"unknown window {w!r}")
+            raise ConfigError(f"unknown window {w!r}")
     return HistogramSpec(t=t, windows=wins)
 
 
@@ -274,7 +281,8 @@ def cmd_simulate(run):
 
 def cmd_spectral(run):
     cfg = run.config
-    system = load_system(cfg["system"])
+    # the twisted operator needs a finite transfer matrix
+    system = _system(cfg, "markov", "spectral")
     model = TwistedOperatorModel(
         system, components=tuple(cfg["components"])
         if cfg.get("components") is not None else None)
@@ -296,9 +304,10 @@ def cmd_renewal(run):
     cfg = run.config
     atoms = None
     if "system" in cfg:
-        atoms = load_system(cfg["system"]).atoms
-    ts = [Fraction(t).limit_denominator(10 ** 6) if isinstance(t, float)
-          else Fraction(t) for t in cfg["t_values"]]
+        atoms = _system(cfg, "renewal", "renewal").atoms
+    # a float is read exactly as its shortest decimal by the scan itself
+    ts = [t if isinstance(t, float) else _parse_scalar(t)
+          for t in cfg["t_values"]]
     rows = counterexample_scan(ts, atoms=atoms)
     run.emit("scan.csv", "\n".join(scan_csv_rows(rows)) + "\n")
     for r in rows:
@@ -349,6 +358,8 @@ def cmd_verify(run):
         g = 1.0 / math.sqrt(2 * math.pi * sigma)
         wins = [("flow", float(win[0]), float(win[1]), float(win[2]))
                 for win in cfg["windows"]]
+        if not wins:
+            raise ConfigError("verify needs at least one window")
         # one set of sample paths serves every window
         ests = estimate_lclt(system, HistogramSpec(t=t, windows=wins), N,
                              run.args.seed, workers=run.args.workers)
@@ -437,7 +448,7 @@ def main(argv=None):
     run = Run(args, config)
     try:
         return _COMMANDS[args.command](run)
-    except (KeyError, TypeError) as e:
+    except (KeyError, IndexError, TypeError) as e:
         print(f"error: bad configuration: {e!r}", file=sys.stderr)
         return EXIT_PARSE
     except ConfigError as e:

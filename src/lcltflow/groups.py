@@ -182,19 +182,6 @@ class ClosedSubgroup2:
         self.D = D
         if dim_linear + len(self.lattice_basis) > 2:
             raise RankError("more than 2 independent directions in R^2")
-        self.canonical_form = True
-
-    @property
-    def is_full(self):
-        return self.dim_linear == 2
-
-    @property
-    def is_lattice(self):
-        return self.dim_linear == 0
-
-    @property
-    def is_trivial(self):
-        return self.dim_linear == 0 and not self.lattice_basis
 
     def __eq__(self, other):
         if not isinstance(other, ClosedSubgroup2):
@@ -207,33 +194,9 @@ class ClosedSubgroup2:
         return (f"ClosedSubgroup2(dim_linear={self.dim_linear}, "
                 f"dirs={self.linear_dirs}, lattice={self.lattice_basis})")
 
-    def contains(self, v, tol=0):
-        """Exact membership test for a field vector."""
-        # subtract the linear-span component, then test lattice coordinates
-        if self.dim_linear == 2:
-            return True
-        rem = v
-        if self.dim_linear == 1:
-            u = self.linear_dirs[0]
-            c = _dot(rem, u) / _dot(u, u)
-            rem = (rem[0] - c * u[0], rem[1] - c * u[1])
-            if not self.lattice_basis:
-                return rem[0].is_zero() and rem[1].is_zero()
-            z = self.lattice_basis[0]
-            c2 = _dot(rem, z) / _dot(z, z)
-            off = (rem[0] - c2 * z[0], rem[1] - c2 * z[1])
-            return off[0].is_zero() and off[1].is_zero() and \
-                c2.is_rational() and c2.p.denominator == 1
-        if not self.lattice_basis:
-            return v[0].is_zero() and v[1].is_zero()
-        if len(self.lattice_basis) == 2:
-            x, y = _solve2(self.lattice_basis[0], self.lattice_basis[1], v)
-            return all(c.is_rational() and c.p.denominator == 1 for c in (x, y))
-        z = self.lattice_basis[0]
-        if not _cross(v, z).is_zero():
-            return False
-        c = (v[0] / z[0]) if not z[0].is_zero() else (v[1] / z[1])
-        return c.is_rational() and c.p.denominator == 1
+    def contains(self, v):
+        """Exact membership test for a field vector: v reduces to zero."""
+        return all(c.is_zero() for c in reduce_shift(self, v))
 
     def to_json(self):
         return {
@@ -244,15 +207,6 @@ class ClosedSubgroup2:
                               for v in self.lattice_basis],
             "D": self.D,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        D = obj.get("D", 2)
-        dirs = [(QuadScalar.from_pair(u[0], D), QuadScalar.from_pair(u[1], D))
-                for u in obj.get("linear_dirs", [])]
-        basis = [(QuadScalar.from_pair(v[0], D), QuadScalar.from_pair(v[1], D))
-                 for v in obj.get("lattice_basis", [])]
-        return cls(obj["dim_linear"], dirs, basis, D)
 
 
 class GroupWithShift:
@@ -274,15 +228,6 @@ class GroupWithShift:
         obj = self.group.to_json()
         obj["shift"] = [self.shift[0].to_pair(), self.shift[1].to_pair()]
         return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        g = ClosedSubgroup2.from_json(obj)
-        D = g.D
-        s = obj.get("shift")
-        shift = ((QuadScalar.from_pair(s[0], D), QuadScalar.from_pair(s[1], D))
-                 if s else (QuadScalar(0, 0, D), QuadScalar(0, 0, D)))
-        return cls(g, shift)
 
 
 class CaseLabel:
@@ -360,19 +305,17 @@ def ball(radius):
 
 
 def _lattice_count(a, item, shift=0.0, tol=1e-9):
-    """Number of points of aZ + shift... counted inside a shifted item.
-
-    Counts k in Z with a*k in the item translated by `shift`."""
+    """Number of k in Z with a*k in the item translated by ``shift``; a
+    float shift gives one count, an array of shifts an array of counts."""
     if item[0] == "pt":
         x = item[1] + shift
-        k = round(x / a)
-        return 1 if abs(a * k - x) <= tol else 0
+        return 1.0 * (np.abs(a * np.round(x / a) - x) <= tol)
     _, lo, hi, lc, rc = item
-    lo += shift
-    hi += shift
-    klo = math.ceil(lo / a - tol) if lc else math.floor(lo / a + tol) + 1
-    khi = math.floor(hi / a + tol) if rc else math.ceil(hi / a - tol) - 1
-    return max(0, khi - klo + 1)
+    lo = lo + shift
+    hi = hi + shift
+    klo = np.ceil(lo / a - tol) if lc else np.floor(lo / a + tol) + 1
+    khi = np.floor(hi / a + tol) if rc else np.ceil(hi / a - tol) - 1
+    return np.maximum(0.0, khi - klo + 1)
 
 
 def haar_mass(V: Group1D, items, shift=0.0):
@@ -393,7 +336,7 @@ def haar_mass(V: Group1D, items, shift=0.0):
         return total
     if V.kind == "lattice":
         a = float(V.a)
-        return a * sum(_lattice_count(a, it, shift) for it in items)
+        return a * float(sum(_lattice_count(a, it, shift) for it in items))
     raise UnsupportedGroupError("Haar mass undefined for the trivial group "
                                 "under ball normalization")
 
@@ -412,24 +355,9 @@ def weyl_average(M: Group1D, r, N, test_set):
     if M.kind != "lattice":
         raise UnsupportedGroupError("weyl_average needs M = R or a lattice")
     a = float(M.a)
-    rf = float(r)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    kappa = np.mod(-n * rf, a)
-    total = np.zeros(N)
-    tol = 1e-9
-    for it in test_set:
-        if it[0] == "pt":
-            x = it[1] + kappa
-            total += (np.abs(a * np.round(x / a) - x) <= tol)
-        else:
-            _, lo, hi, lc, rc = it
-            lo = lo + kappa
-            hi = hi + kappa
-            klo = np.where(lc, np.ceil(lo / a - tol),
-                           np.floor(lo / a + tol) + 1)
-            khi = np.where(rc, np.floor(hi / a + tol),
-                           np.ceil(hi / a - tol) - 1)
-            total += np.maximum(0.0, khi - klo + 1)
+    kappa = np.mod(-np.arange(1, N + 1, dtype=np.float64) * float(r), a)
+    total = sum((_lattice_count(a, it, kappa) for it in test_set),
+                np.zeros(N))
     return a * float(total.mean())
 
 
@@ -466,22 +394,16 @@ def reduce_shift(group: ClosedSubgroup2, shift):
         u = group.linear_dirs[0]
         c = _dot(s, u) / _dot(u, u)
         s = (s[0] - c * u[0], s[1] - c * u[1])
-        if group.lattice_basis:
-            z = group.lattice_basis[0]
-            c2 = _dot(s, z) / _dot(z, z)
-            k = c2.floor()
-            s = (s[0] - k * z[0], s[1] - k * z[1])
-        return s
     if len(group.lattice_basis) == 2:
         x, y = _solve2(group.lattice_basis[0], group.lattice_basis[1], s)
         kx, ky = x.floor(), y.floor()
         b1, b2 = group.lattice_basis
         return (s[0] - kx * b1[0] - ky * b2[0],
                 s[1] - kx * b1[1] - ky * b2[1])
-    if len(group.lattice_basis) == 1:
+    if group.lattice_basis:
+        # a rank-1 lattice, or the one transverse to the line
         z = group.lattice_basis[0]
-        c = _dot(s, z) / _dot(z, z)
-        k = c.floor()
+        k = (_dot(s, z) / _dot(z, z)).floor()
         return (s[0] - k * z[0], s[1] - k * z[1])
     return s
 
@@ -511,13 +433,11 @@ def _canon_lattice(basis, D):
 def closure_of_group(generators, shift=(0, 0), D=None) -> GroupWithShift:
     """Topological closure in R^2 of the group generated by the given field
     vectors, canonicalized, with the shift reduced modulo the closure."""
-    if not 1 <= len(generators) <= 4:
-        raise ValueError("between 1 and 4 generators required")
-    gens = [(as_quad(v[0], D or 2), as_quad(v[1], D or 2))
-            for v in generators]
+    if not generators:
+        raise ValueError("at least one generator required")
+    gens = [_as_field_vec(v, D or 2) for v in generators]
     if D is None:
         D = _common_D(gens + [_as_field_vec(shift, 2)])
-    gens = [_as_field_vec(v, D) for v in gens]
     basis = _q4_module_basis(gens, D)
     rho = len(basis)
 
@@ -774,24 +694,12 @@ def fiber_group(c: CaseLabel) -> Group1D:
 
 
 def closure_1d(values) -> Group1D:
-    """Closure of the subgroup of R generated by exact scalar values:
-    {0}, a lattice aZ (all pairwise ratios rational, spacing by gcd), or R.
-    """
-    gens = [as_quad(v) if not hasattr(v, "sign") else v for v in values]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    """Closure of the subgroup of R generated by exact scalar values: the
+    vertical slice of ``closure_of_group`` on the vectors (0, v), so {0}, a
+    lattice aZ or R."""
+    grp = closure_of_group([(0, v) for v in values] or [(0, 0)]).group
+    if grp.dim_linear:
+        return Group1D.full()
+    if not grp.lattice_basis:
         return Group1D("trivial")
-    base = gens[0]
-    ratios = []
-    for g in gens:
-        r = g / base
-        if not r.is_rational():
-            return Group1D.full()
-        ratios.append(Fraction(r.p))
-    g = ratios[0]
-    for r in ratios[1:]:
-        g = Fraction(math.gcd(g.numerator * r.denominator,
-                              r.numerator * g.denominator),
-                     g.denominator * r.denominator)
-    spacing = base * g if (base * g).sign() > 0 else base * (-g)
-    return Group1D.lattice(spacing)
+    return Group1D.lattice(abs(grp.lattice_basis[0][1]))

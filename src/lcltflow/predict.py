@@ -218,17 +218,18 @@ def _card_integral(c0: float, d: float, I: tuple, J: tuple) -> float:
 
 
 def _predict_lattice(params: FlowMLCLTParams, req: PredictionRequest,
-                     a, b, d, v) -> float:
-    """Shared engine for cases D and E (after shear substitution)."""
+                     variant) -> float:
+    """Shared engine for cases D and E: E runs on its shear-reduced D
+    parameters, with the lattice phase and W(t) check from rho_of_t."""
+    if params.case.variant != variant:
+        raise CaseMismatch(f"expected case {variant}, got "
+                           f"{params.case.variant}")
+    _require_minimal(params, f"predict_case_{variant}")
     if req.I is None or req.J is None:
         raise ValueError("cases D/E require fiber intervals I and J")
-    af, bf, df, vf = float(a), float(b), float(d), float(v)
-    t, W = float(req.t), float(req.W_of_t)
-    W_eff = W - vf * t
-    k = W_eff / af
-    if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-        raise LatticeViolation(f"W(t) = {W} off the admissible lattice")
-    c0 = t - (round(k) + req.l) * bf
+    a, _, d, _ = _d_params(params.case)
+    af, df = float(a), float(d)
+    c0 = float(rho_of_t(params.case, req.t, 0, req.W_of_t, req.l))
     gauss = gaussian_density(params.gaussian, req.w)
     nt = params.nu_tau
     if not params.h_tau_table:
@@ -248,22 +249,14 @@ def predict_case_D(params: FlowMLCLTParams, req: PredictionRequest) -> float:
     """Case-D limit I_t: the lattice-counting formula
     (nu(A)/nu(tau)) g_Sigma(w) a d [integral of Card over I] (nu(B)/nu(tau))
     in the minimal specialization, or the tabulated double sum otherwise."""
-    if params.case.variant != "D":
-        raise CaseMismatch(f"expected case D, got {params.case.variant}")
-    _require_minimal(params, "predict_case_D")
-    c = params.case
-    return _predict_lattice(params, req, c.a, c.b, c.d, 0)
+    return _predict_lattice(params, req, "D")
 
 
 def predict_case_E(params: FlowMLCLTParams, req: PredictionRequest) -> float:
     """Case-E limit: delegates to the case-D engine after the shear
     substitution a = a' - b'c'/d', with the recentering checked against
     a Z + (c'/d') t."""
-    if params.case.variant != "E":
-        raise CaseMismatch(f"expected case E, got {params.case.variant}")
-    _require_minimal(params, "predict_case_E")
-    dlabel, v = shear_reduce(params.case)
-    return _predict_lattice(params, req, dlabel.a, dlabel.b, dlabel.d, v)
+    return _predict_lattice(params, req, "E")
 
 
 def predict(params: FlowMLCLTParams, req: PredictionRequest) -> float:

@@ -347,11 +347,9 @@ def frac_cell(u) -> int:
 
 
 def _exact_time(t):
-    if isinstance(t, QuadScalar):
-        return t
-    if isinstance(t, float):
-        return as_quad(Fraction(t).limit_denominator(10 ** 6))
-    return as_quad(t)
+    """Exact time: a float is read as its shortest decimal (50.2 is
+    251/5), never rationalised by approximation."""
+    return as_quad(Fraction(repr(t)) if isinstance(t, float) else t)
 
 
 def counterexample_scan(t_values, atoms=None):

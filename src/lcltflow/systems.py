@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import MixedRingError, ReturnTimeOverflow
+from .errors import ConfigError, MixedRingError, ReturnTimeOverflow
 from .quadfield import QuadScalar, as_quad
 
 
@@ -115,10 +115,6 @@ class RenewalBase:
         if not gens:
             gens = [(as_quad(0), as_quad(0))]
         return gens, shift
-
-    def tau_support(self):
-        """Duration support as exact scalars, for the 1-d mixing test."""
-        return [a[1] for a in self.atoms]
 
     @classmethod
     def from_json(cls, obj):
@@ -370,14 +366,18 @@ _SYSTEM_TYPES = {
 
 def load_system(spec):
     """Build a system from a JSON object, JSON string, or file path."""
+    obj = spec
     if isinstance(spec, str):
         try:
             obj = json.loads(spec)
         except json.JSONDecodeError:
-            with open(spec) as fh:
-                obj = json.load(fh)
-    else:
-        obj = spec
+            try:
+                with open(spec) as fh:
+                    obj = json.load(fh)
+            except (OSError, json.JSONDecodeError) as e:
+                raise ConfigError(f"cannot read system {spec!r}: {e}")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a system is a JSON object, not {obj!r}")
     kind = obj.get("type")
     if kind not in _SYSTEM_TYPES:
         raise ValueError(f"unknown system type {kind!r}")

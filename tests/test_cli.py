@@ -70,6 +70,18 @@ def test_classify_markov_points_to_spectral(tmp_path, capsys):
     assert "spectral" in err and "Traceback" not in err
 
 
+def test_classify_six_atom_split_matches_three_atom(tmp_path, capsys):
+    # each section-6.1 atom split in two: the same law with 5 generators
+    split = {"type": "renewal", "D": 2,
+             "atoms": [a[:5] + [6] for a in OSC_SYSTEM["atoms"] for _ in "ab"]}
+    lines = []
+    for system in (OSC_SYSTEM, split):
+        code, _ = run(tmp_path, "classify", {"system": system})
+        assert code == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+
+
 def test_classify_explicit_generators(tmp_path):
     cfg = {"generators": [[[0, 1, 0, 1], [1, 1, 0, 1]],
                           [[1, 1, 0, 1], [0, 1, 1, 1]]],
@@ -169,6 +181,26 @@ def test_renewal_scan(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_renewal_t_values_are_read_exactly(tmp_path):
+    from fractions import Fraction
+    from lcltflow.quadfield import QuadScalar
+    from lcltflow.renewal_exact import counterexample_scan, scan_csv_rows
+
+    def csv(ts):
+        return "\n".join(scan_csv_rows(counterexample_scan(ts))) + "\n"
+
+    # a float is its shortest decimal; [1, 1, 1, 1] is exactly 1 + sqrt2
+    cfg = {"t_values": [2.4142135623730951, [1, 1, 1, 1], 50.2, 3]}
+    code, out = run(tmp_path, "renewal", cfg)
+    assert code == 0
+    assert (tmp_path / "out" / "scan.csv").read_text() == csv(
+        [Fraction("2.414213562373095"), 1 + QuadScalar.sqrtD(2),
+         Fraction(251, 5), 3])
+    cells = [line.split(",")[1] for line in
+             (tmp_path / "out" / "scan.csv").read_text().splitlines()[1:3]]
+    assert cells == ["0", "1"]
+
+
 def test_renewal_scan_rejects_non_integer_rewards(tmp_path, capsys):
     # the +-1/2 coin: rewards reach the exact scan unchanged and are rejected
     half_coin = {"type": "renewal", "D": 2,
@@ -218,6 +250,31 @@ def test_missing_file_is_parse_error(tmp_path):
 def test_missing_key_is_parse_error(tmp_path):
     code, _ = run(tmp_path, "simulate", {"system": OSC_SYSTEM})
     assert code == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {"system": "missing.json", "t": 2, "N": 10,
+                  "windows": [["flow", 0, -1, 1]]}),
+    ("simulate", {"system": [1, 2], "t": 2, "N": 10,
+                  "windows": [["flow", 0, -1, 1]]}),
+    ("simulate", {"system": OSC_SYSTEM, "t": 2, "N": 10,
+                  "windows": [["flow", 0, -1]]}),
+    ("verify", {"system": OSC_SYSTEM, "t": 2, "N": 10, "sigma_flow": 1.0,
+                "windows": []}),
+    ("renewal", {"t_values": ["x"]}),
+    ("renewal", {"t_values": [True]}),
+    ("renewal", {"system": MARKOV_SYSTEM, "t_values": [2]}),
+    ("spectral", {"system": OSC_SYSTEM}),
+    ("spectral", {"system": {"type": "pm", "alpha": 0.25}}),
+    ("predict", dict(PREDICT_CFG, nu_tau=2 / 3,
+                     case={"variant": "D", "b": 0, "d": 1})),
+    ("predict", dict(PREDICT_CFG, nu_tau=2 / 3, request=None)),
+])
+def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_unknown_command_is_parse_error(tmp_path):

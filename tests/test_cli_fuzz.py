@@ -1,0 +1,114 @@
+"""Seeded fuzz of the command line, run in-process: every command on every
+system kind, as given and with one malformation (a missing key, a short
+list, a value of the wrong type, an unknown kind or a bad path).  The exit
+code is always one of the documented ones and no exception escapes."""
+
+import copy
+import functools
+import json
+import operator
+import os
+import tempfile
+
+from hypothesis import given, seed, settings, strategies as st
+
+from lcltflow import cli
+
+RENEWAL = {"type": "renewal", "D": 2,
+           "atoms": [[-1, 0, 2, -1, 1, 3], [0, 0, 1, 0, 1, 3],
+                     [1, 0, -1, 1, 1, 3]]}
+MARKOV = {"type": "markov", "P": [[0.5, 0.5], [0.5, 0.5]],
+          "f": [[[-1, 1], [1, 2]], [[-1, 1], [1, 2]]]}
+# the ensemble behind PMTowerBase is cached per alpha, so one alpha only
+PM = {"type": "pm", "alpha": 0.25}
+# a renewal system written to a file and named by its path
+SYSTEM_FILE = "system-file"
+
+CASE_D = {"case": {"variant": "D", "a": 1, "b": [0, 1, 1, 1], "d": 1},
+          "sigma_flow": 1.0, "nu_tau": 2 / 3,
+          "request": {"t": 2, "l": 0, "I": [0.0, 0.4], "J": [0.0, 0.4]}}
+
+
+def _base_configs():
+    out = [("classify", {"generators": [[0, 1], [1, [0, 1, 1, 1]]],
+                         "shift": [0, [1, 2]]}),
+           ("predict", CASE_D),
+           ("renewal", {"t_values": [1.5, [3, 2], 2]})]
+    for system in (RENEWAL, MARKOV, PM, SYSTEM_FILE):
+        out += [
+            ("classify", {"system": system}),
+            ("simulate", {"system": system, "t": 2, "N": 16,
+                          "windows": [["flow", 0, -1, 1], ["section", 1, 0]]}),
+            ("verify", {"system": system, "t": 2, "N": 16, "sigma_flow": 1.0,
+                        "windows": [[0, -1, 1]]}),
+            ("verify", dict(CASE_D, system=system, mode="lattice", t=2,
+                            N=16)),
+            ("spectral", {"system": system, "components": [0],
+                          "t_grid": [0, 1]}),
+            ("renewal", {"system": system, "t_values": [1.5]}),
+            ("correlate", {"system": system, "t_grid": [1, 2], "N": 16}),
+        ]
+    return out
+
+
+BASES = _base_configs()
+JUNK = [None, "x", "missing.json", [], [1], [1, 2], {}, -1, 0, 0.5, True]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+def _at(cfg, path):
+    return functools.reduce(operator.getitem, path, cfg)
+
+
+@st.composite
+def cases(draw):
+    command, cfg = draw(st.sampled_from(BASES))
+    cfg = copy.deepcopy(cfg)
+    how = draw(st.sampled_from(["none", "delete", "replace", "truncate"]))
+    paths = list(_paths(cfg))
+    if how == "truncate":
+        paths = [p for p in paths if isinstance(_at(cfg, p), list)]
+    elif how == "delete":
+        # without sigma_flow a flow verify estimates it from 2e6 base steps
+        paths = [p for p in paths if p and p != ("sigma_flow",)]
+    if how == "none" or not paths:
+        return command, cfg
+    path = draw(st.sampled_from(paths))
+    if not path:
+        return command, draw(st.sampled_from(JUNK))
+    node, key = _at(cfg, path[:-1]), path[-1]
+    if how == "delete":
+        del node[key]
+    elif how == "replace":
+        node[key] = draw(st.sampled_from(JUNK))
+    else:
+        node[key] = node[key][:len(node[key]) // 2]
+    return command, cfg
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=cases(), fmt=st.sampled_from([[], ["--json"], ["--csv"]]))
+def test_cli_exit_codes_on_fuzzed_configs(case, fmt):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as d:
+        system_path = os.path.join(d, "system.json")
+        with open(system_path, "w") as fh:
+            json.dump(RENEWAL, fh)
+        if isinstance(cfg, dict) and cfg.get("system") == SYSTEM_FILE:
+            cfg["system"] = system_path
+        path = os.path.join(d, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([command, path, "--out", os.path.join(d, "out"),
+                         "--seed", "1", *fmt])
+    assert code in (0, 2, 3, 4), (command, cfg, code)

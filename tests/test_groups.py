@@ -12,8 +12,8 @@ from lcltflow.errors import (InfiniteCovolumeError, NotShearableError,
 from lcltflow.groups import (CaseLabel, GroupWithShift, ball, case_group,
                              classify_case, closure_1d, closure_of_group,
                              covolume, fiber_group, haar_mass, interval,
-                             point, shear_reduce, apply_shear, weyl_average,
-                             Group1D)
+                             point, reduce_shift, shear_reduce, apply_shear,
+                             weyl_average, Group1D)
 from lcltflow.quadfield import QuadScalar, as_quad
 
 S2 = QuadScalar.sqrtD(2)
@@ -266,3 +266,68 @@ def test_membership_is_exact_for_lattice_case():
     g = closure_of_group([(ZERO, ONE), (ONE, S2)])
     assert g.group.contains((as_quad(3), 3 * S2 + 5))
     assert not g.group.contains((as_quad(Fraction(1, 2)), ZERO))
+
+
+# ---------------------------------------------------------------------------
+# membership and shift reduction on every group shape
+# ---------------------------------------------------------------------------
+
+HALF = as_quad(Fraction(1, 2))
+
+# generators of each closed shape, with points off the closure
+SHAPES = {
+    "A": ([(ONE, ZERO), (S2, ZERO), (ZERO, ONE), (ZERO, S2)], []),
+    "B": ([(ZERO, ONE), (ZERO, S2), (as_quad(3), ZERO)],
+          [(ONE, ZERO), (S2, S2)]),
+    "C": ([(ONE, ONE), (S2, S2), (ONE, ZERO)],
+          [(HALF, ZERO), (S2, ZERO)]),
+    "C bare line": ([(ONE, ONE), (S2, S2)], [(ONE, ZERO), (ZERO, HALF)]),
+    "D": ([(ZERO, ONE), (ONE, S2)], [(HALF, ZERO), (ONE, ONE)]),
+    "E": ([(1 + S2, S2), (ONE, ONE)], [(ONE, ZERO), (HALF, HALF)]),
+    "rank-1 lattice": ([(ONE, S2)], [(HALF, S2 * HALF), (ONE, ZERO)]),
+    "trivial": ([(ZERO, ZERO)], [(ONE, ZERO), (ZERO, S2)]),
+}
+
+
+def _combination(gens, ns):
+    return (sum((n * g[0] for n, g in zip(ns, gens)), ZERO),
+            sum((n * g[1] for n, g in zip(ns, gens)), ZERO))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_contains_and_reduce_shift_on_every_shape(shape):
+    gens, off = SHAPES[shape]
+    grp = closure_of_group(gens).group
+    rng = random.Random(17)
+    members = list(gens)
+    members += [_combination(gens, [rng.randint(-5, 5) for _ in gens])
+                for _ in range(6)]
+    for m in members:
+        assert grp.contains(m), (shape, m)
+    for v in off:
+        assert not grp.contains(v), (shape, v)
+    for _ in range(6):
+        v = (QuadScalar(Fraction(rng.randint(-9, 9), 7),
+                        Fraction(rng.randint(-9, 9), 5), 2),
+             QuadScalar(Fraction(rng.randint(-9, 9), 3),
+                        Fraction(rng.randint(-9, 9), 11), 2))
+        r = reduce_shift(grp, v)
+        for m in members:
+            assert reduce_shift(grp, (v[0] + m[0], v[1] + m[1])) == r
+        # lattice coordinates of the reduced shift lie in [0, 1)
+        basis = grp.lattice_basis
+        if len(basis) == 2:
+            det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
+            coords = [(r[0] * basis[1][1] - r[1] * basis[1][0]) / det,
+                      (basis[0][0] * r[1] - basis[0][1] * r[0]) / det]
+        else:
+            coords = [(r[0] * z[0] + r[1] * z[1]) / (z[0] * z[0] + z[1] * z[1])
+                      for z in basis]
+        assert all(c.floor() == 0 for c in coords), (shape, v, r)
+
+
+def test_closure_accepts_five_generators():
+    # the case-D lattice of (0, 1), (1, sqrt2) with three redundant members
+    gens = [(ZERO, ONE), (ONE, S2), (as_quad(2), 2 * S2), (ZERO, as_quad(3)),
+            (ONE, 1 + S2)]
+    assert classify(gens) == classify(gens[:2])

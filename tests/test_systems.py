@@ -61,7 +61,6 @@ def test_renewal_value_group_and_tau_support():
     gens, shift = sys.value_group()
     assert shift == (as_quad(-1), 2 - S2)
     assert gens == [(as_quad(1), S2 - 1), (as_quad(2), 2 * S2 - 3)]
-    assert sys.tau_support() == [2 - S2, as_quad(1), S2 - 1]
 
 
 def test_renewal_sampling_frequencies():
