@@ -70,6 +70,26 @@ def _parse_scalar(v, D=2):
     return as_quad(Fraction(*n), D)
 
 
+def _number(cfg, v, integral=False):
+    """A numeric config field as a float (an int if ``integral``): a JSON
+    number, or an exact [num, den] / [pn, pd, qn, qd] scalar in the
+    config's quadratic field."""
+    x = v
+    if isinstance(v, list):
+        q = _parse_scalar(v, cfg.get("D", 2))
+        x = q.p if q.is_rational() else float(q)
+    if (isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
+            or not math.isfinite(x)):
+        raise ConfigError(
+            f"cannot read number {v!r}: give a JSON number, [num, den] or "
+            f"[pn, pd, qn, qd]")
+    if not integral:
+        return float(x)
+    if x != int(x):
+        raise ConfigError(f"{v!r} must be an integer")
+    return int(x)
+
+
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
@@ -164,25 +184,42 @@ def _params_from_config(cfg):
     case = CaseLabel(variant, **{k: _parse_scalar(v, D)
                                  for k, v in case_cfg.items()
                                  if k != "variant"})
+    nu_tau = _number(cfg, cfg["nu_tau"])
     if "sigma_flow" in cfg:
-        sigma_flow = float(cfg["sigma_flow"])
+        sigma_flow = _number(cfg, cfg["sigma_flow"])
     else:
-        sigma_flow = flow_variance(cfg["sigma_base"], float(cfg["nu_tau"]))
-    return FlowMLCLTParams(case, sigma_flow, float(cfg["nu_tau"]))
+        # a number or a matrix of numbers
+        base = cfg["sigma_base"]
+        if isinstance(base, list) and base and all(
+                isinstance(r, list) for r in base):
+            base = [[_number(cfg, x) for x in row] for row in base]
+        else:
+            base = _number(cfg, base)
+        sigma_flow = flow_variance(base, nu_tau)
+    return FlowMLCLTParams(case, sigma_flow, nu_tau)
 
 
 def _request_from_config(cfg):
     req = _object(cfg, "request")
-    target = req.get("target")
-    if target is not None:
-        target = [interval(target[0], target[1])]
+
+    def num(key, default):
+        return _number(cfg, req.get(key, default))
+
+    def pair(key):
+        v = req.get(key)
+        if not v:
+            return None
+        if not isinstance(v, list) or len(v) != 2:
+            raise ConfigError(f"{key!r} must be a pair [lo, hi], not {v!r}")
+        return _number(cfg, v[0]), _number(cfg, v[1])
+
+    target = pair("target")
     return PredictionRequest(
-        t=float(req["t"]), W_of_t=float(req.get("W", 0.0)),
-        w=float(req.get("w", 0.0)), l=int(req.get("l", 0)),
-        nu_A=float(req.get("nu_A", 1.0)), nu_B=float(req.get("nu_B", 1.0)),
-        I=tuple(req["I"]) if req.get("I") else None,
-        J=tuple(req["J"]) if req.get("J") else None,
-        target=target)
+        t=_number(cfg, req["t"]), W_of_t=num("W", 0.0), w=num("w", 0.0),
+        l=_number(cfg, req.get("l", 0), integral=True),
+        nu_A=num("nu_A", 1.0), nu_B=num("nu_B", 1.0),
+        I=pair("I"), J=pair("J"),
+        target=target and [interval(*target)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +284,10 @@ def _mc_windows(cfg, t):
     wins = []
     for w in cfg["windows"]:
         if w[0] == "flow":
-            wins.append(("flow", float(w[1]), float(w[2]), float(w[3])))
+            wins.append(("flow", *(_number(cfg, w[k]) for k in (1, 2, 3))))
         elif w[0] == "section":
-            wins.append(("section", float(w[1]), int(w[2])))
+            wins.append(("section", _number(cfg, w[1]),
+                         _number(cfg, w[2], integral=True)))
         else:
             raise ConfigError(f"unknown window {w!r}")
     return HistogramSpec(t=t, windows=wins)
@@ -258,9 +296,9 @@ def _mc_windows(cfg, t):
 def cmd_simulate(run):
     cfg = run.config
     system = load_system(cfg["system"])
-    spec = _mc_windows(cfg, float(cfg["t"]))
-    ests = estimate_lclt(system, spec, int(cfg["N"]), run.args.seed,
-                         workers=run.args.workers)
+    spec = _mc_windows(cfg, _number(cfg, cfg["t"]))
+    ests = estimate_lclt(system, spec, _number(cfg, cfg["N"], integral=True),
+                         run.args.seed, workers=run.args.workers)
     rows = ["window,point,std_error,n_samples,seed"]
     recs = []
     for w, e in zip(spec.windows, ests):
@@ -289,7 +327,15 @@ def cmd_spectral(run):
     grid = cfg.get("t_grid")
     if grid is None:
         grid = [k * math.pi / 4 for k in range(-8, 9)]
-    rows = eigen_curve_rows(model, grid)
+    # each grid point is a scalar t or a list of d components
+    ts = [[_number(cfg, x) for x in (t if isinstance(t, list) else [t])]
+          for t in grid]
+    if any(len(t) != model.d for t in ts):
+        raise ConfigError(
+            f"spectral needs t_grid points with {model.d} component(s) for "
+            f"this system; scalar points need \"components\" naming one "
+            f"observable")
+    rows = eigen_curve_rows(model, ts)
     d = len(rows[0]) - 4 if rows else 1
     header = ",".join(f"t{k}" for k in range(d)) \
         + ",re_lambda,im_lambda,abs_lambda,gap"
@@ -325,11 +371,12 @@ def _band_set(delta, period=1.0):
 def cmd_correlate(run):
     cfg = run.config
     system = load_system(cfg["system"])
-    delta = float(cfg.get("band_delta", 0.3))
-    pred = _band_set(delta, float(cfg.get("band_period", 1.0)))
-    series = estimate_correlation(system, pred, pred, cfg["t_grid"],
-                                  int(cfg["N"]), run.args.seed,
-                                  workers=run.args.workers)
+    pred = _band_set(_number(cfg, cfg.get("band_delta", 0.3)),
+                     _number(cfg, cfg.get("band_period", 1.0)))
+    series = estimate_correlation(system, pred, pred,
+                                  [_number(cfg, t) for t in cfg["t_grid"]],
+                                  _number(cfg, cfg["N"], integral=True),
+                                  run.args.seed, workers=run.args.workers)
     rows = ["t,correlation,std_error"]
     rows += [f"{t!r},{c!r},{se!r}" for t, c, se in series]
     run.emit("correlation.csv", "\n".join(rows) + "\n")
@@ -343,20 +390,20 @@ def cmd_verify(run):
     cfg = run.config
     scale = run.args.tolerance_scale
     system = load_system(cfg["system"])
-    t = float(cfg["t"])
-    N = int(cfg["N"])
+    t = _number(cfg, cfg["t"])
+    N = _number(cfg, cfg["N"], integral=True)
     checks = []
 
     if cfg.get("mode", "flow") == "flow":
         # non-arithmetic LCLT: flow windows against the Gaussian density
         if "sigma_flow" in cfg:
-            sigma = float(cfg["sigma_flow"])
+            sigma = _number(cfg, cfg["sigma_flow"])
         else:
             cov, _ = estimate_sigma(system, seed=run.args.seed,
                                     workers=run.args.workers)
             sigma = flow_variance([[cov[0, 0]]], system.nu_tau)
         g = 1.0 / math.sqrt(2 * math.pi * sigma)
-        wins = [("flow", float(win[0]), float(win[1]), float(win[2]))
+        wins = [("flow", *(_number(cfg, win[k]) for k in (0, 1, 2)))
                 for win in cfg["windows"]]
         if not wins:
             raise ConfigError("verify needs at least one window")

@@ -3,8 +3,8 @@
 Three base families: iid reward-renewal processes (finite atoms with exact
 coordinates), finite-state Markov shifts with per-transition values, and the
 intermittent interval map with a neutral fixed point, used directly as an
-ambient suspension whose first-return structure over (1/2, 1] is exposed
-through ``return_time``.
+ambient suspension whose invariant measure is built on its Young tower over
+the first-return set (1/2, 1] (return times through ``return_time``).
 
 Each system is a suspension flow given by a base step, a roof tau and a
 per-cell observable integral phi, and exposes it through one vectorised
@@ -27,7 +27,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial.chebyshev import chebval, chebvander
 
 from .errors import ConfigError, MixedRingError, ReturnTimeOverflow
 from .quadfield import QuadScalar, as_quad
@@ -232,21 +232,37 @@ def pm_first_return(x: float, alpha: float, cap: int = 10 ** 6):
     return y, r
 
 
-_ACIM_CACHE = {}
+def _pm_pullback(alpha, z, depth=None, floor=1e-13, cap=100_000):
+    """Backward orbits of the left branch L(u) = u(1 + 2^alpha u^alpha).
 
-
-def _pm_acim_ensemble(alpha, n=200_000, burn=2000, seed=745_197_101):
-    """Ensemble of points distributed (approximately) per the absolutely
-    continuous invariant measure of the ambient map: uniform starts pushed
-    through ``burn`` iterations.  Deterministic given the fixed seed."""
-    key = (round(alpha, 12), n, burn, seed)
-    if key not in _ACIM_CACHE:
-        rng = np.random.default_rng(seed)
-        x = rng.random(n) * 0.999999 + 1e-9
-        for _ in range(burn):
-            x = pm_map(x, alpha)
-        _ACIM_CACHE[key] = x
-    return _ACIM_CACHE[key]
+    Returns (U, D) with rows U[k] = L^{-k}(z) and D[k] = dU[k]/dz for
+    k = 0, 1, ...: ``depth`` rows, or without a depth rows up to the first
+    one whose last entry is <= floor (at most ``cap`` rows).  Each row is
+    solved by Newton's method from a geometric extrapolation of the two
+    before it.
+    """
+    c = 2.0 ** alpha
+    rows = depth or cap
+    U = np.empty((rows, len(z)))
+    U[0] = z
+    k = 1
+    while k < rows and (depth or U[k - 1, -1] > floor):
+        w = U[k - 1]
+        u = w / (1 + c * w ** alpha) if k == 1 else w * (w / U[k - 2])
+        while True:
+            t = c * u ** alpha
+            step = (u * (1 + t) - w) / (1 + (1 + alpha) * t)
+            u = u - step
+            # quadratic convergence: the next step would be below 1e-16
+            if np.abs(step).max() <= 1e-8 * u.min():
+                break
+        U[k] = u
+        k += 1
+    U = U[:k]
+    D = np.ones_like(U)
+    np.cumprod(1 / (1 + (1 + alpha) * c * U[1:] ** alpha), axis=0,
+               out=D[1:])
+    return U, D
 
 
 PM_ROOFS = {
@@ -260,19 +276,52 @@ PM_RATES = {
     "x_centered": lambda y: np.asarray(y, dtype=float),
 }
 
+# Chebyshev degree of the induced density on Y: its coefficients fall by
+# ~0.13 per degree, so the induced-operator residual is at the 1e-13 level
+# of the truncated branch tail already at degree 16
+_PM_DEG = 32
+
+
+def _induced_fixed_point(s, P, dP):
+    """Nystrom solve for the invariant density of the first-return map F on
+    Y = (1/2, 1], from its inverse branches psi_r evaluated at the
+    Chebyshev-Lobatto nodes y = (3 + s) / 4: P[r] = psi_r(y) and
+    dP[r] = psi_r'(y).  Returns the Chebyshev coefficients of h in
+    4y - 3, normalised to integrate to 1 over Y, and the Clenshaw-Curtis
+    weights of the nodes on Y."""
+    deg = len(s) - 1
+    V = chebvander(s, deg)
+    # M @ c = node values of L_F h for the Chebyshev series c of h
+    M = sum(np.einsum("ri,rij->ij", dP[k:k + 512],
+                      chebvander(4 * P[k:k + 512] - 3, deg))
+            for k in range(0, len(P), 512))
+    lam, vec = np.linalg.eig(np.linalg.solve(V.T, M.T).T)
+    coef = np.linalg.solve(V, np.real(vec[:, np.argmin(np.abs(lam - 1))]))
+    # integrals of T_j over [-1, 1]
+    moments = np.zeros(deg + 1)
+    moments[::2] = 2 / (1 - np.arange(0, deg + 1, 2) ** 2)
+    return coef / (moments @ coef / 4), np.linalg.solve(V.T, moments) / 4
+
 
 class PMTowerBase:
     """The intermittent map used as a suspension base.
 
     Ambient representation: state = a point of (0, 1], roof = upsilon(state),
     per-cell observable integral = (g(state) - m) * upsilon(state) with m the
-    invariant-measure mean of g weighted by upsilon (estimated once from a
-    deterministic ensemble).  The induced first-return structure over
-    (1/2, 1] is exposed through ``return_time``.
-    """
+    invariant-measure mean of g weighted by upsilon.
 
-    # iterations pushing uniform starts towards the invariant measure
-    _BURN = 1500
+    The invariant measure comes from the Young tower over Y = (1/2, 1]: the
+    first-return map F has full branches Y_r = {return time r}, and its
+    invariant density h is the fixed point of a Nystrom discretisation of
+    L_F h(z) = sum_r h(psi_r(z)) psi_r'(z) on Chebyshev-Lobatto nodes of Y,
+    with the branches cut where the remaining Lebesgue mass of Y is below
+    1e-13.  Ambient averages follow from Kac's formula,
+    int g dmu = int_Y h sum_{k<r} g o T^k / int_Y r h, and invariant points
+    are drawn on the tower: a branch r with probability ~ r |Y_r|, y uniform
+    on Y_r accepted with probability h(y) / max h, a level k uniform in
+    [0, r), then x = T^k y.  The return times are exposed through
+    ``return_time``.
+    """
 
     def __init__(self, alpha, phi_check="x_centered", roof="unit"):
         if not 0 < alpha < 0.5:
@@ -282,47 +331,81 @@ class PMTowerBase:
         self.rate_id = phi_check
         self._roof = PM_ROOFS[roof]
         self._rate = PM_RATES[phi_check]
-        ens = _pm_acim_ensemble(alpha)
-        wts = self._roof(ens)
-        self.rate_mean = float(np.average(self._rate(ens), weights=wts))
-        self.nu_tau = float(np.mean(wts))
-        # preimage thresholds of 1/2 under the left branch: return time of
-        # x in (1/2, 1] is 1 + #{n >= 1 : 2x - 1 <= x_n}
-        self.thresholds = self._threshold_table()
+        # both roofs are nondecreasing: their supremum on (0, 1] is at 1
+        self._roof_max = float(self._roof(1.0))
+        # Chebyshev-Lobatto nodes s of [-1, 1], y = (3 + s) / 4 in Y; the
+        # last node is y = 1/2
+        s = np.cos(np.pi * np.arange(_PM_DEG + 1) / _PM_DEG)
+        U, D = _pm_pullback(alpha, (3 + s) / 4)
+        # preimages x_n = L^{-n}(1/2): the return time of x in (1/2, 1] is
+        # 1 + #{n >= 0 : 2x - 1 <= x_n}
+        self.thresholds = U[:, -1].copy()
+        # inverse branch r = k + 1 of F at the nodes: psi_r = (1 + U[k]) / 2
+        # with derivative D[k] / 2
+        P, dP = (1 + U) / 2, D / 2
+        self._hcoef, quad = _induced_fixed_point(s, P, dP)
+        # |T_j| <= 1 on [-1, 1], so this bounds h
+        self._hmax = float(np.abs(self._hcoef).sum())
+        # Kac: the tower over branch r at node i has the weight
+        # quad_i h(psi_r) psi_r', and its orbit is psi_r, U[k], ..., U[1]
+        wts = quad * dP * self.induced_density(P)
+
+        def kac(g):
+            return float(np.sum(wts * g(P))
+                         + np.sum(wts[1:] * np.cumsum(g(U[1:]), axis=0)))
+
+        roof_mass = kac(self._roof)
+        self.nu_tau = roof_mass / kac(PM_ROOFS["unit"])
+        self.rate_mean = kac(lambda x: self._rate(x) * self._roof(x)) \
+            / roof_mass
+        # tower draws: branch r = k + 1 has 2y - 1 in (x_k, x_{k-1}], with
+        # x_{-1} = 1
+        self._zwidth = np.concatenate(([1.0], self.thresholds[:-1])) \
+            - self.thresholds
+        branch_w = np.arange(1, len(self._zwidth) + 1) * self._zwidth
+        self._branch_cum = _cdf_table(branch_w / branch_w.sum())
 
     kind = "pm"
 
-    def _threshold_table(self, floor=1e-13, cap=100_000):
-        xs = [0.5]
-        while xs[-1] > floor and len(xs) < cap:
-            target = xs[-1]
-            lo, hi = 0.0, target
-            xs.append(brentq(lambda y: _pm_left(y, self.alpha) - target,
-                             lo, hi, xtol=1e-16, rtol=8.9e-16))
-        return np.array(xs)
+    def induced_density(self, y):
+        """The invariant density h of the first-return map on Y = (1/2, 1],
+        normalised to integrate to 1 over Y."""
+        return chebval(4 * np.asarray(y, dtype=float) - 3, self._hcoef)
 
     # -- ambient suspension interface -----------------------------------
 
     def draw_base(self, n, rng):
-        """Fresh (approximately) invariant points: uniform starts pushed
-        through a ``_BURN``-step burn-in."""
-        x = rng.random(n) * (1 - 1e-9) + 1e-9
-        for _ in range(self._BURN):
-            x = pm_map(x, self.alpha)
+        """Points of the ambient invariant measure, drawn on the tower."""
+        ks, zs, need = [], [], n
+        while need:
+            k = np.searchsorted(self._branch_cum, rng.random(need),
+                                side="right")
+            z = self.thresholds[k] + rng.random(need) * self._zwidth[k]
+            ok = (rng.random(need) * self._hmax
+                  < self.induced_density((1 + z) / 2))
+            ks.append(k[ok])
+            zs.append(z[ok])
+            need -= len(ks[-1])
+        k, z = np.concatenate(ks), np.concatenate(zs)
+        # level j uniform in [0, r): y itself, or T^j y = L^{j-1}(2y - 1)
+        level = rng.integers(0, k + 1)
+        x = np.where(level == 0, (1 + z) / 2, z)
+        idx = np.flatnonzero(level > 1)
+        while idx.size:
+            x[idx] = _pm_left(x[idx], self.alpha)
+            level[idx] -= 1
+            idx = idx[level[idx] > 1]
         return x
 
     def draw_start(self, n, rng):
-        """Roof-size-biased points: burnt-in batches, thinned by roof-weighted
+        """Roof-size-biased points: invariant draws, thinned by roof-weighted
         rejection unless the roof is constant."""
-        need = n
-        out = []
-        while need > 0:
-            batch = max(need + need // 3 + 64, 256)
-            x = self.draw_base(batch, rng)
-            if self.roof_id != "unit":
-                w = self._roof(x)
-                x = x[rng.random(batch) * float(np.max(w)) < w]
-            out.append(x[:need])
+        if self.roof_id == "unit":
+            return self.draw_base(n, rng)
+        out, need = [], n
+        while need:
+            x = self.draw_base(need, rng)
+            out.append(x[rng.random(need) * self._roof_max < self._roof(x)])
             need -= len(out[-1])
         return np.concatenate(out)
 
@@ -380,5 +463,6 @@ def load_system(spec):
         raise ConfigError(f"a system is a JSON object, not {obj!r}")
     kind = obj.get("type")
     if kind not in _SYSTEM_TYPES:
-        raise ValueError(f"unknown system type {kind!r}")
+        raise ConfigError(f"unknown system type {kind!r}; known types: "
+                          f"{', '.join(_SYSTEM_TYPES)}")
     return _SYSTEM_TYPES[kind].from_json(obj)

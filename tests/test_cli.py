@@ -116,6 +116,19 @@ def test_predict_writes_record(tmp_path, capsys):
     assert rec["value"] == pytest.approx(0.37180643207922826, rel=1e-9)
 
 
+def test_predict_reads_exact_numbers(tmp_path, capsys):
+    # the README example gives nu_tau as [2, 3]; every numeric field takes
+    # the exact scalar forms
+    exact = dict(PREDICT_CFG, sigma_flow=[1, 1],
+                 request={"t": [200, 2], "l": [0, 1], "I": [0, [-1, 1, 1, 1]],
+                          "J": [0, [-1, 1, 1, 1]]})
+    for cfg in (PREDICT_CFG, exact):
+        code, out = run(tmp_path, "predict", cfg)
+        assert code == 0
+        rec = json.loads((tmp_path / "out" / "predict.json").read_text())
+        assert rec["value"] == pytest.approx(0.37180643207922826, rel=1e-9)
+
+
 def test_verify_lattice_passes(tmp_path, capsys):
     cfg = dict(PREDICT_CFG)
     cfg.update({"mode": "lattice", "system": OSC_SYSTEM,
@@ -269,6 +282,14 @@ def test_missing_key_is_parse_error(tmp_path):
     ("predict", dict(PREDICT_CFG, nu_tau=2 / 3,
                      case={"variant": "D", "b": 0, "d": 1})),
     ("predict", dict(PREDICT_CFG, nu_tau=2 / 3, request=None)),
+    ("simulate", {"system": OSC_SYSTEM, "t": 2, "N": "x",
+                  "windows": [["flow", 0, -1, 1]]}),
+    ("simulate", {"system": OSC_SYSTEM, "t": 2, "N": 2.5,
+                  "windows": [["flow", 0, -1, 1]]}),
+    ("simulate", {"system": {"type": "nope"}, "t": 2, "N": 10,
+                  "windows": [["flow", 0, -1, 1]]}),
+    ("spectral", {"system": MARKOV_SYSTEM, "t_grid": [0.0, 0.5]}),
+    ("predict", dict(PREDICT_CFG, request={"t": 100, "l": 0.5})),
 ])
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)

@@ -19,8 +19,8 @@ RENEWAL = {"type": "renewal", "D": 2,
                      [1, 0, -1, 1, 1, 3]]}
 MARKOV = {"type": "markov", "P": [[0.5, 0.5], [0.5, 0.5]],
           "f": [[[-1, 1], [1, 2]], [[-1, 1], [1, 2]]]}
-# the ensemble behind PMTowerBase is cached per alpha, so one alpha only
 PM = {"type": "pm", "alpha": 0.25}
+PM_ALPHAS = [0.125, 0.25, 0.3]
 # a renewal system written to a file and named by its path
 SYSTEM_FILE = "system-file"
 
@@ -73,6 +73,8 @@ def _at(cfg, path):
 def cases(draw):
     command, cfg = draw(st.sampled_from(BASES))
     cfg = copy.deepcopy(cfg)
+    if cfg.get("system") == PM:
+        cfg["system"]["alpha"] = draw(st.sampled_from(PM_ALPHAS))
     how = draw(st.sampled_from(["none", "delete", "replace", "truncate"]))
     paths = list(_paths(cfg))
     if how == "truncate":

@@ -67,9 +67,8 @@ def test_bit_identical_across_worker_counts():
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_engine_bit_identical_across_worker_counts(kind):
     sys = SYSTEMS[kind]()
-    # two path blocks, except for pm, where every start pays a burn-in and
-    # the multi-block check is left to the base sums below
-    N = (1 << 18) + 300 if kind != "pm" else 600
+    # two path blocks
+    N = (1 << 18) + 300
     a = sample_flow_integrals(sys, 6.0, N, seed=8, workers=1)
     b = sample_flow_integrals(sys, 6.0, N, seed=8, workers=2)
     assert np.array_equal(a, b)

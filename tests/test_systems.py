@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from lcltflow.errors import MixedRingError, ReturnTimeOverflow
+from lcltflow.errors import ConfigError, MixedRingError, ReturnTimeOverflow
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
-                              load_system, pm_first_return, pm_map)
+                              _pm_left, _pm_pullback, load_system,
+                              pm_first_return, pm_map)
 
 from flowref import FlowPoint, flow_integrate, sample_stationary
 
@@ -260,6 +262,53 @@ def test_pm_observable_centered():
     assert 0 < sys.nu_tau <= 1.5
 
 
+def test_pm_induced_density_is_invariant():
+    # the backward orbits solve L(U[k]) = U[k - 1], and the induced density
+    # is a fixed point of L_F h(z) = sum_r h(psi_r(z)) psi_r'(z) at points of
+    # Y off the Chebyshev nodes, summed over the same branches
+    sys = PMTowerBase(0.25)
+    z = 0.5 + 0.5 * np.random.default_rng(3).random(200)
+    U, D = _pm_pullback(0.25, z, depth=len(sys.thresholds))
+    assert np.max(np.abs(_pm_left(U[1:], 0.25) / U[:-1] - 1)) <= 1e-14
+    Lh = np.sum(sys.induced_density((1 + U) / 2) * D / 2, axis=0)
+    h = sys.induced_density(z)
+    assert np.max(np.abs(Lh - h) / h) <= 1e-8
+    # h is a probability density on Y
+    y = 0.5 + 0.5 * (np.arange(20_000) + 0.5) / 20_000
+    assert np.mean(sys.induced_density(y)) / 2 == pytest.approx(1, abs=1e-9)
+
+
+def test_pm_rate_mean_matches_ensemble_estimate():
+    # a Monte Carlo estimate (200k uniform starts pushed 2000 steps) gave
+    # 0.4565232845 with standard error 6.6e-4
+    assert abs(PMTowerBase(0.25).rate_mean - 0.4565232845) <= 3 * 6.6e-4
+
+
+def test_pm_affine_roof_kac_constants():
+    unit = PMTowerBase(0.25)
+    affine = PMTowerBase(0.25, roof="affine")
+    assert unit.nu_tau == 1.0
+    assert abs(affine.nu_tau - (1 + unit.rate_mean / 2)) <= 1e-12
+    # roof-size-biased starts have mean rate_mean (the roof-weighted mean),
+    # drawn in one batch or one at a time
+    rng = np.random.default_rng(6)
+    for x in (affine.draw_start(1 << 16, rng),
+              np.concatenate([affine.draw_start(1, rng)
+                              for _ in range(4000)])):
+        assert abs(x.mean() - affine.rate_mean) <= 4 * x.std() / len(x) ** .5
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.4])
+def test_pm_draws_are_invariant(alpha):
+    # one step of the map leaves the law of tower draws unchanged (at
+    # alpha = 0.4 the return time has no second moment)
+    sys = PMTowerBase(alpha)
+    rng = np.random.default_rng(5)
+    pushed = pm_map(sys.draw_base(1 << 16, rng), alpha)
+    fresh = sys.draw_base(1 << 16, rng)
+    assert stats.ks_2samp(pushed, fresh).pvalue > 0.01
+
+
 def test_pm_alpha_validation():
     with pytest.raises(ValueError):
         PMTowerBase(0.6)
@@ -287,5 +336,5 @@ def test_load_system_round_trips():
     sys3 = load_system({"type": "pm", "alpha": 0.25})
     assert sys3.kind == "pm" and sys3.alpha == 0.25
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         load_system({"type": "nope"})
