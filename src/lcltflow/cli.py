@@ -27,7 +27,7 @@ from .errors import ConfigError, LcltError
 from .groups import (CaseLabel, classify_case, closure_1d, closure_of_group,
                      covolume, interval)
 from .montecarlo import (HistogramSpec, estimate_correlation, estimate_lclt,
-                         estimate_mlclt, estimate_sigma, full_set)
+                         estimate_mlclt, estimate_sigma)
 from .predict import (FlowMLCLTParams, PredictionRequest, flow_variance,
                       mixing_classify, predict, prediction_record)
 from .quadfield import QuadScalar, as_quad
@@ -88,6 +88,14 @@ def _number(cfg, v, integral=False):
     if x != int(x):
         raise ConfigError(f"{v!r} must be an integer")
     return int(x)
+
+
+def _sample_count(cfg):
+    """The config's number of sample paths N, a positive integer."""
+    N = _number(cfg, cfg["N"], integral=True)
+    if N < 1:
+        raise ConfigError(f"N must be a positive integer, not {N}")
+    return N
 
 
 def _atomic_write(path, text):
@@ -297,8 +305,8 @@ def cmd_simulate(run):
     cfg = run.config
     system = load_system(cfg["system"])
     spec = _mc_windows(cfg, _number(cfg, cfg["t"]))
-    ests = estimate_lclt(system, spec, _number(cfg, cfg["N"], integral=True),
-                         run.args.seed, workers=run.args.workers)
+    ests = estimate_lclt(system, spec, _sample_count(cfg), run.args.seed,
+                         workers=run.args.workers)
     rows = ["window,point,std_error,n_samples,seed"]
     recs = []
     for w, e in zip(spec.windows, ests):
@@ -375,8 +383,8 @@ def cmd_correlate(run):
                      _number(cfg, cfg.get("band_period", 1.0)))
     series = estimate_correlation(system, pred, pred,
                                   [_number(cfg, t) for t in cfg["t_grid"]],
-                                  _number(cfg, cfg["N"], integral=True),
-                                  run.args.seed, workers=run.args.workers)
+                                  _sample_count(cfg), run.args.seed,
+                                  workers=run.args.workers)
     rows = ["t,correlation,std_error"]
     rows += [f"{t!r},{c!r},{se!r}" for t, c, se in series]
     run.emit("correlation.csv", "\n".join(rows) + "\n")
@@ -391,7 +399,7 @@ def cmd_verify(run):
     scale = run.args.tolerance_scale
     system = load_system(cfg["system"])
     t = _number(cfg, cfg["t"])
-    N = _number(cfg, cfg["N"], integral=True)
+    N = _sample_count(cfg)
     checks = []
 
     if cfg.get("mode", "flow") == "flow":
@@ -419,17 +427,22 @@ def cmd_verify(run):
         # lattice (case D) fiber check against prediction and the exact DP
         params = _params_from_config(cfg)
         req = _request_from_config(cfg)
+        if req.t != t:
+            raise ConfigError(f"the request's t = {req.t:g} differs from "
+                              f"the simulated t = {t:g}")
         predicted = predict(params, req)
         a = float(params.case.a) if "a" in params.case.params else 1.0
+        # every check targets the section value W + l a
         est = estimate_mlclt(system, t, N, run.args.seed,
                              window=("section", a, req.l),
-                             I=req.I, J=req.J,
+                             I=req.I, J=req.J, W_of_t=req.W_of_t,
                              workers=run.args.workers)
         tol = (3 * est.std_error + 0.10 * abs(predicted)) * scale
         oracle = None
         if system.kind == "renewal" and cfg.get("oracle", True):
             p = stationary_event_probability(
-                system.atoms, Fraction(t), req.l, I=req.I, J=req.J)
+                system.atoms, Fraction(t), req.W_of_t + req.l * a,
+                I=req.I, J=req.J)
             oracle = math.sqrt(t) * float(p)
         checks.append((f"fiber l={req.l}", predicted, est, tol, oracle))
 

@@ -46,11 +46,6 @@ class CaseMismatch(LcltError):
     """Prediction routine called with the wrong case label."""
 
 
-class TableNotSupported(LcltError):
-    """Non-trivial transfer-function table passed where only the minimal
-    specialization is implemented."""
-
-
 class LatticeViolation(LcltError):
     """Recentering W(t) is not on the admissible lattice."""
 
@@ -65,10 +60,6 @@ class ReturnTimeOverflow(LcltError):
 
 class StateExplosion(LcltError):
     """Dynamic program exceeded the live-state budget."""
-
-
-class PathExplosion(LcltError):
-    """Brute-force enumeration would exceed the path budget."""
 
 
 # -- spectral --------------------------------------------------------------

@@ -44,10 +44,6 @@ class EstimateWithCI:
     n_samples: int
     seed: int
 
-    def within(self, other, k_se, extra=0.0):
-        tol = k_se * self.std_error + extra
-        return abs(self.point - other) <= tol
-
 
 def _block_rng(seed: int, b: int):
     return np.random.Generator(np.random.Philox(key=seed + (b << 64)))
@@ -128,10 +124,6 @@ def _base_walk(system, n, rng):
 # estimators
 # ---------------------------------------------------------------------------
 
-def full_set(states, s):
-    return np.ones(np.shape(s), dtype=bool)
-
-
 def _window_mask(block, window, t, W_of_t):
     kind = window[0]
     if kind == "flow":
@@ -145,58 +137,61 @@ def _window_mask(block, window, t, W_of_t):
     raise ValueError(f"unknown window kind {window[0]!r}")
 
 
-def estimate_mlclt(system, t, N, seed, *, window, setA=full_set, I=None,
-                   setB=full_set, J=None, W_of_t=0.0,
-                   workers=1) -> EstimateWithCI:
-    """sqrt(t) x empirical probability of
-    {start in A x I} and {value criterion} and {end in B x J}.
+def _fiber_mask(s, fiber):
+    """Heights s in the half-open fiber interval; None is the whole fiber."""
+    if fiber is None:
+        return np.ones(len(s), dtype=bool)
+    return (s >= fiber[0]) & (s < fiber[1])
 
-    ``window`` is a ("flow", w, lo, hi) or ("section", a, l) value criterion
-    applied to the H-corrected integral; I and J are fiber intervals (None =
-    full fiber).  Emits EmptySetWarning when a conditioning set is too thin.
-    """
+
+def _binomial_se(p, N):
+    """Standard error of a proportion p over N samples, with p(1 - p)
+    floored at its one-hit value so that zero hits keep a real error."""
+    p1 = 1 / N
+    return math.sqrt(max(p * (1 - p), p1 * (1 - p1)) / N)
+
+
+def _window_estimates(system, t, windows, N, seed, workers, I=None, J=None,
+                      W_of_t=0.0):
+    """sqrt(t) x empirical probability of {start height in I} and {value in
+    the window} and {end height in J}, one EstimateWithCI per window, all
+    windows sharing the same sample paths.  Emits EmptySetWarning when a
+    given fiber interval is too thin."""
     def block_fn(b, n, rng):
         blk = _paths(system, t, n, rng)
-        mask = _window_mask(blk, window, t, W_of_t)
-        ma = setA(blk["start"], blk["s0"])
-        if I is not None:
-            ma &= (blk["s0"] >= I[0]) & (blk["s0"] < I[1])
-        mb = setB(blk["end"], blk["s_end"])
-        if J is not None:
-            mb &= (blk["s_end"] >= J[0]) & (blk["s_end"] < J[1])
-        return (int(np.sum(mask & ma & mb)), int(ma.sum()), int(mb.sum()))
+        ma = _fiber_mask(blk["s0"], I)
+        mb = _fiber_mask(blk["s_end"], J)
+        both = ma & mb
+        return ([int(np.sum(_window_mask(blk, w, t, W_of_t) & both))
+                 for w in windows], int(ma.sum()), int(mb.sum()))
 
     res = _run_blocks(N, seed, workers, block_fn)
-    hits = sum(r[0] for r in res)
-    na = sum(r[1] for r in res)
-    nb = sum(r[2] for r in res)
-    if min(na, nb) < 10:
+    if any(fiber is not None and sum(r[k] for r in res) < 10
+           for k, fiber in ((1, I), (2, J))):
         warnings.warn("conditioning set has near-zero empirical mass",
                       EmptySetWarning)
-    p = hits / N
-    se = math.sqrt(max(p * (1 - p), 1e-300) / N)
-    return EstimateWithCI(math.sqrt(t) * p, math.sqrt(t) * se, N, seed)
+    out = []
+    for k in range(len(windows)):
+        p = sum(r[0][k] for r in res) / N
+        out.append(EstimateWithCI(math.sqrt(t) * p,
+                                  math.sqrt(t) * _binomial_se(p, N), N, seed))
+    return out
+
+
+def estimate_mlclt(system, t, N, seed, *, window, I=None, J=None, W_of_t=0.0,
+                   workers=1) -> EstimateWithCI:
+    """sqrt(t) x empirical probability of {start in I} and {value criterion}
+    and {end in J}: ``window`` is a ("flow", w, lo, hi) or ("section", a, l)
+    value criterion applied to the H-corrected integral; I and J are fiber
+    intervals (None = full fiber)."""
+    return _window_estimates(system, t, [window], N, seed, workers, I, J,
+                             W_of_t)[0]
 
 
 def estimate_lclt(system, spec: HistogramSpec, N, seed, workers=1):
     """sqrt(t)-scaled window masses of the flow integral from stationary
-    starts, one EstimateWithCI per window, all windows sharing the same
-    sample paths."""
-    t = spec.t
-
-    def block_fn(b, n, rng):
-        blk = _paths(system, t, n, rng)
-        return [int(np.sum(_window_mask(blk, w, t, 0.0)))
-                for w in spec.windows]
-
-    res = _run_blocks(N, seed, workers, block_fn)
-    out = []
-    for k in range(len(spec.windows)):
-        p = sum(r[k] for r in res) / N
-        se = math.sqrt(max(p * (1 - p), 1e-300) / N)
-        out.append(EstimateWithCI(math.sqrt(t) * p, math.sqrt(t) * se,
-                                  N, seed))
-    return out
+    starts, one EstimateWithCI per window."""
+    return _window_estimates(system, spec.t, spec.windows, N, seed, workers)
 
 
 def sample_flow_integrals(system, t, N, seed, workers=1, field="raw"):
@@ -237,32 +232,22 @@ def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
     return cov, se
 
 
-def estimate_correlation(system, setA, setB, t_grid, N, seed, workers=1,
-                         I=None, J=None):
+def estimate_correlation(system, setA, setB, t_grid, N, seed, workers=1):
     """Correlation series mu(A and Phi^{-t} B) - mu(A) mu(B) over an
     increasing t grid, advancing each sample path incrementally."""
     t_grid = list(t_grid)
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be increasing")
 
-    def in_set(pred, fiber, states, s):
-        m = pred(states, s)
-        if fiber is not None:
-            m &= (s >= fiber[0]) & (s < fiber[1])
-        return m
-
     def block_fn(b, n, rng):
         blk = _paths(system, t_grid[0], n, rng)
-        a0 = in_set(setA, I, blk["start"], blk["s0"])
+        a0 = setA(blk["start"], blk["s0"])
         rows = []
-        cur, s_end = blk["end"], blk["s_end"]
-        bmask = in_set(setB, J, cur, s_end)
-        rows.append((int((a0 & bmask).sum()), int(a0.sum()),
-                     int(bmask.sum())))
-        for t_prev, t_next in zip(t_grid, t_grid[1:]):
-            blk = _flow(system, cur, s_end, t_next - t_prev, rng)
-            cur, s_end = blk["end"], blk["s_end"]
-            bmask = in_set(setB, J, cur, s_end)
+        for k in range(len(t_grid)):
+            if k:
+                blk = _flow(system, blk["end"], blk["s_end"],
+                            t_grid[k] - t_grid[k - 1], rng)
+            bmask = setB(blk["end"], blk["s_end"])
             rows.append((int((a0 & bmask).sum()), int(a0.sum()),
                          int(bmask.sum())))
         return rows
@@ -273,10 +258,7 @@ def estimate_correlation(system, setA, setB, t_grid, N, seed, workers=1,
         ab = sum(r[k][0] for r in res) / N
         a = sum(r[k][1] for r in res) / N
         bb = sum(r[k][2] for r in res) / N
-        corr = ab - a * bb
-        pmax = max(ab, a * bb)
-        se = math.sqrt(max(pmax * (1 - pmax), 1e-300) / N)
-        series.append((t, corr, se))
+        series.append((t, ab - a * bb, _binomial_se(max(ab, a * bb), N)))
     return series
 
 

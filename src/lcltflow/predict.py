@@ -11,14 +11,14 @@ quadrature error enters the comparisons.  The mixing criterion decides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import (CaseMismatch, LatticeViolation, NonPositiveNuTau,
-                     SingularCovariance, TableNotSupported)
+                     SingularCovariance)
 from .groups import CaseLabel, Group1D, fiber_group, haar_mass, shear_reduce
 from .quadfield import QuadScalar, as_quad
 
@@ -67,17 +67,11 @@ def flow_variance(sigma_base, nu_tau: float) -> float:
 
 @dataclass
 class FlowMLCLTParams:
-    """Everything the limit formulas need besides the request itself.
-
-    ``h_tau_table`` (optional) tabulates the roof transfer function on the
-    conditioning sets: {"A": [(h_tau_value, nu_weight), ...], "B": [...]}.
-    When absent, the minimal specialization h_tau = 0 is used.
-    """
+    """Everything the limit formulas need besides the request itself, in
+    the minimal specialization (transfer functions h = h_tau = 0)."""
     case: CaseLabel
     sigma_flow: float
     nu_tau: float
-    h_tau_table: Optional[dict] = None
-    h_table: Optional[dict] = None
 
     def __post_init__(self):
         if self.nu_tau <= 0:
@@ -94,11 +88,11 @@ class FlowMLCLTParams:
 class PredictionRequest:
     """A single MLCLT evaluation point.
 
-    For cases A-C, ``target`` is the window H in V (a haar_mass set spec) and
-    ``mu_AI`` / ``mu_BJ`` are the flow-measure masses of the conditioning
-    sets (default 1 = full space; computed from nu_A * |I| / nu_tau when an
-    interval I is given).  For cases D/E, ``I`` and ``J`` are the fiber
-    intervals of the product sets and ``l`` indexes the target fiber {l a}.
+    For cases A-C, ``target`` is the window H in V (a haar_mass set spec)
+    and the flow-measure masses of the conditioning sets are nu_A (full
+    fiber) or nu_A |I| / nu_tau when an interval I is given, likewise for B.
+    For cases D/E, ``I`` and ``J`` are the fiber intervals of the product
+    sets and ``l`` indexes the target fiber {l a}.
     """
     t: float
     W_of_t: float = 0.0
@@ -109,25 +103,13 @@ class PredictionRequest:
     I: Optional[tuple] = None
     J: Optional[tuple] = None
     target: object = None
-    mu_AI: Optional[float] = None
-    mu_BJ: Optional[float] = None
 
     def marginal_masses(self, nu_tau):
-        ma = self.mu_AI
-        if ma is None:
-            ma = (self.nu_A * (self.I[1] - self.I[0]) / nu_tau
-                  if self.I is not None else self.nu_A)
-        mb = self.mu_BJ
-        if mb is None:
-            mb = (self.nu_B * (self.J[1] - self.J[0]) / nu_tau
-                  if self.J is not None else self.nu_B)
+        ma = (self.nu_A * (self.I[1] - self.I[0]) / nu_tau
+              if self.I is not None else self.nu_A)
+        mb = (self.nu_B * (self.J[1] - self.J[0]) / nu_tau
+              if self.J is not None else self.nu_B)
         return float(ma), float(mb)
-
-
-def _require_minimal(params: FlowMLCLTParams, where: str):
-    if params.h_table:
-        raise TableNotSupported(f"{where}: nonzero transfer-function table "
-                                "for the observable is not supported")
 
 
 def predict_flow_limit_ABC(params: FlowMLCLTParams,
@@ -137,10 +119,6 @@ def predict_flow_limit_ABC(params: FlowMLCLTParams,
     of the target window."""
     if params.case.variant not in ("A", "B", "C"):
         raise CaseMismatch(f"expected case A/B/C, got {params.case.variant}")
-    _require_minimal(params, "predict_flow_limit_ABC")
-    if params.case.variant != "A" and params.h_tau_table:
-        raise TableNotSupported("nonzero roof transfer table in case "
-                                f"{params.case.variant}")
     V = fiber_group(params.case)
     gauss = gaussian_density(params.gaussian, req.w)
     haar = haar_mass(V, req.target)
@@ -224,7 +202,6 @@ def _predict_lattice(params: FlowMLCLTParams, req: PredictionRequest,
     if params.case.variant != variant:
         raise CaseMismatch(f"expected case {variant}, got "
                            f"{params.case.variant}")
-    _require_minimal(params, f"predict_case_{variant}")
     if req.I is None or req.J is None:
         raise ValueError("cases D/E require fiber intervals I and J")
     a, _, d, _ = _d_params(params.case)
@@ -232,23 +209,14 @@ def _predict_lattice(params: FlowMLCLTParams, req: PredictionRequest,
     c0 = float(rho_of_t(params.case, req.t, 0, req.W_of_t, req.l))
     gauss = gaussian_density(params.gaussian, req.w)
     nt = params.nu_tau
-    if not params.h_tau_table:
-        integral = _card_integral(c0, df, req.I, req.J)
-        return (req.nu_A / nt) * gauss * af * df * integral * (req.nu_B / nt)
-    tab_A = params.h_tau_table["A"]
-    tab_B = params.h_tau_table["B"]
-    total = 0.0
-    for hx, wx in tab_A:
-        for hy, wy in tab_B:
-            total += wx * wy * _card_integral(c0 + float(hx) - float(hy),
-                                              df, req.I, req.J)
-    return af * df * gauss * total / (nt * nt)
+    integral = _card_integral(c0, df, req.I, req.J)
+    return (req.nu_A / nt) * gauss * af * df * integral * (req.nu_B / nt)
 
 
 def predict_case_D(params: FlowMLCLTParams, req: PredictionRequest) -> float:
     """Case-D limit I_t: the lattice-counting formula
     (nu(A)/nu(tau)) g_Sigma(w) a d [integral of Card over I] (nu(B)/nu(tau))
-    in the minimal specialization, or the tabulated double sum otherwise."""
+    in the minimal specialization."""
     return _predict_lattice(params, req, "D")
 
 

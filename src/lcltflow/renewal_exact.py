@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PathExplosion, StateExplosion
+from .errors import StateExplosion
 from .quadfield import QuadScalar, as_quad
 
 PalmStart = "PalmStart"
@@ -60,31 +60,10 @@ class ExactDistribution:
     pruned_mass: Fraction = field(default_factory=lambda: Fraction(0))
 
     def total(self):
-        vals = list(self.mass.values())
-        acc = vals[0] if vals else Fraction(0)
-        for v in vals[1:]:
-            acc = acc + v
-        return acc + self.pruned_mass
-
-    def to_json(self):
-        def enc(v):
-            if isinstance(v, QuadScalar):
-                return v.to_pair()
-            return [v.numerator, v.denominator]
-
-        return {
-            "mass": [[s, None if o is None else enc(o), enc(p)]
-                     for (s, o), p in sorted(
-                         self.mass.items(),
-                         key=lambda kv: (kv[0][0],
-                                         0.0 if kv[0][1] is None
-                                         else float(kv[0][1])))],
-            "pruned_mass": [self.pruned_mass.numerator,
-                            self.pruned_mass.denominator],
-        }
+        return sum(self.mass.values(), start=self.pruned_mass)
 
 
-def _palm_sweep(atoms, t, prune_bound=None, check_zero_integer=False):
+def _palm_sweep(atoms, t, prune_bound=None):
     """Renewal measure of the reward-sum process up to horizon t.
 
     Processes states (S, t_elapsed) in increasing elapsed time, merging all
@@ -138,9 +117,6 @@ def _palm_sweep(atoms, t, prune_bound=None, check_zero_integer=False):
         if len(states) > _STATE_CAP:
             raise StateExplosion(f"DP states exceeded {_STATE_CAP}")
         S, Tp, Tq = key
-        if check_zero_integer and S == 0 and Tq != 0:
-            raise ValueError(
-                f"zero-reward renewal at non-integer time {Tp}+{Tq}*sqrt")
         for k in range(len(ys)):
             yp, yq = ys[k]
             p2, q2 = Tp + yp, Tq + yq
@@ -185,32 +161,27 @@ def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
         assert dist.total() == 1, "mass leak in Palm DP"
         return dist
     if mode == StationaryStart:
-        pieces, pruned_meas = _stationary_pieces(atoms, t, bound)
-        zero = t - t
-        mass = {}
-        for S, _lo, _hi, weight in pieces:
-            key = (S, None)
-            mass[key] = mass.get(key, zero) + weight
-        dist = ExactDistribution(mass, Fraction(0))
-        total = dist.total() + pruned_meas
+        masses, pruned_meas = _stationary_masses(atoms, t, bound)
+        dist = ExactDistribution({(S, None): w for S, w in masses.items()},
+                                 pruned_meas)
+        total = dist.total()
         assert (total - 1).is_zero(), f"mass leak: total = {float(total)}"
-        dist.pruned_mass = pruned_meas
         return dist
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _stationary_pieces(atoms, t, prune_bound=None, S_filter=None,
+def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
                        I=None, J=None):
-    """Exact decomposition of the stationary-start event measure.
+    """Exact stationary-start event measure of each section value.
 
     A stationary start picks the first cell size-biased with a uniform
     height s0 (joint density p_i / nu(tau) over (cell i, s0)).  After the
     first crossing the process is a Palm renewal path; a renewal state
     (S, T) with next gap y_j is the realized final state exactly when
     s_end = s0 + t - y_i - T lies in [0, y_j).  Every (first cell, state,
-    next atom) triple therefore contributes an s0-interval; this returns
-    the list of (value, s0_lo, s0_hi, exact weight) pieces intersected with
-    the constraints s0 in I and s_end in J, plus the pruned measure.
+    next atom) triple therefore contributes an s0-interval.  Intersected
+    with the constraints s0 in I and s_end in J, their exact weights are
+    summed into {value: weight}, returned with the pruned measure.
     """
     nu = _nu_tau(atoms)
     zero = t - t
@@ -218,7 +189,7 @@ def _stationary_pieces(atoms, t, prune_bound=None, S_filter=None,
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
     I = None if I is None else (as_quad(I[0]), as_quad(I[1]))
     J = None if J is None else (as_quad(J[0]), as_quad(J[1]))
-    pieces = []
+    masses = {}
     pruned_meas = zero
     for x_i, y_i, p_i in atoms:
         dens = p_i / nu
@@ -237,7 +208,7 @@ def _stationary_pieces(atoms, t, prune_bound=None, S_filter=None,
                     hi = J[1] - t
             seg = _interval_len(lo, hi)
             if seg.sign() > 0:
-                pieces.append((0, lo, hi, dens * seg))
+                masses[0] = masses.get(0, zero) + dens * seg
         for (S, Tp, Tq), w in states.items():
             val = S + x_i
             if S_filter is not None and val != S_filter:
@@ -254,11 +225,11 @@ def _stationary_pieces(atoms, t, prune_bound=None, S_filter=None,
                         hi = base + J[1]
                 seg = _overlap(lo, hi, i_lo, i_hi)
                 if seg.sign() > 0:
-                    pieces.append((val, lo, hi, dens * w * p_j * seg))
+                    masses[val] = masses.get(val, zero) + dens * w * p_j * seg
         if pruned:
             cross = y_i if (y_i - t).sign() < 0 else t
             pruned_meas = pruned_meas + dens * pruned * cross
-    return pieces, pruned_meas
+    return masses, pruned_meas
 
 
 def _interval_len(lo, hi):
@@ -285,39 +256,9 @@ def stationary_event_probability(atoms, t, S_target, I=None, J=None):
     """
     atoms = _exact_atoms(atoms)
     t = t if isinstance(t, QuadScalar) else as_quad(t)
-    pieces, _pruned = _stationary_pieces(atoms, t, prune_bound=None,
+    masses, _pruned = _stationary_masses(atoms, t, prune_bound=None,
                                          S_filter=S_target, I=I, J=J)
-    total = t - t
-    for _S, _lo, _hi, weight in pieces:
-        total = total + weight
-    return total
-
-
-def brute_force_enumerate(atoms, t) -> ExactDistribution:
-    """Full path enumeration oracle (Palm start); exact equality with
-    dp_distribution is the correctness contract."""
-    atoms = _exact_atoms(atoms)
-    t = t if isinstance(t, QuadScalar) else as_quad(t)
-    min_y = min((y for _, y, _ in atoms), key=float)
-    depth = int(float(t) / float(min_y)) + 2
-    if len(atoms) ** depth > 10 ** 8:
-        raise PathExplosion(
-            f"~{len(atoms)}^{depth} paths exceed the enumeration budget")
-    mass = {}
-
-    def rec(S, T, prob):
-        for x, y, p in atoms:
-            T2 = T + y
-            if T2 <= t:
-                rec(S + x, T2, prob * p)
-            else:
-                key = (S, t - T)
-                mass[key] = mass.get(key, Fraction(0)) + prob * p
-
-    rec(0, t - t, Fraction(1))
-    dist = ExactDistribution(mass)
-    assert dist.total() == 1
-    return dist
+    return masses.get(S_target, t - t)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +310,15 @@ def counterexample_scan(t_values, atoms=None):
         t_exact = _exact_time(t)
         if float(t_exact) < 1:
             raise ValueError("scan requires t >= 1")
-        # [1:] frees this t's state table before the next sweep builds one
-        finals, pruned = _palm_sweep(
-            atoms, t_exact, prune_bound=_prune_bound(atoms, t_exact),
-            check_zero_integer=True)[1:]
+        states, finals, pruned = _palm_sweep(
+            atoms, t_exact, prune_bound=_prune_bound(atoms, t_exact))
+        off = next(((Tp, Tq) for S, Tp, Tq in states if S == 0 and Tq != 0),
+                   None)
+        if off is not None:
+            raise ValueError(f"zero-reward renewal at non-integer time "
+                             f"{off[0]}+{off[1]}*sqrt")
+        # free this t's state table before the next sweep builds one
+        del states
         p0 = Fraction(0)
         for S, T, _gap, w in finals:
             if S == 0:

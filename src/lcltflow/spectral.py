@@ -26,18 +26,13 @@ from .systems import MarkovShiftBase
 class TwistedOperatorModel:
     """A finite chain plus per-transition value vectors f in R^d (d = 1, 2).
 
-    By default f is taken from the chain's (phi, tau) transition values;
-    pass ``components=(0,)`` or ``(1,)`` to restrict to one coordinate, or an
-    explicit (n, n, d) array to override.
+    f is taken from the chain's (phi, tau) transition values; pass
+    ``components=(0,)`` or ``(1,)`` to restrict to one coordinate.
     """
 
-    def __init__(self, chain: MarkovShiftBase, f=None, components=None):
+    def __init__(self, chain: MarkovShiftBase, components=None):
         self.chain = chain
-        if f is None:
-            f = chain.f
-        f = np.asarray(f, dtype=float)
-        if f.ndim == 2:
-            f = f[:, :, None]
+        f = chain.f
         if components is not None:
             f = f[:, :, list(components)]
         self.f = f

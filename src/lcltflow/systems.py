@@ -270,12 +270,6 @@ PM_ROOFS = {
     "affine": lambda y: 1.0 + np.asarray(y, dtype=float) / 2,
 }
 
-PM_RATES = {
-    # flow rates g(y) before centering; phi_check = (g - m) * roof with m
-    # chosen so the flow observable has zero mean
-    "x_centered": lambda y: np.asarray(y, dtype=float),
-}
-
 # Chebyshev degree of the induced density on Y: its coefficients fall by
 # ~0.13 per degree, so the induced-operator residual is at the 1e-13 level
 # of the truncated branch tail already at degree 16
@@ -307,8 +301,8 @@ class PMTowerBase:
     """The intermittent map used as a suspension base.
 
     Ambient representation: state = a point of (0, 1], roof = upsilon(state),
-    per-cell observable integral = (g(state) - m) * upsilon(state) with m the
-    invariant-measure mean of g weighted by upsilon.
+    per-cell observable integral = (x - m) * upsilon(x) for the flow rate
+    g(x) = x, with m the invariant-measure mean of g weighted by upsilon.
 
     The invariant measure comes from the Young tower over Y = (1/2, 1]: the
     first-return map F has full branches Y_r = {return time r}, and its
@@ -323,14 +317,12 @@ class PMTowerBase:
     ``return_time``.
     """
 
-    def __init__(self, alpha, phi_check="x_centered", roof="unit"):
+    def __init__(self, alpha, roof="unit"):
         if not 0 < alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
         self.alpha = alpha
         self.roof_id = roof
-        self.rate_id = phi_check
         self._roof = PM_ROOFS[roof]
-        self._rate = PM_RATES[phi_check]
         # both roofs are nondecreasing: their supremum on (0, 1] is at 1
         self._roof_max = float(self._roof(1.0))
         # Chebyshev-Lobatto nodes s of [-1, 1], y = (3 + s) / 4 in Y; the
@@ -356,8 +348,7 @@ class PMTowerBase:
 
         roof_mass = kac(self._roof)
         self.nu_tau = roof_mass / kac(PM_ROOFS["unit"])
-        self.rate_mean = kac(lambda x: self._rate(x) * self._roof(x)) \
-            / roof_mass
+        self.rate_mean = kac(lambda x: x * self._roof(x)) / roof_mass
         # tower draws: branch r = k + 1 has 2y - 1 in (x_k, x_{k-1}], with
         # x_{-1} = 1
         self._zwidth = np.concatenate(([1.0], self.thresholds[:-1])) \
@@ -416,7 +407,7 @@ class PMTowerBase:
         return self._roof(states)
 
     def phi(self, states):
-        return (self._rate(states) - self.rate_mean) * self._roof(states)
+        return (states - self.rate_mean) * self._roof(states)
 
     # -- induced first-return structure ---------------------------------
 
@@ -432,8 +423,7 @@ class PMTowerBase:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["alpha"], obj.get("phi_check", "x_centered"),
-                   obj.get("roof", "unit"))
+        return cls(obj["alpha"], obj.get("roof", "unit"))
 
 
 # ---------------------------------------------------------------------------

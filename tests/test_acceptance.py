@@ -24,12 +24,14 @@ from lcltflow.montecarlo import (HistogramSpec, estimate_correlation,
 from lcltflow.predict import (FlowMLCLTParams, PredictionRequest,
                               mixing_classify, predict_case_D)
 from lcltflow.quadfield import QuadScalar, as_quad
-from lcltflow.renewal_exact import (brute_force_enumerate, counterexample_scan,
-                                    dp_distribution, section_61_atoms,
+from lcltflow.renewal_exact import (counterexample_scan, dp_distribution,
+                                    section_61_atoms,
                                     stationary_event_probability)
 from lcltflow.spectral import (EigenCurve, TwistedOperatorModel,
                                expansion_fit, fourier_lclt)
 from lcltflow.systems import MarkovShiftBase, PMTowerBase, RenewalBase
+
+from exactref import brute_force_enumerate
 
 SEED = 20260823
 WORKERS = 4

@@ -140,6 +140,33 @@ def test_verify_lattice_passes(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "verify.csv"))
 
 
+def _lattice_verify(tmp_path, **request):
+    cfg = dict(PREDICT_CFG, mode="lattice", system=OSC_SYSTEM, t=100,
+               N=200_000, nu_tau=2 / 3,
+               request=dict(PREDICT_CFG["request"], **request))
+    code, out = run(tmp_path, "verify", cfg)
+    with open(os.path.join(out, "verify.csv")) as fh:
+        return code, fh.read().splitlines()[1].split(",")
+
+
+def test_verify_lattice_checks_the_section_value_W_plus_l_a(tmp_path):
+    # W = 1, l = -1 names the same section value 0 as W = 0, l = 0: the
+    # prediction, the Monte Carlo window and the oracle all agree on it
+    code0, row0 = _lattice_verify(tmp_path, W=0, l=0)
+    code1, row1 = _lattice_verify(tmp_path, W=1, l=-1)
+    assert code0 == code1 == 0
+    assert row1[1:] == row0[1:]
+
+
+def test_verify_lattice_zero_hit_estimate_passes(tmp_path):
+    # l = 1: no path hits, and the oracle is the ~1e-15 mass of the sliver
+    # between the float bound of I and sqrt2 - 1; the zero-hit estimate has
+    # the standard error of one hit, so the two agree within 3 SE
+    code, row = _lattice_verify(tmp_path, l=1)
+    assert code == 0, row
+    assert float(row[2]) == 0.0 and float(row[3]) > 1e-6
+
+
 def test_verify_negative_control_fails(tmp_path, capsys):
     # deliberately wrong variance: prediction is off by sqrt(2), the check
     # must FAIL with exit code 4
@@ -290,6 +317,13 @@ def test_missing_key_is_parse_error(tmp_path):
                   "windows": [["flow", 0, -1, 1]]}),
     ("spectral", {"system": MARKOV_SYSTEM, "t_grid": [0.0, 0.5]}),
     ("predict", dict(PREDICT_CFG, request={"t": 100, "l": 0.5})),
+    ("verify", dict(PREDICT_CFG, mode="lattice", system=OSC_SYSTEM, t=50,
+                    N=1000, nu_tau=2 / 3)),
+    ("simulate", {"system": OSC_SYSTEM, "t": 2, "N": 0,
+                  "windows": [["flow", 0, -1, 1]]}),
+    ("verify", {"system": OSC_SYSTEM, "t": 2, "N": -3, "sigma_flow": 1.0,
+                "windows": [[0, -1, 1]]}),
+    ("correlate", {"system": OSC_SYSTEM, "t_grid": [1.0], "N": 0}),
 ])
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)

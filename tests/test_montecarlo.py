@@ -1,16 +1,17 @@
 """Monte Carlo estimators: reproducibility, distributional checks, variance."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lcltflow.errors import EmptySetWarning
-from lcltflow.montecarlo import (EstimateWithCI, HistogramSpec, _flow,
-                                 _paths, estimate_lclt, estimate_mlclt,
+from lcltflow.montecarlo import (HistogramSpec, _flow, _paths,
+                                 estimate_lclt, estimate_mlclt,
                                  estimate_correlation, estimate_sigma,
-                                 full_set, moderate_dev_diagnostic,
+                                 moderate_dev_diagnostic,
                                  sample_flow_integrals)
 from lcltflow.quadfield import QuadScalar
 from lcltflow.systems import MarkovShiftBase, PMTowerBase, RenewalBase
@@ -123,13 +124,6 @@ def test_lclt_marginalizes_mlclt():
         assert (est.point, est.std_error) == (joint.point, joint.std_error)
 
 
-def test_estimate_with_ci_helper():
-    e = EstimateWithCI(1.0, 0.1, 100, 0)
-    assert e.within(1.25, k_se=3)
-    assert not e.within(1.5, k_se=3)
-    assert e.within(1.35, k_se=3, extra=0.1)
-
-
 # ---------------------------------------------------------------------------
 # distributional oracles
 # ---------------------------------------------------------------------------
@@ -150,6 +144,10 @@ def test_coin_section_value_is_binomial():
     # even section values are unreachable in 9 cells
     got3 = estimate_mlclt(sys, 9.0, N, 17, window=("section", 2, 0))
     assert got3.point == 0.0
+    # zero hits keep the error of one hit: sqrt(t) sqrt(p (1 - p) / N) at
+    # p = 1 / N
+    assert got3.std_error == pytest.approx(3.0 * math.sqrt(1 - 1 / N) / N,
+                                           rel=1e-12)
 
 
 def test_flow_window_mean_matches_gaussian():
@@ -208,6 +206,13 @@ def test_correlation_requires_increasing_grid():
 # ---------------------------------------------------------------------------
 # edge behavior
 # ---------------------------------------------------------------------------
+
+def test_lclt_without_fibers_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EmptySetWarning)
+        estimate_lclt(osc_system(), HistogramSpec(t=5.0, windows=[
+            ("flow", 0.0, -1, 1)]), 5, seed=0)
+
 
 def test_empty_conditioning_set_warns():
     sys = osc_system()

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from lcltflow.errors import (CaseMismatch, LatticeViolation,
-                             NonPositiveNuTau, SingularCovariance,
-                             TableNotSupported)
+                             NonPositiveNuTau, SingularCovariance)
 from lcltflow.groups import CaseLabel, Group1D, interval
 from lcltflow.predict import (FlowMLCLTParams, GaussianSpec,
                               PredictionRequest, _card_integral,
@@ -94,13 +93,6 @@ def test_case_mismatch_raises():
     pa = FlowMLCLTParams(CaseLabel("A"), sigma_flow=1.0, nu_tau=1.0)
     with pytest.raises(CaseMismatch):
         predict_case_D(pa, PredictionRequest(t=1))
-
-
-def test_nonzero_h_table_rejected():
-    p = FlowMLCLTParams(CaseLabel("A"), sigma_flow=1.0, nu_tau=1.0,
-                        h_table={"A": [(0.3, 1.0)]})
-    with pytest.raises(TableNotSupported):
-        predict(p, PredictionRequest(t=1, target=[interval(0, 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +186,6 @@ def test_case_E_equals_sheared_D():
     reqD = PredictionRequest(t=50, W_of_t=0.0, l=2, I=Iset, J=(0.1, 0.4))
     assert predict_case_E(pE, reqE) == pytest.approx(
         predict_case_D(pD, reqD), rel=1e-12)
-
-
-def test_tabulated_h_tau_reduces_to_minimal_at_zero():
-    p0 = params_61()
-    ptab = FlowMLCLTParams(D_61, sigma_flow=1.0, nu_tau=2 / 3,
-                           h_tau_table={"A": [(0.0, 1.0)],
-                                        "B": [(0.0, 1.0)]})
-    Iset = (0.0, SQ2 - 1)
-    req = PredictionRequest(t=100, l=0, I=Iset, J=Iset)
-    assert predict_case_D(ptab, req) == pytest.approx(
-        predict_case_D(p0, req), rel=1e-12)
 
 
 def test_small_d_approaches_continuous_limit():

@@ -7,16 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcltflow.errors import PathExplosion, StateExplosion
+from lcltflow.errors import StateExplosion
 from lcltflow.montecarlo import estimate_mlclt
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.renewal_exact import (ExactDistribution, PalmStart,
-                                    StationaryStart, brute_force_enumerate,
-                                    counterexample_scan, dp_distribution,
-                                    frac_cell, scan_csv_rows,
+                                    StationaryStart, counterexample_scan,
+                                    dp_distribution, frac_cell, scan_csv_rows,
                                     section_61_atoms,
                                     stationary_event_probability)
 from lcltflow.systems import RenewalBase
+
+from exactref import PathExplosion, brute_force_enumerate
 
 S2 = QuadScalar.sqrtD(2)
 ONE = as_quad(1)
@@ -187,10 +188,3 @@ def test_enumeration_budget_guard():
     with pytest.raises(PathExplosion):
         brute_force_enumerate(section_61_atoms(), 60)
 
-
-def test_distribution_json_round_shape():
-    dist = dp_distribution(COIN, 3, prune=False)
-    obj = dist.to_json()
-    assert obj["pruned_mass"] == [0, 1]
-    S_values = [row[0] for row in obj["mass"]]
-    assert S_values == sorted(S_values)
