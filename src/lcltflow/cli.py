@@ -398,11 +398,11 @@ def cmd_verify(run):
     cfg = run.config
     scale = run.args.tolerance_scale
     system = load_system(cfg["system"])
-    t = _number(cfg, cfg["t"])
     N = _sample_count(cfg)
     checks = []
 
     if cfg.get("mode", "flow") == "flow":
+        t = _number(cfg, cfg["t"])
         # non-arithmetic LCLT: flow windows against the Gaussian density
         if "sigma_flow" in cfg:
             sigma = _number(cfg, cfg["sigma_flow"])
@@ -425,11 +425,14 @@ def cmd_verify(run):
                            est, tol, None))
     else:
         # lattice (case D) fiber check against prediction and the exact DP
+        # t is the request's; a top-level t may repeat it but not differ
         params = _params_from_config(cfg)
         req = _request_from_config(cfg)
-        if req.t != t:
-            raise ConfigError(f"the request's t = {req.t:g} differs from "
-                              f"the simulated t = {t:g}")
+        t = req.t
+        t_cfg = _number(cfg, cfg.get("t", t))
+        if t_cfg != t:
+            raise ConfigError(f"the request's t = {t:g} differs from "
+                              f"the config's t = {t_cfg:g}")
         predicted = predict(params, req)
         a = float(params.case.a) if "a" in params.case.params else 1.0
         # every check targets the section value W + l a

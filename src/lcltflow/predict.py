@@ -23,6 +23,7 @@ from .groups import CaseLabel, Group1D, fiber_group, haar_mass, shear_reduce
 from .quadfield import QuadScalar, as_quad
 
 _EXACT_TYPES = (QuadScalar, Fraction, int)
+_LATTICE_TOL = 1e-9     # relative slack of a float W(t) on its lattice
 
 
 class GaussianSpec:
@@ -140,13 +141,13 @@ def _d_params(case: CaseLabel):
     raise CaseMismatch(f"expected case D/E, got {case.variant}")
 
 
-def rho_of_t(case: CaseLabel, t, s, W_of_t, l, tol=1e-9):
+def rho_of_t(case: CaseLabel, t, s, W_of_t, l):
     """The lattice phase rho = s + t - (W_eff/a + l) b  (mod d), in [0, d),
     where W_eff = W(t) in case D and W(t) - (c'/d') t in case E.
 
     Raises LatticeViolation when W(t) is not on the admissible lattice
-    (a Z, resp. a Z + (c'/d') t) within ``tol``.  Exact inputs (QuadScalar /
-    Fraction / int) produce an exact result.
+    (a Z, resp. a Z + (c'/d') t) within ``_LATTICE_TOL``.  Exact inputs
+    (QuadScalar / Fraction / int) produce an exact result.
     """
     a, b, d, v = _d_params(case)
     if _is_exact(t, s, W_of_t):
@@ -159,7 +160,7 @@ def rho_of_t(case: CaseLabel, t, s, W_of_t, l, tol=1e-9):
         return rho
     W_eff = float(W_of_t) - float(v) * float(t)
     k = W_eff / float(a)
-    if abs(k - round(k)) > tol * max(1.0, abs(k)):
+    if abs(k - round(k)) > _LATTICE_TOL * max(1.0, abs(k)):
         raise LatticeViolation(f"W(t) = {W_of_t} off the admissible lattice "
                                f"by {abs(k - round(k)) * float(a):.3g}")
     rho = (float(s) + float(t) - (round(k) + l) * float(b)) % float(d)

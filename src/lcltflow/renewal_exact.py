@@ -2,11 +2,22 @@
 
 For finitely supported reward-renewal processes with integer rewards and
 durations in a quadratic ring Z[sqrt(D)], the pair (S_{N_t}, t - t_{N_t}) has
-an exactly computable distribution: elapsed times live in the ring, all
-probabilities are big rationals, and every comparison against t is exact.
-This is the error-free oracle used to arbitrate Monte Carlo estimates and to
-exhibit the oscillating sqrt(t)-scaled probabilities that rule out a single
-local limit for arithmetic duration supports.
+an exactly computable distribution: elapsed times live in the ring, and
+every comparison against t is exact.  This is the error-free oracle used to
+arbitrate Monte Carlo estimates and to exhibit the oscillating
+sqrt(t)-scaled probabilities that rule out a single local limit for
+arithmetic duration supports.
+
+Every probability mass of the DP is a Python int over one denominator
+den = L**K.  L is the lcm of the atom-probability denominators, so atom k
+has integer weight w_k = p_k L, and K = floor(t / min y) + 1 bounds the
+number of transitions on any path.  The start state carries den and a
+transition maps mass m to m w_k / L.  That division is exact: a path of n
+transitions carries L**(K - n) times a product of weights, and a state
+within t has been reached in at most K - 1 transitions, so each state's
+mass is a multiple of L.  Each sweep checks that the masses leaving t and
+the pruned masses sum to exactly den; reported values are Fractions over
+den.
 """
 
 from __future__ import annotations
@@ -69,11 +80,13 @@ def _palm_sweep(atoms, t, prune_bound=None):
     Processes states (S, t_elapsed) in increasing elapsed time, merging all
     paths that meet at the same state (valid because durations are strictly
     positive, so every predecessor is strictly earlier).  Returns
-    (states, finals, pruned): ``states`` maps (S, p, q) — elapsed time
-    p + q sqrt(D) — to the exact probability that some renewal lands there
-    with reward sum S; ``finals`` lists (S, t_elapsed, next_gap, prob) for
-    attempted transitions overshooting t; ``pruned`` is the rational mass
-    dropped by the |S| cutoff.
+    (states, finals, pruned, den), every mass an integer over ``den``:
+    ``states`` maps (S, p, q) -- elapsed time p + q sqrt(D) -- to the mass
+    of the paths that renew there with reward sum S; ``finals`` lists
+    (S, p, q, mass) for the transitions out of a state that overshoot t;
+    ``pruned`` maps (p, q) to the mass dropped there by the |S| cutoff.
+    Raises AssertionError unless finals and pruned add up to exactly
+    ``den``.
 
     Durations must be quadratic integers so elapsed times are exact integer
     pairs; the comparison against t falls back to exact sign evaluation
@@ -90,52 +103,58 @@ def _palm_sweep(atoms, t, prune_bound=None):
                 "durations must be quadratic integers (integral p, q)")
         if y.q != 0 and y.D != D:
             raise ValueError("durations must share one ring")
-    ys = [(int(y.p), int(y.q)) for _, y, _ in atoms]
-    xs = [x for x, _, _ in atoms]
-    ps = [p for _, _, p in atoms]
+    # masses are integers over den = L**K (see the module docstring)
+    L = math.lcm(*(p.denominator for _, _, p in atoms))
+    steps = [(x, int(y.p), int(y.q), int(p * L)) for x, y, p in atoms]
+    K = max((t / min(y for _, y, _ in atoms)).floor(), 0) + 1
+    den = L ** K
+    bound = math.inf if prune_bound is None else prune_bound
     t_p, t_q = t.p, t.q
     t_float = float(t)
     sqD = math.sqrt(D)
 
-    def le_t(p, q):
-        diff = t_float - (p + q * sqD)
-        if abs(diff) > 1e-6:
-            return diff >= 0
-        return (QuadScalar(t_p - p, t_q - q, D)).sign() >= 0
-
-    pending = {(0, 0, 0): Fraction(1)}
+    pending = {(0, 0, 0): den}
     heap = [(0.0, (0, 0, 0))]
     states = {}
     finals = []
-    pruned = Fraction(0)
+    pruned = {}
     while heap:
         _, key = heapq.heappop(heap)
         if key in states:
             continue
-        prob = pending.pop(key)
-        states[key] = prob
+        mass = pending.pop(key)
+        states[key] = mass
         if len(states) > _STATE_CAP:
             raise StateExplosion(f"DP states exceeded {_STATE_CAP}")
         S, Tp, Tq = key
-        for k in range(len(ys)):
-            yp, yq = ys[k]
+        unit = mass // L            # exact: a state's mass is a multiple of L
+        over = 0
+        for x, yp, yq, wk in steps:
+            w = unit * wk
             p2, q2 = Tp + yp, Tq + yq
-            w = prob * ps[k]
-            if le_t(p2, q2):
-                S2 = S + xs[k]
-                if prune_bound is not None and abs(S2) > prune_bound:
-                    pruned += w
-                    continue
-                k2 = (S2, p2, q2)
-                if k2 in pending:
-                    pending[k2] += w
-                else:
-                    pending[k2] = w
-                    heapq.heappush(heap, (p2 + q2 * sqD, k2))
+            at = p2 + q2 * sqD
+            diff = t_float - at
+            if abs(diff) <= 1e-6:
+                # exact sign near the float boundary
+                diff = QuadScalar(t_p - p2, t_q - q2, D).sign()
+            if diff < 0:
+                over += w
+                continue
+            S2 = S + x
+            if abs(S2) > bound:
+                pruned[p2, q2] = pruned.get((p2, q2), 0) + w
+                continue
+            k2 = (S2, p2, q2)
+            if k2 in pending:
+                pending[k2] += w
             else:
-                finals.append((S, QuadScalar(Tp, Tq, D),
-                               QuadScalar(yp, yq, D), w))
-    return states, finals, pruned
+                pending[k2] = w
+                heapq.heappush(heap, (at, k2))
+        if over:
+            finals.append((S, Tp, Tq, over))
+    if sum(f[3] for f in finals) + sum(pruned.values()) != den:
+        raise AssertionError("mass leak in the renewal DP")
+    return states, finals, pruned, den
 
 
 def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
@@ -152,20 +171,21 @@ def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
     t = t if isinstance(t, QuadScalar) else as_quad(t)
     bound = _prune_bound(atoms, t) if prune else None
     if mode == PalmStart:
-        finals, pruned = _palm_sweep(atoms, t, prune_bound=bound)[1:]
+        _states, finals, pruned, den = _palm_sweep(atoms, t,
+                                                   prune_bound=bound)
+        D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
         mass = {}
-        for S, T, _gap, w in finals:
-            key = (S, t - T)
-            mass[key] = mass.get(key, Fraction(0)) + w
-        dist = ExactDistribution(mass, pruned)
-        assert dist.total() == 1, "mass leak in Palm DP"
-        return dist
+        for S, Tp, Tq, w in finals:
+            # distinct states are distinct (S, T), so keys never repeat
+            mass[(S, t - QuadScalar(Tp, Tq, D))] = Fraction(w, den)
+        return ExactDistribution(mass, Fraction(sum(pruned.values()), den))
     if mode == StationaryStart:
         masses, pruned_meas = _stationary_masses(atoms, t, bound)
         dist = ExactDistribution({(S, None): w for S, w in masses.items()},
                                  pruned_meas)
         total = dist.total()
-        assert (total - 1).is_zero(), f"mass leak: total = {float(total)}"
+        if not (total - 1).is_zero():
+            raise AssertionError(f"mass leak: total = {float(total)}")
         return dist
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -182,13 +202,24 @@ def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
     next atom) triple therefore contributes an s0-interval.  Intersected
     with the constraints s0 in I and s_end in J, their exact weights are
     summed into {value: weight}, returned with the pruned measure.
+
+    Only states with T > t - y_i - y_j + lo(I) can give an s0-interval
+    (lo(I) the lower end of I, 0 without I), so states clearly below
+    t - 2 max y + lo(I) in the float embedding, by the margin of the
+    sweep's comparison against t, are skipped.
     """
     nu = _nu_tau(atoms)
     zero = t - t
-    states, _finals, pruned = _palm_sweep(atoms, t, prune_bound)
+    states, _finals, pruned, den = _palm_sweep(atoms, t, prune_bound)
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
     I = None if I is None else (as_quad(I[0]), as_quad(I[1]))
     J = None if J is None else (as_quad(J[0]), as_quad(J[1]))
+    sqD = math.sqrt(D)
+    reach = (float(t) - 2 * max(float(y) for _, y, _ in atoms)
+             + (0.0 if I is None else float(I[0])) - 1e-6)
+    near = [(S, QuadScalar(Tp, Tq, D), m)
+            for (S, Tp, Tq), m in states.items() if Tp + Tq * sqD > reach]
+    acc = {}
     masses = {}
     pruned_meas = zero
     for x_i, y_i, p_i in atoms:
@@ -209,11 +240,10 @@ def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
             seg = _interval_len(lo, hi)
             if seg.sign() > 0:
                 masses[0] = masses.get(0, zero) + dens * seg
-        for (S, Tp, Tq), w in states.items():
+        for S, T, m in near:
             val = S + x_i
             if S_filter is not None and val != S_filter:
                 continue
-            T = QuadScalar(Tp, Tq, D)
             base = y_i + T - t
             for _x_j, y_j, p_j in atoms:
                 lo = base
@@ -225,10 +255,15 @@ def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
                         hi = base + J[1]
                 seg = _overlap(lo, hi, i_lo, i_hi)
                 if seg.sign() > 0:
-                    masses[val] = masses.get(val, zero) + dens * w * p_j * seg
-        if pruned:
-            cross = y_i if (y_i - t).sign() < 0 else t
-            pruned_meas = pruned_meas + dens * pruned * cross
+                    acc[val] = acc.get(val, zero) + dens * p_j * seg * m
+        # a path cut at Palm time T' is lost for every start height s0
+        # with T' <= t - y_i + s0: a length min(y_i, t - T') of [0, y_i)
+        for (Tp, Tq), m in pruned.items():
+            left = t - QuadScalar(Tp, Tq, D)
+            cross = y_i if (y_i - left).sign() < 0 else left
+            pruned_meas = pruned_meas + dens * Fraction(m, den) * cross
+    for val, a in acc.items():
+        masses[val] = masses.get(val, zero) + a / den
     return masses, pruned_meas
 
 
@@ -310,7 +345,7 @@ def counterexample_scan(t_values, atoms=None):
         t_exact = _exact_time(t)
         if float(t_exact) < 1:
             raise ValueError("scan requires t >= 1")
-        states, finals, pruned = _palm_sweep(
+        states, finals, pruned, den = _palm_sweep(
             atoms, t_exact, prune_bound=_prune_bound(atoms, t_exact))
         off = next(((Tp, Tq) for S, Tp, Tq in states if S == 0 and Tq != 0),
                    None)
@@ -319,17 +354,18 @@ def counterexample_scan(t_values, atoms=None):
                              f"{off[0]}+{off[1]}*sqrt")
         # free this t's state table before the next sweep builds one
         del states
-        p0 = Fraction(0)
-        for S, T, _gap, w in finals:
+        t_floor = t_exact.floor()
+        p0 = 0
+        for S, Tp, _Tq, w in finals:
             if S == 0:
-                if not T.frac().is_zero():
-                    raise ValueError("zero-reward renewal off-lattice")
-                if T.floor() != t_exact.floor():
+                # a final is a state, so its time Tp is an integer
+                if Tp != t_floor:
                     raise ValueError(
                         "last zero-reward renewal is not at floor(t)")
                 p0 += w
         rows.append((float(t_exact), frac_cell(t_exact),
-                     math.sqrt(float(t_exact)) * float(p0), float(pruned)))
+                     math.sqrt(float(t_exact)) * float(Fraction(p0, den)),
+                     float(Fraction(sum(pruned.values()), den))))
     return rows
 
 

@@ -63,6 +63,7 @@ def _t_stack(model: TwistedOperatorModel, t_grid) -> np.ndarray:
 
 
 _GAP_TOL = 1e-8
+_UNIT_TOL = 1e-8
 
 
 def _modulus(z):
@@ -84,10 +85,10 @@ def _eig_sorted(P_t: np.ndarray):
     return w, V, gap
 
 
-def _leading(P_t: np.ndarray, gap_tol: float = _GAP_TOL):
+def _leading(P_t: np.ndarray):
     """(lambda, v, gap) of one matrix; see leading_eigenvalue."""
     w, V, gap = _eig_sorted(P_t)
-    if gap < gap_tol:
+    if gap < _GAP_TOL:
         raise NoGapError(f"leading moduli tie: |{w[0]:.6g}| vs |{w[1]:.6g}|")
     v = V[:, 0]
     # one Rayleigh-quotient refinement pass
@@ -100,12 +101,12 @@ def _leading(P_t: np.ndarray, gap_tol: float = _GAP_TOL):
     return lam, v, float(gap)
 
 
-def leading_eigenvalue(P_t: np.ndarray, gap_tol: float = _GAP_TOL):
+def leading_eigenvalue(P_t: np.ndarray):
     """Maximal-modulus eigenvalue and its eigenvector, residual <= 1e-12,
     eigenvector phase fixed by making its largest-modulus entry real
     positive.  Raises NoGapError when the top two moduli tie within
-    ``gap_tol``."""
-    lam, v, _gap = _leading(P_t, gap_tol)
+    ``_GAP_TOL``."""
+    lam, v, _gap = _leading(P_t)
     return lam, v
 
 
@@ -193,6 +194,8 @@ def expansion_fit(curve: EigenCurve, h=0.02):
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_QUAD_TOL = 1e-12
+_QUAD_DEPTH = 20
 
 
 def _gl(fvec, a, b):
@@ -212,12 +215,13 @@ def _adaptive_panel(fvec, a, b, tol, depth):
             + _adaptive_panel(fvec, mid, b, tol / 2, depth - 1))
 
 
-def _integrate(fvec, a, b, osc_rate, tol=1e-12, depth=20):
+def _integrate(fvec, a, b, osc_rate):
     """Adaptive Gauss-Legendre with oscillation-aware pre-splitting: initial
-    panels are sized so the phase advances at most ~pi/2 per panel."""
+    panels are sized so the phase advances at most ~pi/2 per panel, and each
+    is refined to _QUAD_TOL within _QUAD_DEPTH halvings."""
     n0 = max(1, int(osc_rate * (b - a) / (math.pi / 2)) + 1)
     edges = np.linspace(a, b, n0 + 1)
-    return sum(_adaptive_panel(fvec, x, y, tol, depth)
+    return sum(_adaptive_panel(fvec, x, y, _QUAD_TOL, _QUAD_DEPTH)
                for x, y in zip(edges, edges[1:]))
 
 
@@ -281,9 +285,9 @@ def fourier_lclt(model: TwistedOperatorModel, n: int, v, mode="LatticeExact",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def unit_modulus_scan(model: TwistedOperatorModel, t_grid, tol=1e-8):
-    """All grid points whose leading eigenvalue modulus is within ``tol`` of
-    1, with the inferred dual lattice (d = 1) and shift.
+def unit_modulus_scan(model: TwistedOperatorModel, t_grid):
+    """All grid points whose leading eigenvalue modulus is within
+    ``_UNIT_TOL`` of 1, with the inferred dual lattice (d = 1) and shift.
 
     Returns {"detections": [(t, lambda)], "inferred_M": Group1D or 'R^d',
     "shift": float or None}.  Nonzero detections at t in t0 Z mean the value
@@ -291,7 +295,7 @@ def unit_modulus_scan(model: TwistedOperatorModel, t_grid, tol=1e-8):
     """
     ts = _t_stack(model, t_grid)
     lam = _eig_sorted(twisted_matrix(model, ts))[0][:, 0]
-    hit = np.abs(_modulus(lam) - 1.0) < tol
+    hit = np.abs(_modulus(lam) - 1.0) < _UNIT_TOL
     detections = [(tuple(t), complex(l)) for t, l in zip(ts[hit], lam[hit])]
     result = {"detections": detections, "inferred_M": None, "shift": None}
     nonzero = [t for t, _ in detections

@@ -217,36 +217,43 @@ def pm_map(x, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def pm_first_return(x: float, alpha: float, cap: int = 10 ** 6):
+_RETURN_CAP = 10 ** 6        # pm_first_return's iteration budget
+_PULLBACK_FLOOR = 1e-13      # _pm_pullback stops below this length ...
+_PULLBACK_CAP = 100_000      # ... or at this many rows
+
+
+def pm_first_return(x: float, alpha: float):
     """First-return map of the ambient map to (1/2, 1]: iterate until the
-    orbit re-enters, return (landing point, number of steps)."""
+    orbit re-enters (at most _RETURN_CAP steps), return (landing point,
+    number of steps)."""
     if not 0.5 < x <= 1:
         raise ValueError("x must lie in (1/2, 1]")
     y = pm_map(x, alpha)
     r = 1
     while not y > 0.5:
-        if r >= cap:
-            raise ReturnTimeOverflow(f"no return within {cap} steps from {x}")
+        if r >= _RETURN_CAP:
+            raise ReturnTimeOverflow(
+                f"no return within {_RETURN_CAP} steps from {x}")
         y = _pm_left(y, alpha)
         r += 1
     return y, r
 
 
-def _pm_pullback(alpha, z, depth=None, floor=1e-13, cap=100_000):
+def _pm_pullback(alpha, z, depth=None):
     """Backward orbits of the left branch L(u) = u(1 + 2^alpha u^alpha).
 
     Returns (U, D) with rows U[k] = L^{-k}(z) and D[k] = dU[k]/dz for
     k = 0, 1, ...: ``depth`` rows, or without a depth rows up to the first
-    one whose last entry is <= floor (at most ``cap`` rows).  Each row is
-    solved by Newton's method from a geometric extrapolation of the two
-    before it.
+    one whose last entry is <= _PULLBACK_FLOOR (at most _PULLBACK_CAP
+    rows).  Each row is solved by Newton's method from a geometric
+    extrapolation of the two before it.
     """
     c = 2.0 ** alpha
-    rows = depth or cap
+    rows = depth or _PULLBACK_CAP
     U = np.empty((rows, len(z)))
     U[0] = z
     k = 1
-    while k < rows and (depth or U[k - 1, -1] > floor):
+    while k < rows and (depth or U[k - 1, -1] > _PULLBACK_FLOOR):
         w = U[k - 1]
         u = w / (1 + c * w ** alpha) if k == 1 else w * (w / U[k - 2])
         while True:

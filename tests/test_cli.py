@@ -167,6 +167,23 @@ def test_verify_lattice_zero_hit_estimate_passes(tmp_path):
     assert float(row[2]) == 0.0 and float(row[3]) > 1e-6
 
 
+def test_verify_lattice_reads_t_from_the_request(tmp_path):
+    # the benchmark's lattice config, with and without its top-level t
+    # (N cut to 2^16 paths: the comparison is between the two runs)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "configs",
+                        "lattice_verify.json")
+    with open(path) as fh:
+        cfg = dict(json.load(fh), N=1 << 16)
+    csvs = []
+    for c in (cfg, {k: v for k, v in cfg.items() if k != "t"}):
+        code, out = run(tmp_path, "verify", c)
+        assert code == 0
+        with open(os.path.join(out, "verify.csv"), "rb") as fh:
+            csvs.append(fh.read())
+    assert csvs[0] == csvs[1]
+
+
 def test_verify_negative_control_fails(tmp_path, capsys):
     # deliberately wrong variance: prediction is off by sqrt(2), the check
     # must FAIL with exit code 4
@@ -324,6 +341,8 @@ def test_missing_key_is_parse_error(tmp_path):
     ("verify", {"system": OSC_SYSTEM, "t": 2, "N": -3, "sigma_flow": 1.0,
                 "windows": [[0, -1, 1]]}),
     ("correlate", {"system": OSC_SYSTEM, "t_grid": [1.0], "N": 0}),
+    ("verify", {"system": OSC_SYSTEM, "N": 10, "sigma_flow": 1.0,
+                "windows": [[0, -1, 1]]}),
 ])
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)

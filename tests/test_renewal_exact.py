@@ -1,7 +1,9 @@
 """Error-free renewal computations: exact DP versus path enumeration,
 stationary-start events, and the oscillating scaled probabilities."""
 
+import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,12 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 COIN = [(-1, ONE, HALF), (1, ONE, HALF)]
+# probabilities 1/2, 1/3, 1/6: integer weights 3, 2, 1 over L = 6
+MIXED = [(-1, as_quad(2) - S2, HALF), (0, ONE, THIRD),
+         (3, S2, Fraction(1, 6))]
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
 
 
 def same_distribution(a: ExactDistribution, b: ExactDistribution):
@@ -50,6 +58,12 @@ def test_dp_equals_enumeration_section61(t):
     atoms = section_61_atoms()
     same_distribution(dp_distribution(atoms, t, prune=False),
                       brute_force_enumerate(atoms, t))
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 2), 2, Fraction(7, 2), 5])
+def test_dp_equals_enumeration_mixed_weights(t):
+    same_distribution(dp_distribution(MIXED, t, prune=False),
+                      brute_force_enumerate(MIXED, t))
 
 
 def test_small_t_palm_distribution_by_hand():
@@ -88,6 +102,22 @@ def test_stationary_distribution_sums_to_one():
     assert dist.total() == 1
     # the stationary marginal carries no overshoot key
     assert all(o is None for _, o in dist.mass)
+
+
+def test_mixed_weights_distributions_sum_to_one():
+    for mode in (PalmStart, StationaryStart):
+        assert dp_distribution(MIXED, 12, mode=mode, prune=False).total() == 1
+    # at t = 40 the cutoff |S| <= 82 drops mass, which the total includes
+    cut = dp_distribution(MIXED, 40, prune=True)
+    assert cut.total() == 1 and cut.pruned_mass > 0
+
+
+def test_stationary_pruned_measure_counts_cut_times():
+    # a path cut at Palm time T' is lost only for start heights s0 with
+    # T' <= t - y_i + s0, so the pruned measure depends on T'
+    dist = dp_distribution(section_61_atoms(), 40, mode=StationaryStart,
+                           prune=True)
+    assert dist.total() == 1 and dist.pruned_mass > 0
 
 
 def test_coin_stationary_equals_palm():
@@ -161,6 +191,15 @@ def test_counterexample_scan_cells_disagree():
     # at t ~ 20 the values are far apart
     assert by_cell[0] > by_cell[1] > by_cell[2] > 0
     assert by_cell[2] / by_cell[0] == pytest.approx(1 / 3, abs=0.1)
+
+
+def test_benchmark_scan_rows_are_exact():
+    # the benchmark's renewal workload, against its reference rows with ==
+    with open(os.path.join(PERFBENCH, "configs", "renewal_scan.json")) as fh:
+        t_values = json.load(fh)["t_values"]
+    with open(os.path.join(PERFBENCH, "expected_scan.json")) as fh:
+        expected = json.load(fh)
+    assert [list(row) for row in counterexample_scan(t_values)] == expected
 
 
 def test_scan_csv_rows_format():
