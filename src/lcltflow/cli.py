@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, LcltError
 from .groups import (CaseLabel, classify_case, closure_1d, closure_of_group,
-                     covolume, interval)
+                     covolume, interval, shear_reduce)
 from .montecarlo import (HistogramSpec, estimate_correlation, estimate_lclt,
                          estimate_mlclt, estimate_sigma)
 from .predict import (FlowMLCLTParams, PredictionRequest, flow_variance,
@@ -272,8 +272,7 @@ def cmd_classify(run):
     if case.variant in ("D", "E"):
         record["covolume"] = covolume(case)
     print(line)
-    if run.args.json:
-        run.emit("classify.json", json.dumps(record, indent=2) + "\n")
+    run.emit("classify.json", json.dumps(record, indent=2) + "\n")
     run.finish("classify")
     return EXIT_OK
 
@@ -288,11 +287,20 @@ def cmd_predict(run):
     return EXIT_OK
 
 
+def _flow_window(cfg, win):
+    """("flow", w, lo, hi) from a config's [w, lo, hi]; the window [lo, hi)
+    must not be empty."""
+    w, lo, hi = (_number(cfg, win[k]) for k in range(3))
+    if hi <= lo:
+        raise ConfigError(f"flow window {win!r} is empty: it needs lo < hi")
+    return "flow", w, lo, hi
+
+
 def _mc_windows(cfg, t):
     wins = []
     for w in cfg["windows"]:
         if w[0] == "flow":
-            wins.append(("flow", *(_number(cfg, w[k]) for k in (1, 2, 3))))
+            wins.append(_flow_window(cfg, w[1:]))
         elif w[0] == "section":
             wins.append(("section", _number(cfg, w[1]),
                          _number(cfg, w[2], integral=True)))
@@ -307,18 +315,10 @@ def cmd_simulate(run):
     spec = _mc_windows(cfg, _number(cfg, cfg["t"]))
     ests = estimate_lclt(system, spec, _sample_count(cfg), run.args.seed,
                          workers=run.args.workers)
-    rows = ["window,point,std_error,n_samples,seed"]
-    recs = []
-    for w, e in zip(spec.windows, ests):
-        rows.append(f"\"{w}\",{e.point!r},{e.std_error!r},"
-                    f"{e.n_samples},{e.seed}")
-        recs.append({"window": list(w), "point": e.point,
-                     "std_error": e.std_error, "n_samples": e.n_samples,
-                     "seed": e.seed})
-    if run.args.csv:
-        run.emit("simulate.csv", "\n".join(rows) + "\n")
-    else:
-        run.emit("simulate.json", json.dumps(recs, indent=2) + "\n")
+    recs = [{"window": list(w), "point": e.point, "std_error": e.std_error,
+             "n_samples": e.n_samples, "seed": e.seed}
+            for w, e in zip(spec.windows, ests)]
+    run.emit("simulate.json", json.dumps(recs, indent=2) + "\n")
     for r in recs:
         print(f"{r['window']}: {r['point']:.6g} +- {r['std_error']:.2g}")
     run.finish("simulate")
@@ -404,22 +404,22 @@ def cmd_verify(run):
     if cfg.get("mode", "flow") == "flow":
         t = _number(cfg, cfg["t"])
         # non-arithmetic LCLT: flow windows against the Gaussian density
+        wins = [_flow_window(cfg, win) for win in cfg["windows"]]
+        if not wins:
+            raise ConfigError("verify needs at least one window")
         if "sigma_flow" in cfg:
             sigma = _number(cfg, cfg["sigma_flow"])
         else:
             cov, _ = estimate_sigma(system, seed=run.args.seed,
                                     workers=run.args.workers)
             sigma = flow_variance([[cov[0, 0]]], system.nu_tau)
-        g = 1.0 / math.sqrt(2 * math.pi * sigma)
-        wins = [("flow", *(_number(cfg, win[k]) for k in (0, 1, 2)))
-                for win in cfg["windows"]]
-        if not wins:
-            raise ConfigError("verify needs at least one window")
+        params = FlowMLCLTParams(CaseLabel("A"), sigma, system.nu_tau)
         # one set of sample paths serves every window
         ests = estimate_lclt(system, HistogramSpec(t=t, windows=wins), N,
                              run.args.seed, workers=run.args.workers)
         for (_, w, lo, hi), est in zip(wins, ests):
-            predicted = g * math.exp(-w * w / (2 * sigma)) * (hi - lo)
+            predicted = predict(params, PredictionRequest(
+                t=t, w=w, target=[interval(lo, hi)]))
             tol = (3 * est.std_error + 0.10 * abs(predicted)) * scale
             checks.append((f"flow window w={w} [{lo},{hi})", predicted,
                            est, tol, None))
@@ -434,15 +434,19 @@ def cmd_verify(run):
             raise ConfigError(f"the request's t = {t:g} differs from "
                               f"the config's t = {t_cfg:g}")
         predicted = predict(params, req)
-        a = float(params.case.a) if "a" in params.case.params else 1.0
-        # every check targets the section value W + l a
+        # every check targets the section value W + l a, with a that of
+        # the D label the prediction uses (E is read on its shear-reduced D)
+        case = params.case
+        if case.variant == "E":
+            case = shear_reduce(case)[0]
+        a = float(case.a) if "a" in case.params else 1.0
         est = estimate_mlclt(system, t, N, run.args.seed,
                              window=("section", a, req.l),
                              I=req.I, J=req.J, W_of_t=req.W_of_t,
                              workers=run.args.workers)
         tol = (3 * est.std_error + 0.10 * abs(predicted)) * scale
         oracle = None
-        if system.kind == "renewal" and cfg.get("oracle", True):
+        if system.kind == "renewal":
             p = stationary_event_probability(
                 system.atoms, Fraction(t), req.W_of_t + req.l * a,
                 I=req.I, J=req.J)
@@ -488,9 +492,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
     p.add_argument("--tolerance-scale", type=float, default=1.0,
                    dest="tolerance_scale")
     return p

@@ -2,10 +2,10 @@
 
 Cases A-C produce a product limit: Gaussian density x marginal masses x Haar
 mass of the target window.  Cases D and E produce a t-dependent value built
-from a lattice-counting integral; the integral is evaluated by exact
-breakpoint enumeration (the integrand is piecewise constant), so no
-quadrature error enters the comparisons.  The mixing criterion decides
-(exactly, in the quadratic field) whether the flow mixes at all.
+from a lattice-counting integral; the integral is a finite sum of interval
+overlaps, so no quadrature error enters the comparisons.  One computation
+serves both ``predict`` and ``prediction_record``.  The mixing criterion
+decides (exactly, in the quadratic field) whether the flow mixes at all.
 """
 
 from __future__ import annotations
@@ -24,35 +24,6 @@ from .quadfield import QuadScalar, as_quad
 
 _EXACT_TYPES = (QuadScalar, Fraction, int)
 _LATTICE_TOL = 1e-9     # relative slack of a float W(t) on its lattice
-
-
-class GaussianSpec:
-    """Centered Gaussian density with a fixed positive-definite covariance."""
-
-    def __init__(self, covariance):
-        cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-        if cov.shape[0] != cov.shape[1] or cov.shape[0] not in (1, 2):
-            raise ValueError("covariance must be 1x1 or 2x2")
-        if not np.allclose(cov, cov.T):
-            raise SingularCovariance("covariance must be symmetric")
-        eig = np.linalg.eigvalsh(cov)
-        if np.min(eig) <= 0:
-            raise SingularCovariance(f"covariance not positive definite "
-                                     f"(eigenvalues {eig})")
-        self.covariance = cov
-        self.dimension = cov.shape[0]
-        self._inv = np.linalg.inv(cov)
-        self._norm = 1.0 / ((2 * math.pi) ** (self.dimension / 2)
-                            * math.sqrt(np.linalg.det(cov)))
-
-
-def gaussian_density(g: GaussianSpec, w) -> float:
-    """Value of the centered normal density of ``g`` at the point ``w``."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape != (g.dimension,):
-        raise ValueError(f"point has dimension {w.shape}, "
-                         f"expected {g.dimension}")
-    return float(g._norm * math.exp(-0.5 * w @ g._inv @ w))
 
 
 def flow_variance(sigma_base, nu_tau: float) -> float:
@@ -79,10 +50,6 @@ class FlowMLCLTParams:
             raise NonPositiveNuTau(f"nu(tau) = {self.nu_tau}")
         if self.sigma_flow <= 0:
             raise SingularCovariance("flow variance must be positive")
-
-    @property
-    def gaussian(self):
-        return GaussianSpec([[self.sigma_flow]])
 
 
 @dataclass
@@ -113,20 +80,6 @@ class PredictionRequest:
         return float(ma), float(mb)
 
 
-def predict_flow_limit_ABC(params: FlowMLCLTParams,
-                           req: PredictionRequest) -> float:
-    """Predicted limit of t^(1/2) Xi_t(AxI x H x BxJ) in cases A, B, C:
-    Gaussian density at w times the conditioning masses times the Haar mass
-    of the target window."""
-    if params.case.variant not in ("A", "B", "C"):
-        raise CaseMismatch(f"expected case A/B/C, got {params.case.variant}")
-    V = fiber_group(params.case)
-    gauss = gaussian_density(params.gaussian, req.w)
-    haar = haar_mass(V, req.target)
-    ma, mb = req.marginal_masses(params.nu_tau)
-    return gauss * ma * haar * mb
-
-
 def _is_exact(*vals):
     return all(isinstance(v, _EXACT_TYPES) for v in vals)
 
@@ -138,7 +91,8 @@ def _d_params(case: CaseLabel):
     if case.variant == "E":
         dlabel, v = shear_reduce(case)
         return dlabel.a, dlabel.b, dlabel.d, v
-    raise CaseMismatch(f"expected case D/E, got {case.variant}")
+    raise CaseMismatch(f"case {case.variant} has no lattice (D/E) "
+                       "parameters")
 
 
 def rho_of_t(case: CaseLabel, t, s, W_of_t, l):
@@ -167,77 +121,51 @@ def rho_of_t(case: CaseLabel, t, s, W_of_t, l):
     return rho
 
 
+def _gauss(sigma, w):
+    """Centered normal density of variance sigma at w."""
+    return (1.0 / math.sqrt(2 * math.pi * sigma)
+            * math.exp(-w * w / (2 * sigma)))
+
+
 def _card_integral(c0: float, d: float, I: tuple, J: tuple) -> float:
-    """integral over s in I of Card(m : (s + c0 mod d) + m d in J) ds.
-
-    The integrand is piecewise constant; breakpoints occur where s + c0 hits
-    an endpoint of J modulo d, so the integral is evaluated exactly by
-    enumerating those breakpoints.
-    """
+    """integral over s in I of Card(m : s + c0 + m d in J) ds, summed the
+    other way round: the sum over m of the overlaps |I n (J - c0 - m d)|."""
     I0, I1 = float(I[0]), float(I[1])
-    J0, J1 = float(J[0]), float(J[1])
-    if I1 <= I0 or J1 <= J0:
-        return 0.0
-    pts = {I0, I1}
-    for edge in (J0, J1):
-        base = I0 + ((edge - c0 - I0) % d)
-        s = base
-        while s < I1 - 1e-13:
-            if s > I0 + 1e-13:
-                pts.add(s)
-            s += d
-    pts = sorted(pts)
-    total = 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        mid = 0.5 * (lo + hi)
-        rho = (mid + c0) % d
-        card = math.ceil((J1 - rho) / d) - math.ceil((J0 - rho) / d)
-        total += card * (hi - lo)
-    return total
+    J0, J1 = float(J[0]) - c0, float(J[1]) - c0
+    ms = range(math.floor((J0 - I1) / d), math.ceil((J1 - I0) / d) + 1)
+    return sum((max(0.0, min(I1, J1 - m * d) - max(I0, J0 - m * d))
+                for m in ms), 0.0)
 
 
-def _predict_lattice(params: FlowMLCLTParams, req: PredictionRequest,
-                     variant) -> float:
-    """Shared engine for cases D and E: E runs on its shear-reduced D
-    parameters, with the lattice phase and W(t) check from rho_of_t."""
-    if params.case.variant != variant:
-        raise CaseMismatch(f"expected case {variant}, got "
-                           f"{params.case.variant}")
+def _limit(params: FlowMLCLTParams, req: PredictionRequest):
+    """The predicted limit and its factors, as (value, breakdown).
+
+    Cases A-C: Gaussian density at w times the conditioning masses times the
+    Haar mass of the target window.  Cases D and E: the lattice-counting
+    formula (nu(A)/nu(tau)) g(w) a d [integral of Card over I] (nu(B)/nu(tau)),
+    E on its shear-reduced D parameters with the phase and the W(t) check
+    of rho_of_t.
+    """
+    case = params.case
+    gauss = _gauss(params.sigma_flow, req.w)
+    if case.variant in ("A", "B", "C"):
+        ma, mb = req.marginal_masses(params.nu_tau)
+        haar = haar_mass(fiber_group(case), req.target)
+        return gauss * ma * haar * mb, {"gauss": gauss, "haar": haar,
+                                        "marginals": [ma, mb]}
+    a, _, d, _ = _d_params(case)
     if req.I is None or req.J is None:
         raise ValueError("cases D/E require fiber intervals I and J")
-    a, _, d, _ = _d_params(params.case)
-    af, df = float(a), float(d)
-    c0 = float(rho_of_t(params.case, req.t, 0, req.W_of_t, req.l))
-    gauss = gaussian_density(params.gaussian, req.w)
-    nt = params.nu_tau
-    integral = _card_integral(c0, df, req.I, req.J)
-    return (req.nu_A / nt) * gauss * af * df * integral * (req.nu_B / nt)
-
-
-def predict_case_D(params: FlowMLCLTParams, req: PredictionRequest) -> float:
-    """Case-D limit I_t: the lattice-counting formula
-    (nu(A)/nu(tau)) g_Sigma(w) a d [integral of Card over I] (nu(B)/nu(tau))
-    in the minimal specialization."""
-    return _predict_lattice(params, req, "D")
-
-
-def predict_case_E(params: FlowMLCLTParams, req: PredictionRequest) -> float:
-    """Case-E limit: delegates to the case-D engine after the shear
-    substitution a = a' - b'c'/d', with the recentering checked against
-    a Z + (c'/d') t."""
-    return _predict_lattice(params, req, "E")
+    c0 = float(rho_of_t(case, req.t, 0, req.W_of_t, req.l))
+    ma, mb = req.nu_A / params.nu_tau, req.nu_B / params.nu_tau
+    integral = _card_integral(c0, float(d), req.I, req.J)
+    return (ma * gauss * float(a) * float(d) * integral * mb,
+            {"gauss": gauss, "marginals": [ma, mb]})
 
 
 def predict(params: FlowMLCLTParams, req: PredictionRequest) -> float:
-    """Dispatch on the case label."""
-    v = params.case.variant
-    if v in ("A", "B", "C"):
-        return predict_flow_limit_ABC(params, req)
-    if v == "D":
-        return predict_case_D(params, req)
-    if v == "E":
-        return predict_case_E(params, req)
-    raise CaseMismatch(f"no prediction for case {v}")
+    """Predicted scaled limit t^(1/2) Xi_t for the request, by case label."""
+    return _limit(params, req)[0]
 
 
 def mixing_classify(M: Group1D, r) -> str:
@@ -253,22 +181,6 @@ def mixing_classify(M: Group1D, r) -> str:
 
 def prediction_record(params: FlowMLCLTParams, req: PredictionRequest) -> dict:
     """JSON-ready record {case, t, W, l, value, breakdown}."""
-    value = predict(params, req)
-    gauss = gaussian_density(params.gaussian, req.w)
-    rec = {
-        "case": params.case.variant,
-        "t": req.t,
-        "W": req.W_of_t,
-        "l": req.l,
-        "value": value,
-        "breakdown": {"gauss": gauss},
-    }
-    if params.case.variant in ("A", "B", "C"):
-        ma, mb = req.marginal_masses(params.nu_tau)
-        rec["breakdown"]["haar"] = haar_mass(fiber_group(params.case),
-                                             req.target)
-        rec["breakdown"]["marginals"] = [ma, mb]
-    else:
-        rec["breakdown"]["marginals"] = [req.nu_A / params.nu_tau,
-                                         req.nu_B / params.nu_tau]
-    return rec
+    value, breakdown = _limit(params, req)
+    return {"case": params.case.variant, "t": req.t, "W": req.W_of_t,
+            "l": req.l, "value": value, "breakdown": breakdown}

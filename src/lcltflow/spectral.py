@@ -309,10 +309,11 @@ def unit_modulus_scan(model: TwistedOperatorModel, t_grid):
         # snap all detections to multiples of t0
         if all(abs(t[0] / t0 - round(t[0] / t0)) < 1e-6 for t in nonzero):
             a = 2 * math.pi / t0
-            lam0 = next(l for t, l in detections if abs(abs(t[0]) - t0) < 1e-12)
-            shift = cmath.phase(lam0) / t0 if t0 > 0 else 0.0
+            # lambda(-t0) = conj lambda(t0): divide the phase by the signed t
+            ts0, lam0 = next((t[0], l) for t, l in detections
+                             if abs(abs(t[0]) - t0) < 1e-12)
             result["inferred_M"] = Group1D.lattice(a)
-            result["shift"] = shift % a
+            result["shift"] = (cmath.phase(lam0) / ts0) % a
     return result
 
 

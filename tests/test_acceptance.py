@@ -22,7 +22,7 @@ from lcltflow.montecarlo import (HistogramSpec, estimate_correlation,
                                  estimate_sigma, moderate_dev_diagnostic,
                                  sample_flow_integrals)
 from lcltflow.predict import (FlowMLCLTParams, PredictionRequest,
-                              mixing_classify, predict_case_D)
+                              mixing_classify, predict)
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.renewal_exact import (counterexample_scan, dp_distribution,
                                     section_61_atoms,
@@ -176,7 +176,7 @@ def test_criterion_5_lattice_mlclt_three_way():
                          workers=WORKERS)
     params = FlowMLCLTParams(CaseLabel("D", a=1, b=S2, d=1),
                              sigma_flow=1.0, nu_tau=2 / 3)
-    pred = predict_case_D(params, PredictionRequest(t=100, l=0, I=If, J=If))
+    pred = predict(params, PredictionRequest(t=100, l=0, I=If, J=If))
     Ix = (as_quad(0), S2 - 1)
     exact = 10 * float(stationary_event_probability(atoms, 100, 0,
                                                     I=Ix, J=Ix))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, manifests, reproducibility."""
 
+import csv
 import json
 import math
 import os
@@ -45,7 +46,7 @@ def run(tmp_path, command, cfg, *extra):
 # ---------------------------------------------------------------------------
 
 def test_classify_oscillating_system(tmp_path, capsys):
-    code, out = run(tmp_path, "classify", {"system": OSC_SYSTEM}, "--json")
+    code, out = run(tmp_path, "classify", {"system": OSC_SYSTEM})
     assert code == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("Case D")
@@ -86,7 +87,7 @@ def test_classify_explicit_generators(tmp_path):
     cfg = {"generators": [[[0, 1, 0, 1], [1, 1, 0, 1]],
                           [[1, 1, 0, 1], [0, 1, 1, 1]]],
            "shift": [[0, 1, 0, 1], [1, 1, 0, 1]]}
-    code, out = run(tmp_path, "classify", cfg, "--json")
+    code, out = run(tmp_path, "classify", cfg)
     assert code == 0
     rec = json.loads((tmp_path / "out" / "classify.json").read_text())
     assert rec["case"] == "D"
@@ -167,14 +168,19 @@ def test_verify_lattice_zero_hit_estimate_passes(tmp_path):
     assert float(row[2]) == 0.0 and float(row[3]) > 1e-6
 
 
-def test_verify_lattice_reads_t_from_the_request(tmp_path):
-    # the benchmark's lattice config, with and without its top-level t
-    # (N cut to 2^16 paths: the comparison is between the two runs)
+def _bench_lattice_cfg(N):
+    """The benchmark's lattice config with N sample paths."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "perfbench", "configs",
                         "lattice_verify.json")
     with open(path) as fh:
-        cfg = dict(json.load(fh), N=1 << 16)
+        return dict(json.load(fh), N=N)
+
+
+def test_verify_lattice_reads_t_from_the_request(tmp_path):
+    # the benchmark's lattice config, with and without its top-level t
+    # (N cut to 2^16 paths: the comparison is between the two runs)
+    cfg = _bench_lattice_cfg(1 << 16)
     csvs = []
     for c in (cfg, {k: v for k, v in cfg.items() if k != "t"}):
         code, out = run(tmp_path, "verify", c)
@@ -184,13 +190,28 @@ def test_verify_lattice_reads_t_from_the_request(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_verify_lattice_case_E_targets_its_sheared_a(tmp_path):
+    # E(a' = 2, b' = sqrt2 - 1, c' = 0, d' = 1) is its own shear-reduced D
+    # label D(2, sqrt2 - 1, 1): both target the section value l a = 2
+    cfg = _bench_lattice_cfg(1 << 14)
+    cfg["request"] = dict(cfg["request"], l=1)
+    b = [-1, 1, 1, 1]
+    rows = []
+    for case in ({"variant": "E", "a_p": 2, "b_p": b, "c_p": 0, "d_p": 1},
+                 {"variant": "D", "a": 2, "b": b, "d": 1}):
+        run(tmp_path, "verify", dict(cfg, case=case))
+        with open(os.path.join(tmp_path, "out", "verify.csv")) as fh:
+            rows.append(fh.read().splitlines()[1].split(","))
+    assert rows[0] == rows[1]
+
+
 def test_verify_negative_control_fails(tmp_path, capsys):
     # deliberately wrong variance: prediction is off by sqrt(2), the check
     # must FAIL with exit code 4
     cfg = dict(PREDICT_CFG)
     cfg.update({"mode": "lattice", "system": OSC_SYSTEM,
                 "t": 100, "N": 200_000, "nu_tau": 2 / 3,
-                "sigma_flow": 2.0, "oracle": False})
+                "sigma_flow": 2.0})
     code, out = run(tmp_path, "verify", cfg)
     text = capsys.readouterr().out
     assert code == 4, text
@@ -204,18 +225,42 @@ def test_verify_flow_mode(tmp_path, capsys):
     assert code == 0, capsys.readouterr().out
 
 
+def test_verify_flow_mode_predicts_with_predict(tmp_path):
+    # every flow window is checked against predict's case-A value
+    from lcltflow.groups import CaseLabel, interval
+    from lcltflow.predict import FlowMLCLTParams, PredictionRequest, predict
+    from lcltflow.systems import load_system
+
+    sigma, t = 1.7, 20
+    windows = [[0.0, -0.5, 0.5], [1.3, -0.25, 1.0], [-2.0, 0.1, 0.35]]
+    cfg = {"system": MARKOV_SYSTEM, "mode": "flow", "t": t, "N": 4096,
+           "sigma_flow": sigma, "windows": windows}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code in (0, 4)
+    with open(os.path.join(out, "verify.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    params = FlowMLCLTParams(CaseLabel("A"), sigma,
+                             load_system(MARKOV_SYSTEM).nu_tau)
+    assert len(rows) == len(windows)
+    for (w, lo, hi), row in zip(windows, rows):
+        assert float(row["predicted"]) == predict(params, PredictionRequest(
+            t=t, w=w, target=[interval(lo, hi)]))
+
+
 # ---------------------------------------------------------------------------
 # simulate / spectral / renewal / correlate
 # ---------------------------------------------------------------------------
 
-def test_simulate_csv(tmp_path, capsys):
+def test_simulate_writes_json(tmp_path, capsys):
     cfg = {"system": OSC_SYSTEM, "t": 25, "N": 50_000,
            "windows": [["section", 1, 0], ["flow", 0.0, -0.5, 0.5]]}
-    code, out = run(tmp_path, "simulate", cfg, "--csv")
+    code, out = run(tmp_path, "simulate", cfg)
     assert code == 0
-    lines = (tmp_path / "out" / "simulate.csv").read_text().splitlines()
-    assert lines[0] == "window,point,std_error,n_samples,seed"
-    assert len(lines) == 3
+    recs = json.loads((tmp_path / "out" / "simulate.json").read_text())
+    assert [r["window"] for r in recs] == [["section", 1.0, 0],
+                                           ["flow", 0.0, -0.5, 0.5]]
+    assert set(recs[0]) == {"window", "point", "std_error", "n_samples",
+                            "seed"}
 
 
 def test_spectral_curve(tmp_path):
@@ -343,6 +388,10 @@ def test_missing_key_is_parse_error(tmp_path):
     ("correlate", {"system": OSC_SYSTEM, "t_grid": [1.0], "N": 0}),
     ("verify", {"system": OSC_SYSTEM, "N": 10, "sigma_flow": 1.0,
                 "windows": [[0, -1, 1]]}),
+    ("verify", {"system": MARKOV_SYSTEM, "t": 2, "N": 10, "sigma_flow": 1.0,
+                "windows": [[0, 0.5, -0.5]]}),
+    ("simulate", {"system": MARKOV_SYSTEM, "t": 2, "N": 10,
+                  "windows": [["flow", 0, 0.5, -0.5]]}),
 ])
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)
@@ -392,9 +441,8 @@ def test_manifest_written_and_reruns_identical(tmp_path):
     path = write_cfg(tmp_path, cfg)
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")
-    assert cli.main(["simulate", path, "--out", out1, "--csv"]) == 0
-    assert cli.main(["simulate", path, "--out", out2, "--csv",
-                     "--workers", "4"]) == 0
+    assert cli.main(["simulate", path, "--out", out1]) == 0
+    assert cli.main(["simulate", path, "--out", out2, "--workers", "4"]) == 0
     m1 = json.loads((tmp_path / "o1" / "manifest.json").read_text())
     m2 = json.loads((tmp_path / "o2" / "manifest.json").read_text())
     assert m1["command"] == "simulate"
@@ -403,10 +451,10 @@ def test_manifest_written_and_reruns_identical(tmp_path):
     # identical seeds and configs give byte-identical outputs regardless of
     # worker count
     assert m1["outputs"] == m2["outputs"]
-    body = (tmp_path / "o1" / "simulate.csv").read_text()
+    body = (tmp_path / "o1" / "simulate.json").read_text()
     import hashlib
     assert hashlib.sha256(body.encode()).hexdigest() == \
-        m1["outputs"]["simulate.csv"]
+        m1["outputs"]["simulate.json"]
 
 
 def test_no_stray_tempfiles(tmp_path):

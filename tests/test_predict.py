@@ -9,12 +9,9 @@ import pytest
 from lcltflow.errors import (CaseMismatch, LatticeViolation,
                              NonPositiveNuTau, SingularCovariance)
 from lcltflow.groups import CaseLabel, Group1D, interval
-from lcltflow.predict import (FlowMLCLTParams, GaussianSpec,
-                              PredictionRequest, _card_integral,
-                              flow_variance, gaussian_density,
-                              mixing_classify, predict, predict_case_D,
-                              predict_case_E, predict_flow_limit_ABC,
-                              prediction_record, rho_of_t)
+from lcltflow.predict import (FlowMLCLTParams, PredictionRequest,
+                              _card_integral, flow_variance, mixing_classify,
+                              predict, prediction_record, rho_of_t)
 from lcltflow.quadfield import QuadScalar, as_quad
 
 S2 = QuadScalar.sqrtD(2)
@@ -31,23 +28,26 @@ def params_61(sigma=1.0):
 # gaussian plumbing
 # ---------------------------------------------------------------------------
 
+def _case_A(sigma, w):
+    # a unit window in R: the case-A value is the density itself
+    p = FlowMLCLTParams(CaseLabel("A"), sigma_flow=sigma, nu_tau=1.0)
+    return predict(p, PredictionRequest(t=1, w=w,
+                                        target=[interval(-0.5, 0.5)]))
+
+
 def test_gaussian_density_values():
-    g = GaussianSpec([[1.0]])
-    assert gaussian_density(g, 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi),
-                                                     rel=1e-14)
-    assert gaussian_density(g, 1.0) == pytest.approx(
+    assert _case_A(1.0, 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi),
+                                              rel=1e-14)
+    assert _case_A(1.0, 1.0) == pytest.approx(
         math.exp(-0.5) / math.sqrt(2 * math.pi), rel=1e-14)
-    g2 = GaussianSpec([[2.0, 0.3], [0.3, 1.0]])
-    det = 2.0 * 1.0 - 0.09
-    assert gaussian_density(g2, (0, 0)) == pytest.approx(
-        1 / (2 * math.pi * math.sqrt(det)), rel=1e-12)
+    assert _case_A(2.0, 1.0) == pytest.approx(
+        math.exp(-0.25) / math.sqrt(4 * math.pi), rel=1e-14)
 
 
 def test_gaussian_rejects_bad_covariance():
-    with pytest.raises(SingularCovariance):
-        GaussianSpec([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(SingularCovariance):
-        GaussianSpec([[0.0]])
+    for sigma in (0.0, -1.0):
+        with pytest.raises(SingularCovariance):
+            FlowMLCLTParams(CaseLabel("A"), sigma_flow=sigma, nu_tau=1.0)
 
 
 def test_flow_variance():
@@ -87,12 +87,11 @@ def test_marginal_masses_from_fiber_intervals():
 
 
 def test_case_mismatch_raises():
-    p = params_61()
+    p = FlowMLCLTParams(CaseLabel("Degenerate"), sigma_flow=1.0, nu_tau=1.0)
     with pytest.raises(CaseMismatch):
-        predict_flow_limit_ABC(p, PredictionRequest(t=1))
-    pa = FlowMLCLTParams(CaseLabel("A"), sigma_flow=1.0, nu_tau=1.0)
+        predict(p, PredictionRequest(t=1, I=(0, 1), J=(0, 1)))
     with pytest.raises(CaseMismatch):
-        predict_case_D(pa, PredictionRequest(t=1))
+        rho_of_t(CaseLabel("A"), 1, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_case_D_pinned_value():
     p = params_61()
     Iset = (0.0, SQ2 - 1)
     req = PredictionRequest(t=100, l=0, I=Iset, J=Iset)
-    got = predict_case_D(p, req)
+    got = predict(p, req)
     expect = (1.5 ** 2) * (1 / math.sqrt(2 * math.pi)) * (SQ2 - 1)
     assert got == pytest.approx(expect, rel=1e-12)
     assert got == pytest.approx(0.37180643207922826, rel=1e-12)
@@ -173,7 +172,7 @@ def test_case_D_off_lattice_target_is_zero_via_violation():
     p = params_61()
     req = PredictionRequest(t=100, l=0, W_of_t=0.37, I=(0, 0.4), J=(0, 0.4))
     with pytest.raises(LatticeViolation):
-        predict_case_D(p, req)
+        predict(p, req)
 
 
 def test_case_E_equals_sheared_D():
@@ -184,8 +183,8 @@ def test_case_E_equals_sheared_D():
     Iset = (0.0, 0.3)
     reqE = PredictionRequest(t=50, W_of_t=50.0, l=2, I=Iset, J=(0.1, 0.4))
     reqD = PredictionRequest(t=50, W_of_t=0.0, l=2, I=Iset, J=(0.1, 0.4))
-    assert predict_case_E(pE, reqE) == pytest.approx(
-        predict_case_D(pD, reqD), rel=1e-12)
+    assert predict(pE, reqE) == pytest.approx(
+        predict(pD, reqD), rel=1e-12)
 
 
 def test_small_d_approaches_continuous_limit():
@@ -200,7 +199,7 @@ def test_small_d_approaches_continuous_limit():
         case = CaseLabel("D", a=1, b=S2 * d, d=d)
         p = FlowMLCLTParams(case, sigma_flow=1.0, nu_tau=2 / 3)
         req = PredictionRequest(t=100, l=0, I=Iset, J=Jset)
-        got = predict_case_D(p, req)
+        got = predict(p, req)
         assert got == pytest.approx(target, rel=20 * d)
 
 
@@ -224,3 +223,11 @@ def test_prediction_record_shape():
     assert rec["case"] == "D"
     assert rec["value"] == pytest.approx(0.37180643207922826, rel=1e-12)
     assert set(rec["breakdown"]) >= {"gauss", "marginals"}
+    # case A: the value is the product of its breakdown, and predict's value
+    pa = FlowMLCLTParams(CaseLabel("A"), sigma_flow=2.0, nu_tau=2.0)
+    req = PredictionRequest(t=10, w=0.7, target=[interval(0, 1.5)],
+                            nu_A=0.5, I=(0.0, 1.0))
+    rec = prediction_record(pa, req)
+    b = rec["breakdown"]
+    assert rec["value"] == predict(pa, req) == (
+        b["gauss"] * b["marginals"][0] * b["haar"] * b["marginals"][1])

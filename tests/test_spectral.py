@@ -241,6 +241,22 @@ def test_unit_modulus_scan_detects_lattice():
     assert res["shift"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_unit_modulus_scan_shift_sign_on_symmetric_grid():
+    # iid values 1 and 4: S_n lies in n + 3Z, so the coset shift is 1, not
+    # -1 = 2 mod 3, whichever of +-t0 the grid lists first
+    f = np.zeros((2, 2, 2))
+    f[:, 0, 0] = 1.0
+    f[:, 1, 0] = 4.0
+    f[:, :, 1] = 1.0
+    model = TwistedOperatorModel(MarkovShiftBase([[0.5, 0.5], [0.5, 0.5]], f),
+                                 components=(0,))
+    grid = [[k * (2 * np.pi / 3) / 8] for k in range(-24, 25)]
+    for g in (grid, grid[24:]):
+        res = unit_modulus_scan(model, g)
+        assert float(res["inferred_M"].a) == pytest.approx(3.0, abs=1e-12)
+        assert res["shift"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_unit_modulus_scan_aperiodic_case():
     model = TwistedOperatorModel(chain3(), components=(0,))
     grid = [[t] for t in np.linspace(0.3, 6.0, 40)]
