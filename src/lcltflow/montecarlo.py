@@ -9,7 +9,10 @@ One vectorized path engine serves every system through the protocol of
 ``systems`` (``draw_start``, ``draw_base``, ``step``, ``tau``, ``phi``): each
 sample carries its current cell, accumulated roof time and accumulated
 section sum, and all live samples advance one crossing per loop iteration
-until their time budget is spent.
+until their time budget is spent.  A system with the optional ``leap``
+(iid renewal) first adds, in one pre-pass, the sums over the whole cells
+that certainly fit in each budget, so the loop finishes only the last few
+crossings.
 """
 
 from __future__ import annotations
@@ -77,12 +80,24 @@ def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
 def _flow(system, state, s, dt, rng):
     """Run flow points (state, s) forward for time dt.  Returns the end cells
     and heights, psi = the sum of phi over every cell left (the start cell
-    included) and the crossing count."""
+    included) and the crossing count.  With ``system.leap`` the cells after
+    the start cell that certainly end within dt are taken as sums in one
+    pre-pass; the loop then crosses one cell per iteration: the start cell,
+    and fresh cells until the budget is spent."""
     cur = state.copy()
     target = s + dt
     acc = system.tau(cur)
-    psi = np.zeros(len(cur))
-    ncross = np.zeros(len(cur), dtype=np.int64)
+    leap = getattr(system, "leap", None)
+    if leap is None:
+        psi = np.zeros(len(cur))
+        ncross = np.zeros(len(cur), dtype=np.int64)
+    else:
+        # whole cells after the current one, then the loop below leaves the
+        # current cell and draws the next one fresh; tau_sum is freed before
+        # the loop's first pass, which sets the block's peak memory
+        ncross, psi, tau_sum = leap(target - acc, rng)
+        acc += tau_sum
+        del tau_sum
     alive = acc <= target
     while np.any(alive):
         idx = np.flatnonzero(alive)

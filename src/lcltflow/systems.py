@@ -14,7 +14,11 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
   base marginal of the flow-invariant measure);
 - ``draw_base(n, rng)``: n states from the base-invariant measure;
 - ``step(states, rng)``: one application of the base dynamics;
-- ``tau(states)`` and ``phi(states)``: roof and per-cell integral.
+- ``tau(states)`` and ``phi(states)``: roof and per-cell integral;
+- optional ``leap(budget, rng)``: (count, phi_sum, tau_sum) per path over
+  whole fresh cells that certainly end within its time budget, drawn as
+  sums (renewal only: its cells are iid, so the next cell is then drawn
+  fresh by ``step``).
 
 States are atom indices (renewal), flat edge indices i*n + j for the
 transition i -> j being traversed (Markov), and points of (0, 1] (the
@@ -49,6 +53,9 @@ def _cdf_table(weights):
 # reward renewal
 # ---------------------------------------------------------------------------
 
+_LEAP_SLICE = 1 << 15        # paths per slice in RenewalBase.leap
+
+
 class RenewalBase:
     """iid atoms (x_i, y_i) with rational probabilities: reward x, duration
     y > 0, zero-mean rewards.  State = atom index."""
@@ -61,6 +68,8 @@ class RenewalBase:
             x, y, p = as_quad(x), as_quad(y), Fraction(p)
             if y.sign() <= 0:
                 raise ValueError("durations must be positive")
+            if p < 0:
+                raise ValueError("probabilities must be nonnegative")
             self.atoms.append((x, y, p))
             psum += p
             xsum = xsum + x * p
@@ -72,6 +81,17 @@ class RenewalBase:
         self.ys = np.array([float(a[1]) for a in self.atoms])
         self.probs = np.array([float(a[2]) for a in self.atoms])
         self.cum = _cdf_table(self.probs)
+        # leap tables over the atoms of positive probability: (x, y, the
+        # binomial chain's p_j / (p_j + p_{j+1} + ...), exact before the
+        # float cast) and the longest duration
+        pos = [j for j, a in enumerate(self.atoms) if a[2] > 0]
+        tail = Fraction(1)
+        self._chain = []
+        for j in pos:
+            p = self.atoms[j][2]
+            self._chain.append((self.xs[j], self.ys[j], float(p / tail)))
+            tail -= p
+        self._ymax = float(self.ys[pos].max())
         try:
             self.nu_tau_exact = sum((a[1] * a[2] for a in self.atoms),
                                     start=as_quad(0))
@@ -104,6 +124,40 @@ class RenewalBase:
 
     def phi(self, states):
         return self.xs[states]
+
+    def leap(self, budget, rng):
+        """(count, phi_sum, tau_sum) per path over whole fresh cells that
+        certainly end within its budget: 0 <= max(budget, 0) - tau_sum <
+        max y.  Each round takes m = floor(rem / max y) more cells, rem the
+        budget left, and splits them among the atoms by a chain of
+        binomials, atom j getting Binomial(m_left, p_j / (p_j + p_{j+1} +
+        ...)) and the last atom the rest; rounds repeat until every m is 0.
+        The cells are iid and m depends only on the cells before, so the
+        sums have the law of the same cells stepped one at a time.  Paths go
+        in slices of _LEAP_SLICE to keep the temporaries small."""
+        n = len(budget)
+        count = np.zeros(n, dtype=np.int64)
+        phi_sum = np.zeros(n)
+        tau_sum = np.zeros(n)
+        *chain, (x_last, y_last, _) = self._chain
+        for lo in range(0, n, _LEAP_SLICE):
+            sl = slice(lo, lo + _LEAP_SLICE)
+            b, cnt, ps, ts = budget[sl], count[sl], phi_sum[sl], tau_sum[sl]
+            while True:
+                m = np.floor_divide(b - ts, self._ymax)
+                np.maximum(m, 0, out=m)
+                if not m.any():
+                    break
+                left = m.astype(np.int64)
+                cnt += left
+                for x, y, q in chain:
+                    c = rng.binomial(left, q)
+                    left -= c
+                    ps += c * x
+                    ts += c * y
+                ps += left * x_last
+                ts += left * y_last
+        return count, phi_sum, tau_sum
 
     def value_group(self):
         """Generators and shift for the support group of (phi_check, tau):

@@ -1,9 +1,9 @@
 """Scalar n = 1 reference for the vectorised path engine.
 
 One flow point, one crossing per Python loop pass, driven through the same
-system protocol (``draw_start``, ``step``, ``tau``, ``phi``) with length-1
-state arrays.  Tests compare it against ``montecarlo._flow`` on the same
-random stream.
+system protocol (``draw_start``, ``step``, ``tau``, ``phi`` and the optional
+``leap``) with length-1 state arrays.  Tests compare it against
+``montecarlo._flow`` on the same random stream.
 """
 
 from dataclasses import dataclass
@@ -40,6 +40,13 @@ def flow_integrate(system, start: FlowPoint, t: float, rng=None):
     integral = 0.0
     remaining = t
     crossings = 0
+    leap = getattr(system, "leap", None)
+    if leap is not None:
+        # whole cells after the current one, at the point where _flow leaps
+        count, phi_sum, tau_sum = leap(np.array([s + remaining - tau]), rng)
+        integral += phi_sum[0]
+        remaining -= tau_sum[0]
+        crossings += int(count[0])
     while s + remaining >= tau:
         seg = tau - s
         integral += _one(system.phi, state) / tau * seg

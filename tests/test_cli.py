@@ -457,6 +457,23 @@ def test_manifest_written_and_reruns_identical(tmp_path):
         m1["outputs"]["simulate.json"]
 
 
+def test_lattice_verify_identical_across_worker_counts(tmp_path):
+    # the benchmark's lattice config over two path blocks
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "configs", "lattice_verify.json")
+    with open(path) as fh:
+        cfg = json.load(fh)
+    cfg["N"] = (1 << 18) + 300
+    path = write_cfg(tmp_path, cfg)
+    bodies = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"w{workers}")
+        assert cli.main(["verify", path, "--out", out, "--seed", "3",
+                         "--workers", workers]) == 0
+        bodies.append((tmp_path / f"w{workers}" / "verify.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 def test_no_stray_tempfiles(tmp_path):
     cfg = {"t_values": [10.5]}
     code, out = run(tmp_path, "renewal", cfg)

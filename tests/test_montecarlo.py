@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lcltflow.errors import EmptySetWarning
 from lcltflow.montecarlo import (HistogramSpec, _flow, _paths,
@@ -101,6 +102,51 @@ def test_engine_matches_scalar_reference(kind):
         raw = (eng["psi"][0] - start.s * phi(start.state) / tau(start.state)
                + eng["s_end"][0] * phi(end.state) / tau(end.state))
         assert raw == pytest.approx(val, abs=1e-12)
+
+
+class _WithoutLeap:
+    """A system with its ``leap`` hidden: the engine crosses one cell per
+    loop pass."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def __getattr__(self, name):
+        if name == "leap":
+            raise AttributeError(name)
+        return getattr(self.system, name)
+
+
+def _two_sample_chi2_p(a, b):
+    """p-value of the chi-square test that two samples of integer values
+    share one law, with sparse values pooled into classes of >= 20."""
+    vals, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    counts = np.stack([np.bincount(inv[:len(a)], minlength=len(vals)),
+                       np.bincount(inv[len(a):], minlength=len(vals))])
+    classes, run = [], np.zeros(2)
+    for col in counts.T:
+        run = run + col
+        if run.sum() >= 20:
+            classes.append(run)
+            run = np.zeros(2)
+    classes[-1] = classes[-1] + run
+    return stats.chi2_contingency(np.array(classes).T)[1]
+
+
+def test_renewal_leap_keeps_the_law_of_the_crossing_loop():
+    # section 6.1 at t = 100: crossing counts and section sums of the engine
+    # with the leap against the same system stepped one crossing at a time
+    sys = osc_system()
+    n = 1 << 16
+    leapt = _paths(sys, 100.0, n, np.random.default_rng(31))
+    stepped = _paths(_WithoutLeap(sys), 100.0, n, np.random.default_rng(32))
+    assert leapt["ncross"].mean() > 140
+    assert np.all((leapt["s_end"] >= 0)
+                  & (leapt["s_end"] < sys.tau(leapt["end"])))
+    for field in ("ncross", "psi"):
+        a, b = (np.rint(blk[field]).astype(np.int64)
+                for blk in (leapt, stepped))
+        assert _two_sample_chi2_p(a, b) > 0.01, field
 
 
 def test_seed_changes_samples():

@@ -48,6 +48,8 @@ def test_renewal_validation():
         RenewalBase([(-1, 1, half), (1, 1, Fraction(1, 3))])
     with pytest.raises(ValueError, match="positive"):
         RenewalBase([(-1, 0, half), (1, 1, half)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        RenewalBase([(2, 1, -half), (0, 1, half), (1, 1, 1)])
 
 
 def test_renewal_mixed_ring_falls_back_to_float_mean():
@@ -79,12 +81,61 @@ def test_renewal_sampling_frequencies():
     assert np.allclose(sfreq, expect, atol=0.02)
 
 
+def test_renewal_leap_stays_within_budget():
+    sys = osc_system()
+    rng = np.random.default_rng(21)
+    budget = rng.uniform(-2, 300, 20_000)
+    count, phi_sum, tau_sum = sys.leap(budget, rng)
+    assert count.dtype == np.int64 and np.all(count >= 0)
+    slack = np.maximum(budget, 0) - tau_sum
+    assert np.all(slack >= 0) and np.all(slack < sys.ys.max())
+    assert np.all(count[budget < 1] == 0)
+    # every cell is at least min y long
+    assert np.all(tau_sum >= count * sys.ys.min() - 1e-9)
+
+
+def test_renewal_leap_coin_parity():
+    # unit cells of reward +-1: the phi sum of c cells has c's parity and
+    # lies in [-c, c]; the leap takes floor(budget) cells
+    sys = coin_system()
+    rng = np.random.default_rng(22)
+    budget = rng.uniform(-2, 300, 20_000)
+    count, phi_sum, tau_sum = sys.leap(budget, rng)
+    assert np.array_equal(count, np.floor(np.maximum(budget, 0)))
+    assert np.array_equal(tau_sum, count)
+    assert np.all((phi_sum - count) % 2 == 0)
+    assert np.all(np.abs(phi_sum) <= count)
+
+
+def test_renewal_leap_skips_zero_probability_atoms():
+    # zero-probability atoms, one of them the longest and trailing ones at
+    # the end of the chain: no cell of them, and no 0/0 probability
+    half = Fraction(1, 2)
+    sys = RenewalBase([(0, 5, 0), (-1, 1, half), (1, 2, half), (3, 7, 0),
+                       (2, 9, 0)])
+    rng = np.random.default_rng(23)
+    budget = rng.uniform(-2, 300, 5000)
+    count, phi_sum, tau_sum = sys.leap(budget, rng)
+    assert np.all(np.isfinite(phi_sum)) and np.all(np.isfinite(tau_sum))
+    # with only the atoms (-1, 1) and (1, 2): tau = c + k, phi = k - (c - k)
+    k = tau_sum - count
+    assert np.all((k >= 0) & (k <= count))
+    assert np.array_equal(phi_sum, 2 * k - count)
+    slack = np.maximum(budget, 0) - tau_sum
+    assert np.all(slack >= 0) and np.all(slack < 2)
+    single = RenewalBase([(0, S2, 1), (1, 3, 0)])
+    count, phi_sum, tau_sum = single.leap(np.array([10.0, 0.5]), rng)
+    assert count.tolist() == [7, 0] and phi_sum.tolist() == [0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # flow integration (scalar reference in tests/flowref.py)
 # ---------------------------------------------------------------------------
 
 def test_flow_integrate_additive_and_counts_crossings():
-    sys = osc_system()
+    # path-by-path additivity on one stream holds for the one-crossing loop
+    # alone: a leap's draws depend on the budget, so use a system without one
+    sys = MarkovShiftBase(P3, f3_table())
     rng = np.random.default_rng(3)
     start = sample_stationary(sys, rng)
     rng2 = np.random.default_rng(99)
