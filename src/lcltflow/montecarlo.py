@@ -9,10 +9,13 @@ One vectorized path engine serves every system through the protocol of
 ``systems`` (``draw_start``, ``draw_base``, ``step``, ``tau``, ``phi``): each
 sample carries its current cell, accumulated roof time and accumulated
 section sum, and all live samples advance one crossing per loop iteration
-until their time budget is spent.  A system with the optional ``leap``
-(iid renewal) first adds, in one pre-pass, the sums over the whole cells
-that certainly fit in each budget, so the loop finishes only the last few
-crossings.
+until their time budget is spent.  While every sample of the block is
+live, a pass works on the whole arrays through views; once some have
+finished, it gathers and scatters the live ones by index.  Both passes hand
+``step`` the same states in the same order, so they make the same draws.
+A system with the optional ``leap`` (iid renewal) first adds, in one
+pre-pass, the sums over the whole cells that certainly fit in each budget,
+so the loop finishes only the last few crossings.
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ def _flow(system, state, s, dt, rng):
     included) and the crossing count.  With ``system.leap`` the cells after
     the start cell that certainly end within dt are taken as sums in one
     pre-pass; the loop then crosses one cell per iteration: the start cell,
-    and fresh cells until the budget is spent."""
+    and fresh cells until the budget is spent.  A pass indexes the whole
+    block with a slice while every path is alive, so nothing is gathered or
+    scattered, and the live paths by index after that."""
     cur = state.copy()
     target = s + dt
     acc = system.tau(cur)
@@ -100,7 +105,8 @@ def _flow(system, state, s, dt, rng):
         del tau_sum
     alive = acc <= target
     while np.any(alive):
-        idx = np.flatnonzero(alive)
+        # step sees the same paths in the same order either way
+        idx = slice(None) if alive.all() else np.flatnonzero(alive)
         live = cur[idx]
         psi[idx] += system.phi(live)
         ncross[idx] += 1

@@ -188,13 +188,24 @@ class RenewalBase:
 class MarkovShiftBase:
     """Finite-state chain with per-transition values f(i, j) = (phi, tau).
     Flow state = the flat index i*n + j of the current edge (i, j): the point
-    sits in the fiber over the transition being traversed."""
+    sits in the fiber over the transition being traversed.
+
+    Next states are inverse-CDF draws on the rows of P, found through a
+    guide table (Chen & Asau 1974): a row's [0, 1) is cut into K cells, K a
+    power of two >= 2n, and cell k stores the edge of u = k/K; a draw u
+    starts at its cell's edge and advances past every cumulative entry
+    <= u.  Every row is nondecreasing, so the edge is the one of the plain
+    inverse CDF, for every u."""
 
     def __init__(self, P, f):
         P = np.asarray(P, dtype=float)
         n = P.shape[0]
         if P.shape != (n, n):
             raise ValueError("transition matrix must be square")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("transition probabilities must be finite")
+        if np.any(P < 0):
+            raise ValueError("transition probabilities must be nonnegative")
         if np.max(np.abs(P.sum(axis=1) - 1)) > 1e-12:
             raise ValueError("rows must sum to 1")
         if np.min(np.linalg.matrix_power(np.where(P > 0, 1.0, 0.0), 2 * n)) \
@@ -205,6 +216,8 @@ class MarkovShiftBase:
         self.f = np.asarray(f, dtype=float)  # (n, n, 2): [phi, tau]
         if self.f.shape != (n, n, 2):
             raise ValueError("f must give (phi, tau) per transition")
+        if not np.all(np.isfinite(self.f)):
+            raise ValueError("transition values must be finite")
         if np.any(self.f[:, :, 1][P > 0] <= 0):
             raise ValueError("roof values must be positive")
         w, v = np.linalg.eig(P.T)
@@ -216,8 +229,11 @@ class MarkovShiftBase:
         self.stationary = pi
         self.stationary_cum = _cdf_table(pi)
         self.cumP = _cdf_table(P)
+        self._build_guide()
         self.edge_phi = self.f[:, :, 0].ravel()
         self.edge_tau = self.f[:, :, 1].ravel()
+        # the end vertex j of each flat edge i*n + j: a lookup, not a modulo
+        self._head = np.tile(np.arange(n), n)
         edge_w = pi[:, None] * P
         self.nu_phi = float(np.sum(edge_w * self.f[:, :, 0]))
         self.nu_tau = float(np.sum(edge_w * self.f[:, :, 1]))
@@ -226,11 +242,36 @@ class MarkovShiftBase:
 
     kind = "markov"
 
+    def _build_guide(self):
+        """Guide table over the rows of cumP: ``_guide[i*K + k]`` is the
+        flat edge i*n + #{entries <= k/K} of row i, and ``_advance`` the
+        most entries strictly inside one cell, so that this many advance
+        passes reach the edge of any u in the cell.  K is a power of two, so
+        u*K and k/K are exact."""
+        n = self.n_states
+        K = 1 << (2 * n - 1).bit_length()
+        grid = np.arange(K + 1) / K
+        guide = np.empty((n, K), dtype=np.intp)
+        advance = 0
+        for i, row in enumerate(self.cumP):
+            at = np.searchsorted(row, grid, side="right")
+            below = np.searchsorted(row, grid[1:], side="left")
+            guide[i] = i * n + at[:-1]
+            advance = max(advance, int(np.max(below - at[:-1])))
+        self._K = K
+        self._guide = guide.ravel()
+        self._advance = advance
+        self._cum_flat = self.cumP.ravel()
+
     def _edges_from(self, i, rng):
-        """Edges i -> j with j drawn from row i of P."""
+        """Edges i -> j with j drawn from row i of P: j = #{cumP[i] <= u}."""
         u = rng.random(len(i))
-        j = (u[:, None] < self.cumP[i]).argmax(axis=1)
-        return i * self.n_states + j
+        # k = floor(u*K) < K; numpy casts a float to int32 far faster than
+        # to int64
+        e = self._guide[i * self._K + (u * self._K).astype(np.int32)]
+        for _ in range(self._advance):
+            e += u >= self._cum_flat[e]
+        return e
 
     def draw_start(self, n, rng):
         return np.searchsorted(self.size_biased_cum, rng.random(n),
@@ -241,7 +282,7 @@ class MarkovShiftBase:
         return self._edges_from(i, rng)
 
     def step(self, states, rng):
-        return self._edges_from(states % self.n_states, rng)
+        return self._edges_from(self._head[states], rng)
 
     def tau(self, states):
         return self.edge_tau[states]

@@ -1,9 +1,15 @@
-"""Scalar n = 1 reference for the vectorised path engine.
+"""References for the vectorised path engine and the Markov step.
 
-One flow point, one crossing per Python loop pass, driven through the same
-system protocol (``draw_start``, ``step``, ``tau``, ``phi`` and the optional
-``leap``) with length-1 state arrays.  Tests compare it against
-``montecarlo._flow`` on the same random stream.
+- ``flow_integrate``: one flow point, one crossing per Python loop pass,
+  driven through the same system protocol (``draw_start``, ``step``,
+  ``tau``, ``phi`` and the optional ``leap``) with length-1 state arrays.
+- ``flow_masked``: the block engine with every pass gathered and scattered
+  through the indices of the live paths, whole-block passes included.
+- ``scan_edges``: Markov next edges by a full comparison scan of the
+  cumulative row.
+
+Tests compare them against ``montecarlo._flow`` and
+``MarkovShiftBase._edges_from`` on the same random stream.
 """
 
 from dataclasses import dataclass
@@ -65,3 +71,37 @@ def sample_stationary(system, rng) -> FlowPoint:
     state = system.draw_start(1, rng)[0]
     s = rng.random() * _one(system.tau, state)
     return FlowPoint(state, s)
+
+
+def flow_masked(system, state, s, dt, rng):
+    """montecarlo._flow with a masked pass every time: the live paths are
+    gathered by index, advanced and scattered back."""
+    cur = state.copy()
+    target = s + dt
+    acc = system.tau(cur)
+    leap = getattr(system, "leap", None)
+    if leap is None:
+        psi = np.zeros(len(cur))
+        ncross = np.zeros(len(cur), dtype=np.int64)
+    else:
+        ncross, psi, tau_sum = leap(target - acc, rng)
+        acc += tau_sum
+    alive = acc <= target
+    while np.any(alive):
+        idx = np.flatnonzero(alive)
+        live = cur[idx]
+        psi[idx] += system.phi(live)
+        ncross[idx] += 1
+        nxt = system.step(live, rng)
+        cur[idx] = nxt
+        acc[idx] += system.tau(nxt)
+        alive[idx] = acc[idx] <= target[idx]
+    s_end = target - (acc - system.tau(cur))
+    return {"end": cur, "s_end": s_end, "psi": psi, "ncross": ncross}
+
+
+def scan_edges(chain, i, u):
+    """Flat edges i*n + j of a MarkovShiftBase for uniforms u: j is the
+    first index of row i whose cumulative entry exceeds u."""
+    j = (u[:, None] < chain.cumP[i]).argmax(axis=1)
+    return i * chain.n_states + j

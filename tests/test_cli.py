@@ -435,6 +435,34 @@ def test_math_domain_error(tmp_path):
     assert code == 3
 
 
+def _markov_with(P=None, entry=None, value=None):
+    system = {"type": "markov", "P": P or [[0.5, 0.5], [0.5, 0.5]],
+              "f": [[[-1.0, 1.0], [1.0, 1.0]], [[-1.0, 1.0], [1.0, 1.0]]]}
+    if entry:
+        i, j, k = entry
+        system["f"][i][j][k] = value
+    return system
+
+
+@pytest.mark.parametrize("system", [
+    _markov_with(P=[[0.6, 0.5, -0.1], [0.3, 0.4, 0.3], [0.3, 0.3, 0.4]]),
+    _markov_with(P=[[math.nan, 0.5], [0.5, 0.5]]),
+    _markov_with(entry=(0, 1, 1), value=math.nan),
+    _markov_with(entry=(0, 1, 1), value=math.inf),
+    _markov_with(entry=(0, 1, 0), value=math.nan),
+])
+def test_markov_negative_or_nonfinite_entries_are_domain_errors(
+        tmp_path, capsys, system):
+    # once accepted: a negative P simulated another chain and a NaN roof
+    # never hit, both exiting 4; an infinite roof never ended
+    cfg = {"system": system, "t": 2, "N": 10, "sigma_flow": 1.0,
+           "windows": [[0, -1, 1]]}
+    code, _ = run(tmp_path, "verify", cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_manifest_written_and_reruns_identical(tmp_path):
     cfg = {"system": OSC_SYSTEM, "t": 25, "N": 50_000,
            "windows": [["section", 1, 0]]}

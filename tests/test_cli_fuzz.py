@@ -52,7 +52,8 @@ def _base_configs():
 
 
 BASES = _base_configs()
-JUNK = [None, "x", "missing.json", [], [1], [1, 2], {}, -1, 0, 0.5, True]
+JUNK = [None, "x", "missing.json", [], [1], [1, 2], {}, -1, 0, 0.5, True,
+        float("nan"), float("inf"), -0.5]
 
 
 def _paths(node, prefix=()):

@@ -17,7 +17,7 @@ from lcltflow.montecarlo import (HistogramSpec, _flow, _paths,
 from lcltflow.quadfield import QuadScalar
 from lcltflow.systems import MarkovShiftBase, PMTowerBase, RenewalBase
 
-from flowref import flow_integrate, sample_stationary
+from flowref import FlowPoint, flow_integrate, flow_masked, sample_stationary
 
 S2 = QuadScalar.sqrtD(2)
 SQ2 = math.sqrt(2)
@@ -102,6 +102,38 @@ def test_engine_matches_scalar_reference(kind):
         raw = (eng["psi"][0] - start.s * phi(start.state) / tau(start.state)
                + eng["s_end"][0] * phi(end.state) / tau(end.state))
         assert raw == pytest.approx(val, abs=1e-12)
+    if kind == "pm":
+        # the PM step is deterministic, so each path of a 64-path block,
+        # advanced by whole-block passes, is the scalar integral from its
+        # own start
+        blk = _paths(sys, 7.5, 64, np.random.default_rng(3))
+        for k in range(64):
+            start = FlowPoint(blk["start"][k], blk["s0"][k])
+            val, end, ncross = flow_integrate(sys, start, 7.5)
+            assert blk["end"][k] == end.state
+            assert blk["ncross"][k] == ncross
+            assert blk["s_end"][k] == pytest.approx(end.s, abs=1e-12)
+            assert blk["raw"][k] == pytest.approx(val, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS) + ["pm-affine"])
+def test_engine_matches_the_masked_loop(kind):
+    # whole-block passes against a pass gathered and scattered every time:
+    # budgets from 4 (past every roof, so the first pass takes the whole
+    # block) to 16 end paths on different passes, so the masked tail runs
+    sys = PMTowerBase(0.25, "affine") if kind == "pm-affine" \
+        else SYSTEMS[kind]()
+    n = 2000
+    rng = np.random.default_rng(21)
+    state = sys.draw_start(n, rng)
+    s = rng.random(n) * sys.tau(state)
+    dt = np.linspace(4.0, 16.0, n)
+    assert np.all(sys.tau(state) <= s + dt)
+    got = _flow(sys, state, s, dt, np.random.default_rng(22))
+    ref = flow_masked(sys, state, s, dt, np.random.default_rng(22))
+    assert len(np.unique(ref["ncross"])) > 5
+    for field in ("end", "s_end", "psi", "ncross"):
+        assert np.array_equal(got[field], ref[field]), field
 
 
 class _WithoutLeap:

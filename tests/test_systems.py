@@ -13,7 +13,7 @@ from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
                               _pm_left, _pm_pullback, load_system,
                               pm_first_return, pm_map)
 
-from flowref import FlowPoint, flow_integrate, sample_stationary
+from flowref import FlowPoint, flow_integrate, sample_stationary, scan_edges
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -209,6 +209,19 @@ def test_markov_validation():
     bad[0, 1, 1] = 0.0
     with pytest.raises(ValueError, match="positive"):
         MarkovShiftBase([[0.5, 0.5], [0.5, 0.5]], bad)
+    # rows summing to 1 through a negative entry would simulate another chain
+    with pytest.raises(ValueError, match="nonnegative"):
+        MarkovShiftBase([[0.6, 0.5, -0.1], [0.3, 0.4, 0.3],
+                         [0.3, 0.3, 0.4]], np.ones((3, 3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        MarkovShiftBase([[math.nan, 0.5], [0.5, 0.5]], np.ones((2, 2, 2)))
+    # a NaN value and an infinite roof (an infinite time budget)
+    for entry in ((0, 1, 0), (0, 1, 1)):
+        for v in (math.nan, math.inf):
+            bad = np.ones((2, 2, 2))
+            bad[entry] = v
+            with pytest.raises(ValueError, match="finite"):
+                MarkovShiftBase([[0.5, 0.5], [0.5, 0.5]], bad)
 
 
 def test_markov_step_follows_transition_structure():
@@ -248,6 +261,57 @@ def test_top_uniform_draw_never_lands_on_zero_weight_cell():
                            (-3, 1, Fraction(1, 10)), (5, 1, 0)])
     assert np.all(renewal.draw_base(4, rng) == 2)
     assert np.all(renewal.draw_start(4, rng) == 2)
+
+
+class _FixedDrawRng:
+    """Every uniform draw comes from a fixed array of the requested length."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+def _guide_test_chains():
+    yield np.asarray(P3)
+    yield np.array([[0, .6, .3, .1], [.5, .5, 0, 0], [.5, 0, .5, 0],
+                    [.5, 0, 0, .5]])
+    # three breakpoints strictly inside the guide cell [8/16, 9/16) of row 0
+    yield np.array([[.5, .01, .01, .01, .47]] + [[.2] * 5] * 4)
+    # random chains with zero entries, kept irreducible and aperiodic by a
+    # positive diagonal and a positive cycle i -> i + 1
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        for _ in range(3):
+            P = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+            P[np.arange(n), np.arange(n)] += 0.1
+            P[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+            yield P / P.sum(axis=1, keepdims=True)
+
+
+def test_guide_table_draws_the_edges_of_the_scan():
+    rng = np.random.default_rng(12)
+    interior = trailing = clustered = False
+    for P in _guide_test_chains():
+        n = len(P)
+        chain = MarkovShiftBase(P, np.ones((n, n, 2)))
+        zero = P == 0
+        interior |= bool(np.any(zero[:, :-1] & (P[:, 1:] > 0)))
+        trailing |= bool(np.any(zero[:, -1]))
+        clustered |= chain._advance >= 3
+        # every breakpoint, its neighbours, the ends of [0, 1) and random u
+        cuts = chain.cumP[np.isfinite(chain.cumP)]
+        u = np.concatenate([cuts, np.nextafter(cuts, 0),
+                            np.nextafter(cuts, 2), [0.0, 1 - 2.0 ** -53],
+                            rng.random(10 ** 5)])
+        u = u[(u >= 0) & (u < 1)]
+        for i in range(n):
+            rows = np.full(len(u), i)
+            assert np.array_equal(chain._edges_from(rows, _FixedDrawRng(u)),
+                                  scan_edges(chain, rows, u))
+    assert interior and trailing and clustered
 
 
 # ---------------------------------------------------------------------------
