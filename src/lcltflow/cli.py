@@ -362,6 +362,9 @@ def cmd_renewal(run):
     # a float is read exactly as its shortest decimal by the scan itself
     ts = [t if isinstance(t, float) else _parse_scalar(t)
           for t in cfg["t_values"]]
+    bad = [t for t in ts if isinstance(t, float) and not math.isfinite(t)]
+    if bad:
+        raise ConfigError(f"t_values must be finite, not {bad[0]!r}")
     rows = counterexample_scan(ts, atoms=atoms)
     run.emit("scan.csv", "\n".join(scan_csv_rows(rows)) + "\n")
     for r in rows:

@@ -50,12 +50,6 @@ class LatticeViolation(LcltError):
     """Recentering W(t) is not on the admissible lattice."""
 
 
-# -- concrete systems ------------------------------------------------------
-
-class ReturnTimeOverflow(LcltError):
-    """First-return iteration exceeded the hard cap."""
-
-
 # -- exact renewal DP ------------------------------------------------------
 
 class StateExplosion(LcltError):
@@ -70,10 +64,6 @@ class NoGapError(LcltError):
 
 class IllConditionedFit(LcltError):
     """Expansion fit sample design is unusable."""
-
-
-class QuadratureFailure(LcltError):
-    """Adaptive quadrature failed to converge within the depth budget."""
 
 
 # -- warnings --------------------------------------------------------------

@@ -18,6 +18,13 @@ within t has been reached in at most K - 1 transitions, so each state's
 mass is a multiple of L.  Each sweep checks that the masses leaving t and
 the pruned masses sum to exactly den; reported values are Fractions over
 den.
+
+One sweep serves several horizons: the states reached by time t are the
+same in a sweep that runs past t, with every mass times L**(K' - K) for the
+longer sweep's K', so each Fraction over den is unchanged.  The oscillation
+scan therefore runs one sweep per prune bound, to the largest t with that
+bound, and reads every t of the group from it, with the exact
+mass-conservation check at each t.
 """
 
 from __future__ import annotations
@@ -74,19 +81,28 @@ class ExactDistribution:
         return sum(self.mass.values(), start=self.pruned_mass)
 
 
-def _palm_sweep(atoms, t, prune_bound=None):
-    """Renewal measure of the reward-sum process up to horizon t.
+def _palm_sweep(atoms, horizons, prune_bound=None):
+    """Renewal measure of the reward-sum process, read at several horizons.
+
+    ``horizons`` are exact times in increasing order, and one sweep to the
+    last of them serves them all: the states with elapsed time T <= t do not
+    depend on how far past t the sweep goes, and every mass is the mass of
+    a sweep that stops at t times one power of L (see the module
+    docstring), so every Fraction over ``den`` is the same.  The horizons
+    share the prune bound: counterexample_scan passes the t values of one
+    bound, the other callers a single t.
 
     Processes states (S, t_elapsed) in increasing elapsed time, merging all
     paths that meet at the same state (valid because durations are strictly
     positive, so every predecessor is strictly earlier).  Returns
-    (states, finals, pruned, den), every mass an integer over ``den``:
+    (states, ends, pruned, den), every mass an integer over ``den``:
     ``states`` maps (S, p, q) -- elapsed time p + q sqrt(D) -- to the mass
-    of the paths that renew there with reward sum S; ``finals`` lists
-    (S, p, q, mass) for the transitions out of a state that overshoot t;
-    ``pruned`` maps (p, q) to the mass dropped there by the |S| cutoff.
-    Raises AssertionError unless finals and pruned add up to exactly
-    ``den``.
+    of the paths that renew there with reward sum S; ``pruned`` maps (p, q)
+    to the mass dropped there by the |S| cutoff; ``ends`` holds one
+    (finals, cut) pair per horizon t, where ``finals`` lists (S, p, q, mass)
+    for the transitions out of a state with T <= t that land past t and
+    ``cut`` is the mass pruned at times <= t.  Raises AssertionError unless
+    finals and cut add up to exactly ``den`` at every horizon.
 
     Durations must be quadratic integers so elapsed times are exact integer
     pairs; the comparison against t falls back to exact sign evaluation
@@ -94,8 +110,9 @@ def _palm_sweep(atoms, t, prune_bound=None):
     """
     import heapq
 
+    t = horizons[-1]
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
-    if t.q != 0 and t.D != D:
+    if any(h.q != 0 and h.D != D for h in horizons):
         raise ValueError("durations and t must share one ring")
     for _, y, _ in atoms:
         if y.p.denominator != 1 or y.q.denominator != 1:
@@ -116,7 +133,6 @@ def _palm_sweep(atoms, t, prune_bound=None):
     pending = {(0, 0, 0): den}
     heap = [(0.0, (0, 0, 0))]
     states = {}
-    finals = []
     pruned = {}
     while heap:
         _, key = heapq.heappop(heap)
@@ -128,9 +144,7 @@ def _palm_sweep(atoms, t, prune_bound=None):
             raise StateExplosion(f"DP states exceeded {_STATE_CAP}")
         S, Tp, Tq = key
         unit = mass // L            # exact: a state's mass is a multiple of L
-        over = 0
         for x, yp, yq, wk in steps:
-            w = unit * wk
             p2, q2 = Tp + yp, Tq + yq
             at = p2 + q2 * sqD
             diff = t_float - at
@@ -138,8 +152,8 @@ def _palm_sweep(atoms, t, prune_bound=None):
                 # exact sign near the float boundary
                 diff = QuadScalar(t_p - p2, t_q - q2, D).sign()
             if diff < 0:
-                over += w
-                continue
+                continue            # past the last horizon: see _horizon_end
+            w = unit * wk
             S2 = S + x
             if abs(S2) > bound:
                 pruned[p2, q2] = pruned.get((p2, q2), 0) + w
@@ -150,11 +164,44 @@ def _palm_sweep(atoms, t, prune_bound=None):
             else:
                 pending[k2] = w
                 heapq.heappush(heap, (at, k2))
+    ends = [_horizon_end(states, pruned, steps, L, h, D) for h in horizons]
+    for finals, cut in ends:
+        if sum(f[3] for f in finals) + cut != den:
+            raise AssertionError("mass leak in the renewal DP")
+    return states, ends, pruned, den
+
+
+def _horizon_end(states, pruned, steps, L, t, D):
+    """(finals, cut) of horizon t from a sweep's tables (see _palm_sweep).
+
+    ``states`` is in the order the sweep took it, increasing elapsed time,
+    so it is read backwards and only down to the states one longest
+    duration before t.  Each comparison against t is the sweep's.
+    """
+    sqD = math.sqrt(D)
+    t_float = float(t)
+
+    def past(p, q):
+        diff = t_float - (p + q * sqD)
+        if abs(diff) <= 1e-6:
+            diff = QuadScalar(t.p - p, t.q - q, D).sign()
+        return diff < 0
+
+    reach = t_float - max(yp + yq * sqD for _, yp, yq, _ in steps) - 1e-6
+    finals = []
+    for (S, Tp, Tq), mass in reversed(states.items()):
+        if Tp + Tq * sqD < reach:
+            break
+        if past(Tp, Tq):
+            continue
+        unit = mass // L
+        over = sum(unit * wk for _, yp, yq, wk in steps
+                   if past(Tp + yp, Tq + yq))
         if over:
             finals.append((S, Tp, Tq, over))
-    if sum(f[3] for f in finals) + sum(pruned.values()) != den:
-        raise AssertionError("mass leak in the renewal DP")
-    return states, finals, pruned, den
+    finals.reverse()
+    cut = sum(m for (p, q), m in pruned.items() if not past(p, q))
+    return finals, cut
 
 
 def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
@@ -171,14 +218,14 @@ def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
     t = t if isinstance(t, QuadScalar) else as_quad(t)
     bound = _prune_bound(atoms, t) if prune else None
     if mode == PalmStart:
-        _states, finals, pruned, den = _palm_sweep(atoms, t,
-                                                   prune_bound=bound)
+        _states, [(finals, cut)], _pruned, den = _palm_sweep(atoms, [t],
+                                                             bound)
         D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
         mass = {}
         for S, Tp, Tq, w in finals:
             # distinct states are distinct (S, T), so keys never repeat
             mass[(S, t - QuadScalar(Tp, Tq, D))] = Fraction(w, den)
-        return ExactDistribution(mass, Fraction(sum(pruned.values()), den))
+        return ExactDistribution(mass, Fraction(cut, den))
     if mode == StationaryStart:
         masses, pruned_meas = _stationary_masses(atoms, t, bound)
         dist = ExactDistribution({(S, None): w for S, w in masses.items()},
@@ -210,7 +257,7 @@ def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
     """
     nu = _nu_tau(atoms)
     zero = t - t
-    states, _finals, pruned, den = _palm_sweep(atoms, t, prune_bound)
+    states, _ends, pruned, den = _palm_sweep(atoms, [t], prune_bound)
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
     I = None if I is None else (as_quad(I[0]), as_quad(I[1]))
     J = None if J is None else (as_quad(J[0]), as_quad(J[1]))
@@ -331,42 +378,49 @@ def _exact_time(t):
 def counterexample_scan(t_values, atoms=None):
     """Exact sqrt(t) P(S_{N_t} = 0) over t_values with the cell of frac(t).
 
-    Returns rows (t, cell, sqrt_t_times_p, pruned_mass).  Requires the
-    structural identity that every zero-reward renewal happens at an integer
-    time, so the last zero-reward renewal before t is at floor(t) and the
-    value factorizes through the cell of frac(t); raises ValueError for atoms
-    that break it.
+    Returns rows (t, cell, sqrt_t_times_p, pruned_mass) in the order of
+    t_values, duplicates included.  The t values are grouped by prune
+    bound, and each group is read from one sweep to its largest t, which
+    checks exact mass conservation at every t of the group (see
+    _palm_sweep).  Requires the structural identity that every zero-reward
+    renewal happens at an integer time, so the last zero-reward renewal
+    before t is at floor(t) and the value factorizes through the cell of
+    frac(t); raises ValueError for atoms that break it.
     """
     if atoms is None:
         atoms = section_61_atoms()
     atoms = _exact_atoms(atoms)
-    rows = []
-    for t in t_values:
-        t_exact = _exact_time(t)
-        if float(t_exact) < 1:
-            raise ValueError("scan requires t >= 1")
-        states, finals, pruned, den = _palm_sweep(
-            atoms, t_exact, prune_bound=_prune_bound(atoms, t_exact))
+    ts = [_exact_time(t) for t in t_values]
+    if any(float(t) < 1 for t in ts):
+        raise ValueError("scan requires t >= 1")
+    groups = {}
+    for t in ts:
+        groups.setdefault(_prune_bound(atoms, t), set()).add(t)
+    row = {}
+    for bound, group in groups.items():
+        horizons = sorted(group)
+        states, ends, _pruned, den = _palm_sweep(atoms, horizons, bound)
         off = next(((Tp, Tq) for S, Tp, Tq in states if S == 0 and Tq != 0),
                    None)
         if off is not None:
             raise ValueError(f"zero-reward renewal at non-integer time "
                              f"{off[0]}+{off[1]}*sqrt")
-        # free this t's state table before the next sweep builds one
+        # free this group's state table before the next sweep builds one
         del states
-        t_floor = t_exact.floor()
-        p0 = 0
-        for S, Tp, _Tq, w in finals:
-            if S == 0:
-                # a final is a state, so its time Tp is an integer
-                if Tp != t_floor:
-                    raise ValueError(
-                        "last zero-reward renewal is not at floor(t)")
-                p0 += w
-        rows.append((float(t_exact), frac_cell(t_exact),
-                     math.sqrt(float(t_exact)) * float(Fraction(p0, den)),
-                     float(Fraction(sum(pruned.values()), den))))
-    return rows
+        for t, (finals, cut) in zip(horizons, ends):
+            t_floor = t.floor()
+            p0 = 0
+            for S, Tp, _Tq, w in finals:
+                if S == 0:
+                    # a final is a state, so its time Tp is an integer
+                    if Tp != t_floor:
+                        raise ValueError(
+                            "last zero-reward renewal is not at floor(t)")
+                    p0 += w
+            row[t] = (float(t), frac_cell(t),
+                      math.sqrt(float(t)) * float(Fraction(p0, den)),
+                      float(Fraction(cut, den)))
+    return [row[t] for t in ts]
 
 
 def scan_csv_rows(rows):

@@ -7,8 +7,8 @@ unit-modulus eigenvalue set are all computable to near machine precision.
 These serve as rigorous oracles, independent of Monte Carlo sampling.
 
 Each oracle stacks its operators over all its t values and makes one
-stacked eigen-solve or matrix power.  Lattice Fourier inversion is an exact
-finite inverse DFT; the smoothed kernel expectation is the only quadrature.
+stacked eigen-solve or matrix power.  Fourier inversion is an exact finite
+inverse DFT on integer-valued f, so no oracle uses quadrature.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import IllConditionedFit, NoGapError, QuadratureFailure
+from .errors import IllConditionedFit, NoGapError
 from .groups import Group1D
 from .systems import MarkovShiftBase
 
@@ -40,7 +40,6 @@ class TwistedOperatorModel:
         edge_w = chain.stationary[:, None] * chain.P
         self.nu_f = np.array([float(np.sum(edge_w * f[:, :, k]))
                               for k in range(self.d)])
-        self.f_max = float(np.max(np.abs(f[chain.P > 0])))
 
 
 def twisted_matrix(model: TwistedOperatorModel, t) -> np.ndarray:
@@ -193,38 +192,6 @@ def expansion_fit(curve: EigenCurve, h=0.02):
 # Fourier inversion
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_QUAD_TOL = 1e-12
-_QUAD_DEPTH = 20
-
-
-def _gl(fvec, a, b):
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * np.sum(_GL_WEIGHTS * fvec(x))
-
-
-def _adaptive_panel(fvec, a, b, tol, depth):
-    whole = _gl(fvec, a, b)
-    mid = 0.5 * (a + b)
-    split = _gl(fvec, a, mid) + _gl(fvec, mid, b)
-    if abs(whole - split) <= tol:
-        return split
-    if depth <= 0:
-        raise QuadratureFailure("adaptive refinement exceeded depth budget")
-    return (_adaptive_panel(fvec, a, mid, tol / 2, depth - 1)
-            + _adaptive_panel(fvec, mid, b, tol / 2, depth - 1))
-
-
-def _integrate(fvec, a, b, osc_rate):
-    """Adaptive Gauss-Legendre with oscillation-aware pre-splitting: initial
-    panels are sized so the phase advances at most ~pi/2 per panel, and each
-    is refined to _QUAD_TOL within _QUAD_DEPTH halvings."""
-    n0 = max(1, int(osc_rate * (b - a) / (math.pi / 2)) + 1)
-    edges = np.linspace(a, b, n0 + 1)
-    return sum(_adaptive_panel(fvec, x, y, _QUAD_TOL, _QUAD_DEPTH)
-               for x, y in zip(edges, edges[1:]))
-
-
 def _characteristic(model: TwistedOperatorModel, n: int, ts) -> np.ndarray:
     """E[exp(i <t, S_n>)] = 1' P_t^n pi under the stationary start, for a
     (G, d) stack of t values."""
@@ -232,12 +199,8 @@ def _characteristic(model: TwistedOperatorModel, n: int, ts) -> np.ndarray:
     return (P_tn @ model.chain.stationary).sum(axis=-1)
 
 
-def fourier_lclt(model: TwistedOperatorModel, n: int, v, mode="LatticeExact",
-                 eps=None) -> float:
-    """Fourier-inversion oracle for P(S_n - n nu(f) = v) on integer-valued f
-    (mode 'LatticeExact'), or the smoothed kernel expectation
-    E[h_d(S_n - n nu(f) - v)] with h_1 frequency profile
-    (1/eps - |t|/eps^2) 1_{|t|<eps} (mode 'Smoothed').
+def fourier_lclt(model: TwistedOperatorModel, n: int, v) -> float:
+    """Fourier-inversion oracle for P(S_n - n nu(f) = v) on integer-valued f.
 
     For integer f, S_n lies in the box lo_k = n min f_k <= s_k <= n max f_k
     = hi_k and its characteristic function is a trigonometric polynomial of
@@ -250,39 +213,20 @@ def fourier_lclt(model: TwistedOperatorModel, n: int, v, mode="LatticeExact",
         raise ValueError("v has the wrong dimension")
     target = n * model.nu_f + v
 
-    if mode == "LatticeExact":
-        f_used = model.f[model.chain.P > 0]
-        f_int = np.rint(f_used).astype(np.int64)
-        if np.max(np.abs(f_used - f_int)) > 1e-9:
-            raise ValueError("LatticeExact requires integer-valued f")
-        lo, hi = n * f_int.min(axis=0), n * f_int.max(axis=0)
-        m = np.rint(target).astype(np.int64)
-        if np.max(np.abs(target - m)) > 1e-9 or np.any((m < lo) | (m > hi)):
-            return 0.0
-        N = hi - lo + 1
-        J = np.indices(tuple(N)).reshape(model.d, -1).T
-        chars = _characteristic(model, n, 2 * np.pi * J / N)
-        # exp(-i <t_j, m>) with the phase reduced exactly modulo 2 pi
-        phase = np.exp(-2j * np.pi * ((J * m) % N / N).sum(axis=1))
-        return float(np.mean(chars * phase).real)
-
-    if mode == "Smoothed":
-        if not eps or eps <= 0:
-            raise ValueError("Smoothed mode needs eps > 0")
-        if model.d != 1:
-            raise ValueError("Smoothed mode implemented for d = 1")
-        rate = n * model.f_max + float(np.max(np.abs(target))) + 1.0
-
-        def fvec(t):
-            hhat = np.where(np.abs(t) < eps, 1 / eps - np.abs(t) / eps ** 2,
-                            0.0)
-            return (hhat * _characteristic(model, n, t[:, None])
-                    * np.exp(-1j * t * target[0]))
-
-        val = _integrate(fvec, -eps, eps, rate)
-        return float(val.real) / (2 * math.pi)
-
-    raise ValueError(f"unknown mode {mode!r}")
+    f_used = model.f[model.chain.P > 0]
+    f_int = np.rint(f_used).astype(np.int64)
+    if np.max(np.abs(f_used - f_int)) > 1e-9:
+        raise ValueError("fourier_lclt requires integer-valued f")
+    lo, hi = n * f_int.min(axis=0), n * f_int.max(axis=0)
+    m = np.rint(target).astype(np.int64)
+    if np.max(np.abs(target - m)) > 1e-9 or np.any((m < lo) | (m > hi)):
+        return 0.0
+    N = hi - lo + 1
+    J = np.indices(tuple(N)).reshape(model.d, -1).T
+    chars = _characteristic(model, n, 2 * np.pi * J / N)
+    # exp(-i <t_j, m>) with the phase reduced exactly modulo 2 pi
+    phase = np.exp(-2j * np.pi * ((J * m) % N / N).sum(axis=1))
+    return float(np.mean(chars * phase).real)
 
 
 def unit_modulus_scan(model: TwistedOperatorModel, t_grid):

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.chebyshev import chebval, chebvander
 
-from .errors import ConfigError, MixedRingError, ReturnTimeOverflow
+from .errors import ConfigError, MixedRingError
 from .quadfield import QuadScalar, as_quad
 
 
@@ -305,33 +305,21 @@ def _pm_left(x, alpha):
 
 def pm_map(x, alpha):
     """The ambient interval map: x(1 + 2^alpha x^alpha) on [0, 1/2],
-    2x - 1 on (1/2, 1].  Works on scalars and numpy arrays."""
+    2x - 1 on (1/2, 1].  Works on scalars and numpy arrays, and evaluates
+    the left branch only where it applies."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x <= 0.5, _pm_left(np.minimum(x, 0.5), alpha),
-                   2 * x - 1)
-    return float(out) if out.ndim == 0 else out
+    if x.ndim == 0:
+        return float(_pm_left(x[()], alpha) if x <= 0.5 else 2 * x - 1)
+    flat = x.ravel()
+    out = flat * 2
+    out -= 1
+    left = np.flatnonzero(flat <= 0.5)
+    out[left] = _pm_left(flat[left], alpha)
+    return out.reshape(x.shape)
 
 
-_RETURN_CAP = 10 ** 6        # pm_first_return's iteration budget
 _PULLBACK_FLOOR = 1e-13      # _pm_pullback stops below this length ...
 _PULLBACK_CAP = 100_000      # ... or at this many rows
-
-
-def pm_first_return(x: float, alpha: float):
-    """First-return map of the ambient map to (1/2, 1]: iterate until the
-    orbit re-enters (at most _RETURN_CAP steps), return (landing point,
-    number of steps)."""
-    if not 0.5 < x <= 1:
-        raise ValueError("x must lie in (1/2, 1]")
-    y = pm_map(x, alpha)
-    r = 1
-    while not y > 0.5:
-        if r >= _RETURN_CAP:
-            raise ReturnTimeOverflow(
-                f"no return within {_RETURN_CAP} steps from {x}")
-        y = _pm_left(y, alpha)
-        r += 1
-    return y, r
 
 
 def _pm_pullback(alpha, z, depth=None):
@@ -514,8 +502,9 @@ class PMTowerBase:
     # -- induced first-return structure ---------------------------------
 
     def return_time(self, x):
-        """Return time of x in (1/2, 1], via the precomputed threshold
-        table (vectorized); equals pm_first_return(x, alpha)[1]."""
+        """Return time of x in (1/2, 1], the number of pm_map steps until
+        the orbit re-enters (1/2, 1], via the precomputed threshold table
+        (vectorized)."""
         z = np.asarray(2 * np.asarray(x, dtype=float) - 1)
         # r = 1 + #{n >= 0 : z <= x_n}: each uncleared threshold costs one
         # extra left-branch step (the table is decreasing, hence the negation)

@@ -1,16 +1,23 @@
-"""Full path enumeration reference for the exact renewal DP.
+"""References for the exact renewal DP.
 
-Every Palm-start renewal path up to time t is enumerated one by one, with
-an exact rational probability per path and exact elapsed times held as
-integer pairs (p, q) for p + q sqrt(D).  Tests require exact equality with
-``renewal_exact.dp_distribution``.
+- ``brute_force_enumerate``: every Palm-start renewal path up to time t,
+  one by one, with an exact rational probability per path and exact elapsed
+  times held as integer pairs (p, q) for p + q sqrt(D).  Tests require exact
+  equality with ``renewal_exact.dp_distribution``.
+- ``scan_per_t``: the oscillation scan with one sweep per t value, each
+  sweep reading its finals inside the loop.  Tests require
+  ``renewal_exact.counterexample_scan``, which reads a group of t values
+  from one sweep, to return the same rows.
 """
 
+import heapq
 import math
 from fractions import Fraction
 
 from lcltflow.quadfield import QuadScalar, as_quad
-from lcltflow.renewal_exact import ExactDistribution, _exact_atoms
+from lcltflow.renewal_exact import (ExactDistribution, _exact_atoms,
+                                    _exact_time, _prune_bound, frac_cell,
+                                    section_61_atoms)
 
 _MARGIN = 1e-9     # float comparisons closer than this use the exact sign
 
@@ -57,3 +64,74 @@ def brute_force_enumerate(atoms, t) -> ExactDistribution:
                               for (S, Tp, Tq), m in mass.items()})
     assert dist.total() == 1
     return dist
+
+
+def palm_sweep_at(atoms, t, prune_bound):
+    """One DP sweep to horizon t: (states, finals, pruned, den) as in
+    ``renewal_exact._palm_sweep`` for the single horizon t, with the
+    transitions past t summed into ``finals`` as the loop meets them."""
+    D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
+    L = math.lcm(*(p.denominator for _, _, p in atoms))
+    steps = [(x, int(y.p), int(y.q), int(p * L)) for x, y, p in atoms]
+    den = L ** (max((t / min(y for _, y, _ in atoms)).floor(), 0) + 1)
+    t_float = float(t)
+    sqD = math.sqrt(D)
+    pending = {(0, 0, 0): den}
+    heap = [(0.0, (0, 0, 0))]
+    states, finals, pruned = {}, [], {}
+    while heap:
+        _, key = heapq.heappop(heap)
+        if key in states:
+            continue
+        mass = states[key] = pending.pop(key)
+        S, Tp, Tq = key
+        over = 0
+        for x, yp, yq, wk in steps:
+            w = mass // L * wk
+            p2, q2 = Tp + yp, Tq + yq
+            at = p2 + q2 * sqD
+            diff = t_float - at
+            if abs(diff) <= _MARGIN:
+                diff = QuadScalar(t.p - p2, t.q - q2, D).sign()
+            if diff < 0:
+                over += w
+            elif abs(S + x) > prune_bound:
+                pruned[p2, q2] = pruned.get((p2, q2), 0) + w
+            else:
+                k2 = (S + x, p2, q2)
+                if k2 not in pending:
+                    pending[k2] = 0
+                    heapq.heappush(heap, (at, k2))
+                pending[k2] += w
+        if over:
+            finals.append((S, Tp, Tq, over))
+    assert sum(f[3] for f in finals) + sum(pruned.values()) == den
+    return states, finals, pruned, den
+
+
+def scan_per_t(t_values, atoms=None):
+    """``counterexample_scan`` rows from one sweep per t value."""
+    atoms = _exact_atoms(section_61_atoms() if atoms is None else atoms)
+    rows = []
+    for t in t_values:
+        t_exact = _exact_time(t)
+        if float(t_exact) < 1:
+            raise ValueError("scan requires t >= 1")
+        states, finals, pruned, den = palm_sweep_at(
+            atoms, t_exact, _prune_bound(atoms, t_exact))
+        off = next(((Tp, Tq) for S, Tp, Tq in states if S == 0 and Tq != 0),
+                   None)
+        if off is not None:
+            raise ValueError(f"zero-reward renewal at non-integer time "
+                             f"{off[0]}+{off[1]}*sqrt")
+        p0 = 0
+        for S, Tp, _Tq, w in finals:
+            if S == 0:
+                if Tp != t_exact.floor():
+                    raise ValueError(
+                        "last zero-reward renewal is not at floor(t)")
+                p0 += w
+        rows.append((float(t_exact), frac_cell(t_exact),
+                     math.sqrt(float(t_exact)) * float(Fraction(p0, den)),
+                     float(Fraction(sum(pruned.values()), den))))
+    return rows

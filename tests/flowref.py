@@ -7,14 +7,21 @@
   through the indices of the live paths, whole-block passes included.
 - ``scan_edges``: Markov next edges by a full comparison scan of the
   cumulative row.
+- ``pm_map_where``: the intermittent map with both branches evaluated on
+  every state and one picked by ``np.where``.
+- ``pm_first_return``: the first return to (1/2, 1] of the intermittent map,
+  one scalar step at a time.
 
-Tests compare them against ``montecarlo._flow`` and
-``MarkovShiftBase._edges_from`` on the same random stream.
+Tests compare them against ``montecarlo._flow``,
+``MarkovShiftBase._edges_from``, ``systems.pm_map`` and
+``PMTowerBase.return_time``, on the same random stream where one is drawn.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from lcltflow.systems import _pm_left, pm_map
 
 
 @dataclass
@@ -105,3 +112,35 @@ def scan_edges(chain, i, u):
     first index of row i whose cumulative entry exceeds u."""
     j = (u[:, None] < chain.cumP[i]).argmax(axis=1)
     return i * chain.n_states + j
+
+
+def pm_map_where(x, alpha):
+    """systems.pm_map with the left branch evaluated on every state."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x <= 0.5, _pm_left(np.minimum(x, 0.5), alpha),
+                   2 * x - 1)
+    return float(out) if out.ndim == 0 else out
+
+
+RETURN_CAP = 10 ** 6        # pm_first_return's iteration budget
+
+
+class ReturnTimeOverflow(Exception):
+    """First-return iteration exceeded RETURN_CAP."""
+
+
+def pm_first_return(x: float, alpha: float):
+    """First-return map of the ambient map to (1/2, 1]: iterate until the
+    orbit re-enters (at most RETURN_CAP steps), return (landing point,
+    number of steps)."""
+    if not 0.5 < x <= 1:
+        raise ValueError("x must lie in (1/2, 1]")
+    y = pm_map(x, alpha)
+    r = 1
+    while not y > 0.5:
+        if r >= RETURN_CAP:
+            raise ReturnTimeOverflow(
+                f"no return within {RETURN_CAP} steps from {x}")
+        y = _pm_left(y, alpha)
+        r += 1
+    return y, r

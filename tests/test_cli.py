@@ -303,6 +303,14 @@ def test_renewal_t_values_are_read_exactly(tmp_path):
     assert cells == ["0", "1"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_renewal_non_finite_t_values_exit_2(tmp_path, capsys, bad):
+    code, _ = run(tmp_path, "renewal", {"t_values": [50.2, bad]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "t_values must be finite" in err and "Traceback" not in err
+
+
 def test_renewal_scan_rejects_non_integer_rewards(tmp_path, capsys):
     # the +-1/2 coin: rewards reach the exact scan unchanged and are rejected
     half_coin = {"type": "renewal", "D": 2,

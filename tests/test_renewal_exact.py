@@ -9,17 +9,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcltflow import renewal_exact
 from lcltflow.errors import StateExplosion
 from lcltflow.montecarlo import estimate_mlclt
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.renewal_exact import (ExactDistribution, PalmStart,
-                                    StationaryStart, counterexample_scan,
-                                    dp_distribution, frac_cell, scan_csv_rows,
+                                    StationaryStart, _exact_atoms,
+                                    _exact_time, _prune_bound,
+                                    counterexample_scan, dp_distribution,
+                                    frac_cell, scan_csv_rows,
                                     section_61_atoms,
                                     stationary_event_probability)
 from lcltflow.systems import RenewalBase
 
-from exactref import PathExplosion, brute_force_enumerate
+from exactref import PathExplosion, brute_force_enumerate, scan_per_t
 
 S2 = QuadScalar.sqrtD(2)
 ONE = as_quad(1)
@@ -200,6 +203,45 @@ def test_benchmark_scan_rows_are_exact():
     with open(os.path.join(PERFBENCH, "expected_scan.json")) as fh:
         expected = json.load(fh)
     assert [list(row) for row in counterexample_scan(t_values)] == expected
+
+
+def _bounds(t_values, atoms=None):
+    atoms = _exact_atoms(section_61_atoms() if atoms is None else atoms)
+    return [_prune_bound(atoms, _exact_time(t)) for t in t_values]
+
+
+@pytest.mark.parametrize("t_values, bounds", [
+    ([20.9, 20.2, 20.5], [68, 67, 67]),             # unsorted
+    ([20.5, 20.2, 20.5], [67, 67, 67]),             # a duplicate
+    ([80.9, 80.2, 80.5], [133, 132, 132]),          # a bound change
+    ([3, 2.9, 19.9, 20], [26, 26, 66, 66]),         # landings exactly on t
+    ([1 + S2, 2.4], [23, 23]),                      # a ring element
+], ids=["unsorted", "duplicate", "bound-change", "integer", "ring"])
+def test_grouped_scan_equals_per_t_sweeps(t_values, bounds):
+    # each set reads at least two t values from one sweep
+    assert _bounds(t_values) == bounds
+    assert counterexample_scan(t_values) == scan_per_t(t_values)
+
+
+@pytest.mark.parametrize("atoms, t_values, message", [
+    # durations 1 and sqrt2: S = 0 recurs off the integer lattice
+    ([(-1, ONE, HALF), (1, S2, HALF)], [5, 5.2], "non-integer time"),
+    # renewals at 0, 2, 4, ...: the last one before t = 5 is at 4
+    ([(0, as_quad(2), Fraction(1))], [4.9, 5], "not at floor"),
+])
+def test_grouped_scan_keeps_structural_checks(atoms, t_values, message):
+    assert len(set(_bounds(t_values, atoms))) == 1
+    for scan in (counterexample_scan, scan_per_t):
+        with pytest.raises(ValueError, match=message):
+            scan(t_values, atoms=atoms)
+
+
+def test_scan_rejects_t_below_one_before_sweeping(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept before validating every t")
+    monkeypatch.setattr(renewal_exact, "_palm_sweep", no_sweep)
+    with pytest.raises(ValueError, match="t >= 1"):
+        counterexample_scan([120.9, 0.5])
 
 
 def test_scan_csv_rows_format():

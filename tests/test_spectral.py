@@ -201,29 +201,6 @@ def test_lattice_exact_rejects_noninteger_values():
         fourier_lclt(model, 4, [0.0])
 
 
-def _fejer(z, eps):
-    if abs(z) < 1e-12:
-        return 1 / (2 * math.pi)
-    return (1 - math.cos(eps * z)) / (math.pi * eps ** 2 * z ** 2)
-
-
-def test_smoothed_mode_matches_kernel_expectation():
-    # coin: S_10 is binomial; E[h(S_10 - v)] with the triangular frequency
-    # profile, i.e. the Fejer-type kernel h(z) = (1 - cos eps z)/(pi eps^2
-    # z^2), computable exactly from the binomial weights
-    model = TwistedOperatorModel(coin_chain(), components=(0,))
-    eps = 0.8
-    for v in (0.0, 0.4):
-        oracle = sum(math.comb(10, k) / 1024 * _fejer((2 * k - 10) - v, eps)
-                     for k in range(11))
-        got = fourier_lclt(model, 10, [v], mode="Smoothed", eps=eps)
-        assert got == pytest.approx(oracle, abs=1e-10)
-    with pytest.raises(ValueError):
-        fourier_lclt(model, 10, [0.0], mode="Smoothed")
-    with pytest.raises(ValueError):
-        fourier_lclt(model, 10, [0.0], mode="Bogus")
-
-
 # ---------------------------------------------------------------------------
 # unit-modulus scan
 # ---------------------------------------------------------------------------

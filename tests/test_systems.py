@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lcltflow.errors import ConfigError, MixedRingError, ReturnTimeOverflow
+from lcltflow.errors import ConfigError, MixedRingError
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
                               _pm_left, _pm_pullback, load_system,
-                              pm_first_return, pm_map)
+                              pm_map)
 
-from flowref import FlowPoint, flow_integrate, sample_stationary, scan_edges
+from flowref import (FlowPoint, flow_integrate, pm_first_return,
+                     pm_map_where, sample_stationary, scan_edges)
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -325,6 +326,18 @@ def test_pm_map_branches():
     assert pm_map(0.0, 0.25) == 0.0
     arr = pm_map(np.array([0.25, 0.75]), 0.25)
     assert arr.shape == (2,)
+
+
+@pytest.mark.parametrize("alpha", [0.125, 0.25, 0.4])
+def test_pm_map_matches_both_branch_reference(alpha):
+    # bit-equal to evaluating both branches everywhere, on arrays and scalars
+    rng = np.random.default_rng(8)
+    edges = [0.0, 0.5, np.nextafter(0.5, 1.0), 1.0]
+    x = np.concatenate([edges, rng.random(10 ** 5)])
+    assert np.array_equal(pm_map(x, alpha), pm_map_where(x, alpha))
+    for v in edges:
+        got = pm_map(v, alpha)
+        assert type(got) is float and got == pm_map_where(v, alpha)
 
 
 def test_pm_first_return_examples():
