@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, LcltError
 from .groups import (CaseLabel, classify_case, closure_1d, closure_of_group,
-                     covolume, interval, shear_reduce)
-from .montecarlo import (HistogramSpec, estimate_correlation, estimate_lclt,
-                         estimate_mlclt, estimate_sigma)
-from .predict import (FlowMLCLTParams, PredictionRequest, flow_variance,
-                      mixing_classify, predict, prediction_record)
+                     covolume, interval)
+from .montecarlo import estimate_correlation, estimate_lclt, estimate_sigma
+from .predict import (FlowMLCLTParams, PredictionRequest, _d_params,
+                      flow_variance, mixing_classify, predict,
+                      prediction_record)
 from .quadfield import QuadScalar, as_quad
 from .renewal_exact import (counterexample_scan, scan_csv_rows,
                             stationary_event_probability)
@@ -68,6 +68,16 @@ def _parse_scalar(v, D=2):
     if len(n) == 4:
         return QuadScalar(Fraction(n[0], n[1]), Fraction(n[2], n[3]), D)
     return as_quad(Fraction(*n), D)
+
+
+def _exact(cfg, v, what):
+    """An exact scalar of field ``what``: a finite float as its shortest
+    decimal (50.2 is 251/5), anything else by ``_parse_scalar``."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ConfigError(f"{what} must be finite, not {v!r}")
+        return as_quad(v, cfg.get("D", 2))
+    return _parse_scalar(v, cfg.get("D", 2))
 
 
 def _number(cfg, v, integral=False):
@@ -182,51 +192,47 @@ _CASE_PARAMS = {"A": (), "B": ("a",), "C": ("alpha", "beta"),
                 "D": ("a", "b", "d"), "E": ("a_p", "b_p", "c_p", "d_p")}
 
 
-def _params_from_config(cfg):
+def _case_from_config(cfg):
     case_cfg = _object(cfg, "case")
     D = cfg.get("D", 2)
     variant = case_cfg["variant"]
     missing = [k for k in _CASE_PARAMS.get(variant, ()) if k not in case_cfg]
     if missing:
         raise ConfigError(f"case {variant} needs {', '.join(missing)}")
-    case = CaseLabel(variant, **{k: _parse_scalar(v, D)
+    return CaseLabel(variant, **{k: _parse_scalar(v, D)
                                  for k, v in case_cfg.items()
                                  if k != "variant"})
-    nu_tau = _number(cfg, cfg["nu_tau"])
-    if "sigma_flow" in cfg:
-        sigma_flow = _number(cfg, cfg["sigma_flow"])
-    else:
-        # a number or a matrix of numbers
-        base = cfg["sigma_base"]
-        if isinstance(base, list) and base and all(
-                isinstance(r, list) for r in base):
-            base = [[_number(cfg, x) for x in row] for row in base]
-        else:
-            base = _number(cfg, base)
-        sigma_flow = flow_variance(base, nu_tau)
-    return FlowMLCLTParams(case, sigma_flow, nu_tau)
+
+
+def _pair(req, key, read):
+    """The request's [lo, hi] at ``key`` through ``read``, or None."""
+    v = req.get(key)
+    if not v:
+        return None
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigError(f"{key!r} must be a pair [lo, hi], not {v!r}")
+    return read(v[0]), read(v[1])
+
+
+def _params_from_config(cfg):
+    return FlowMLCLTParams(_case_from_config(cfg),
+                           _number(cfg, cfg["sigma_flow"]),
+                           _number(cfg, cfg["nu_tau"]))
 
 
 def _request_from_config(cfg):
     req = _object(cfg, "request")
 
-    def num(key, default):
-        return _number(cfg, req.get(key, default))
+    def num(v):
+        return _number(cfg, v)
 
-    def pair(key):
-        v = req.get(key)
-        if not v:
-            return None
-        if not isinstance(v, list) or len(v) != 2:
-            raise ConfigError(f"{key!r} must be a pair [lo, hi], not {v!r}")
-        return _number(cfg, v[0]), _number(cfg, v[1])
-
-    target = pair("target")
+    target = _pair(req, "target", num)
     return PredictionRequest(
-        t=_number(cfg, req["t"]), W_of_t=num("W", 0.0), w=num("w", 0.0),
+        t=num(req["t"]), W_of_t=num(req.get("W", 0.0)),
+        w=num(req.get("w", 0.0)),
         l=_number(cfg, req.get("l", 0), integral=True),
-        nu_A=num("nu_A", 1.0), nu_B=num("nu_B", 1.0),
-        I=pair("I"), J=pair("J"),
+        nu_A=num(req.get("nu_A", 1.0)), nu_B=num(req.get("nu_B", 1.0)),
+        I=_pair(req, "I", num), J=_pair(req, "J", num),
         target=target and [interval(*target)])
 
 
@@ -296,7 +302,7 @@ def _flow_window(cfg, win):
     return "flow", w, lo, hi
 
 
-def _mc_windows(cfg, t):
+def _mc_windows(cfg):
     wins = []
     for w in cfg["windows"]:
         if w[0] == "flow":
@@ -306,18 +312,18 @@ def _mc_windows(cfg, t):
                          _number(cfg, w[2], integral=True)))
         else:
             raise ConfigError(f"unknown window {w!r}")
-    return HistogramSpec(t=t, windows=wins)
+    return wins
 
 
 def cmd_simulate(run):
     cfg = run.config
     system = load_system(cfg["system"])
-    spec = _mc_windows(cfg, _number(cfg, cfg["t"]))
-    ests = estimate_lclt(system, spec, _sample_count(cfg), run.args.seed,
-                         workers=run.args.workers)
+    wins = _mc_windows(cfg)
+    ests = estimate_lclt(system, _number(cfg, cfg["t"]), wins,
+                         _sample_count(cfg), run.args.seed, run.args.workers)
     recs = [{"window": list(w), "point": e.point, "std_error": e.std_error,
              "n_samples": e.n_samples, "seed": e.seed}
-            for w, e in zip(spec.windows, ests)]
+            for w, e in zip(wins, ests)]
     run.emit("simulate.json", json.dumps(recs, indent=2) + "\n")
     for r in recs:
         print(f"{r['window']}: {r['point']:.6g} +- {r['std_error']:.2g}")
@@ -359,12 +365,7 @@ def cmd_renewal(run):
     atoms = None
     if "system" in cfg:
         atoms = _system(cfg, "renewal", "renewal").atoms
-    # a float is read exactly as its shortest decimal by the scan itself
-    ts = [t if isinstance(t, float) else _parse_scalar(t)
-          for t in cfg["t_values"]]
-    bad = [t for t in ts if isinstance(t, float) and not math.isfinite(t)]
-    if bad:
-        raise ConfigError(f"t_values must be finite, not {bad[0]!r}")
+    ts = [_exact(cfg, t, "t_values") for t in cfg["t_values"]]
     rows = counterexample_scan(ts, atoms=atoms)
     run.emit("scan.csv", "\n".join(scan_csv_rows(rows)) + "\n")
     for r in rows:
@@ -397,68 +398,79 @@ def cmd_correlate(run):
     return EXIT_OK
 
 
+def _sigma_flow(run, system):
+    """The config's sigma_flow, else the flow variance estimated from the
+    system's base sums."""
+    if "sigma_flow" in run.config:
+        return _number(run.config, run.config["sigma_flow"])
+    cov, _ = estimate_sigma(system, seed=run.args.seed,
+                            workers=run.args.workers)
+    return flow_variance(cov[0, 0], system.nu_tau)
+
+
 def cmd_verify(run):
     cfg = run.config
     scale = run.args.tolerance_scale
     system = load_system(cfg["system"])
     N = _sample_count(cfg)
-    checks = []
 
     if cfg.get("mode", "flow") == "flow":
-        t = _number(cfg, cfg["t"])
         # non-arithmetic LCLT: flow windows against the Gaussian density
+        t, W, v, I, J = _exact(cfg, cfg["t"], "t"), 0, None, None, None
         wins = [_flow_window(cfg, win) for win in cfg["windows"]]
         if not wins:
             raise ConfigError("verify needs at least one window")
-        if "sigma_flow" in cfg:
-            sigma = _number(cfg, cfg["sigma_flow"])
-        else:
-            cov, _ = estimate_sigma(system, seed=run.args.seed,
-                                    workers=run.args.workers)
-            sigma = flow_variance([[cov[0, 0]]], system.nu_tau)
-        params = FlowMLCLTParams(CaseLabel("A"), sigma, system.nu_tau)
-        # one set of sample paths serves every window
-        ests = estimate_lclt(system, HistogramSpec(t=t, windows=wins), N,
-                             run.args.seed, workers=run.args.workers)
-        for (_, w, lo, hi), est in zip(wins, ests):
-            predicted = predict(params, PredictionRequest(
-                t=t, w=w, target=[interval(lo, hi)]))
-            tol = (3 * est.std_error + 0.10 * abs(predicted)) * scale
-            checks.append((f"flow window w={w} [{lo},{hi})", predicted,
-                           est, tol, None))
+        params = FlowMLCLTParams(CaseLabel("A"), _sigma_flow(run, system),
+                                 system.nu_tau)
+        checks = [(f"flow window w={w} [{lo},{hi})",
+                   predict(params, PredictionRequest(
+                       t=t, w=w, target=[interval(lo, hi)])))
+                  for _, w, lo, hi in wins]
     else:
-        # lattice (case D) fiber check against prediction and the exact DP
-        # t is the request's; a top-level t may repeat it but not differ
-        params = _params_from_config(cfg)
-        req = _request_from_config(cfg)
-        t = req.t
-        t_cfg = _number(cfg, cfg.get("t", t))
-        if t_cfg != t:
-            raise ConfigError(f"the request's t = {t:g} differs from "
-                              f"the config's t = {t_cfg:g}")
-        predicted = predict(params, req)
-        # every check targets the section value W + l a, with a that of
-        # the D label the prediction uses (E is read on its shear-reduced D)
-        case = params.case
-        if case.variant == "E":
-            case = shear_reduce(case)[0]
-        a = float(case.a) if "a" in case.params else 1.0
-        est = estimate_mlclt(system, t, N, run.args.seed,
-                             window=("section", a, req.l),
-                             I=req.I, J=req.J, W_of_t=req.W_of_t,
-                             workers=run.args.workers)
-        tol = (3 * est.std_error + 0.10 * abs(predicted)) * scale
-        oracle = None
-        if system.kind == "renewal":
-            p = stationary_event_probability(
-                system.atoms, Fraction(t), req.W_of_t + req.l * a,
-                I=req.I, J=req.J)
-            oracle = math.sqrt(t) * float(p)
-        checks.append((f"fiber l={req.l}", predicted, est, tol, oracle))
+        # lattice fiber check: one exact event {start height in I, section
+        # value v = W + l a, end height in J} at the request's t, for the
+        # prediction, the Monte Carlo window and the exact DP
+        case = _case_from_config(cfg)
+        if case.variant not in ("D", "E"):
+            raise ConfigError(f"lattice verify needs a case D or E label, "
+                              f"not {case.variant}")
+        req = _object(cfg, "request")
 
+        def exact(x):
+            return _exact(cfg, x, "the request's numbers")
+
+        # a top-level t may repeat the request's but not differ from it
+        t, W = exact(req["t"]), exact(req.get("W", 0))
+        if exact(cfg.get("t", req["t"])) != t:
+            raise ConfigError(f"the request's t = {float(t):g} differs from "
+                              f"the config's t = {cfg['t']}")
+        l = _number(cfg, req.get("l", 0), integral=True)
+        I, J = _pair(req, "I", exact), _pair(req, "J", exact)
+        # a of the D label the prediction uses (E: its shear-reduced D)
+        a = _d_params(case)[0]
+        v = W + l * a
+        params = FlowMLCLTParams(case, _sigma_flow(run, system),
+                                 system.nu_tau)
+        wins = [("section", float(a), l)]
+        checks = [(f"fiber l={l}", predict(params, PredictionRequest(
+            t=t, W_of_t=W, w=float(v) / math.sqrt(float(t)), l=l, I=I,
+            J=J)))]
+
+    # one set of sample paths serves every window
+    ests = estimate_lclt(system, float(t), wins, N, run.args.seed,
+                         run.args.workers, W_of_t=float(W),
+                         I=I and tuple(map(float, I)),
+                         J=J and tuple(map(float, J)))
+    # the exact DP of the lattice check comes after Monte Carlo, so that
+    # its tables do not stack on the Monte Carlo arrays in peak memory
+    oracle = None
+    if v is not None and system.kind == "renewal":
+        p = stationary_event_probability(system.atoms, t, v, I=I, J=J)
+        oracle = math.sqrt(float(t)) * float(p)
     rows = ["check,predicted,estimate,std_error,oracle,tolerance,status"]
     all_pass = True
-    for name, predicted, est, tol, oracle in checks:
+    for (name, predicted), est in zip(checks, ests):
+        tol = (3 * est.std_error + 0.10 * abs(predicted)) * scale
         ok = abs(est.point - predicted) <= tol
         if oracle is not None:
             ok = ok and abs(est.point - oracle) <= 3 * est.std_error * scale

@@ -304,9 +304,10 @@ def ball(radius):
     return interval(-radius, radius, True, True)
 
 
-def _lattice_count(a, item, shift=0.0, tol=1e-9):
+def _lattice_count(a, item, shift=0.0):
     """Number of k in Z with a*k in the item translated by ``shift``; a
     float shift gives one count, an array of shifts an array of counts."""
+    tol = 1e-9          # slack of a float bound on the lattice
     if item[0] == "pt":
         x = item[1] + shift
         return 1.0 * (np.abs(a * np.round(x / a) - x) <= tol)
@@ -318,13 +319,13 @@ def _lattice_count(a, item, shift=0.0, tol=1e-9):
     return np.maximum(0.0, khi - klo + 1)
 
 
-def haar_mass(V: Group1D, items, shift=0.0):
+def haar_mass(V: Group1D, items):
     """Haar measure of a finite union of intervals/points in a closed
     subgroup of R, normalized so large balls carry Lebesgue-comparable mass:
     Lebesgue for V = R, spacing x point-count for V = aZ.
 
     ``items`` is a list built from :func:`interval` / :func:`point`; a single
-    item may be passed directly.  ``shift`` translates the set.
+    item may be passed directly.
     """
     if isinstance(items, tuple) and items and items[0] in ("int", "pt"):
         items = [items]
@@ -336,7 +337,7 @@ def haar_mass(V: Group1D, items, shift=0.0):
         return total
     if V.kind == "lattice":
         a = float(V.a)
-        return a * float(sum(_lattice_count(a, it, shift) for it in items))
+        return a * float(sum(_lattice_count(a, it) for it in items))
     raise UnsupportedGroupError("Haar mass undefined for the trivial group "
                                 "under ball normalization")
 

@@ -35,15 +35,6 @@ _LATTICE_TOL = 1e-6
 
 
 @dataclass
-class HistogramSpec:
-    """Windows for LCLT estimation at flow time t: each window is either
-    ("flow", w, lo, hi) — integral in w sqrt(t) + [lo, hi) — or
-    ("section", a, l) — H-corrected section value equal to l*a."""
-    t: float
-    windows: list
-
-
-@dataclass
 class EstimateWithCI:
     point: float
     std_error: float
@@ -172,12 +163,15 @@ def _binomial_se(p, N):
     return math.sqrt(max(p * (1 - p), p1 * (1 - p1)) / N)
 
 
-def _window_estimates(system, t, windows, N, seed, workers, I=None, J=None,
-                      W_of_t=0.0):
+def estimate_lclt(system, t, windows, N, seed, workers=1, *, I=None,
+                  J=None, W_of_t=0.0):
     """sqrt(t) x empirical probability of {start height in I} and {value in
-    the window} and {end height in J}, one EstimateWithCI per window, all
-    windows sharing the same sample paths.  Emits EmptySetWarning when a
-    given fiber interval is too thin."""
+    the window} and {end height in J} at flow time t, one EstimateWithCI
+    per window, all windows sharing the same sample paths.  Each window is
+    ("flow", w, lo, hi) -- the flow integral minus W_of_t in
+    w sqrt(t) + [lo, hi) -- or ("section", a, l) -- the H-corrected
+    section value equal to W_of_t + l a.  I and J are fiber intervals
+    (None = full fiber); EmptySetWarning is emitted when one is too thin."""
     def block_fn(b, n, rng):
         blk = _paths(system, t, n, rng)
         ma = _fiber_mask(blk["s0"], I)
@@ -201,18 +195,9 @@ def _window_estimates(system, t, windows, N, seed, workers, I=None, J=None,
 
 def estimate_mlclt(system, t, N, seed, *, window, I=None, J=None, W_of_t=0.0,
                    workers=1) -> EstimateWithCI:
-    """sqrt(t) x empirical probability of {start in I} and {value criterion}
-    and {end in J}: ``window`` is a ("flow", w, lo, hi) or ("section", a, l)
-    value criterion applied to the H-corrected integral; I and J are fiber
-    intervals (None = full fiber)."""
-    return _window_estimates(system, t, [window], N, seed, workers, I, J,
-                             W_of_t)[0]
-
-
-def estimate_lclt(system, spec: HistogramSpec, N, seed, workers=1):
-    """sqrt(t)-scaled window masses of the flow integral from stationary
-    starts, one EstimateWithCI per window."""
-    return _window_estimates(system, spec.t, spec.windows, N, seed, workers)
+    """``estimate_lclt`` for the one window ``window``."""
+    return estimate_lclt(system, t, [window], N, seed, workers, I=I, J=J,
+                         W_of_t=W_of_t)[0]
 
 
 def sample_flow_integrals(system, t, N, seed, workers=1, field="raw"):

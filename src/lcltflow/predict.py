@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import (CaseMismatch, LatticeViolation, NonPositiveNuTau,
                      SingularCovariance)
 from .groups import CaseLabel, Group1D, fiber_group, haar_mass, shear_reduce
@@ -26,15 +24,14 @@ _EXACT_TYPES = (QuadScalar, Fraction, int)
 _LATTICE_TOL = 1e-9     # relative slack of a float W(t) on its lattice
 
 
-def flow_variance(sigma_base, nu_tau: float) -> float:
-    """Flow variance Sigma(phi) = (Sigma(phi_check, tau))_11 / nu(tau)."""
+def flow_variance(var_phi: float, nu_tau: float) -> float:
+    """Flow variance Sigma(phi) = Var(phi_check) / nu(tau), from the
+    asymptotic variance of the base sums of phi_check."""
     if nu_tau <= 0:
         raise NonPositiveNuTau(f"mean roof must be positive, got {nu_tau}")
-    s = np.atleast_2d(np.asarray(sigma_base, dtype=float))
-    eig = np.linalg.eigvalsh(s)
-    if np.min(eig) < -1e-12 * max(1.0, np.max(np.abs(s))):
-        raise SingularCovariance("base covariance not positive semidefinite")
-    return float(s[0, 0]) / nu_tau
+    if var_phi < 0:
+        raise SingularCovariance(f"base variance {var_phi} is negative")
+    return float(var_phi) / nu_tau
 
 
 @dataclass

@@ -43,10 +43,6 @@ class QuadScalar:
     # -- construction helpers ---------------------------------------------
 
     @classmethod
-    def rational(cls, r: RationalLike, D: int = 2) -> "QuadScalar":
-        return cls(Fraction(r), 0, D)
-
-    @classmethod
     def sqrtD(cls, D: int = 2) -> "QuadScalar":
         return cls(0, 1, D)
 
@@ -234,11 +230,17 @@ class QuadScalar:
         return cls(Fraction(pn, pd), Fraction(qn, qd), D)
 
 
+def as_fraction(x) -> Fraction:
+    """x as an exact Fraction.  A float (numpy's included) is read as its
+    shortest decimal, so 0.1 is 1/10, never the binary value it stores."""
+    return Fraction(repr(float(x))) if isinstance(x, float) else Fraction(x)
+
+
 def as_quad(x, D: int = 2) -> QuadScalar:
-    """Coerce ints, Fractions and QuadScalars into QuadScalar."""
+    """Coerce ints, floats (``as_fraction``), Fractions and QuadScalars."""
     if isinstance(x, QuadScalar):
         return x
-    return QuadScalar(Fraction(x), 0, D)
+    return QuadScalar(as_fraction(x), 0, D)
 
 
 def ratio_is_rational(a: QuadScalar, b: QuadScalar) -> bool:

@@ -34,28 +34,28 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StateExplosion
-from .quadfield import QuadScalar, as_quad
+from .quadfield import QuadScalar, as_fraction, as_quad
 
 PalmStart = "PalmStart"
 StationaryStart = "StationaryStart"
 
-_STATE_CAP = 10 ** 8
+# a sweep raises StateExplosion before its tables pass _MEMORY_BUDGET bytes,
+# at _STATE_BYTES (190-250 B measured on CPython 3.11) plus the mass a state
+_MEMORY_BUDGET = 1 << 30
+_STATE_BYTES = 192
 
 
 def _exact_atoms(atoms):
     out = []
     for x, y, p in atoms:
-        if isinstance(x, QuadScalar):
-            if not x.is_rational() or x.p.denominator != 1:
-                raise ValueError(f"rewards must be integers, got {x}")
-            x = int(x.p)
-        else:
-            x = int(x)
-        y = as_quad(y)
-        p = Fraction(p)
+        x, y, p = as_quad(x), as_quad(y), as_fraction(p)
+        if not x.is_rational() or x.p.denominator != 1:
+            raise ValueError(f"rewards must be integers, got {x}")
         if y.sign() <= 0:
             raise ValueError("durations must be positive")
-        out.append((x, y, p))
+        if p < 0:
+            raise ValueError("probabilities must be nonnegative")
+        out.append((int(x.p), y, p))
     if sum(p for _, _, p in out) != 1:
         raise ValueError("probabilities must sum to 1")
     return out
@@ -125,6 +125,7 @@ def _palm_sweep(atoms, horizons, prune_bound=None):
     steps = [(x, int(y.p), int(y.q), int(p * L)) for x, y, p in atoms]
     K = max((t / min(y for _, y, _ in atoms)).floor(), 0) + 1
     den = L ** K
+    cap = _MEMORY_BUDGET // (_STATE_BYTES + den.bit_length() // 8)
     bound = math.inf if prune_bound is None else prune_bound
     t_p, t_q = t.p, t.q
     t_float = float(t)
@@ -140,8 +141,9 @@ def _palm_sweep(atoms, horizons, prune_bound=None):
             continue
         mass = pending.pop(key)
         states[key] = mass
-        if len(states) > _STATE_CAP:
-            raise StateExplosion(f"DP states exceeded {_STATE_CAP}")
+        if len(states) > cap:
+            raise StateExplosion(f"the DP to t = {float(t):g} needs over "
+                                 f"{cap} states, {_MEMORY_BUDGET >> 20} MB")
         S, Tp, Tq = key
         unit = mass // L            # exact: a state's mass is a multiple of L
         for x, yp, yq, wk in steps:
@@ -215,7 +217,7 @@ def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
     height or the overshoot go through stationary_event_probability.
     """
     atoms = _exact_atoms(atoms)
-    t = t if isinstance(t, QuadScalar) else as_quad(t)
+    t = as_quad(t)
     bound = _prune_bound(atoms, t) if prune else None
     if mode == PalmStart:
         _states, [(finals, cut)], _pruned, den = _palm_sweep(atoms, [t],
@@ -335,12 +337,16 @@ def stationary_event_probability(atoms, t, S_target, I=None, J=None):
     stay lattice-valued along the flow).  I and J are fiber intervals (lo,
     hi), half-open, exact; None means unconstrained.  Returns an exact
     element of Q(sqrt(D)); pruning is disabled, so this is error-free.
+    A value off the integers, where no reward sum lies, has probability 0.
     """
     atoms = _exact_atoms(atoms)
-    t = t if isinstance(t, QuadScalar) else as_quad(t)
+    t = as_quad(t)
+    v = as_quad(S_target)
+    if not (v.is_rational() and v.p.denominator == 1):
+        return t - t
     masses, _pruned = _stationary_masses(atoms, t, prune_bound=None,
-                                         S_filter=S_target, I=I, J=J)
-    return masses.get(S_target, t - t)
+                                         S_filter=int(v.p), I=I, J=J)
+    return masses.get(int(v.p), t - t)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +375,6 @@ def frac_cell(u) -> int:
     return 2
 
 
-def _exact_time(t):
-    """Exact time: a float is read as its shortest decimal (50.2 is
-    251/5), never rationalised by approximation."""
-    return as_quad(Fraction(repr(t)) if isinstance(t, float) else t)
-
-
 def counterexample_scan(t_values, atoms=None):
     """Exact sqrt(t) P(S_{N_t} = 0) over t_values with the cell of frac(t).
 
@@ -390,7 +390,7 @@ def counterexample_scan(t_values, atoms=None):
     if atoms is None:
         atoms = section_61_atoms()
     atoms = _exact_atoms(atoms)
-    ts = [_exact_time(t) for t in t_values]
+    ts = [as_quad(t) for t in t_values]
     if any(float(t) < 1 for t in ts):
         raise ValueError("scan requires t >= 1")
     groups = {}

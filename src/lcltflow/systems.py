@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval, chebvander
 
 from .errors import ConfigError, MixedRingError
-from .quadfield import QuadScalar, as_quad
+from .quadfield import QuadScalar, as_fraction, as_quad
 
 
 def _cdf_table(weights):
@@ -65,7 +65,7 @@ class RenewalBase:
         psum = Fraction(0)
         xsum = as_quad(0)
         for x, y, p in atoms:
-            x, y, p = as_quad(x), as_quad(y), Fraction(p)
+            x, y, p = as_quad(x), as_quad(y), as_fraction(p)
             if y.sign() <= 0:
                 raise ValueError("durations must be positive")
             if p < 0:
@@ -172,12 +172,13 @@ class RenewalBase:
 
     @classmethod
     def from_json(cls, obj):
+        """Atoms from rows [xp, xq, yp, yq, pn, pd], floats as decimals."""
         D = obj.get("D", 2)
         atoms = []
-        for xp, xq, yp, yq, pn, pd in obj["atoms"]:
-            atoms.append((QuadScalar(Fraction(xp), Fraction(xq), D),
-                          QuadScalar(Fraction(yp), Fraction(yq), D),
-                          Fraction(pn, pd)))
+        for row in obj["atoms"]:
+            xp, xq, yp, yq, pn, pd = map(as_fraction, row)
+            atoms.append((QuadScalar(xp, xq, D), QuadScalar(yp, yq, D),
+                          pn / pd))
         return cls(atoms)
 
 

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.renewal_exact import (ExactDistribution, _exact_atoms,
-                                    _exact_time, _prune_bound, frac_cell,
-                                    section_61_atoms)
+                                    _prune_bound, frac_cell, section_61_atoms)
 
 _MARGIN = 1e-9     # float comparisons closer than this use the exact sign
 
@@ -114,7 +113,7 @@ def scan_per_t(t_values, atoms=None):
     atoms = _exact_atoms(section_61_atoms() if atoms is None else atoms)
     rows = []
     for t in t_values:
-        t_exact = _exact_time(t)
+        t_exact = as_quad(t)
         if float(t_exact) < 1:
             raise ValueError("scan requires t >= 1")
         states, finals, pruned, den = palm_sweep_at(

@@ -17,7 +17,7 @@ from scipy import stats
 from lcltflow.groups import (CaseLabel, Group1D, GroupWithShift, case_group,
                              classify_case, closure_of_group, interval,
                              shear_reduce, weyl_average)
-from lcltflow.montecarlo import (HistogramSpec, estimate_correlation,
+from lcltflow.montecarlo import (estimate_correlation,
                                  estimate_lclt, estimate_mlclt,
                                  estimate_sigma, moderate_dev_diagnostic,
                                  sample_flow_integrals)
@@ -143,8 +143,8 @@ def test_criterion_4_nonarithmetic_flow_lclt():
     g0 = 1 / math.sqrt(2 * math.pi * Sigma)
     # one set of paths for all three windows, as `lcltflow verify` does
     ws = (0.0, 1.0, -1.0)
-    spec = HistogramSpec(t=400.0, windows=[("flow", w, -0.5, 0.5) for w in ws])
-    ests = dict(zip(ws, estimate_lclt(sysm, spec, 10 ** 6, SEED,
+    wins = [("flow", w, -0.5, 0.5) for w in ws]
+    ests = dict(zip(ws, estimate_lclt(sysm, 400.0, wins, 10 ** 6, SEED,
                                       workers=WORKERS)))
     e0 = ests[0.0]
     ok = abs(e0.point - g0) <= 3 * e0.std_error + 0.10 * g0

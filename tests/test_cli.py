@@ -83,6 +83,18 @@ def test_classify_six_atom_split_matches_three_atom(tmp_path, capsys):
     assert lines[0] == lines[1]
 
 
+def test_classify_reads_float_durations_as_decimals(tmp_path):
+    # durations 0.1 and 0.3 differ by exactly 1/5, not by the difference of
+    # their binary values
+    system = {"type": "renewal", "D": 2,
+              "atoms": [[-1, 0, 0.1, 0, 1, 2], [1, 0, 0.3, 0, 1, 2]]}
+    code, _ = run(tmp_path, "classify", {"system": system})
+    assert code == 0
+    rec = json.loads((tmp_path / "out" / "classify.json").read_text())
+    assert rec["group"]["lattice_basis"] == [[[[2, 1], [0, 1]],
+                                              [[1, 5], [0, 1]]]]
+
+
 def test_classify_explicit_generators(tmp_path):
     cfg = {"generators": [[[0, 1, 0, 1], [1, 1, 0, 1]],
                           [[1, 1, 0, 1], [0, 1, 1, 1]]],
@@ -205,6 +217,115 @@ def test_verify_lattice_case_E_targets_its_sheared_a(tmp_path):
     assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("request", "w", 1), ("request", "nu_A", 0.5), ("request", "nu_B", 3),
+    ("config", "nu_tau", 0.7)])
+def test_verify_lattice_reads_only_its_event(tmp_path, where, key, value):
+    # Monte Carlo and the oracle never read the request's w, nu_A or nu_B,
+    # nor the config's nu_tau, so neither does the prediction
+    cfg = _bench_lattice_cfg(1 << 14)
+    changed = json.loads(json.dumps(cfg))
+    (changed if where == "config" else changed["request"])[key] = value
+    csvs = []
+    for c in (cfg, changed):
+        code, out = run(tmp_path, "verify", c)
+        assert code == 0
+        csvs.append((tmp_path / "out" / "verify.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("case", [{"variant": "A"}, {"variant": "B", "a": 1}])
+def test_verify_lattice_needs_a_D_or_E_label(tmp_path, capsys, case):
+    code, _ = run(tmp_path, "verify", dict(_bench_lattice_cfg(16), case=case))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "case D or E" in err and "Traceback" not in err
+
+
+def test_verify_lattice_hands_the_oracle_the_exact_event(tmp_path,
+                                                          monkeypatch):
+    from fractions import Fraction
+    from lcltflow.quadfield import QuadScalar
+
+    seen = []
+    real = cli.stationary_event_probability
+
+    def spy(atoms, t, v, I=None, J=None):
+        seen.append((t, v, I, J))
+        return real(atoms, t, v, I=I, J=J)
+
+    monkeypatch.setattr(cli, "stationary_event_probability", spy)
+    sq = [0, [-1, 1, 1, 1]]
+    cfg = _bench_lattice_cfg(1 << 12)
+    for request in ({"t": [200, 2], "W": 1, "l": -1, "I": sq, "J": sq},
+                    {"t": 100.0, "I": [0.0, 0.41421356237309515],
+                     "J": [0, 0.5]}):
+        run(tmp_path, "verify", dict(cfg, request=request))
+    (t0, v0, I0, J0), (t1, v1, I1, J1) = seen
+    assert all(isinstance(x, QuadScalar)
+               for x in (t0, v0, t1, v1, *I0, *J0, *I1, *J1))
+    # I = J = [0, sqrt2 - 1] exactly; W + l a = 1 - 1 = 0
+    r = QuadScalar(-1, 1, 2)
+    assert (t0, v0, I0, J0) == (100, 0, (0, r), (0, r))
+    # a float is its shortest decimal
+    assert (t1, v1) == (100, 0)
+    assert I1 == (0, Fraction("0.41421356237309515"))
+    assert J1 == (0, Fraction(1, 2))
+
+
+def _lattice_prediction(cfg, sigma, **request):
+    """predict's value for the benchmark's D label at ``request``."""
+    from lcltflow.groups import CaseLabel
+    from lcltflow.predict import FlowMLCLTParams, PredictionRequest, predict
+    from lcltflow.quadfield import QuadScalar
+    from lcltflow.systems import load_system
+
+    case = CaseLabel("D", a=1, b=QuadScalar.sqrtD(2), d=1)
+    nu = load_system(cfg["system"]).nu_tau
+    return predict(FlowMLCLTParams(case, sigma(nu), nu),
+                   PredictionRequest(**request))
+
+
+def _verify_row(tmp_path, cfg):
+    code, out = run(tmp_path, "verify", cfg)
+    assert code in (0, 4)
+    with open(os.path.join(out, "verify.csv")) as fh:
+        return next(csv.DictReader(fh))
+
+
+def test_verify_lattice_predicts_at_w_v_over_sqrt_t(tmp_path):
+    # W = 1, l = 1: section value v = 2, so the Gaussian is read at
+    # w = 2 / sqrt(100)
+    cfg = _bench_lattice_cfg(1 << 12)
+    event = {"t": 100, "W_of_t": 1, "l": 1, "I": (0, 1), "J": (0, 1)}
+    cfg["request"] = {"t": 100, "W": 1, "l": 1, "I": [0, 1], "J": [0, 1]}
+    row = _verify_row(tmp_path, cfg)
+    expected = _lattice_prediction(cfg, lambda nu: 1.0, w=0.2, **event)
+    assert float(row["predicted"]) == expected
+    assert expected != _lattice_prediction(cfg, lambda nu: 1.0, **event)
+
+
+def test_verify_lattice_without_sigma_flow_uses_the_estimate(tmp_path,
+                                                             monkeypatch):
+    import numpy as np
+
+    seeds = []
+
+    def fake_sigma(system, seed, workers):
+        seeds.append(seed)
+        return np.array([[0.8, 0.0], [0.0, 1.0]]), None
+
+    monkeypatch.setattr(cli, "estimate_sigma", fake_sigma)
+    cfg = _bench_lattice_cfg(1 << 12)
+    del cfg["sigma_flow"]
+    row = _verify_row(tmp_path, cfg)
+    assert seeds == [cli.DEFAULT_SEED]
+    I = tuple(cfg["request"]["I"])
+    assert float(row["predicted"]) == _lattice_prediction(
+        cfg, lambda nu: 0.8 / nu, t=100, I=I, J=I)
+
+
 def test_verify_negative_control_fails(tmp_path, capsys):
     # deliberately wrong variance: prediction is off by sqrt(2), the check
     # must FAIL with exit code 4
@@ -309,6 +430,16 @@ def test_renewal_non_finite_t_values_exit_2(tmp_path, capsys, bad):
     assert code == 2
     err = capsys.readouterr().err
     assert "t_values must be finite" in err and "Traceback" not in err
+
+
+def test_renewal_state_budget_exits_3(tmp_path, capsys, monkeypatch):
+    from lcltflow import renewal_exact
+    monkeypatch.setattr(renewal_exact, "_MEMORY_BUDGET", 50_000)
+    code, _ = run(tmp_path, "renewal", {"t_values": [20.5]})
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "states" in err and "Traceback" not in err
 
 
 def test_renewal_scan_rejects_non_integer_rewards(tmp_path, capsys):

@@ -29,11 +29,21 @@ CASE_D = {"case": {"variant": "D", "a": 1, "b": [0, 1, 1, 1], "d": 1},
           "request": {"t": 2, "l": 0, "I": [0.0, 0.4], "J": [0.0, 0.4]}}
 
 
+# lattice verify with the request keys only predict reads, and with a
+# label lattice mode rejects
+LATTICE = dict(CASE_D, system=RENEWAL, mode="lattice", t=2, N=16)
+LATTICE_PREDICT_KEYS = dict(LATTICE, request=dict(
+    CASE_D["request"], w=1, nu_A=0.5, target=[0, 1]))
+LATTICE_CASE_A = dict(LATTICE, case={"variant": "A"})
+
+
 def _base_configs():
     out = [("classify", {"generators": [[0, 1], [1, [0, 1, 1, 1]]],
                          "shift": [0, [1, 2]]}),
            ("predict", CASE_D),
-           ("renewal", {"t_values": [1.5, [3, 2], 2]})]
+           ("renewal", {"t_values": [1.5, [3, 2], 2]}),
+           ("verify", LATTICE_PREDICT_KEYS),
+           ("verify", LATTICE_CASE_A)]
     for system in (RENEWAL, MARKOV, PM, SYSTEM_FILE):
         out += [
             ("classify", {"system": system}),
@@ -98,20 +108,42 @@ def cases(draw):
     return command, cfg
 
 
+def _run(command, cfg, d):
+    """cli.main on cfg in directory d: the exit code and the output dir."""
+    system_path = os.path.join(d, "system.json")
+    with open(system_path, "w") as fh:
+        json.dump(RENEWAL, fh)
+    if isinstance(cfg, dict) and cfg.get("system") == SYSTEM_FILE:
+        cfg["system"] = system_path
+    path = os.path.join(d, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    out = os.path.join(d, "out")
+    return cli.main([command, path, "--out", out, "--seed", "1"]), out
+
+
 @seed(20261018)
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=cases())
 def test_cli_exit_codes_on_fuzzed_configs(case):
     command, cfg = case
     with tempfile.TemporaryDirectory() as d:
-        system_path = os.path.join(d, "system.json")
-        with open(system_path, "w") as fh:
-            json.dump(RENEWAL, fh)
-        if isinstance(cfg, dict) and cfg.get("system") == SYSTEM_FILE:
-            cfg["system"] = system_path
-        path = os.path.join(d, "cfg.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        code = cli.main([command, path, "--out", os.path.join(d, "out"),
-                         "--seed", "1"])
+        code, _ = _run(command, cfg, d)
     assert code in (0, 2, 3, 4), (command, cfg, code)
+
+
+def test_lattice_verify_bases_as_given(tmp_path, capsys):
+    # predict-only request keys change nothing; a case-A label exits 2
+    results = []
+    for cfg in (LATTICE, LATTICE_PREDICT_KEYS):
+        d = tmp_path / str(len(results))
+        d.mkdir()
+        code, out = _run("verify", copy.deepcopy(cfg), str(d))
+        with open(os.path.join(out, "verify.csv")) as fh:
+            results.append((code, fh.read()))
+    assert results[0] == results[1]
+    capsys.readouterr()
+    code, _ = _run("verify", copy.deepcopy(LATTICE_CASE_A), str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "case D or E" in err

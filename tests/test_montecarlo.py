@@ -9,8 +9,7 @@ import pytest
 from scipy import stats
 
 from lcltflow.errors import EmptySetWarning
-from lcltflow.montecarlo import (HistogramSpec, _flow, _paths,
-                                 estimate_lclt, estimate_mlclt,
+from lcltflow.montecarlo import (_flow, _paths, estimate_lclt, estimate_mlclt,
                                  estimate_correlation, estimate_sigma,
                                  moderate_dev_diagnostic,
                                  sample_flow_integrals)
@@ -192,12 +191,10 @@ def test_lclt_marginalizes_mlclt():
     # with full conditioning sets the two estimators share the code path and
     # must agree exactly, not just statistically
     sys = osc_system()
-    spec = HistogramSpec(t=25.0, windows=[("flow", 0.0, -0.5, 0.5),
-                                          ("flow", 1.0, -0.5, 0.5),
-                                          ("flow", -1.0, -0.5, 0.5),
-                                          ("section", 1, 0)])
-    hist = estimate_lclt(sys, spec, 200_000, seed=9)
-    for win, est in zip(spec.windows, hist):
+    wins = [("flow", 0.0, -0.5, 0.5), ("flow", 1.0, -0.5, 0.5),
+            ("flow", -1.0, -0.5, 0.5), ("section", 1, 0)]
+    hist = estimate_lclt(sys, 25.0, wins, 200_000, seed=9)
+    for win, est in zip(wins, hist):
         joint = estimate_mlclt(sys, 25.0, 200_000, 9, window=win)
         assert (est.point, est.std_error) == (joint.point, joint.std_error)
 
@@ -288,8 +285,7 @@ def test_correlation_requires_increasing_grid():
 def test_lclt_without_fibers_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", EmptySetWarning)
-        estimate_lclt(osc_system(), HistogramSpec(t=5.0, windows=[
-            ("flow", 0.0, -1, 1)]), 5, seed=0)
+        estimate_lclt(osc_system(), 5.0, [("flow", 0.0, -1, 1)], 5, seed=0)
 
 
 def test_empty_conditioning_set_warns():

@@ -51,9 +51,9 @@ def test_gaussian_rejects_bad_covariance():
 
 
 def test_flow_variance():
-    assert flow_variance([[2 / 3]], 2 / 3) == pytest.approx(1.0, rel=1e-14)
+    assert flow_variance(2 / 3, 2 / 3) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(NonPositiveNuTau):
-        flow_variance([[1.0]], 0.0)
+        flow_variance(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

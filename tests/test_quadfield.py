@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcltflow.errors import MixedRingError
-from lcltflow.quadfield import QuadScalar, as_quad, ratio_is_rational
+from lcltflow.quadfield import (QuadScalar, as_fraction, as_quad,
+                                ratio_is_rational)
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -131,3 +133,12 @@ def test_field_axioms_sample(a, b):
     assert a * b == b * a
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+def test_floats_are_read_as_shortest_decimals():
+    # numpy 2's repr of a float64 is not a decimal, so as_quad goes
+    # through float() first
+    for x in (0.1, np.float64(0.1)):
+        assert as_quad(x) == Fraction(1, 10)
+    assert as_fraction(50.2) == Fraction(251, 5)
+    assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)

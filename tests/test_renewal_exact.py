@@ -15,7 +15,7 @@ from lcltflow.montecarlo import estimate_mlclt
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.renewal_exact import (ExactDistribution, PalmStart,
                                     StationaryStart, _exact_atoms,
-                                    _exact_time, _prune_bound,
+                                    _prune_bound,
                                     counterexample_scan, dp_distribution,
                                     frac_cell, scan_csv_rows,
                                     section_61_atoms,
@@ -207,7 +207,7 @@ def test_benchmark_scan_rows_are_exact():
 
 def _bounds(t_values, atoms=None):
     atoms = _exact_atoms(section_61_atoms() if atoms is None else atoms)
-    return [_prune_bound(atoms, _exact_time(t)) for t in t_values]
+    return [_prune_bound(atoms, as_quad(t)) for t in t_values]
 
 
 @pytest.mark.parametrize("t_values, bounds", [
@@ -263,6 +263,20 @@ def test_rejects_noninteger_rewards():
 def test_rejects_bad_probabilities():
     with pytest.raises(ValueError, match="sum"):
         dp_distribution([(-1, ONE, THIRD), (1, ONE, THIRD)], 2)
+    # these sum to 1, and a -1/2 atom would make a "distribution" of total 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        dp_distribution([(0, ONE, -HALF), (0, ONE, HALF),
+                         (0, as_quad(2), 1)], 3, prune=False)
+
+
+def test_state_budget_raises_state_explosion(monkeypatch):
+    # a 50 kB budget holds about 250 states of the t = 20 sweep, which
+    # reaches about 870
+    monkeypatch.setattr(renewal_exact, "_MEMORY_BUDGET", 50_000)
+    with pytest.raises(StateExplosion, match="states"):
+        dp_distribution(section_61_atoms(), 20)
+    monkeypatch.setattr(renewal_exact, "_MEMORY_BUDGET", 1 << 20)
+    assert dp_distribution(section_61_atoms(), 20).total() == 1
 
 
 def test_enumeration_budget_guard():
