@@ -221,18 +221,23 @@ def _params_from_config(cfg):
 
 
 def _request_from_config(cfg):
+    """predict's request, its event (t, W, I, J) read exactly as lattice
+    verify reads it."""
     req = _object(cfg, "request")
 
     def num(v):
         return _number(cfg, v)
 
+    def exact(x):
+        return _exact(cfg, x, "the request's numbers")
+
     target = _pair(req, "target", num)
     return PredictionRequest(
-        t=num(req["t"]), W_of_t=num(req.get("W", 0.0)),
+        t=exact(req["t"]), W_of_t=exact(req.get("W", 0)),
         w=num(req.get("w", 0.0)),
         l=_number(cfg, req.get("l", 0), integral=True),
         nu_A=num(req.get("nu_A", 1.0)), nu_B=num(req.get("nu_B", 1.0)),
-        I=_pair(req, "I", num), J=_pair(req, "J", num),
+        I=_pair(req, "I", exact), J=_pair(req, "J", exact),
         target=target and [interval(*target)])
 
 

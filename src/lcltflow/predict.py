@@ -70,9 +70,9 @@ class PredictionRequest:
     target: object = None
 
     def marginal_masses(self, nu_tau):
-        ma = (self.nu_A * (self.I[1] - self.I[0]) / nu_tau
+        ma = (self.nu_A * float(self.I[1] - self.I[0]) / nu_tau
               if self.I is not None else self.nu_A)
-        mb = (self.nu_B * (self.J[1] - self.J[0]) / nu_tau
+        mb = (self.nu_B * float(self.J[1] - self.J[0]) / nu_tau
               if self.J is not None else self.nu_B)
         return float(ma), float(mb)
 
@@ -177,7 +177,9 @@ def mixing_classify(M: Group1D, r) -> str:
 
 
 def prediction_record(params: FlowMLCLTParams, req: PredictionRequest) -> dict:
-    """JSON-ready record {case, t, W, l, value, breakdown}."""
+    """JSON-ready record {case, t, W, l, value, breakdown}; exact t and W
+    are recorded as floats."""
     value, breakdown = _limit(params, req)
-    return {"case": params.case.variant, "t": req.t, "W": req.W_of_t,
-            "l": req.l, "value": value, "breakdown": breakdown}
+    return {"case": params.case.variant, "t": float(req.t),
+            "W": float(req.W_of_t), "l": req.l, "value": value,
+            "breakdown": breakdown}

@@ -19,12 +19,20 @@ mass is a multiple of L.  Each sweep checks that the masses leaving t and
 the pruned masses sum to exactly den; reported values are Fractions over
 den.
 
-One sweep serves several horizons: the states reached by time t are the
-same in a sweep that runs past t, with every mass times L**(K' - K) for the
-longer sweep's K', so each Fraction over den is unchanged.  The oscillation
-scan therefore runs one sweep per prune bound, to the largest t with that
-bound, and reads every t of the group from it, with the exact
-mass-conservation check at each t.
+One sweep serves several horizons and several prune bounds.  The states
+reached by time t are the same in a sweep that runs past t, with every mass
+times L**(K' - K) for the longer sweep's K', so each Fraction over den is
+unchanged; likewise a prune bound whose largest t is below the sweep's
+shares the sweep's den.  The sweep therefore carries the prune-bound group
+in its state key and reads every t of every group from one pass, with the
+exact mass-conservation check at each t.
+
+The sweep works in bands of width min y (Delta-stepping, Meyer and
+Sanders, J. Algorithms 49, 2003): no state in a band can feed another one
+in it, so each band is expanded and merged with numpy, the masses Python
+ints in object arrays.  A state's table row is needed only near a horizon,
+so a sweep keeps only the states within 2 max y of each group's first
+horizon.
 """
 
 from __future__ import annotations
@@ -33,14 +41,17 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import StateExplosion
 from .quadfield import QuadScalar, as_fraction, as_quad
 
 PalmStart = "PalmStart"
 StationaryStart = "StationaryStart"
 
-# a sweep raises StateExplosion before its tables pass _MEMORY_BUDGET bytes,
-# at _STATE_BYTES (190-250 B measured on CPython 3.11) plus the mass a state
+# a sweep raises StateExplosion once a group's states would pass
+# _MEMORY_BUDGET bytes, at _STATE_BYTES (190-250 B measured on CPython 3.11
+# for one state of a heap sweep's tables) plus the mass a state carries
 _MEMORY_BUDGET = 1 << 30
 _STATE_BYTES = 192
 
@@ -81,38 +92,53 @@ class ExactDistribution:
         return sum(self.mass.values(), start=self.pruned_mass)
 
 
-def _palm_sweep(atoms, horizons, prune_bound=None):
-    """Renewal measure of the reward-sum process, read at several horizons.
+@dataclass
+class _Sweep:
+    """One prune-bound group of a _palm_sweep, every mass over its den.
 
-    ``horizons`` are exact times in increasing order, and one sweep to the
-    last of them serves them all: the states with elapsed time T <= t do not
-    depend on how far past t the sweep goes, and every mass is the mass of
-    a sweep that stops at t times one power of L (see the module
-    docstring), so every Fraction over ``den`` is the same.  The horizons
-    share the prune bound: counterexample_scan passes the t values of one
-    bound, the other callers a single t.
+    ``states`` is the kept table (S, p, q, T, mass), arrays in sweep order,
+    T the float of the elapsed time p + q sqrt(D).  ``ends`` holds one
+    (finals, cut) pair per horizon t: ``finals`` lists (S, p, q, mass) for
+    the transitions out of a state with time <= t that land past t, and
+    ``cut`` is the mass pruned at times <= t.  ``pruned`` maps (p, q) to
+    the mass dropped there by the |S| cutoff.  ``off_zero`` is the (p, q)
+    of the first state with S = 0 at an irrational time, or None."""
+    states: tuple
+    ends: list
+    pruned: dict
+    off_zero: tuple | None
 
-    Processes states (S, t_elapsed) in increasing elapsed time, merging all
-    paths that meet at the same state (valid because durations are strictly
-    positive, so every predecessor is strictly earlier).  Returns
-    (states, ends, pruned, den), every mass an integer over ``den``:
-    ``states`` maps (S, p, q) -- elapsed time p + q sqrt(D) -- to the mass
-    of the paths that renew there with reward sum S; ``pruned`` maps (p, q)
-    to the mass dropped there by the |S| cutoff; ``ends`` holds one
-    (finals, cut) pair per horizon t, where ``finals`` lists (S, p, q, mass)
-    for the transitions out of a state with T <= t that land past t and
-    ``cut`` is the mass pruned at times <= t.  Raises AssertionError unless
-    finals and cut add up to exactly ``den`` at every horizon.
 
-    Durations must be quadratic integers so elapsed times are exact integer
-    pairs; the comparison against t falls back to exact sign evaluation
-    only near the float boundary.
+def _palm_sweep(atoms, groups):
+    """Renewal measure of the reward-sum process for several prune bounds.
+
+    ``groups`` lists (horizons, prune_bound) pairs: exact horizons in
+    increasing order and an |S| cutoff (None: no pruning).  All groups run
+    through one sweep with the group index in the state key, and share
+    den = L**K for the K of the largest horizon, so every Fraction over den
+    is that of a sweep of the group alone (see the module docstring).
+
+    States are final band by band, in increasing elapsed time, with all
+    paths that meet at the same (group, S, p, q) merged.  Every duration is
+    at least y_min, so each pending state whose float time is below (the
+    smallest pending time) + y_min - 1e-9 has only final predecessors, and
+    the whole band is expanded at once.  A band is ordered by (group, float
+    time, S, p, q), so each group's table comes in increasing elapsed time,
+    the order of a one-state-at-a-time sweep.  A transition that lands past
+    the group's last horizon is dropped (_horizon_end reads it back), and
+    one whose |S| passes the bound is pruned.  Each comparison against a
+    horizon falls back to exact sign evaluation within 1e-6 of it.
+
+    Only the states within 2 max y of the group's first horizon are kept:
+    _horizon_end, the scan and _stationary_masses read no others.  Returns
+    (den, sweeps), one _Sweep per group.  Raises AssertionError unless
+    finals and cut add up to exactly ``den`` at every horizon, and
+    StateExplosion when a group passes its state budget or the packed state
+    key could leave the int64 range.  Durations must be quadratic integers
+    so elapsed times are exact integer pairs.
     """
-    import heapq
-
-    t = horizons[-1]
-    D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
-    if any(h.q != 0 and h.D != D for h in horizons):
+    D = next((y.D for _, y, _ in atoms if y.q != 0), groups[-1][0][-1].D)
+    if any(h.q != 0 and h.D != D for hs, _ in groups for h in hs):
         raise ValueError("durations and t must share one ring")
     for _, y, _ in atoms:
         if y.p.denominator != 1 or y.q.denominator != 1:
@@ -120,90 +146,157 @@ def _palm_sweep(atoms, horizons, prune_bound=None):
                 "durations must be quadratic integers (integral p, q)")
         if y.q != 0 and y.D != D:
             raise ValueError("durations must share one ring")
-    # masses are integers over den = L**K (see the module docstring)
     L = math.lcm(*(p.denominator for _, _, p in atoms))
     steps = [(x, int(y.p), int(y.q), int(p * L)) for x, y, p in atoms]
-    K = max((t / min(y for _, y, _ in atoms)).floor(), 0) + 1
-    den = L ** K
-    cap = _MEMORY_BUDGET // (_STATE_BYTES + den.bit_length() // 8)
-    bound = math.inf if prune_bound is None else prune_bound
-    t_p, t_q = t.p, t.q
-    t_float = float(t)
+    y_min = min(y for _, y, _ in atoms)
+    last = [hs[-1] for hs, _ in groups]
+    Ks = [max((t / y_min).floor(), 0) + 1 for t in last]
+    den = L ** max(Ks)
+    # each group's budget at the den of a sweep to its own last horizon
+    caps = np.array([_MEMORY_BUDGET // (_STATE_BYTES
+                                        + (L ** K).bit_length() // 8)
+                     for K in Ks])
+    # the state key packs (group, S, p, q) into one int64; a state is at
+    # most K transitions from the start, which bounds each column
+    G = len(groups)
+    span = [(max(Ks) * min(0, *c), max(Ks) * max(0, *c))
+            for c in list(zip(*steps))[:3]]
+    (lo_S, _), (lo_P, _), (lo_Q, _) = span
+    n_S, n_P, n_Q = (hi - lo + 1 for lo, hi in span)
+    if G * n_S * n_P * n_Q >= 1 << 63:
+        raise StateExplosion(f"the DP to t = {float(max(last)):g} needs "
+                             f"state keys beyond int64")
+    X, YP, YQ = (np.array(c, dtype=np.int64) for c in list(zip(*steps))[:3])
+    step_key = (X * n_P + YP) * n_Q + YQ
     sqD = math.sqrt(D)
+    last_f = np.array([float(t) for t in last])
+    bound = np.array([math.inf if b is None else b for _, b in groups])
+    max_y = max(float(y) for _, y, _ in atoms)
+    keep_from = np.array([float(hs[0]) - 2 * max_y - 1e-6
+                          for hs, _ in groups])
 
-    pending = {(0, 0, 0): den}
-    heap = [(0.0, (0, 0, 0))]
-    states = {}
-    pruned = {}
-    while heap:
-        _, key = heapq.heappop(heap)
-        if key in states:
-            continue
-        mass = pending.pop(key)
-        states[key] = mass
-        if len(states) > cap:
-            raise StateExplosion(f"the DP to t = {float(t):g} needs over "
-                                 f"{cap} states, {_MEMORY_BUDGET >> 20} MB")
-        S, Tp, Tq = key
-        unit = mass // L            # exact: a state's mass is a multiple of L
-        for x, yp, yq, wk in steps:
-            p2, q2 = Tp + yp, Tq + yq
-            at = p2 + q2 * sqD
-            diff = t_float - at
-            if abs(diff) <= 1e-6:
-                # exact sign near the float boundary
-                diff = QuadScalar(t_p - p2, t_q - q2, D).sign()
-            if diff < 0:
-                continue            # past the last horizon: see _horizon_end
-            w = unit * wk
-            S2 = S + x
-            if abs(S2) > bound:
-                pruned[p2, q2] = pruned.get((p2, q2), 0) + w
-                continue
-            k2 = (S2, p2, q2)
-            if k2 in pending:
-                pending[k2] += w
-            else:
-                pending[k2] = w
-                heapq.heappush(heap, (at, k2))
-    ends = [_horizon_end(states, pruned, steps, L, h, D) for h in horizons]
-    for finals, cut in ends:
-        if sum(f[3] for f in finals) + cut != den:
-            raise AssertionError("mass leak in the renewal DP")
-    return states, ends, pruned, den
+    # pending states as (key, T, mass): the G starts
+    g = np.arange(G)
+    pend = ((((g * n_S - lo_S) * n_P - lo_P) * n_Q - lo_Q), np.zeros(G),
+            np.full(G, den, object))
+    none = (np.zeros(0, np.int64),) * 3 + (np.zeros(0), np.zeros(0, object))
+    kept = [[none] for _ in range(G)]
+    cuts = []
+    count = np.zeros(G, np.int64)
+    off_zero = [None] * G
+    while pend[0].size:
+        now = pend[1] < pend[1].min() + float(y_min) - 1e-9
+        key, T, M = (c[now] for c in pend)
+        pend = [c[~now] for c in pend]
+        rest, Q = np.divmod(key, n_Q)
+        g, P = np.divmod(rest, n_P)
+        g, S = np.divmod(g, n_S)
+        S, P, Q = S + lo_S, P + lo_P, Q + lo_Q
+        order = np.lexsort((key, T, g))
+        key, g, S, P, Q, T, M = (c[order] for c in (key, g, S, P, Q, T, M))
+        count += np.bincount(g, minlength=G)
+        full = np.flatnonzero(count > caps)
+        if full.size:
+            k = full[0]
+            raise StateExplosion(
+                f"the DP to t = {float(last[k]):g} needs over {caps[k]} "
+                f"states, {_MEMORY_BUDGET >> 20} MB")
+        for i in np.flatnonzero((S == 0) & (Q != 0)):
+            if off_zero[g[i]] is None:
+                off_zero[g[i]] = (int(P[i]), int(Q[i]))
+        keep = T >= keep_from[g]
+        for k in np.unique(g[keep]):
+            sel = keep & (g == k)
+            kept[k].append((S[sel], P[sel], Q[sel], T[sel], M[sel]))
+        # every transition of the band at once, one row per state and atom;
+        # m // L is exact, a state's mass being a multiple of L, and a
+        # weight of 1 passes the quotient on without a multiplication
+        g2 = np.repeat(g, len(steps))
+        S2 = (S[:, None] + X).ravel()
+        P2 = (P[:, None] + YP).ravel()
+        Q2 = (Q[:, None] + YQ).ravel()
+        T2 = P2 + Q2 * sqD
+        unit = M // L
+        W2 = np.stack([unit if w == 1 else unit * w for *_, w in steps],
+                      axis=1).ravel()
+        live = ~_past(last_f[g2] - T2, lambda i: last[g2[i]], P2, Q2, D)
+        cut = live & (np.abs(S2) > bound[g2])
+        cuts.append(((g2[cut] * n_P + P2[cut] - lo_P) * n_Q + Q2[cut] - lo_Q,
+                     W2[cut]))
+        live &= ~cut
+        key2 = (key[:, None] + step_key).ravel()
+        pend = _merge(*(np.concatenate((a, b[live])) for a, b in
+                        zip(pend, (key2, T2, W2))))
+
+    ckey, cM = _merge(*(np.concatenate(c) for c in zip(*cuts)))
+    cg, cP = np.divmod(ckey, n_P * n_Q)
+    cP, cQ = np.divmod(cP, n_Q)
+    cP, cQ = cP + lo_P, cQ + lo_Q
+    sweeps = []
+    for k, (horizons, _) in enumerate(groups):
+        table = tuple(np.concatenate(c) for c in zip(*kept[k]))
+        mine = cg == k
+        cut = (cP[mine], cQ[mine], cM[mine])
+        ends = [_horizon_end(table, cut, steps, L, t, D) for t in horizons]
+        for finals, c in ends:
+            if sum(f[3] for f in finals) + c != den:
+                raise AssertionError("mass leak in the renewal DP")
+        pruned = dict(zip(zip(cut[0].tolist(), cut[1].tolist()),
+                          cut[2].tolist()))
+        sweeps.append(_Sweep(table, ends, pruned, off_zero[k]))
+    return den, sweeps
 
 
-def _horizon_end(states, pruned, steps, L, t, D):
-    """(finals, cut) of horizon t from a sweep's tables (see _palm_sweep).
+def _merge(key, *cols):
+    """The rows sorted by ``key`` with equal keys merged: the last column,
+    the masses, summed, and the others, equal on equal keys, kept once."""
+    if not key.size:
+        return (key, *cols)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return (key[starts], *(c[order[starts]] for c in cols[:-1]),
+            np.add.reduceat(cols[-1][order], starts))
 
-    ``states`` is in the order the sweep took it, increasing elapsed time,
-    so it is read backwards and only down to the states one longest
-    duration before t.  Each comparison against t is the sweep's.
+
+def _past(diff, horizon, P, Q, D):
+    """Mask of the times p + q sqrt(D) past their horizon, from the float
+    differences ``diff`` (horizon minus time); within 1e-6 the exact sign
+    of horizon(i) - time decides."""
+    diff = diff.copy()
+    for i in np.flatnonzero(np.abs(diff) <= 1e-6):
+        t = horizon(i)
+        diff[i] = QuadScalar(t.p - int(P[i]), t.q - int(Q[i]), D).sign()
+    return diff < 0
+
+
+def _horizon_end(table, cut, steps, L, t, D):
+    """(finals, cut) of horizon t from a group's kept table and its pruned
+    (p, q, mass) columns (see _Sweep).
+
+    Only the states one longest duration before t can leave across t.
+    Each comparison against t is the sweep's.
     """
+    S, P, Q, T, M = table
     sqD = math.sqrt(D)
     t_float = float(t)
 
-    def past(p, q):
-        diff = t_float - (p + q * sqD)
-        if abs(diff) <= 1e-6:
-            diff = QuadScalar(t.p - p, t.q - q, D).sign()
-        return diff < 0
+    def past(P, Q):
+        return _past(t_float - (P + Q * sqD), lambda i: t, P, Q, D)
 
     reach = t_float - max(yp + yq * sqD for _, yp, yq, _ in steps) - 1e-6
-    finals = []
-    for (S, Tp, Tq), mass in reversed(states.items()):
-        if Tp + Tq * sqD < reach:
-            break
-        if past(Tp, Tq):
-            continue
-        unit = mass // L
-        over = sum(unit * wk for _, yp, yq, wk in steps
-                   if past(Tp + yp, Tq + yq))
-        if over:
-            finals.append((S, Tp, Tq, over))
-    finals.reverse()
-    cut = sum(m for (p, q), m in pruned.items() if not past(p, q))
-    return finals, cut
+    near = T >= reach
+    near[near] = ~past(P[near], Q[near])
+    S, P, Q, M = S[near], P[near], Q[near], M[near]
+    unit = M // L
+    over = np.zeros(S.size, object)
+    for _, yp, yq, wk in steps:
+        over += np.where(past(P + yp, Q + yq), unit * wk, 0)
+    nz = over != 0
+    finals = list(zip(S[nz].tolist(), P[nz].tolist(), Q[nz].tolist(),
+                      over[nz].tolist()))
+    cP, cQ, cM = cut
+    return finals, int(cM[~past(cP, cQ)].sum())
 
 
 def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
@@ -220,8 +313,8 @@ def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
     t = as_quad(t)
     bound = _prune_bound(atoms, t) if prune else None
     if mode == PalmStart:
-        _states, [(finals, cut)], _pruned, den = _palm_sweep(atoms, [t],
-                                                             bound)
+        den, [sweep] = _palm_sweep(atoms, [([t], bound)])
+        [(finals, cut)] = sweep.ends
         D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
         mass = {}
         for S, Tp, Tq, w in finals:
@@ -250,30 +343,34 @@ def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
     s_end = s0 + t - y_i - T lies in [0, y_j).  Every (first cell, state,
     next atom) triple therefore contributes an s0-interval.  Intersected
     with the constraints s0 in I and s_end in J, their exact weights are
-    summed into {value: weight}, returned with the pruned measure.
+    summed into {value: weight}, returned with the pruned measure.  A
+    start height lies in [0, y_i), so I is cut to s0 >= 0.
 
     Only states with T > t - y_i - y_j + lo(I) can give an s0-interval
-    (lo(I) the lower end of I, 0 without I), so states clearly below
-    t - 2 max y + lo(I) in the float embedding, by the margin of the
-    sweep's comparison against t, are skipped.
+    (lo(I) >= 0 the lower end of the cut I, 0 without I), so states
+    clearly below t - 2 max y + lo(I) in the float embedding, by the
+    margin of the sweep's comparison against t, are skipped: the sweep
+    keeps no state below t - 2 max y.
     """
     nu = _nu_tau(atoms)
     zero = t - t
-    states, _ends, pruned, den = _palm_sweep(atoms, [t], prune_bound)
+    den, [sweep] = _palm_sweep(atoms, [([t], prune_bound)])
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
     I = None if I is None else (as_quad(I[0]), as_quad(I[1]))
     J = None if J is None else (as_quad(J[0]), as_quad(J[1]))
-    sqD = math.sqrt(D)
+    i_lo = zero if I is None or I[0].sign() < 0 else I[0]
     reach = (float(t) - 2 * max(float(y) for _, y, _ in atoms)
-             + (0.0 if I is None else float(I[0])) - 1e-6)
-    near = [(S, QuadScalar(Tp, Tq, D), m)
-            for (S, Tp, Tq), m in states.items() if Tp + Tq * sqD > reach]
+             + float(i_lo) - 1e-6)
+    S, P, Q, T, M = sweep.states
+    near = T > reach
+    near = [(s, QuadScalar(p, q, D), m) for s, p, q, m in
+            zip(S[near].tolist(), P[near].tolist(), Q[near].tolist(),
+                M[near].tolist())]
     acc = {}
     masses = {}
     pruned_meas = zero
     for x_i, y_i, p_i in atoms:
         dens = p_i / nu
-        i_lo = zero if I is None else I[0]
         i_hi = y_i if I is None or (I[1] - y_i).sign() > 0 else I[1]
         # no-crossing branch: s0 + t < y_i, empty reward sum, s_end = s0 + t
         if S_filter is None or S_filter == 0:
@@ -307,7 +404,7 @@ def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
                     acc[val] = acc.get(val, zero) + dens * p_j * seg * m
         # a path cut at Palm time T' is lost for every start height s0
         # with T' <= t - y_i + s0: a length min(y_i, t - T') of [0, y_i)
-        for (Tp, Tq), m in pruned.items():
+        for (Tp, Tq), m in sweep.pruned.items():
             left = t - QuadScalar(Tp, Tq, D)
             cross = y_i if (y_i - left).sign() < 0 else left
             pruned_meas = pruned_meas + dens * Fraction(m, den) * cross
@@ -380,12 +477,12 @@ def counterexample_scan(t_values, atoms=None):
 
     Returns rows (t, cell, sqrt_t_times_p, pruned_mass) in the order of
     t_values, duplicates included.  The t values are grouped by prune
-    bound, and each group is read from one sweep to its largest t, which
-    checks exact mass conservation at every t of the group (see
-    _palm_sweep).  Requires the structural identity that every zero-reward
-    renewal happens at an integer time, so the last zero-reward renewal
-    before t is at floor(t) and the value factorizes through the cell of
-    frac(t); raises ValueError for atoms that break it.
+    bound, and one sweep reads every t of every group, checking exact mass
+    conservation at each (see _palm_sweep).  Requires the structural
+    identity that every zero-reward renewal happens at an integer time, so
+    the last zero-reward renewal before t is at floor(t) and the value
+    factorizes through the cell of frac(t); raises ValueError for atoms
+    that break it.
     """
     if atoms is None:
         atoms = section_61_atoms()
@@ -396,18 +493,15 @@ def counterexample_scan(t_values, atoms=None):
     groups = {}
     for t in ts:
         groups.setdefault(_prune_bound(atoms, t), set()).add(t)
+    groups = [(sorted(group), bound) for bound, group in groups.items()]
+    den, sweeps = _palm_sweep(atoms, groups)
     row = {}
-    for bound, group in groups.items():
-        horizons = sorted(group)
-        states, ends, _pruned, den = _palm_sweep(atoms, horizons, bound)
-        off = next(((Tp, Tq) for S, Tp, Tq in states if S == 0 and Tq != 0),
-                   None)
-        if off is not None:
+    for (horizons, _), sweep in zip(groups, sweeps):
+        if sweep.off_zero is not None:
+            p, q = sweep.off_zero
             raise ValueError(f"zero-reward renewal at non-integer time "
-                             f"{off[0]}+{off[1]}*sqrt")
-        # free this group's state table before the next sweep builds one
-        del states
-        for t, (finals, cut) in zip(horizons, ends):
+                             f"{p}+{q}*sqrt")
+        for t, (finals, cut) in zip(horizons, sweep.ends):
             t_floor = t.floor()
             p0 = 0
             for S, Tp, _Tq, w in finals:

@@ -4,10 +4,12 @@
   one by one, with an exact rational probability per path and exact elapsed
   times held as integer pairs (p, q) for p + q sqrt(D).  Tests require exact
   equality with ``renewal_exact.dp_distribution``.
-- ``scan_per_t``: the oscillation scan with one sweep per t value, each
-  sweep reading its finals inside the loop.  Tests require
-  ``renewal_exact.counterexample_scan``, which reads a group of t values
-  from one sweep, to return the same rows.
+- ``palm_sweep_at``: the DP as a one-state-at-a-time heap sweep to one
+  horizon, against which tests check the band sweep of
+  ``renewal_exact._palm_sweep``.
+- ``scan_per_t``: the oscillation scan with one heap sweep per t value.
+  Tests require ``renewal_exact.counterexample_scan``, which reads every
+  t value from one band sweep, to return the same rows.
 """
 
 import heapq
@@ -66,9 +68,11 @@ def brute_force_enumerate(atoms, t) -> ExactDistribution:
 
 
 def palm_sweep_at(atoms, t, prune_bound):
-    """One DP sweep to horizon t: (states, finals, pruned, den) as in
-    ``renewal_exact._palm_sweep`` for the single horizon t, with the
-    transitions past t summed into ``finals`` as the loop meets them."""
+    """One DP sweep to horizon t, one state at a time through a heap:
+    (states, finals, pruned, den), the finals summed from the transitions
+    past t as the loop meets them.  ``renewal_exact._palm_sweep`` must give
+    the same finals, cut and pruned masses, and the same states within its
+    kept window, up to a power of L."""
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
     L = math.lcm(*(p.denominator for _, _, p in atoms))
     steps = [(x, int(y.p), int(y.q), int(p * L)) for x, y, p in atoms]

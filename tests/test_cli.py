@@ -142,6 +142,20 @@ def test_predict_reads_exact_numbers(tmp_path, capsys):
         assert rec["value"] == pytest.approx(0.37180643207922826, rel=1e-9)
 
 
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_off_lattice_W_exits_3_in_predict_and_verify(tmp_path, capsys,
+                                                      command):
+    # both commands read the request's W exactly, and 1e-12 is off the
+    # lattice Z of the benchmark's D label
+    cfg = _bench_lattice_cfg(1 << 10)
+    cfg["request"] = dict(cfg["request"], W=1e-12)
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "not on the admissible lattice" in err and "Traceback" not in err
+
+
 def test_verify_lattice_passes(tmp_path, capsys):
     cfg = dict(PREDICT_CFG)
     cfg.update({"mode": "lattice", "system": OSC_SYSTEM,
@@ -440,6 +454,18 @@ def test_renewal_state_budget_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "states" in err and "Traceback" not in err
+
+
+def test_renewal_state_keys_beyond_int64_exit_3(tmp_path, capsys):
+    big = 1 << 60
+    system = {"type": "renewal", "D": 2,
+              "atoms": [[-1, 0, big, 0, 1, 2], [1, 0, big, 1, 1, 2]]}
+    code, _ = run(tmp_path, "renewal",
+                  {"system": system, "t_values": [3 * big]})
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "int64" in err and "Traceback" not in err
 
 
 def test_renewal_scan_rejects_non_integer_rewards(tmp_path, capsys):

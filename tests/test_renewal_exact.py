@@ -22,7 +22,8 @@ from lcltflow.renewal_exact import (ExactDistribution, PalmStart,
                                     stationary_event_probability)
 from lcltflow.systems import RenewalBase
 
-from exactref import PathExplosion, brute_force_enumerate, scan_per_t
+from exactref import (PathExplosion, brute_force_enumerate, palm_sweep_at,
+                      scan_per_t)
 
 S2 = QuadScalar.sqrtD(2)
 ONE = as_quad(1)
@@ -33,6 +34,8 @@ COIN = [(-1, ONE, HALF), (1, ONE, HALF)]
 # probabilities 1/2, 1/3, 1/6: integer weights 3, 2, 1 over L = 6
 MIXED = [(-1, as_quad(2) - S2, HALF), (0, ONE, THIRD),
          (3, S2, Fraction(1, 6))]
+# an atom of probability 0 still makes (massless) states
+ZERO_ATOM = [(-1, ONE, HALF), (1, S2, HALF), (2, as_quad(2) - S2, 0)]
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -132,6 +135,137 @@ def test_coin_stationary_equals_palm():
         S = 2 * k - 9
         assert dist.mass.get((S, None), Fraction(0)) == \
             Fraction(math.comb(9, k), 2 ** 9)
+
+
+# ---------------------------------------------------------------------------
+# the band sweep against the one-state-at-a-time heap sweep
+# ---------------------------------------------------------------------------
+
+def _table(sweep):
+    S, P, Q, _T, M = sweep.states
+    return list(zip(zip(S.tolist(), P.tolist(), Q.tolist()), M.tolist()))
+
+
+def _l_power(den, ref_den, atoms):
+    """den / ref_den, which must be a power of L."""
+    L = math.lcm(*(p.denominator for _, _, p in atoms))
+    scale = 1
+    while ref_den * scale < den:
+        scale *= L
+    assert ref_den * scale == den
+    return scale
+
+
+def _equals_heap_sweeps(atoms, groups):
+    """One band sweep over ``groups`` against palm_sweep_at at every
+    horizon: the same finals and cut, and at the last horizon the same
+    pruned masses and, inside the kept window, the same states in the same
+    order, all up to the common power of L."""
+    den, sweeps = renewal_exact._palm_sweep(atoms, groups)
+    max_y = max(float(y) for _, y, _ in atoms)
+    for (horizons, bound), sweep in zip(groups, sweeps):
+        bound = math.inf if bound is None else bound
+        for t, (finals, cut) in zip(horizons, sweep.ends):
+            states, ref_finals, pruned, ref_den = palm_sweep_at(atoms, t,
+                                                                bound)
+            scale = _l_power(den, ref_den, atoms)
+            assert finals == [(S, p, q, m * scale)
+                              for S, p, q, m in ref_finals]
+            assert cut == sum(pruned.values()) * scale
+        assert sweep.pruned == {k: m * scale for k, m in pruned.items()}
+        table = _table(sweep)
+        ref = [(k, m * scale) for k, m in states.items()]
+        window = float(horizons[0]) - 2 * max_y
+        assert table == [(k, m) for k, m in ref
+                         if k[1] + k[2] * math.sqrt(2) >= window - 1e-6]
+        assert sweep.off_zero == next(((p, q) for S, p, q in states
+                                       if S == 0 and q != 0), None)
+
+
+def _groups(*groups):
+    return [([as_quad(t) for t in ts], bound) for ts, bound in groups]
+
+
+@pytest.mark.parametrize("atoms, groups", [
+    (section_61_atoms(), _groups(([20.2, 20.5], 67), ([20.9], 68),
+                                 ([7.5, 9.2], 4), ([12], None))),
+    (COIN, _groups(([4, 6.5], None), ([5.5], 2))),
+    (MIXED, _groups(([7, 9.5], None), ([8], 3))),
+    (ZERO_ATOM, _groups(([6, 7.5], None), ([7], 2))),
+], ids=["section61", "coin", "mixed", "zero-probability-atom"])
+def test_band_sweep_equals_heap_sweep(atoms, groups):
+    _equals_heap_sweeps(_exact_atoms(atoms), groups)
+
+
+def test_horizon_on_a_renewal_time_takes_the_exact_sign(monkeypatch):
+    # 3 = 3 * 1 and 1 + sqrt2 = 2 * 1 + (sqrt2 - 1) are renewal times
+    atoms = _exact_atoms(section_61_atoms())
+    groups = [([1 + S2, as_quad(3)], None), ([as_quad(3)], 3)]
+    signs = []
+    sign = QuadScalar.sign
+
+    def spy(self):
+        signs.append(self)
+        return sign(self)
+
+    monkeypatch.setattr(QuadScalar, "sign", spy)
+    _den, sweeps = renewal_exact._palm_sweep(atoms, groups)
+    monkeypatch.undo()
+    assert any(x.is_zero() for x in signs)
+    for (horizons, _), sweep in zip(groups, sweeps):
+        times = {QuadScalar(p, q, 2) for (_, p, q), _ in _table(sweep)}
+        assert all(t in times for t in horizons)
+    _equals_heap_sweeps(atoms, groups)
+
+
+def test_one_pass_equals_separate_passes():
+    atoms = _exact_atoms(MIXED)
+    groups = _groups(([9.5, 12.2], 9), ([20.9], 20), ([5.5], 2), ([14], None))
+    den, sweeps = renewal_exact._palm_sweep(atoms, groups)
+    for group, sweep in zip(groups, sweeps):
+        one_den, [one] = renewal_exact._palm_sweep(atoms, [group])
+        scale = _l_power(den, one_den, atoms)
+        assert sweep.ends == [([(S, p, q, m * scale) for S, p, q, m in f],
+                               c * scale) for f, c in one.ends]
+        assert sweep.pruned == {k: m * scale for k, m in one.pruned.items()}
+        assert _table(sweep) == [(k, m * scale) for k, m in _table(one)]
+        assert np.array_equal(sweep.states[3], one.states[3])
+        assert sweep.off_zero == one.off_zero
+
+
+def _heap_sweep(atoms, groups):
+    """A single-horizon _palm_sweep result from the heap reference, with
+    every state kept."""
+    [([t], bound)] = groups
+    states, finals, pruned, den = palm_sweep_at(
+        atoms, t, math.inf if bound is None else bound)
+    S, P, Q = (np.array(c, dtype=np.int64) for c in zip(*states))
+    table = (S, P, Q, P + Q * math.sqrt(2),
+             np.array(list(states.values()), dtype=object))
+    return den, [renewal_exact._Sweep(
+        table, [(finals, sum(pruned.values()))], pruned, None)]
+
+
+@pytest.mark.parametrize("I, J", [
+    (None, None), ((0.3, 0.4), None), ((S2 - 1, ONE), (0.1, 0.9)),
+    ((0.5, 2), (0, 0.3))])
+def test_stationary_masses_need_no_state_below_the_window(monkeypatch, I, J):
+    # lo(I) > 0 reads fewer states than I = None; neither reads one that
+    # the sweep drops
+    atoms, t = _exact_atoms(MIXED), as_quad(9)
+    kept = renewal_exact._stationary_masses(atoms, t, 6, I=I, J=J)
+    assert kept[1].sign() > 0 and any(m.sign() > 0 for m in kept[0].values())
+    monkeypatch.setattr(renewal_exact, "_palm_sweep", _heap_sweep)
+    assert renewal_exact._stationary_masses(atoms, t, 6, I=I, J=J) == kept
+
+
+def test_stationary_start_heights_below_zero_are_cut():
+    # s0 lies in [0, y_i): I = [-1, 3/10) is the event I = [0, 3/10)
+    atoms = section_61_atoms()
+    for S in (0, 1):
+        assert stationary_event_probability(
+            atoms, 12, S, I=(-1, Fraction(3, 10))) == \
+            stationary_event_probability(atoms, 12, S, I=(0, Fraction(3, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +411,15 @@ def test_state_budget_raises_state_explosion(monkeypatch):
         dp_distribution(section_61_atoms(), 20)
     monkeypatch.setattr(renewal_exact, "_MEMORY_BUDGET", 1 << 20)
     assert dp_distribution(section_61_atoms(), 20).total() == 1
+
+
+def test_state_keys_beyond_int64_raise_state_explosion():
+    # four transitions of duration ~2^60 overflow the packed state key
+    big = 1 << 60
+    atoms = [(-1, as_quad(big), HALF), (1, big + S2, HALF)]
+    with pytest.raises(StateExplosion, match="int64"):
+        dp_distribution(atoms, 3 * big)
+    assert dp_distribution(atoms, 3 * (1 << 50)).total() == 1
 
 
 def test_enumeration_budget_guard():
