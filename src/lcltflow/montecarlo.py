@@ -13,9 +13,11 @@ until their time budget is spent.  While every sample of the block is
 live, a pass works on the whole arrays through views; once some have
 finished, it gathers and scatters the live ones by index.  Both passes hand
 ``step`` the same states in the same order, so they make the same draws.
-A system with the optional ``leap`` (iid renewal) first adds, in one
-pre-pass, the sums over the whole cells that certainly fit in each budget,
-so the loop finishes only the last few crossings.
+A system with the optional ``leap`` first adds, in one pre-pass, the sums
+over the whole cells that certainly fit in each budget (iid renewal cells
+as binomial counts, Markov edge paths many steps at a time), so the loop
+finishes only the last few crossings.  Batch-means sums take a system's
+``block_sums`` (renewal, Markov) the same way, and step the others.
 """
 
 from __future__ import annotations
@@ -74,12 +76,12 @@ def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
 def _flow(system, state, s, dt, rng):
     """Run flow points (state, s) forward for time dt.  Returns the end cells
     and heights, psi = the sum of phi over every cell left (the start cell
-    included) and the crossing count.  With ``system.leap`` the cells after
-    the start cell that certainly end within dt are taken as sums in one
-    pre-pass; the loop then crosses one cell per iteration: the start cell,
-    and fresh cells until the budget is spent.  A pass indexes the whole
-    block with a slice while every path is alive, so nothing is gathered or
-    scattered, and the live paths by index after that."""
+    included) and the crossing count.  With ``system.leap`` the cells that
+    certainly end within dt are taken as sums in one pre-pass; the loop
+    then crosses one cell per iteration until the budget is spent.  A pass
+    indexes the whole block with a slice while every path is alive, so
+    nothing is gathered or scattered, and the live paths by index after
+    that."""
     cur = state.copy()
     target = s + dt
     acc = system.tau(cur)
@@ -88,10 +90,10 @@ def _flow(system, state, s, dt, rng):
         psi = np.zeros(len(cur))
         ncross = np.zeros(len(cur), dtype=np.int64)
     else:
-        # whole cells after the current one, then the loop below leaves the
-        # current cell and draws the next one fresh; tau_sum is freed before
-        # the loop's first pass, which sets the block's peak memory
-        ncross, psi, tau_sum = leap(target - acc, rng)
+        # acc stays tau over the cells entered, the current one included;
+        # tau_sum is freed before the loop's first pass, which sets the
+        # block's peak memory
+        ncross, psi, tau_sum, cur = leap(cur, target - acc, rng)
         acc += tau_sum
         del tau_sum
     alive = acc <= target
@@ -216,9 +218,15 @@ def sample_flow_integrals(system, t, N, seed, workers=1, field="raw"):
 def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
                    workers=1):
     """Batch-means covariance of block sums of (phi_check, tau)/sqrt(L),
-    centered at the block means.  Returns (2x2 covariance, 2x2 standard
-    errors)."""
+    centered at the block means.  A block is the first L cells of a path
+    from the base-invariant measure, summed by ``system.block_sums`` where
+    the system has it and stepped otherwise.  Returns (2x2 covariance, 2x2
+    standard errors)."""
+    block_sums = getattr(system, "block_sums", None)
+
     def block_fn(b, n_traj, rng):
+        if block_sums is not None:
+            return np.column_stack(block_sums(n_traj, block_len, rng))
         walk = _base_walk(system, n_traj, rng)
         sums = np.zeros((n_traj, 2))
         for _ in range(block_len):

@@ -126,9 +126,11 @@ def _gauss(sigma, w):
 
 def _card_integral(c0: float, d: float, I: tuple, J: tuple) -> float:
     """integral over s in I of Card(m : s + c0 + m d in J) ds, summed the
-    other way round: the sum over m of the overlaps |I n (J - c0 - m d)|."""
-    I0, I1 = float(I[0]), float(I[1])
-    J0, J1 = float(J[0]) - c0, float(J[1]) - c0
+    other way round: the sum over m of the overlaps |I n (J - c0 - m d)|.
+    Heights are nonnegative, so I and J are cut at 0, as in Monte Carlo and
+    the exact oracle."""
+    I0, I1 = max(float(I[0]), 0.0), float(I[1])
+    J0, J1 = max(float(J[0]), 0.0) - c0, float(J[1]) - c0
     ms = range(math.floor((J0 - I1) / d), math.ceil((J1 - I0) / d) + 1)
     return sum((max(0.0, min(I1, J1 - m * d) - max(I0, J0 - m * d))
                 for m in ms), 0.0)

@@ -15,10 +15,17 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
 - ``draw_base(n, rng)``: n states from the base-invariant measure;
 - ``step(states, rng)``: one application of the base dynamics;
 - ``tau(states)`` and ``phi(states)``: roof and per-cell integral;
-- optional ``leap(budget, rng)``: (count, phi_sum, tau_sum) per path over
-  whole fresh cells that certainly end within its time budget, drawn as
-  sums (renewal only: its cells are iid, so the next cell is then drawn
-  fresh by ``step``).
+- optional ``leap(states, budget, rng)``: (count, phi_sum, tau_sum,
+  states) per path over whole cells that certainly end within its time
+  budget, drawn as sums.  ``count`` cells are crossed, ``phi_sum`` is phi
+  over the cells left and ``tau_sum`` tau over the cells entered, and
+  ``states`` are the current cells after the leap.  Renewal draws fresh
+  iid cells as binomial counts and keeps its states (the next cell is then
+  drawn fresh by ``step``); a Markov shift leaves its current edge along
+  m-step edge paths drawn whole from path tables;
+- optional ``block_sums(n, m, rng)``: (phi_sum, tau_sum) over the first m
+  cells of n trajectories from the base-invariant measure, drawn by the
+  same tables (renewal and Markov).
 
 States are atom indices (renewal), flat edge indices i*n + j for the
 transition i -> j being traversed (Markov), and points of (0, 1] (the
@@ -28,6 +35,7 @@ intermittent map).
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -49,11 +57,58 @@ def _cdf_table(weights):
     return cum
 
 
+class _GuideTable:
+    """Inverse-CDF draws from many finite laws at once, through a guide
+    table (Chen & Asau 1974).
+
+    Law r is given by its row of cumulative sums (a ``_cdf_table`` row, so
+    it ends in +inf); the rows are laid end to end, and a draw returns an
+    index into that concatenation.  Each row's [0, 1) is cut into K cells,
+    K a power of two at least twice the longest row, so u*K and k/K are
+    exact, and cell k of row r stores the index of u = k/K.  A draw u starts
+    at its cell's index and advances past every cumulative entry <= u.
+    Every row is nondecreasing, so the index is the one of the plain inverse
+    CDF, for every u.  Only the draws that still need an advance pass take
+    one, on a shrinking index set; a cell holds on average at most 1/2
+    entry, so a draw costs O(1) expected passes however skewed its law."""
+
+    def __init__(self, rows):
+        K = 1 << (2 * max(map(len, rows)) - 1).bit_length()
+        grid = np.arange(K + 1) / K
+        guide = np.empty((len(rows), K), dtype=np.intp)
+        start = 0
+        # the most entries strictly inside one cell: 0 means no draw ever
+        # advances
+        self.advance = 0
+        for r, row in enumerate(rows):
+            at = np.searchsorted(row, grid[:-1], side="right")
+            below = np.searchsorted(row, grid[1:], side="left")
+            guide[r] = start + at
+            self.advance = max(self.advance, int(np.max(below - at)))
+            start += len(row)
+        self.K = K
+        self.guide = guide.ravel()
+        self.cum = np.concatenate(rows)
+
+    def draw(self, rows, u):
+        """Index of the entry of law ``rows[k]`` that ``u[k]`` selects:
+        #{entries of the row <= u} past the row's start."""
+        # k = floor(u*K) < K; numpy casts a float to int32 far faster than
+        # to int64
+        e = self.guide[rows * self.K + (u * self.K).astype(np.int32)]
+        if self.advance:
+            idx = np.flatnonzero(u >= self.cum[e])
+            while idx.size:
+                e[idx] += 1
+                idx = idx[u[idx] >= self.cum[e[idx]]]
+        return e
+
+
 # ---------------------------------------------------------------------------
 # reward renewal
 # ---------------------------------------------------------------------------
 
-_LEAP_SLICE = 1 << 15        # paths per slice in RenewalBase.leap
+_LEAP_SLICE = 1 << 15        # paths per slice in a leap
 
 
 class RenewalBase:
@@ -125,21 +180,33 @@ class RenewalBase:
     def phi(self, states):
         return self.xs[states]
 
-    def leap(self, budget, rng):
-        """(count, phi_sum, tau_sum) per path over whole fresh cells that
-        certainly end within its budget: 0 <= max(budget, 0) - tau_sum <
-        max y.  Each round takes m = floor(rem / max y) more cells, rem the
-        budget left, and splits them among the atoms by a chain of
-        binomials, atom j getting Binomial(m_left, p_j / (p_j + p_{j+1} +
-        ...)) and the last atom the rest; rounds repeat until every m is 0.
-        The cells are iid and m depends only on the cells before, so the
-        sums have the law of the same cells stepped one at a time.  Paths go
-        in slices of _LEAP_SLICE to keep the temporaries small."""
+    def _add_cells(self, left, phi_sum, tau_sum, rng):
+        """Add to phi_sum and tau_sum the sums over ``left`` fresh iid
+        cells per path, split among the atoms by a chain of binomials: atom
+        j gets Binomial(m_left, p_j / (p_j + p_{j+1} + ...)) and the last
+        atom the rest.  ``left`` is used up."""
+        *chain, (x_last, y_last, _) = self._chain
+        for x, y, q in chain:
+            c = rng.binomial(left, q)
+            left -= c
+            phi_sum += c * x
+            tau_sum += c * y
+        phi_sum += left * x_last
+        tau_sum += left * y_last
+
+    def leap(self, states, budget, rng):
+        """(count, phi_sum, tau_sum, states) per path over whole fresh
+        cells that certainly end within its budget: 0 <= max(budget, 0) -
+        tau_sum < max y.  Each round takes m = floor(rem / max y) more
+        cells, rem the budget left, drawn by ``_add_cells``; rounds repeat
+        until every m is 0.  The cells are iid and m depends only on the
+        cells before, so the sums have the law of the same cells stepped one
+        at a time, and the current cells stay as they are.  Paths go in
+        slices of _LEAP_SLICE to keep the temporaries small."""
         n = len(budget)
         count = np.zeros(n, dtype=np.int64)
         phi_sum = np.zeros(n)
         tau_sum = np.zeros(n)
-        *chain, (x_last, y_last, _) = self._chain
         for lo in range(0, n, _LEAP_SLICE):
             sl = slice(lo, lo + _LEAP_SLICE)
             b, cnt, ps, ts = budget[sl], count[sl], phi_sum[sl], tau_sum[sl]
@@ -150,14 +217,16 @@ class RenewalBase:
                     break
                 left = m.astype(np.int64)
                 cnt += left
-                for x, y, q in chain:
-                    c = rng.binomial(left, q)
-                    left -= c
-                    ps += c * x
-                    ts += c * y
-                ps += left * x_last
-                ts += left * y_last
-        return count, phi_sum, tau_sum
+                self._add_cells(left, ps, ts, rng)
+        return count, phi_sum, tau_sum, states
+
+    def block_sums(self, n, m, rng):
+        """(phi_sum, tau_sum) over m iid cells for each of n paths: one
+        binomial chain of m cells."""
+        phi_sum = np.zeros(n)
+        tau_sum = np.zeros(n)
+        self._add_cells(np.full(n, m, dtype=np.int64), phi_sum, tau_sum, rng)
+        return phi_sum, tau_sum
 
     def value_group(self):
         """Generators and shift for the support group of (phi_check, tau):
@@ -186,17 +255,40 @@ class RenewalBase:
 # finite Markov shift
 # ---------------------------------------------------------------------------
 
+_PATH_CAP = 1 << 12          # paths per vertex in the longest path table
+
+
+class _PathTable:
+    """Every positive-probability m-step edge path from each vertex of a
+    chain, grouped by start vertex: its probability (the product of the P
+    entries), ``phi`` its phi-sum over every edge but the last, ``tau`` its
+    tau-sum over every edge, and ``last`` its last edge.  ``reach[v]`` is
+    the largest tau-sum from v, and ``sampler`` draws a path of vertex v
+    by the inverse CDF of v's probabilities, in enumeration order."""
+
+    def __init__(self, m, start, prob, phi, tau, last, n):
+        self.m = m
+        self.prob, self.phi, self.tau, self.last = prob, phi, tau, last
+        # vertex v's paths are offsets[v]:offsets[v + 1]
+        self.offsets = np.searchsorted(start, np.arange(n + 1))
+        self.sampler = _GuideTable([
+            _cdf_table(prob[lo:hi])
+            for lo, hi in zip(self.offsets, self.offsets[1:])])
+        self.reach = np.maximum.reduceat(tau, self.offsets[:-1])
+
+
 class MarkovShiftBase:
     """Finite-state chain with per-transition values f(i, j) = (phi, tau).
     Flow state = the flat index i*n + j of the current edge (i, j): the point
     sits in the fiber over the transition being traversed.
 
-    Next states are inverse-CDF draws on the rows of P, found through a
-    guide table (Chen & Asau 1974): a row's [0, 1) is cut into K cells, K a
-    power of two >= 2n, and cell k stores the edge of u = k/K; a draw u
-    starts at its cell's edge and advances past every cumulative entry
-    <= u.  Every row is nondecreasing, so the edge is the one of the plain
-    inverse CDF, for every u."""
+    Next states are inverse-CDF draws on the rows of P through a
+    ``_GuideTable``.  ``leap`` and ``block_sums`` take many steps per pass
+    with path tables: for m = M, M // 2, ..., 1, every positive-probability
+    m-step path from each vertex, drawn whole by the same sampler.  M is the
+    largest m with at most _PATH_CAP paths from any vertex; the tables are
+    built on first use, so a chain that only serves the exact oracles never
+    pays for them."""
 
     def __init__(self, P, f):
         P = np.asarray(P, dtype=float)
@@ -230,7 +322,8 @@ class MarkovShiftBase:
         self.stationary = pi
         self.stationary_cum = _cdf_table(pi)
         self.cumP = _cdf_table(P)
-        self._build_guide()
+        # row i's index j is the flat edge i*n + j
+        self._next = _GuideTable(list(self.cumP))
         self.edge_phi = self.f[:, :, 0].ravel()
         self.edge_tau = self.f[:, :, 1].ravel()
         # the end vertex j of each flat edge i*n + j: a lookup, not a modulo
@@ -240,39 +333,14 @@ class MarkovShiftBase:
         self.nu_tau = float(np.sum(edge_w * self.f[:, :, 1]))
         sb = (edge_w * self.f[:, :, 1]).ravel()
         self.size_biased_cum = _cdf_table(sb / sb.sum())
+        self._tables = None
+        self._tables_lock = threading.Lock()
 
     kind = "markov"
 
-    def _build_guide(self):
-        """Guide table over the rows of cumP: ``_guide[i*K + k]`` is the
-        flat edge i*n + #{entries <= k/K} of row i, and ``_advance`` the
-        most entries strictly inside one cell, so that this many advance
-        passes reach the edge of any u in the cell.  K is a power of two, so
-        u*K and k/K are exact."""
-        n = self.n_states
-        K = 1 << (2 * n - 1).bit_length()
-        grid = np.arange(K + 1) / K
-        guide = np.empty((n, K), dtype=np.intp)
-        advance = 0
-        for i, row in enumerate(self.cumP):
-            at = np.searchsorted(row, grid, side="right")
-            below = np.searchsorted(row, grid[1:], side="left")
-            guide[i] = i * n + at[:-1]
-            advance = max(advance, int(np.max(below - at[:-1])))
-        self._K = K
-        self._guide = guide.ravel()
-        self._advance = advance
-        self._cum_flat = self.cumP.ravel()
-
     def _edges_from(self, i, rng):
         """Edges i -> j with j drawn from row i of P: j = #{cumP[i] <= u}."""
-        u = rng.random(len(i))
-        # k = floor(u*K) < K; numpy casts a float to int32 far faster than
-        # to int64
-        e = self._guide[i * self._K + (u * self._K).astype(np.int32)]
-        for _ in range(self._advance):
-            e += u >= self._cum_flat[e]
-        return e
+        return self._next.draw(i, rng.random(len(i)))
 
     def draw_start(self, n, rng):
         return np.searchsorted(self.size_biased_cum, rng.random(n),
@@ -290,6 +358,118 @@ class MarkovShiftBase:
 
     def phi(self, states):
         return self.edge_phi[states]
+
+    # -- path tables ------------------------------------------------------
+
+    def path_tables(self):
+        """The ``_PathTable`` of each level m = M, M // 2, ..., 1, longest
+        first, built once (under a lock, as blocks run in threads)."""
+        with self._tables_lock:
+            if self._tables is None:
+                self._tables = self._build_path_tables()
+        return self._tables
+
+    def _build_path_tables(self):
+        n = self.n_states
+        pos = self.P > 0
+        # paths per vertex of each length: M is the longest within the cap
+        # (and a one-state chain, one path of every length, stops there too)
+        adj = pos.astype(np.int64)
+        count = adj.sum(axis=1)
+        M = 1
+        while M < _PATH_CAP:
+            count = adj @ count
+            if count.max() > _PATH_CAP:
+                break
+            M += 1
+        levels = []
+        m = M
+        while m:
+            levels.append(m)
+            m //= 2
+        # positive edges in flat order, hence grouped by tail vertex
+        edges = np.flatnonzero(pos.ravel())
+        out_start = np.searchsorted(edges // n, np.arange(n + 1))
+        degree = np.diff(out_start)
+        start, last = edges // n, edges
+        prob = self.P.ravel()[edges]
+        phi = np.zeros(len(edges))
+        tau = self.edge_tau[edges]
+        tables = {}
+        for m in range(1, M + 1):
+            if m > 1:
+                # extend each path by every positive edge out of its head,
+                # path by path, so paths stay grouped by start vertex
+                head = self._head[last]
+                rep = np.repeat(np.arange(len(last)), degree[head])
+                first = np.cumsum(degree[head]) - degree[head]
+                child = edges[out_start[head][rep]
+                              + np.arange(len(rep)) - first[rep]]
+                start, prob = start[rep], prob[rep] * self.P.ravel()[child]
+                phi = phi[rep] + self.edge_phi[last[rep]]
+                tau = tau[rep] + self.edge_tau[child]
+                last = child
+            if m in levels:
+                tables[m] = _PathTable(m, start, prob, phi, tau, last, n)
+        return [tables[m] for m in levels]
+
+    def _leap_paths(self, table, cur, rng):
+        """One path of ``table`` from the head of each edge in cur: (phi of
+        cur plus the path's phi-sum, the path's tau-sum, its last edge),
+        the sums of ``table.m`` passes of the crossing loop."""
+        k = table.sampler.draw(self._head[cur], rng.random(len(cur)))
+        return self.edge_phi[cur] + table.phi[k], table.tau[k], table.last[k]
+
+    def leap(self, states, budget, rng):
+        """(count, phi_sum, tau_sum, states) per path: at each level, while
+        the budget left is at least the level's reach from the current
+        edge's head, leave the edge along an m-step path drawn from the
+        table.  The path then certainly ends within the budget, and the
+        decision depends only on the edges before, so the sums have the law
+        of the same m crossings stepped one at a time.  A chain too big for
+        m >= 2 leaps nothing, and the engine's loop steps it.  Paths go in
+        slices of _LEAP_SLICE, which keeps the gathers in cache."""
+        n = len(states)
+        count = np.zeros(n, dtype=np.int64)
+        phi_sum = np.zeros(n)
+        tau_sum = np.zeros(n)
+        cur = states.copy()
+        tables = self.path_tables()
+        if tables[0].m < 2:
+            return count, phi_sum, tau_sum, cur
+        for lo in range(0, n, _LEAP_SLICE):
+            sl = slice(lo, lo + _LEAP_SLICE)
+            b, cnt, ps, ts, cu = (budget[sl], count[sl], phi_sum[sl],
+                                  tau_sum[sl], cur[sl])
+            for table in tables:
+                idx = np.flatnonzero(b - ts >= table.reach[self._head[cu]])
+                while idx.size:
+                    p, t, last = self._leap_paths(table, cu[idx], rng)
+                    ps[idx] += p
+                    ts[idx] += t
+                    cnt[idx] += table.m
+                    cu[idx] = last
+                    idx = idx[b[idx] - ts[idx]
+                              >= table.reach[self._head[last]]]
+        return count, phi_sum, tau_sum, cur
+
+    def block_sums(self, n, m, rng):
+        """(phi_sum, tau_sum) over the first m edges of n trajectories from
+        the base-invariant measure: leaps of the longest level while at
+        least that many edges remain, then the shorter levels."""
+        cur = self.draw_base(n, rng)
+        phi_sum = np.zeros(n)
+        # tau over the edges entered, the first included; the edge after
+        # the m-th is taken off at the end
+        tau_sum = self.edge_tau[cur].copy()
+        left = m
+        for table in self.path_tables():
+            while left >= table.m:
+                ps, ts, cur = self._leap_paths(table, cur, rng)
+                phi_sum += ps
+                tau_sum += ts
+                left -= table.m
+        return phi_sum, tau_sum - self.edge_tau[cur]
 
     @classmethod
     def from_json(cls, obj):

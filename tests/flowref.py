@@ -1,20 +1,22 @@
-"""References for the vectorised path engine and the Markov step.
+"""References for the vectorised path engine and the samplers.
 
 - ``flow_integrate``: one flow point, one crossing per Python loop pass,
   driven through the same system protocol (``draw_start``, ``step``,
   ``tau``, ``phi`` and the optional ``leap``) with length-1 state arrays.
 - ``flow_masked``: the block engine with every pass gathered and scattered
   through the indices of the live paths, whole-block passes included.
-- ``scan_edges``: Markov next edges by a full comparison scan of the
-  cumulative row.
+- ``WithoutLeap``: a system with its ``leap`` and ``block_sums`` hidden, so
+  that the engine and the batch means step one cell at a time.
+- ``scan_index`` and ``scan_edges``: inverse-CDF draws by a full comparison
+  scan of a cumulative row (Markov next edges, path-table entries).
 - ``pm_map_where``: the intermittent map with both branches evaluated on
   every state and one picked by ``np.where``.
 - ``pm_first_return``: the first return to (1/2, 1] of the intermittent map,
   one scalar step at a time.
 
-Tests compare them against ``montecarlo._flow``,
-``MarkovShiftBase._edges_from``, ``systems.pm_map`` and
-``PMTowerBase.return_time``, on the same random stream where one is drawn.
+Tests compare them against ``montecarlo._flow``, ``systems._GuideTable``,
+``systems.pm_map`` and ``PMTowerBase.return_time``, on the same random
+stream where one is drawn.
 """
 
 from dataclasses import dataclass
@@ -50,26 +52,33 @@ def flow_integrate(system, start: FlowPoint, t: float, rng=None):
     tau = _one(system.tau, state)
     if not 0 <= s < tau:
         raise ValueError(f"fiber height {s} outside [0, {tau})")
-    integral = 0.0
-    remaining = t
+    # times from the bottom of the start cell: the end point and the
+    # bottom of the current cell
+    end = s + t
+    bottom = 0.0
+    integral = -_one(system.phi, state) / tau * s
     crossings = 0
     leap = getattr(system, "leap", None)
     if leap is not None:
-        # whole cells after the current one, at the point where _flow leaps
-        count, phi_sum, tau_sum = leap(np.array([s + remaining - tau]), rng)
+        # the cells that certainly end before the end point, at the point
+        # where _flow leaps: phi over the cells left, tau over the cells
+        # entered (the current one included)
+        count, phi_sum, tau_sum, after = leap(np.array([state]),
+                                              np.array([end - tau]), rng)
         integral += phi_sum[0]
-        remaining -= tau_sum[0]
         crossings += int(count[0])
-    while s + remaining >= tau:
-        seg = tau - s
-        integral += _one(system.phi, state) / tau * seg
-        remaining -= seg
+        state = after[0]
+        entered = tau + tau_sum[0]
+        tau = _one(system.tau, state)
+        bottom = entered - tau
+    while end >= bottom + tau:
+        integral += _one(system.phi, state)
+        bottom += tau
         state = system.step(np.array([state]), rng)[0]
         crossings += 1
-        s = 0.0
         tau = _one(system.tau, state)
-    integral += _one(system.phi, state) / tau * remaining
-    return integral, FlowPoint(state, s + remaining), crossings
+    integral += _one(system.phi, state) / tau * (end - bottom)
+    return integral, FlowPoint(state, end - bottom), crossings
 
 
 def sample_stationary(system, rng) -> FlowPoint:
@@ -91,7 +100,7 @@ def flow_masked(system, state, s, dt, rng):
         psi = np.zeros(len(cur))
         ncross = np.zeros(len(cur), dtype=np.int64)
     else:
-        ncross, psi, tau_sum = leap(target - acc, rng)
+        ncross, psi, tau_sum, cur = leap(cur, target - acc, rng)
         acc += tau_sum
     alive = acc <= target
     while np.any(alive):
@@ -107,11 +116,31 @@ def flow_masked(system, state, s, dt, rng):
     return {"end": cur, "s_end": s_end, "psi": psi, "ncross": ncross}
 
 
+class WithoutLeap:
+    """A system with its ``leap`` and ``block_sums`` hidden: the engine
+    crosses one cell per loop pass, and batch means step one cell at a
+    time."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def __getattr__(self, name):
+        if name in ("leap", "block_sums"):
+            raise AttributeError(name)
+        return getattr(self.system, name)
+
+
+def scan_index(cum, u):
+    """Inverse-CDF draws by a full scan: for each u, the first index whose
+    cumulative entry exceeds u, in one row ``cum`` or in row k of ``cum``
+    for u[k]."""
+    return (u[:, None] < cum).argmax(axis=1)
+
+
 def scan_edges(chain, i, u):
     """Flat edges i*n + j of a MarkovShiftBase for uniforms u: j is the
     first index of row i whose cumulative entry exceeds u."""
-    j = (u[:, None] < chain.cumP[i]).argmax(axis=1)
-    return i * chain.n_states + j
+    return i * chain.n_states + scan_index(chain.cumP[i], u)
 
 
 def pm_map_where(x, alpha):

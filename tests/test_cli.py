@@ -142,6 +142,21 @@ def test_predict_reads_exact_numbers(tmp_path, capsys):
         assert rec["value"] == pytest.approx(0.37180643207922826, rel=1e-9)
 
 
+def test_predict_cuts_the_start_interval_at_zero(tmp_path, capsys):
+    # start heights are nonnegative, so I = [-1, 0.3) is the event of
+    # [0, 0.3), as in Monte Carlo and the exact oracle
+    values = []
+    for lo in (-1, 0):
+        cfg = dict(PREDICT_CFG,
+                   request=dict(PREDICT_CFG["request"], I=[lo, 0.3]))
+        code, _ = run(tmp_path, "predict", cfg)
+        assert code == 0
+        rec = json.loads((tmp_path / "out" / "predict.json").read_text())
+        values.append(rec["value"])
+    assert values[0] == values[1]
+    assert values[1] == pytest.approx(0.269286, abs=1e-6)
+
+
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_off_lattice_W_exits_3_in_predict_and_verify(tmp_path, capsys,
                                                       command):

@@ -1,6 +1,8 @@
 """Monte Carlo estimators: reproducibility, distributional checks, variance."""
 
+import json
 import math
+import os
 import warnings
 from fractions import Fraction
 
@@ -9,14 +11,16 @@ import pytest
 from scipy import stats
 
 from lcltflow.errors import EmptySetWarning
-from lcltflow.montecarlo import (_flow, _paths, estimate_lclt, estimate_mlclt,
-                                 estimate_correlation, estimate_sigma,
-                                 moderate_dev_diagnostic,
+from lcltflow.montecarlo import (_base_walk, _flow, _paths, estimate_lclt,
+                                 estimate_mlclt, estimate_correlation,
+                                 estimate_sigma, moderate_dev_diagnostic,
                                  sample_flow_integrals)
 from lcltflow.quadfield import QuadScalar
-from lcltflow.systems import MarkovShiftBase, PMTowerBase, RenewalBase
+from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
+                              load_system)
 
-from flowref import FlowPoint, flow_integrate, flow_masked, sample_stationary
+from flowref import (FlowPoint, WithoutLeap, flow_integrate, flow_masked,
+                     sample_stationary)
 
 S2 = QuadScalar.sqrtD(2)
 SQ2 = math.sqrt(2)
@@ -135,19 +139,6 @@ def test_engine_matches_the_masked_loop(kind):
         assert np.array_equal(got[field], ref[field]), field
 
 
-class _WithoutLeap:
-    """A system with its ``leap`` hidden: the engine crosses one cell per
-    loop pass."""
-
-    def __init__(self, system):
-        self.system = system
-
-    def __getattr__(self, name):
-        if name == "leap":
-            raise AttributeError(name)
-        return getattr(self.system, name)
-
-
 def _two_sample_chi2_p(a, b):
     """p-value of the chi-square test that two samples of integer values
     share one law, with sparse values pooled into classes of >= 20."""
@@ -170,7 +161,7 @@ def test_renewal_leap_keeps_the_law_of_the_crossing_loop():
     sys = osc_system()
     n = 1 << 16
     leapt = _paths(sys, 100.0, n, np.random.default_rng(31))
-    stepped = _paths(_WithoutLeap(sys), 100.0, n, np.random.default_rng(32))
+    stepped = _paths(WithoutLeap(sys), 100.0, n, np.random.default_rng(32))
     assert leapt["ncross"].mean() > 140
     assert np.all((leapt["s_end"] >= 0)
                   & (leapt["s_end"] < sys.tau(leapt["end"])))
@@ -178,6 +169,82 @@ def test_renewal_leap_keeps_the_law_of_the_crossing_loop():
         a, b = (np.rint(blk[field]).astype(np.int64)
                 for blk in (leapt, stepped))
         assert _two_sample_chi2_p(a, b) > 0.01, field
+
+
+def bench_chain():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "configs", "markov_flow_verify.json")
+    with open(path) as fh:
+        return load_system(json.load(fh)["system"])
+
+
+def skewed_chain():
+    f = np.ones((2, 2, 2))
+    f[:, :, 0] = [[1, -1], [2, -1]]
+    f[:, :, 1] = [[1, SQ2], [0.5, 2]]
+    return MarkovShiftBase([[0.99, 0.01], [0.5, 0.5]], f)
+
+
+def coin_chain():
+    f = np.ones((2, 2, 2))
+    f[:, 0, 0] = -1
+    return MarkovShiftBase([[0.5, 0.5], [0.5, 0.5]], f)
+
+
+MARKOV_CHAINS = {"bench": bench_chain, "skewed": skewed_chain,
+                 "coin": coin_chain, "chain3": chain3_system}
+
+
+@pytest.mark.parametrize("kind", ["bench", "skewed", "coin"])
+def test_markov_leap_keeps_the_law_of_the_crossing_loop(kind):
+    # crossing counts and section sums at t = 100 of the engine with the
+    # path-table leap against the same chain stepped one crossing at a time
+    sys = MARKOV_CHAINS[kind]()
+    n = 1 << 16
+    leapt = _paths(sys, 100.0, n, np.random.default_rng(41))
+    stepped = _paths(WithoutLeap(sys), 100.0, n, np.random.default_rng(42))
+    assert np.all((leapt["s_end"] >= 0)
+                  & (leapt["s_end"] < sys.tau(leapt["end"])))
+    # the leap took most crossings: the loop is left with its last cells
+    count = sys.leap(leapt["start"], leapt["s0"] + 100.0
+                     - sys.tau(leapt["start"]), np.random.default_rng(43))[0]
+    assert count.mean() > 0.8 * leapt["ncross"].mean()
+    for field in ("ncross", "psi"):
+        a, b = (np.rint(blk[field]).astype(np.int64)
+                for blk in (leapt, stepped))
+        assert _two_sample_chi2_p(a, b) > 0.01, field
+
+
+@pytest.mark.parametrize("kind", ["renewal", "bench", "skewed", "chain3"])
+def test_block_sums_keep_the_law_of_the_base_walk(kind):
+    # sums over block_len = 50 cells, drawn as sums against the stepped
+    # base walk, and the batch means of both
+    sys = osc_system() if kind == "renewal" else MARKOV_CHAINS[kind]()
+    n, L = 1 << 14, 50
+    phi, tau = sys.block_sums(n, L, np.random.default_rng(51))
+    walk = _base_walk(sys, n, np.random.default_rng(52))
+    steps = [next(walk) for _ in range(L)]
+    ref_phi = sum(p for p, _ in steps)
+    ref_tau = sum(t for _, t in steps)
+    # phi values are multiples of 1/2; tau sums compared on unit bins
+    for a, b in ((phi, ref_phi), (tau, ref_tau)):
+        assert _two_sample_chi2_p(np.rint(2 * a).astype(np.int64),
+                                  np.rint(2 * b).astype(np.int64)) > 0.01
+    cov, se = estimate_sigma(sys, n_blocks=4000, block_len=L, seed=53)
+    ref, ref_se = estimate_sigma(WithoutLeap(sys), n_blocks=4000,
+                                 block_len=L, seed=54)
+    assert np.all(np.abs(cov - ref) < 4 * np.hypot(se, ref_se))
+
+
+def test_coin_chain_block_sums_count_their_cells():
+    # unit roofs: the tau sum of m cells is m, and the phi sum has m's
+    # parity, for every m the levels split differently
+    sys = coin_chain()
+    rng = np.random.default_rng(55)
+    for m in (1, 2, 5, 12, 13, 50, 1000):
+        phi, tau = sys.block_sums(300, m, rng)
+        assert np.array_equal(tau, np.full(300, float(m)))
+        assert np.all((phi - m) % 2 == 0) and np.all(np.abs(phi) <= m)
 
 
 def test_seed_changes_samples():

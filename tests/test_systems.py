@@ -9,12 +9,14 @@ from scipy import stats
 
 from lcltflow.errors import ConfigError, MixedRingError
 from lcltflow.quadfield import QuadScalar, as_quad
+from lcltflow.spectral import TwistedOperatorModel
 from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
                               _pm_left, _pm_pullback, load_system,
                               pm_map)
 
-from flowref import (FlowPoint, flow_integrate, pm_first_return,
-                     pm_map_where, sample_stationary, scan_edges)
+from flowref import (FlowPoint, WithoutLeap, flow_integrate,
+                     pm_first_return, pm_map_where, sample_stationary,
+                     scan_edges, scan_index)
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -86,7 +88,10 @@ def test_renewal_leap_stays_within_budget():
     sys = osc_system()
     rng = np.random.default_rng(21)
     budget = rng.uniform(-2, 300, 20_000)
-    count, phi_sum, tau_sum = sys.leap(budget, rng)
+    states = sys.draw_base(len(budget), rng)
+    count, phi_sum, tau_sum, after = sys.leap(states, budget, rng)
+    # iid cells: the leapt cells come before the current one, which stays
+    assert after is states
     assert count.dtype == np.int64 and np.all(count >= 0)
     slack = np.maximum(budget, 0) - tau_sum
     assert np.all(slack >= 0) and np.all(slack < sys.ys.max())
@@ -101,7 +106,8 @@ def test_renewal_leap_coin_parity():
     sys = coin_system()
     rng = np.random.default_rng(22)
     budget = rng.uniform(-2, 300, 20_000)
-    count, phi_sum, tau_sum = sys.leap(budget, rng)
+    states = np.zeros(len(budget), dtype=np.intp)
+    count, phi_sum, tau_sum, _ = sys.leap(states, budget, rng)
     assert np.array_equal(count, np.floor(np.maximum(budget, 0)))
     assert np.array_equal(tau_sum, count)
     assert np.all((phi_sum - count) % 2 == 0)
@@ -116,7 +122,8 @@ def test_renewal_leap_skips_zero_probability_atoms():
                        (2, 9, 0)])
     rng = np.random.default_rng(23)
     budget = rng.uniform(-2, 300, 5000)
-    count, phi_sum, tau_sum = sys.leap(budget, rng)
+    states = np.zeros(len(budget), dtype=np.intp)
+    count, phi_sum, tau_sum, _ = sys.leap(states, budget, rng)
     assert np.all(np.isfinite(phi_sum)) and np.all(np.isfinite(tau_sum))
     # with only the atoms (-1, 1) and (1, 2): tau = c + k, phi = k - (c - k)
     k = tau_sum - count
@@ -125,7 +132,8 @@ def test_renewal_leap_skips_zero_probability_atoms():
     slack = np.maximum(budget, 0) - tau_sum
     assert np.all(slack >= 0) and np.all(slack < 2)
     single = RenewalBase([(0, S2, 1), (1, 3, 0)])
-    count, phi_sum, tau_sum = single.leap(np.array([10.0, 0.5]), rng)
+    count, phi_sum, tau_sum, _ = single.leap(np.zeros(2, dtype=np.intp),
+                                             np.array([10.0, 0.5]), rng)
     assert count.tolist() == [7, 0] and phi_sum.tolist() == [0.0, 0.0]
 
 
@@ -135,8 +143,8 @@ def test_renewal_leap_skips_zero_probability_atoms():
 
 def test_flow_integrate_additive_and_counts_crossings():
     # path-by-path additivity on one stream holds for the one-crossing loop
-    # alone: a leap's draws depend on the budget, so use a system without one
-    sys = MarkovShiftBase(P3, f3_table())
+    # alone: a leap's draws depend on the budget, so hide the leap
+    sys = WithoutLeap(MarkovShiftBase(P3, f3_table()))
     rng = np.random.default_rng(3)
     start = sample_stationary(sys, rng)
     rng2 = np.random.default_rng(99)
@@ -301,7 +309,7 @@ def test_guide_table_draws_the_edges_of_the_scan():
         zero = P == 0
         interior |= bool(np.any(zero[:, :-1] & (P[:, 1:] > 0)))
         trailing |= bool(np.any(zero[:, -1]))
-        clustered |= chain._advance >= 3
+        clustered |= chain._next.advance >= 3
         # every breakpoint, its neighbours, the ends of [0, 1) and random u
         cuts = chain.cumP[np.isfinite(chain.cumP)]
         u = np.concatenate([cuts, np.nextafter(cuts, 0),
@@ -313,6 +321,146 @@ def test_guide_table_draws_the_edges_of_the_scan():
             assert np.array_equal(chain._edges_from(rows, _FixedDrawRng(u)),
                                   scan_edges(chain, rows, u))
     assert interior and trailing and clustered
+
+
+# path tables: enumerated, sampled and leapt
+
+BENCH_P = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+SKEWED_P = [[0.99, 0.01], [0.5, 0.5]]
+ZEROS_P = [[0, .6, .3, .1], [.5, .5, 0, 0], [.5, 0, .5, 0], [.5, 0, 0, .5]]
+
+
+def _random_values(n, seed):
+    f = np.random.default_rng(seed).random((n, n, 2))
+    f[:, :, 0] -= 0.5
+    f[:, :, 1] += 0.5
+    return f
+
+
+def _enumerate_paths(P, f, v, m):
+    """(probability, phi-sum but the last edge, tau-sum, last edge) of every
+    positive-probability m-step path from v, in lexicographic order."""
+    n = len(P)
+    if m == 0:
+        return [(1.0, [], [], None, v)]
+    out = []
+    for prob, phis, taus, last, head in _enumerate_paths(P, f, v, m - 1):
+        for j in range(n):
+            if P[head][j] > 0:
+                out.append((prob * P[head][j],
+                            phis + ([] if last is None else
+                                    [f[last // n, last % n, 0]]),
+                            taus + [f[head, j, 1]], head * n + j, j))
+    return out
+
+
+@pytest.mark.parametrize("P", [BENCH_P, SKEWED_P, ZEROS_P, P3],
+                         ids=["bench", "skewed", "zeros", "P3"])
+def test_path_tables_hold_every_path_with_its_sums(P):
+    n = len(P)
+    f = _random_values(n, 5)
+    chain = MarkovShiftBase(P, f)
+    tables = chain.path_tables()
+    # M is the longest m with at most 2^12 paths from any vertex
+    adj = (np.asarray(P) > 0).astype(np.int64)
+    M = tables[0].m
+    for m, within in ((M, True), (M + 1, False)):
+        paths = np.linalg.matrix_power(adj, m).sum(axis=1).max()
+        assert (paths <= 1 << 12) == within
+    assert [t.m for t in tables] == [M >> k for k in range(M.bit_length())]
+    for table in tables:
+        for v in range(n):
+            lo, hi = table.offsets[v], table.offsets[v + 1]
+            assert table.prob[lo:hi].sum() == pytest.approx(1, abs=1e-12)
+            ref = _enumerate_paths(P, f, v, table.m)
+            assert hi - lo == len(ref)
+            np.testing.assert_allclose(table.prob[lo:hi],
+                                       [r[0] for r in ref], rtol=1e-12)
+            np.testing.assert_allclose(table.phi[lo:hi],
+                                       [sum(r[1]) for r in ref], atol=1e-12)
+            np.testing.assert_allclose(table.tau[lo:hi],
+                                       [sum(r[2]) for r in ref], rtol=1e-12)
+            assert table.last[lo:hi].tolist() == [r[3] for r in ref]
+            assert table.reach[v] == table.tau[lo:hi].max()
+
+
+def test_path_table_levels_follow_the_path_count():
+    # a full 3-state chain has 3^m paths per vertex: 3^7 = 2187 <= 2^12
+    full = MarkovShiftBase(np.full((3, 3), 1 / 3), np.ones((3, 3, 2)))
+    assert [t.m for t in full.path_tables()] == [7, 3, 1]
+    # a one-state chain has one path of every length: the cap stops it
+    one = MarkovShiftBase([[1.0]], np.ones((1, 1, 2)))
+    assert one.path_tables()[0].m == 1 << 12
+    # 65^2 > 2^12 two-step paths: no m >= 2 level, and the leap takes no
+    # step, leaving the engine's one-step loop
+    big = MarkovShiftBase(np.full((65, 65), 1 / 65), np.ones((65, 65, 2)))
+    assert [t.m for t in big.path_tables()] == [1]
+    states = big.draw_start(10, np.random.default_rng(1))
+    count, phi_sum, tau_sum, after = big.leap(states, np.full(10, 100.0),
+                                              np.random.default_rng(2))
+    assert not count.any() and not phi_sum.any() and not tau_sum.any()
+    assert np.array_equal(after, states)
+
+
+def test_construction_builds_no_path_table():
+    chain = MarkovShiftBase(BENCH_P, _random_values(3, 1))
+    TwistedOperatorModel(chain)
+    assert chain._tables is None
+    chain.step(chain.draw_base(4, np.random.default_rng(0)),
+               np.random.default_rng(1))
+    assert chain._tables is None
+    chain.leap(chain.draw_start(4, np.random.default_rng(0)), np.ones(4),
+               np.random.default_rng(1))
+    assert chain._tables is not None
+
+
+@pytest.mark.parametrize("P", [BENCH_P, SKEWED_P, ZEROS_P],
+                         ids=["bench", "skewed", "zeros"])
+def test_markov_leap_stays_within_budget(P):
+    # every leapt path ends within its budget, and the budget left is below
+    # the one-step reach from the edge the leap stops on
+    n = len(P)
+    chain = MarkovShiftBase(P, _random_values(n, 3))
+    rng = np.random.default_rng(24)
+    states = chain.draw_start(1 << 17, rng)
+    budget = rng.uniform(-2, 300, len(states))
+    count, phi_sum, tau_sum, after = chain.leap(states, budget, rng)
+    assert count.dtype == np.int64 and count.min() == 0
+    slack = budget - tau_sum
+    assert np.all(slack >= np.minimum(budget, 0))
+    one_step = chain.path_tables()[-1]
+    assert np.all(slack < one_step.reach[chain._head[after]])
+    # a path that leaps nothing keeps its edge
+    assert np.array_equal(after[count == 0], states[count == 0])
+    # unit roofs: the tau sum of c edges is c
+    unit = MarkovShiftBase(P, np.ones((n, n, 2)))
+    count, phi_sum, tau_sum, _ = unit.leap(states, budget, rng)
+    assert np.array_equal(tau_sum, count)
+    assert np.array_equal(phi_sum, count)
+
+
+@pytest.mark.parametrize("P", [SKEWED_P, ZEROS_P, P3, BENCH_P],
+                         ids=["skewed", "zeros", "P3", "bench"])
+def test_path_sampler_draws_the_paths_of_the_scan(P):
+    rng = np.random.default_rng(13)
+    n = len(P)
+    chain = MarkovShiftBase(P, _random_values(n, 2))
+    for table in chain.path_tables():
+        cum = table.sampler.cum
+        for v in range(n):
+            lo, hi = table.offsets[v], table.offsets[v + 1]
+            row = cum[lo:hi]
+            cuts = row[np.isfinite(row)]
+            u = np.concatenate([cuts, np.nextafter(cuts, 0),
+                                np.nextafter(cuts, 2), [0.0, 1 - 2.0 ** -53],
+                                rng.random(10 ** 4)])
+            u = u[(u >= 0) & (u < 1)]
+            got = table.sampler.draw(np.full(len(u), v), u)
+            assert np.array_equal(got, lo + scan_index(row, u))
+    # the skewed table has cells with several breakpoints, so the advance
+    # passes run
+    if P is SKEWED_P:
+        assert chain.path_tables()[0].sampler.advance >= 2
 
 
 # ---------------------------------------------------------------------------
