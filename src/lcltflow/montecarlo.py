@@ -6,18 +6,18 @@ uses key seed + (b << 64)).  Blocks are reduced in block order, so results
 are bit-identical for any worker count.
 
 One vectorized path engine serves every system through the protocol of
-``systems`` (``draw_start``, ``draw_base``, ``step``, ``tau``, ``phi``): each
-sample carries its current cell, accumulated roof time and accumulated
-section sum, and all live samples advance one crossing per loop iteration
-until their time budget is spent.  While every sample of the block is
-live, a pass works on the whole arrays through views; once some have
-finished, it gathers and scatters the live ones by index.  Both passes hand
-``step`` the same states in the same order, so they make the same draws.
-A system with the optional ``leap`` first adds, in one pre-pass, the sums
-over the whole cells that certainly fit in each budget (iid renewal cells
-as binomial counts, Markov edge paths many steps at a time), so the loop
-finishes only the last few crossings.  Batch-means sums take a system's
-``block_sums`` (renewal, Markov) the same way, and step the others.
+``systems`` (``draw_start``, ``draw_base``, ``step``, ``tau``, ``phi``,
+``leap``, ``block_sums``): each sample carries its current cell, accumulated
+roof time and accumulated section sum.  A ``leap`` pre-pass first adds the
+sums over the whole cells that certainly fit in each budget (iid renewal
+cells as binomial counts, Markov edge paths many steps at a time, whole
+orbit passes of the intermittent map), and the live samples then advance
+one crossing per loop iteration until their time budget is spent.  While
+every sample of the block is live, a pass works on the whole arrays through
+views; once some have finished, it gathers and scatters the live ones by
+index.  Both passes hand ``step`` the same states in the same order, so they
+make the same draws.  Batch-means sums come from each system's
+``block_sums``; only the moderate-deviation diagnostic steps its base walk.
 """
 
 from __future__ import annotations
@@ -76,26 +76,20 @@ def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
 def _flow(system, state, s, dt, rng):
     """Run flow points (state, s) forward for time dt.  Returns the end cells
     and heights, psi = the sum of phi over every cell left (the start cell
-    included) and the crossing count.  With ``system.leap`` the cells that
-    certainly end within dt are taken as sums in one pre-pass; the loop
-    then crosses one cell per iteration until the budget is spent.  A pass
-    indexes the whole block with a slice while every path is alive, so
-    nothing is gathered or scattered, and the live paths by index after
-    that."""
+    included) and the crossing count.  ``system.leap`` takes the cells that
+    certainly end within dt as sums in one pre-pass; the loop then crosses
+    one cell per iteration until the budget is spent.  A pass indexes the
+    whole block with a slice while every path is alive, so nothing is
+    gathered or scattered, and the live paths by index after that."""
     cur = state.copy()
     target = s + dt
     acc = system.tau(cur)
-    leap = getattr(system, "leap", None)
-    if leap is None:
-        psi = np.zeros(len(cur))
-        ncross = np.zeros(len(cur), dtype=np.int64)
-    else:
-        # acc stays tau over the cells entered, the current one included;
-        # tau_sum is freed before the loop's first pass, which sets the
-        # block's peak memory
-        ncross, psi, tau_sum, cur = leap(cur, target - acc, rng)
-        acc += tau_sum
-        del tau_sum
+    # acc stays tau over the cells entered, the current one included;
+    # tau_sum is freed before the loop's first pass, which sets the block's
+    # peak memory
+    ncross, psi, tau_sum, cur = system.leap(cur, target - acc, rng)
+    acc += tau_sum
+    del tau_sum
     alive = acc <= target
     while np.any(alive):
         # step sees the same paths in the same order either way
@@ -219,21 +213,10 @@ def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
                    workers=1):
     """Batch-means covariance of block sums of (phi_check, tau)/sqrt(L),
     centered at the block means.  A block is the first L cells of a path
-    from the base-invariant measure, summed by ``system.block_sums`` where
-    the system has it and stepped otherwise.  Returns (2x2 covariance, 2x2
-    standard errors)."""
-    block_sums = getattr(system, "block_sums", None)
-
+    from the base-invariant measure, summed by ``system.block_sums``.
+    Returns (2x2 covariance, 2x2 standard errors)."""
     def block_fn(b, n_traj, rng):
-        if block_sums is not None:
-            return np.column_stack(block_sums(n_traj, block_len, rng))
-        walk = _base_walk(system, n_traj, rng)
-        sums = np.zeros((n_traj, 2))
-        for _ in range(block_len):
-            phi, tau = next(walk)
-            sums[:, 0] += phi
-            sums[:, 1] += tau
-        return sums
+        return np.column_stack(system.block_sums(n_traj, block_len, rng))
 
     # one rng block per chunk of trajectories
     all_sums = _run_blocks(n_blocks, seed, workers, block_fn,

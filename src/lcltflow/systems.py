@@ -15,17 +15,18 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
 - ``draw_base(n, rng)``: n states from the base-invariant measure;
 - ``step(states, rng)``: one application of the base dynamics;
 - ``tau(states)`` and ``phi(states)``: roof and per-cell integral;
-- optional ``leap(states, budget, rng)``: (count, phi_sum, tau_sum,
-  states) per path over whole cells that certainly end within its time
-  budget, drawn as sums.  ``count`` cells are crossed, ``phi_sum`` is phi
-  over the cells left and ``tau_sum`` tau over the cells entered, and
-  ``states`` are the current cells after the leap.  Renewal draws fresh
-  iid cells as binomial counts and keeps its states (the next cell is then
-  drawn fresh by ``step``); a Markov shift leaves its current edge along
-  m-step edge paths drawn whole from path tables;
-- optional ``block_sums(n, m, rng)``: (phi_sum, tau_sum) over the first m
-  cells of n trajectories from the base-invariant measure, drawn by the
-  same tables (renewal and Markov).
+- ``leap(states, budget, rng)``: (count, phi_sum, tau_sum, states) per
+  path over whole cells that certainly end within its time budget, taken
+  as sums.  ``count`` cells are crossed, ``phi_sum`` is phi over the cells
+  left and ``tau_sum`` tau over the cells entered, and ``states`` are the
+  current cells after the leap.  Renewal draws fresh iid cells as binomial
+  counts and keeps its states (the next cell is then drawn fresh by
+  ``step``); a Markov shift leaves its current edge along m-step edge paths
+  drawn whole from path tables; the intermittent map runs each orbit
+  through the cells that fit under the largest roof.  A system with nothing
+  to leap returns zero counts;
+- ``block_sums(n, m, rng)``: (phi_sum, tau_sum) over the first m cells of
+  n trajectories from the base-invariant measure, by the same means.
 
 States are atom indices (renewal), flat edge indices i*n + j for the
 transition i -> j being traversed (Markov), and points of (0, 1] (the
@@ -680,13 +681,94 @@ class PMTowerBase:
     def phi(self, states):
         return (states - self.rate_mean) * self._roof(states)
 
+    # -- whole-cell passes ------------------------------------------------
+
+    def _orbit(self, x, m, psi, tau):
+        """Run the orbits x forward in place by m[k] cells each (m holds
+        whole numbers), adding phi of every cell left to psi and, unless
+        the roof is the unit one, its roof to tau (tau is None then).
+        These are the float operations of ``phi`` and ``pm_map`` in the
+        order of the crossing loop, so psi is the loop's to the last bit.
+        Paths go in slices of _LEAP_SLICE, which stay in cache: a slice
+        steps as a whole while each of its paths has cells left, and by
+        index after that."""
+        for lo in range(0, len(x), _LEAP_SLICE):
+            sl = slice(lo, lo + _LEAP_SLICE)
+            xs, ms, ps = x[sl], m[sl], psi[sl]
+            ts = None if tau is None else tau[sl]
+            buf, mask = np.empty(len(xs)), np.empty(len(xs), dtype=bool)
+            k = int(ms.min())
+            for _ in range(k):
+                self._orbit_step(xs, ps, ts, buf, mask)
+            idx = np.flatnonzero(ms > k)
+            while idx.size:
+                xi, pi = xs[idx], ps[idx]
+                ti = None if ts is None else ts[idx]
+                self._orbit_step(xi, pi, ti, buf[:idx.size], mask[:idx.size])
+                xs[idx], ps[idx] = xi, pi
+                if ts is not None:
+                    ts[idx] = ti
+                k += 1
+                idx = idx[ms[idx] > k]
+
+    def _orbit_step(self, x, psi, tau, buf, mask):
+        """One cell of ``_orbit``: phi (and the roof) of x, then x mapped in
+        place, the left branch only where it applies.  buf and mask are
+        scratch space of x's length."""
+        np.subtract(x, self.rate_mean, out=buf)
+        if tau is not None:
+            r = self._roof(x)
+            buf *= r
+            tau += r
+        psi += buf
+        left = np.flatnonzero(np.less_equal(x, 0.5, out=mask))
+        xl = x[left]
+        x *= 2
+        x -= 1
+        x[left] = _pm_left(xl, self.alpha)
+
+    def leap(self, states, budget, rng):
+        """(count, phi_sum, tau_sum, states) per path over the m =
+        floor(budget / max roof) whole cells that follow its current one:
+        every roof is at most the maximum, so these cells end within the
+        budget.  The map is deterministic, so nothing is drawn.  On the
+        unit roof tau_sum is m and the sums are the crossing loop's to the
+        last bit."""
+        m = np.floor_divide(budget, self._roof_max)
+        np.maximum(m, 0, out=m)
+        cur = states.copy()
+        phi_sum = np.zeros(len(cur))
+        if self.roof_id == "unit":
+            self._orbit(cur, m, phi_sum, None)
+            tau_sum = m
+        else:
+            # the roofs of the cells left, less the first, plus the last
+            tau_sum = np.zeros(len(cur))
+            self._orbit(cur, m, phi_sum, tau_sum)
+            tau_sum += self._roof(cur) - self._roof(states)
+        return m.astype(np.int64), phi_sum, tau_sum, cur
+
+    def block_sums(self, n, m, rng):
+        """(phi_sum, tau_sum) over the first m cells of n orbits from the
+        invariant measure, summed in the order of a stepped walk."""
+        x = self.draw_base(n, rng)
+        phi_sum = np.zeros(n)
+        tau_sum = None if self.roof_id == "unit" else np.zeros(n)
+        self._orbit(x, np.full(n, m), phi_sum, tau_sum)
+        return phi_sum, np.full(n, float(m)) if tau_sum is None else tau_sum
+
     # -- induced first-return structure ---------------------------------
 
     def return_time(self, x):
         """Return time of x in (1/2, 1], the number of pm_map steps until
         the orbit re-enters (1/2, 1], via the precomputed threshold table
-        (vectorized)."""
-        z = np.asarray(2 * np.asarray(x, dtype=float) - 1)
+        (vectorized).  Raises ValueError unless every entry lies in
+        (1/2, 1]."""
+        x = np.asarray(x, dtype=float)
+        # NaN fails both comparisons
+        if not np.all((x > 0.5) & (x <= 1)):
+            raise ValueError("x must lie in (1/2, 1]")
+        z = np.asarray(2 * x - 1)
         # r = 1 + #{n >= 0 : z <= x_n}: each uncleared threshold costs one
         # extra left-branch step (the table is decreasing, hence the negation)
         k = np.searchsorted(-self.thresholds, -z, side="right")

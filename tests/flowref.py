@@ -4,9 +4,13 @@
   driven through the same system protocol (``draw_start``, ``step``,
   ``tau``, ``phi`` and the optional ``leap``) with length-1 state arrays.
 - ``flow_masked``: the block engine with every pass gathered and scattered
-  through the indices of the live paths, whole-block passes included.
-- ``WithoutLeap``: a system with its ``leap`` and ``block_sums`` hidden, so
-  that the engine and the batch means step one cell at a time.
+  through the indices of the live paths, whole-block passes included, and
+  without a leap pre-pass where the system has no ``leap``.
+- ``WithoutLeap``: a system with its ``leap`` hidden and its ``block_sums``
+  stepped one cell at a time along ``montecarlo._base_walk``, so that
+  ``estimate_sigma`` on it gives the stepped batch means.
+- ``stepped_paths``: ``montecarlo._paths`` with every crossing stepped,
+  through ``flow_masked`` on ``WithoutLeap``.
 - ``scan_index`` and ``scan_edges``: inverse-CDF draws by a full comparison
   scan of a cumulative row (Markov next edges, path-table entries).
 - ``pm_map_where``: the intermittent map with both branches evaluated on
@@ -14,7 +18,8 @@
 - ``pm_first_return``: the first return to (1/2, 1] of the intermittent map,
   one scalar step at a time.
 
-Tests compare them against ``montecarlo._flow``, ``systems._GuideTable``,
+Tests compare them against ``montecarlo._flow``, ``montecarlo._paths``,
+``montecarlo.estimate_sigma``, ``systems._GuideTable``,
 ``systems.pm_map`` and ``PMTowerBase.return_time``, on the same random
 stream where one is drawn.
 """
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lcltflow.montecarlo import _base_walk
 from lcltflow.systems import _pm_left, pm_map
 
 
@@ -117,17 +123,40 @@ def flow_masked(system, state, s, dt, rng):
 
 
 class WithoutLeap:
-    """A system with its ``leap`` and ``block_sums`` hidden: the engine
-    crosses one cell per loop pass, and batch means step one cell at a
-    time."""
+    """A system with its ``leap`` hidden, so that the references cross one
+    cell per loop pass, and with block sums stepped one cell at a time."""
 
     def __init__(self, system):
         self.system = system
 
     def __getattr__(self, name):
-        if name in ("leap", "block_sums"):
+        if name == "leap":
             raise AttributeError(name)
         return getattr(self.system, name)
+
+    def block_sums(self, n, m, rng):
+        """(phi_sum, tau_sum) over the first m cells of n base walks, added
+        one step at a time."""
+        walk = _base_walk(self.system, n, rng)
+        sums = np.zeros((2, n))
+        for _ in range(m):
+            phi, tau = next(walk)
+            sums[0] += phi
+            sums[1] += tau
+        return sums[0], sums[1]
+
+
+def stepped_paths(system, t, n, rng):
+    """montecarlo._paths with the engine replaced by ``flow_masked`` on the
+    system without its leap."""
+    start = system.draw_start(n, rng)
+    s0 = rng.random(n) * system.tau(start)
+    blk = flow_masked(WithoutLeap(system), start, s0, t, rng)
+    blk["start"], blk["s0"] = start, s0
+    end = blk["end"]
+    blk["raw"] = (blk["psi"] - s0 * system.phi(start) / system.tau(start)
+                  + blk["s_end"] * system.phi(end) / system.tau(end))
+    return blk
 
 
 def scan_index(cum, u):

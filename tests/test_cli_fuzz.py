@@ -90,9 +90,6 @@ def cases(draw):
     paths = list(_paths(cfg))
     if how == "truncate":
         paths = [p for p in paths if isinstance(_at(cfg, p), list)]
-    elif how == "delete":
-        # without sigma_flow a flow verify estimates it from 2e6 base steps
-        paths = [p for p in paths if p and p != ("sigma_flow",)]
     if how == "none" or not paths:
         return command, cfg
     path = draw(st.sampled_from(paths))

@@ -11,16 +11,17 @@ import pytest
 from scipy import stats
 
 from lcltflow.errors import EmptySetWarning
-from lcltflow.montecarlo import (_base_walk, _flow, _paths, estimate_lclt,
-                                 estimate_mlclt, estimate_correlation,
-                                 estimate_sigma, moderate_dev_diagnostic,
+from lcltflow.montecarlo import (_base_walk, _block_rng, _flow, _paths,
+                                 estimate_lclt, estimate_mlclt,
+                                 estimate_correlation, estimate_sigma,
+                                 moderate_dev_diagnostic,
                                  sample_flow_integrals)
 from lcltflow.quadfield import QuadScalar
 from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
                               load_system)
 
 from flowref import (FlowPoint, WithoutLeap, flow_integrate, flow_masked,
-                     sample_stationary)
+                     sample_stationary, stepped_paths)
 
 S2 = QuadScalar.sqrtD(2)
 SQ2 = math.sqrt(2)
@@ -161,7 +162,7 @@ def test_renewal_leap_keeps_the_law_of_the_crossing_loop():
     sys = osc_system()
     n = 1 << 16
     leapt = _paths(sys, 100.0, n, np.random.default_rng(31))
-    stepped = _paths(WithoutLeap(sys), 100.0, n, np.random.default_rng(32))
+    stepped = stepped_paths(sys, 100.0, n, np.random.default_rng(32))
     assert leapt["ncross"].mean() > 140
     assert np.all((leapt["s_end"] >= 0)
                   & (leapt["s_end"] < sys.tau(leapt["end"])))
@@ -202,7 +203,7 @@ def test_markov_leap_keeps_the_law_of_the_crossing_loop(kind):
     sys = MARKOV_CHAINS[kind]()
     n = 1 << 16
     leapt = _paths(sys, 100.0, n, np.random.default_rng(41))
-    stepped = _paths(WithoutLeap(sys), 100.0, n, np.random.default_rng(42))
+    stepped = stepped_paths(sys, 100.0, n, np.random.default_rng(42))
     assert np.all((leapt["s_end"] >= 0)
                   & (leapt["s_end"] < sys.tau(leapt["end"])))
     # the leap took most crossings: the loop is left with its last cells
@@ -245,6 +246,90 @@ def test_coin_chain_block_sums_count_their_cells():
         phi, tau = sys.block_sums(300, m, rng)
         assert np.array_equal(tau, np.full(300, float(m)))
         assert np.all((phi - m) % 2 == 0) and np.all(np.abs(phi) <= m)
+
+
+PATH_FIELDS = ("end", "psi", "ncross", "s_end", "raw")
+
+
+@pytest.mark.parametrize("roof", ["unit", "affine"])
+def test_pm_leap_paths_equal_the_stepped_paths(roof):
+    # the orbit passes make the float operations of the crossing loop in
+    # its order, and the map draws nothing: on the unit roof every field
+    # is the stepped engine's to the last bit.  On the affine roof the
+    # leap's tau sum is the roofs of the cells left, less the first, plus
+    # the last, so the end heights may move in their last bits
+    sys = PMTowerBase(0.25, roof)
+    n = 1 << 16
+    leapt = _paths(sys, 200.0, n, np.random.default_rng(61))
+    stepped = stepped_paths(sys, 200.0, n, np.random.default_rng(61))
+    assert leapt["ncross"].min() >= 200 / sys._roof_max - 1
+    exact = PATH_FIELDS if roof == "unit" else ("end", "ncross", "psi")
+    for field in PATH_FIELDS:
+        if field in exact:
+            assert np.array_equal(leapt[field], stepped[field]), field
+        else:
+            assert np.max(np.abs(leapt[field] - stepped[field])) <= 1e-12
+
+
+@pytest.mark.parametrize("roof", ["unit", "affine"])
+def test_pm_budget_below_one_roof_leaps_nothing(roof):
+    # t < 1: no budget reaches past the largest roof, so the leap takes no
+    # cell and keeps its states, and the loop alone crosses
+    sys = PMTowerBase(0.25, roof)
+    n = 1 << 12
+    states = sys.draw_start(n, np.random.default_rng(63))
+    budget = np.linspace(-1.0, sys._roof_max, n, endpoint=False)
+    count, phi_sum, tau_sum, after = sys.leap(states, budget, None)
+    assert not count.any() and not phi_sum.any() and not tau_sum.any()
+    assert np.array_equal(after, states)
+    leapt = _paths(sys, 0.5, n, np.random.default_rng(64))
+    stepped = stepped_paths(sys, 0.5, n, np.random.default_rng(64))
+    assert leapt["ncross"].max() == 1
+    for field in PATH_FIELDS:
+        assert np.array_equal(leapt[field], stepped[field]), field
+
+
+@pytest.mark.parametrize("roof", ["unit", "affine"])
+def test_pm_block_sums_equal_the_stepped_batch_means(roof):
+    # block sums add phi and tau along each orbit in the stepped walk's
+    # order, so the batch means are identical arrays
+    sys = PMTowerBase(0.25, roof)
+    got = estimate_sigma(sys, n_blocks=1100, block_len=300, seed=65,
+                         workers=2)
+    ref = estimate_sigma(WithoutLeap(sys), n_blocks=1100, block_len=300,
+                         seed=65, workers=2)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_pm_correlation_equals_the_stepped_series():
+    # after the first time each path's budget starts from its own end
+    # height, so the leaps differ path by path and the orbit passes finish
+    # by index; the series is the stepped one's, count for count
+    sys = PMTowerBase(0.25)
+    N, seed, grid = 5000, 66, [2.0, 9.3, 17.1]
+
+    def setA(x, s):
+        return x > 0.5
+
+    def setB(x, s):
+        return (x < 0.3) & (s < 0.5)
+
+    got = estimate_correlation(sys, setA, setB, grid, N, seed)
+    rng = _block_rng(seed, 0)
+    blk = stepped_paths(sys, grid[0], N, rng)
+    a0 = setA(blk["start"], blk["s0"])
+    ref = []
+    for k, t in enumerate(grid):
+        if k:
+            budget = blk["s_end"] + t - grid[k - 1] - sys.tau(blk["end"])
+            # budgets span more than one cell: the passes finish by index
+            assert len(np.unique(np.floor(budget))) > 1
+            blk = flow_masked(WithoutLeap(sys), blk["end"], blk["s_end"],
+                              t - grid[k - 1], rng)
+        b = setB(blk["end"], blk["s_end"])
+        ab, a, bb = ((a0 & b).sum() / N, a0.sum() / N, b.sum() / N)
+        ref.append((t, ab - a * bb))
+    assert [g[:2] for g in got] == ref
 
 
 def test_seed_changes_samples():

@@ -507,6 +507,22 @@ def test_pm_return_time_matches_direct_iteration():
     fast = sys.return_time(xs)
     slow = np.array([pm_first_return(float(x), 0.25)[1] for x in xs])
     assert np.array_equal(fast, slow)
+    # scalars in Y = (1/2, 1], its right end included
+    for x in (0.75, 1.0):
+        got = sys.return_time(x)
+        assert type(got) is int and got == pm_first_return(x, 0.25)[1]
+
+
+@pytest.mark.parametrize("x", [0.3, 0.5, 1.5, 0.0, -0.2, float("nan"),
+                               [0.75, 0.5], [0.75, float("nan")]])
+def test_pm_return_time_rejects_points_outside_Y(x):
+    # the first-return reference's domain, with its error
+    sys = PMTowerBase(0.25)
+    with pytest.raises(ValueError, match=r"x must lie in \(1/2, 1\]"):
+        sys.return_time(x)
+    if np.ndim(x) == 0:
+        with pytest.raises(ValueError, match=r"x must lie in \(1/2, 1\]"):
+            pm_first_return(x, 0.25)
 
 
 def test_pm_threshold_table_size():
