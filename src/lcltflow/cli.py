@@ -510,7 +510,9 @@ def build_parser():
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("config", help="path to a JSON configuration file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for the Monte Carlo blocks, forked from "
+                        "this one; results are bit-identical for any count")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--tolerance-scale", type=float, default=1.0,
                    dest="tolerance_scale")

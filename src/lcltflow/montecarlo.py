@@ -2,7 +2,9 @@
 
 Reproducibility scheme: all randomness flows from one 64-bit seed through
 counter-based Philox substreams, one per fixed-size sample block (block b
-uses key seed + (b << 64)).  Blocks are reduced in block order, so results
+uses key seed + (b << 64)).  With several workers the blocks run in forked
+child processes, worker w of W taking blocks w, w + W, ..., and their
+results come back over pipes; blocks are reduced in block order, so results
 are bit-identical for any worker count.
 
 One vectorized path engine serves every system through the protocol of
@@ -10,21 +12,23 @@ One vectorized path engine serves every system through the protocol of
 ``leap``, ``block_sums``): each sample carries its current cell, accumulated
 roof time and accumulated section sum.  A ``leap`` pre-pass first adds the
 sums over the whole cells that certainly fit in each budget (iid renewal
-cells as binomial counts, Markov edge paths many steps at a time, whole
-orbit passes of the intermittent map), and the live samples then advance
-one crossing per loop iteration until their time budget is spent.  While
-every sample of the block is live, a pass works on the whole arrays through
-views; once some have finished, it gathers and scatters the live ones by
-index.  Both passes hand ``step`` the same states in the same order, so they
-make the same draws.  Batch-means sums come from each system's
+cells many at a time as count vectors, Markov edge paths many steps at a
+time, whole orbit passes of the intermittent map), and the live samples then
+advance one crossing per loop iteration until their time budget is spent.
+While every sample of the block is live, a pass works on the whole arrays
+through views; once some have finished, it gathers and scatters the live
+ones by index.  Both passes hand ``step`` the same states in the same order,
+so they make the same draws.  Batch-means sums come from each system's
 ``block_sums``; only the moderate-deviation diagnostic steps its base walk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +59,78 @@ def _block_plan(N: int, block: int):
 
 def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
     """Run block_fn(block_index, block_size, rng) for every block of at most
-    ``block`` samples and return the results in block order regardless of
-    worker count."""
+    ``block`` samples and return the results in block order.  With W =
+    min(workers, blocks) > 1 and ``os.fork`` at hand, worker w runs blocks
+    w, w + W, ... in a forked child process; otherwise the blocks run here.
+    Each block draws from its own substream, so the results are the same
+    for every worker count."""
     plan = _block_plan(N, block)
+    W = min(workers or 1, len(plan))
 
-    def job(item):
-        b, n = item
-        return block_fn(b, n, _block_rng(seed, b))
+    def run(items):
+        return [block_fn(b, n, _block_rng(seed, b)) for b, n in items]
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(job, plan))
-    return [job(item) for item in plan]
+    if W < 2 or not hasattr(os, "fork"):
+        return run(plan)
+    out = [None] * len(plan)
+    for w, res in enumerate(_in_children(run, [plan[w::W] for w in range(W)])):
+        out[w::W] = res
+    return out
+
+
+def _in_children(fn, args):
+    """[fn(a) for a in args], each call in its own forked child, which
+    pickles its result, or the exception it raised, back over a pipe and
+    leaves by ``os._exit``.  The first exception, in the order of args, is
+    raised here.  Every child is reaped before this returns, and killed
+    first if this is interrupted."""
+    children = []
+    try:
+        for a in args:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _child(fn, a, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        outcomes = []
+        for _, fh in children:
+            data = fh.read()
+            outcomes.append(pickle.loads(data) if data else
+                            (False, RuntimeError("a worker process died")))
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _child(fn, a, w):
+    """The body of one forked worker: never returns."""
+    try:
+        try:
+            outcome = (True, fn(a))
+        except BaseException as e:
+            outcome = (False, e)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            if not outcome[0]:
+                pickle.loads(data)
+        except Exception as e:
+            data = pickle.dumps((False, RuntimeError(
+                f"worker outcome {outcome[1]!r} cannot be pickled: {e}")))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +144,15 @@ def _flow(system, state, s, dt, rng):
     certainly end within dt as sums in one pre-pass; the loop then crosses
     one cell per iteration until the budget is spent.  A pass indexes the
     whole block with a slice while every path is alive, so nothing is
-    gathered or scattered, and the live paths by index after that."""
-    cur = state.copy()
+    gathered or scattered, and the live paths by index after that.  The
+    leap returns the current cells as a new array, so ``state`` is left as
+    it is."""
     target = s + dt
-    acc = system.tau(cur)
+    acc = system.tau(state)
     # acc stays tau over the cells entered, the current one included;
     # tau_sum is freed before the loop's first pass, which sets the block's
     # peak memory
-    ncross, psi, tau_sum, cur = system.leap(cur, target - acc, rng)
+    ncross, psi, tau_sum, cur = system.leap(state, target - acc, rng)
     acc += tau_sum
     del tau_sum
     alive = acc <= target

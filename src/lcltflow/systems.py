@@ -19,12 +19,13 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
   path over whole cells that certainly end within its time budget, taken
   as sums.  ``count`` cells are crossed, ``phi_sum`` is phi over the cells
   left and ``tau_sum`` tau over the cells entered, and ``states`` are the
-  current cells after the leap.  Renewal draws fresh iid cells as binomial
-  counts and keeps its states (the next cell is then drawn fresh by
-  ``step``); a Markov shift leaves its current edge along m-step edge paths
-  drawn whole from path tables; the intermittent map runs each orbit
-  through the cells that fit under the largest roof.  A system with nothing
-  to leap returns zero counts;
+  current cells after the leap, in a new array.  Renewal draws fresh iid
+  cells as count vectors from type-class tables and keeps its current
+  cells (the next cell is then drawn fresh by ``step``); a Markov shift
+  leaves its current edge along m-step edge paths drawn whole from path
+  tables; the intermittent map runs each orbit through the cells that fit
+  under the largest roof.  A system with nothing to leap returns zero
+  counts;
 - ``block_sums(n, m, rng)``: (phi_sum, tau_sum) over the first m cells of
   n trajectories from the base-invariant measure, by the same means.
 
@@ -35,8 +36,9 @@ intermittent map).
 
 from __future__ import annotations
 
+import itertools
 import json
-import threading
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -106,15 +108,150 @@ class _GuideTable:
 
 
 # ---------------------------------------------------------------------------
-# reward renewal
+# leaps by multi-cell tables
 # ---------------------------------------------------------------------------
 
 _LEAP_SLICE = 1 << 15        # paths per slice in a leap
+_PATH_CAP = 1 << 12          # entries per vertex in the longest table
 
 
-class RenewalBase:
+def _levels(M):
+    """The table levels M, M // 2, ..., 1, longest first."""
+    return [M >> k for k in range(M.bit_length())]
+
+
+class _PathTable:
+    """Every positive-probability way to cross m cells from each vertex,
+    grouped by start vertex: its probability, ``phi`` and ``tau`` the sums
+    that its owner's ``_leap_paths`` adds, and ``last`` the cell it ends on
+    (None where the current cell stays).  ``reach[v]`` is the largest
+    tau-sum from v, and ``sampler`` draws an entry of vertex v by the
+    inverse CDF of v's probabilities, in table order."""
+
+    def __init__(self, m, start, prob, phi, tau, last, n):
+        self.m = m
+        self.prob, self.phi, self.tau, self.last = prob, phi, tau, last
+        # vertex v's entries are offsets[v]:offsets[v + 1]
+        self.offsets = np.searchsorted(start, np.arange(n + 1))
+        self.sampler = _GuideTable([
+            _cdf_table(prob[lo:hi])
+            for lo, hi in zip(self.offsets, self.offsets[1:])])
+        self.reach = np.maximum.reduceat(tau, self.offsets[:-1])
+
+
+class _TableLeap:
+    """``leap`` by ``_PathTable`` levels m = M, M // 2, ..., 1, shared by the
+    systems that have them.  A subclass builds the tables in
+    ``_build_path_tables`` (called once, on first use), maps current cells
+    to table vertices in ``_vertex`` and draws one entry per cell in
+    ``_leap_paths(table, cur, rng)``, which returns (phi added, tau added,
+    current cells after)."""
+
+    _tables = None
+
+    def path_tables(self):
+        """The ``_PathTable`` of each level, longest first, built once."""
+        if self._tables is None:
+            self._tables = self._build_path_tables()
+        return self._tables
+
+    def leap(self, states, budget, rng):
+        """(count, phi_sum, tau_sum, states) per path, the states a new
+        array: at each level, while the budget left is at least the level's
+        reach from the current vertex, take one m-cell entry of the table.
+        It then certainly ends within the budget, and the decision depends
+        only on the cells before, so the sums have the law of the same m
+        crossings stepped one at a time.  A system without an m >= 2 level
+        leaps nothing, and the engine's loop steps it.  Paths go in slices
+        of _LEAP_SLICE, which keeps the gathers in cache."""
+        n = len(states)
+        count = np.zeros(n, dtype=np.int64)
+        phi_sum = np.zeros(n)
+        tau_sum = np.zeros(n)
+        cur = states.copy()
+        tables = self.path_tables()
+        if tables[0].m < 2:
+            return count, phi_sum, tau_sum, cur
+        for lo in range(0, n, _LEAP_SLICE):
+            sl = slice(lo, lo + _LEAP_SLICE)
+            b, cnt, ps, ts, cu = (budget[sl], count[sl], phi_sum[sl],
+                                  tau_sum[sl], cur[sl])
+            for table in tables:
+                idx = np.flatnonzero(b - ts >= table.reach[self._vertex(cu)])
+                while idx.size:
+                    p, t, last = self._leap_paths(table, cu[idx], rng)
+                    ps[idx] += p
+                    ts[idx] += t
+                    cnt[idx] += table.m
+                    cu[idx] = last
+                    idx = idx[b[idx] - ts[idx]
+                              >= table.reach[self._vertex(last)]]
+        return count, phi_sum, tau_sum, cur
+
+
+def _count_vectors(m, k):
+    """Every vector of k nonnegative counts summing to m, one per row: stars
+    and bars, the places of k - 1 bars among m + k - 1 in lexicographic
+    order."""
+    bars = list(itertools.combinations(range(m + k - 1), k - 1))
+    bars = np.array(bars, dtype=np.int64).reshape(len(bars), k - 1)
+    ends = np.full((len(bars), 1), m + k - 1)
+    return np.diff(np.hstack([np.full_like(ends, -1), bars, ends])) - 1
+
+
+def _binomial_pmf(N, odds):
+    """Binomial(N, q) masses of 0, ..., N, given the odds q / (1 - q).  The
+    ratios (N - a + 1) / a * odds of consecutive masses are multiplied
+    outward from the mode and the row is then normalised, so no factorial
+    or power overflows and each mass is within about (its distance from
+    the mode) x 2^-51 of the exact one, relatively."""
+    a = np.arange(1, N + 1)
+    ratio = (N - a + 1) / a * odds
+    # the ratios fall with a: the mode is the last a whose ratio is >= 1
+    mode = int(np.count_nonzero(ratio >= 1))
+    r = np.ones(N + 1)
+    r[mode + 1:] = np.cumprod(ratio[mode:])
+    r[:mode] = np.cumprod(1 / ratio[:mode][::-1])[::-1]
+    return r / r.sum()
+
+
+def _multinomial_masses(counts, probs):
+    """Multinomial masses of the count vectors in the rows of ``counts``
+    for the exact probabilities ``probs`` (Fractions, all positive, summing
+    to 1), as a chain of binomials: n_j is Binomial(m - n_0 - ... - n_{j-1},
+    p_j / (p_j + ... + p_last)), whose odds are taken exactly before the
+    float cast."""
+    mass = np.ones(len(counts))
+    left = counts.sum(axis=1)
+    tail = Fraction(1)
+    for j, p in enumerate(probs[:-1]):
+        tail -= p
+        odds = float(p / tail)
+        # (np.unique would import numpy.ma, 25 ms, in every worker)
+        for N in np.flatnonzero(np.bincount(left)):
+            sel = np.flatnonzero(left == N)
+            mass[sel] *= _binomial_pmf(int(N), odds)[counts[sel, j]]
+        left = left - counts[:, j]
+    return mass
+
+
+# ---------------------------------------------------------------------------
+# reward renewal
+# ---------------------------------------------------------------------------
+
+class RenewalBase(_TableLeap):
     """iid atoms (x_i, y_i) with rational probabilities: reward x, duration
-    y > 0, zero-mean rewards.  State = atom index."""
+    y > 0, zero-mean rewards.  State = atom index.
+
+    ``leap`` and ``block_sums`` take m iid cells at once by their type
+    class (the method of types; Csiszar, IEEE Trans. IT 44, 1998): m cells
+    that fall n_i on atom i add n.x and n.y, with multinomial mass.  For
+    m = M, M // 2, ..., 1, a one-vertex ``_PathTable`` lists every count
+    vector n of the atoms of positive probability with |n| = m, heaviest
+    first, so the draws that need the guide table's advance passes are
+    rare.  M is the largest m with at most _PATH_CAP vectors (a single atom,
+    one vector per level, stops at the cap); the tables are built on first
+    use."""
 
     def __init__(self, atoms):
         self.atoms = []
@@ -137,17 +274,6 @@ class RenewalBase:
         self.ys = np.array([float(a[1]) for a in self.atoms])
         self.probs = np.array([float(a[2]) for a in self.atoms])
         self.cum = _cdf_table(self.probs)
-        # leap tables over the atoms of positive probability: (x, y, the
-        # binomial chain's p_j / (p_j + p_{j+1} + ...), exact before the
-        # float cast) and the longest duration
-        pos = [j for j, a in enumerate(self.atoms) if a[2] > 0]
-        tail = Fraction(1)
-        self._chain = []
-        for j in pos:
-            p = self.atoms[j][2]
-            self._chain.append((self.xs[j], self.ys[j], float(p / tail)))
-            tail -= p
-        self._ymax = float(self.ys[pos].max())
         try:
             self.nu_tau_exact = sum((a[1] * a[2] for a in self.atoms),
                                     start=as_quad(0))
@@ -181,52 +307,50 @@ class RenewalBase:
     def phi(self, states):
         return self.xs[states]
 
-    def _add_cells(self, left, phi_sum, tau_sum, rng):
-        """Add to phi_sum and tau_sum the sums over ``left`` fresh iid
-        cells per path, split among the atoms by a chain of binomials: atom
-        j gets Binomial(m_left, p_j / (p_j + p_{j+1} + ...)) and the last
-        atom the rest.  ``left`` is used up."""
-        *chain, (x_last, y_last, _) = self._chain
-        for x, y, q in chain:
-            c = rng.binomial(left, q)
-            left -= c
-            phi_sum += c * x
-            tau_sum += c * y
-        phi_sum += left * x_last
-        tau_sum += left * y_last
+    # -- type-class tables ------------------------------------------------
 
-    def leap(self, states, budget, rng):
-        """(count, phi_sum, tau_sum, states) per path over whole fresh
-        cells that certainly end within its budget: 0 <= max(budget, 0) -
-        tau_sum < max y.  Each round takes m = floor(rem / max y) more
-        cells, rem the budget left, drawn by ``_add_cells``; rounds repeat
-        until every m is 0.  The cells are iid and m depends only on the
-        cells before, so the sums have the law of the same cells stepped one
-        at a time, and the current cells stay as they are.  Paths go in
-        slices of _LEAP_SLICE to keep the temporaries small."""
-        n = len(budget)
-        count = np.zeros(n, dtype=np.int64)
-        phi_sum = np.zeros(n)
-        tau_sum = np.zeros(n)
-        for lo in range(0, n, _LEAP_SLICE):
-            sl = slice(lo, lo + _LEAP_SLICE)
-            b, cnt, ps, ts = budget[sl], count[sl], phi_sum[sl], tau_sum[sl]
-            while True:
-                m = np.floor_divide(b - ts, self._ymax)
-                np.maximum(m, 0, out=m)
-                if not m.any():
-                    break
-                left = m.astype(np.int64)
-                cnt += left
-                self._add_cells(left, ps, ts, rng)
-        return count, phi_sum, tau_sum, states
+    def _build_path_tables(self):
+        pos = [j for j, a in enumerate(self.atoms) if a[2] > 0]
+        k = len(pos)
+        # C(m + k - 1, k - 1) vectors at level m
+        M = 1
+        while M < _PATH_CAP and math.comb(M + k, k - 1) <= _PATH_CAP:
+            M += 1
+        tables = []
+        for m in _levels(M):
+            counts = _count_vectors(m, k)
+            mass = _multinomial_masses(counts, [self.atoms[j][2]
+                                                for j in pos])
+            order = np.argsort(-mass, kind="stable")
+            counts = counts[order]
+            tables.append(_PathTable(
+                m, np.zeros(len(counts), dtype=np.intp), mass[order],
+                counts @ self.xs[pos], counts @ self.ys[pos], None, 1))
+        return tables
+
+    def _vertex(self, cur):
+        return 0
+
+    def _leap_paths(self, table, cur, rng):
+        """One count vector per cell of cur: the sums over m fresh iid
+        cells, taken before the current cell, which stays (the cells are
+        exchangeable, so the sums have the law of the next m cells)."""
+        k = table.sampler.draw(0, rng.random(len(cur)))
+        return table.phi[k], table.tau[k], cur
 
     def block_sums(self, n, m, rng):
-        """(phi_sum, tau_sum) over m iid cells for each of n paths: one
-        binomial chain of m cells."""
+        """(phi_sum, tau_sum) over m iid cells for each of n paths: count
+        vectors of the longest level while at least that many cells remain,
+        then of the shorter levels."""
         phi_sum = np.zeros(n)
         tau_sum = np.zeros(n)
-        self._add_cells(np.full(n, m, dtype=np.int64), phi_sum, tau_sum, rng)
+        left = m
+        for table in self.path_tables():
+            while left >= table.m:
+                k = table.sampler.draw(0, rng.random(n))
+                phi_sum += table.phi[k]
+                tau_sum += table.tau[k]
+                left -= table.m
         return phi_sum, tau_sum
 
     def value_group(self):
@@ -256,29 +380,7 @@ class RenewalBase:
 # finite Markov shift
 # ---------------------------------------------------------------------------
 
-_PATH_CAP = 1 << 12          # paths per vertex in the longest path table
-
-
-class _PathTable:
-    """Every positive-probability m-step edge path from each vertex of a
-    chain, grouped by start vertex: its probability (the product of the P
-    entries), ``phi`` its phi-sum over every edge but the last, ``tau`` its
-    tau-sum over every edge, and ``last`` its last edge.  ``reach[v]`` is
-    the largest tau-sum from v, and ``sampler`` draws a path of vertex v
-    by the inverse CDF of v's probabilities, in enumeration order."""
-
-    def __init__(self, m, start, prob, phi, tau, last, n):
-        self.m = m
-        self.prob, self.phi, self.tau, self.last = prob, phi, tau, last
-        # vertex v's paths are offsets[v]:offsets[v + 1]
-        self.offsets = np.searchsorted(start, np.arange(n + 1))
-        self.sampler = _GuideTable([
-            _cdf_table(prob[lo:hi])
-            for lo, hi in zip(self.offsets, self.offsets[1:])])
-        self.reach = np.maximum.reduceat(tau, self.offsets[:-1])
-
-
-class MarkovShiftBase:
+class MarkovShiftBase(_TableLeap):
     """Finite-state chain with per-transition values f(i, j) = (phi, tau).
     Flow state = the flat index i*n + j of the current edge (i, j): the point
     sits in the fiber over the transition being traversed.
@@ -334,8 +436,6 @@ class MarkovShiftBase:
         self.nu_tau = float(np.sum(edge_w * self.f[:, :, 1]))
         sb = (edge_w * self.f[:, :, 1]).ravel()
         self.size_biased_cum = _cdf_table(sb / sb.sum())
-        self._tables = None
-        self._tables_lock = threading.Lock()
 
     kind = "markov"
 
@@ -362,14 +462,6 @@ class MarkovShiftBase:
 
     # -- path tables ------------------------------------------------------
 
-    def path_tables(self):
-        """The ``_PathTable`` of each level m = M, M // 2, ..., 1, longest
-        first, built once (under a lock, as blocks run in threads)."""
-        with self._tables_lock:
-            if self._tables is None:
-                self._tables = self._build_path_tables()
-        return self._tables
-
     def _build_path_tables(self):
         n = self.n_states
         pos = self.P > 0
@@ -383,11 +475,7 @@ class MarkovShiftBase:
             if count.max() > _PATH_CAP:
                 break
             M += 1
-        levels = []
-        m = M
-        while m:
-            levels.append(m)
-            m //= 2
+        levels = _levels(M)
         # positive edges in flat order, hence grouped by tail vertex
         edges = np.flatnonzero(pos.ravel())
         out_start = np.searchsorted(edges // n, np.arange(n + 1))
@@ -414,45 +502,15 @@ class MarkovShiftBase:
                 tables[m] = _PathTable(m, start, prob, phi, tau, last, n)
         return [tables[m] for m in levels]
 
+    def _vertex(self, cur):
+        return self._head[cur]
+
     def _leap_paths(self, table, cur, rng):
         """One path of ``table`` from the head of each edge in cur: (phi of
         cur plus the path's phi-sum, the path's tau-sum, its last edge),
         the sums of ``table.m`` passes of the crossing loop."""
         k = table.sampler.draw(self._head[cur], rng.random(len(cur)))
         return self.edge_phi[cur] + table.phi[k], table.tau[k], table.last[k]
-
-    def leap(self, states, budget, rng):
-        """(count, phi_sum, tau_sum, states) per path: at each level, while
-        the budget left is at least the level's reach from the current
-        edge's head, leave the edge along an m-step path drawn from the
-        table.  The path then certainly ends within the budget, and the
-        decision depends only on the edges before, so the sums have the law
-        of the same m crossings stepped one at a time.  A chain too big for
-        m >= 2 leaps nothing, and the engine's loop steps it.  Paths go in
-        slices of _LEAP_SLICE, which keeps the gathers in cache."""
-        n = len(states)
-        count = np.zeros(n, dtype=np.int64)
-        phi_sum = np.zeros(n)
-        tau_sum = np.zeros(n)
-        cur = states.copy()
-        tables = self.path_tables()
-        if tables[0].m < 2:
-            return count, phi_sum, tau_sum, cur
-        for lo in range(0, n, _LEAP_SLICE):
-            sl = slice(lo, lo + _LEAP_SLICE)
-            b, cnt, ps, ts, cu = (budget[sl], count[sl], phi_sum[sl],
-                                  tau_sum[sl], cur[sl])
-            for table in tables:
-                idx = np.flatnonzero(b - ts >= table.reach[self._head[cu]])
-                while idx.size:
-                    p, t, last = self._leap_paths(table, cu[idx], rng)
-                    ps[idx] += p
-                    ts[idx] += t
-                    cnt[idx] += table.m
-                    cu[idx] = last
-                    idx = idx[b[idx] - ts[idx]
-                              >= table.reach[self._head[last]]]
-        return count, phi_sum, tau_sum, cur
 
     def block_sums(self, n, m, rng):
         """(phi_sum, tau_sum) over the first m edges of n trajectories from
@@ -762,18 +820,26 @@ class PMTowerBase:
     def return_time(self, x):
         """Return time of x in (1/2, 1], the number of pm_map steps until
         the orbit re-enters (1/2, 1], via the precomputed threshold table
-        (vectorized).  Raises ValueError unless every entry lies in
-        (1/2, 1]."""
+        (vectorized).  Where 2x - 1 lies below the table's last entry, the
+        left branch is iterated until the orbit passes it, one return step
+        each, and the table counts the rest.  Raises ValueError unless
+        every entry lies in (1/2, 1]."""
         x = np.asarray(x, dtype=float)
         # NaN fails both comparisons
         if not np.all((x > 0.5) & (x <= 1)):
             raise ValueError("x must lie in (1/2, 1]")
-        z = np.asarray(2 * x - 1)
+        z = np.array(2 * x - 1, ndmin=1).ravel()
+        deep = np.zeros(len(z), dtype=np.int64)
+        last = self.thresholds[-1]
+        idx = np.flatnonzero(z < last)
+        while idx.size:
+            z[idx] = _pm_left(z[idx], self.alpha)
+            deep[idx] += 1
+            idx = idx[z[idx] < last]
         # r = 1 + #{n >= 0 : z <= x_n}: each uncleared threshold costs one
         # extra left-branch step (the table is decreasing, hence the negation)
-        k = np.searchsorted(-self.thresholds, -z, side="right")
-        out = np.asarray(1 + k)
-        return int(out) if out.ndim == 0 else out
+        out = 1 + deep + np.searchsorted(-self.thresholds, -z, side="right")
+        return int(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     @classmethod
     def from_json(cls, obj):

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -680,6 +682,18 @@ def test_lattice_verify_identical_across_worker_counts(tmp_path):
                          "--workers", workers]) == 0
         bodies.append((tmp_path / f"w{workers}" / "verify.csv").read_bytes())
     assert bodies[0] == bodies[1]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the blocks run in forked children; no pool module is imported, as
+    # every command pays for what the package imports
+    code = ("import sys, lcltflow.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_stray_tempfiles(tmp_path):

@@ -12,7 +12,7 @@ from scipy import stats
 
 from lcltflow.errors import EmptySetWarning
 from lcltflow.montecarlo import (_base_walk, _block_rng, _flow, _paths,
-                                 estimate_lclt, estimate_mlclt,
+                                 _run_blocks, estimate_lclt, estimate_mlclt,
                                  estimate_correlation, estimate_sigma,
                                  moderate_dev_diagnostic,
                                  sample_flow_integrals)
@@ -156,20 +156,35 @@ def _two_sample_chi2_p(a, b):
     return stats.chi2_contingency(np.array(classes).T)[1]
 
 
+def zeros_system():
+    # zero-probability atoms, one of them the longest
+    half = Fraction(1, 2)
+    return RenewalBase([(0, 5, 0), (-1, 1, half), (1, 2, half), (3, 7, 0)])
+
+
 def test_renewal_leap_keeps_the_law_of_the_crossing_loop():
-    # section 6.1 at t = 100: crossing counts and section sums of the engine
-    # with the leap against the same system stepped one crossing at a time
-    sys = osc_system()
-    n = 1 << 16
-    leapt = _paths(sys, 100.0, n, np.random.default_rng(31))
-    stepped = stepped_paths(sys, 100.0, n, np.random.default_rng(32))
-    assert leapt["ncross"].mean() > 140
-    assert np.all((leapt["s_end"] >= 0)
-                  & (leapt["s_end"] < sys.tau(leapt["end"])))
-    for field in ("ncross", "psi"):
-        a, b = (np.rint(blk[field]).astype(np.int64)
-                for blk in (leapt, stepped))
-        assert _two_sample_chi2_p(a, b) > 0.01, field
+    # section 6.1, the coin and a system with zero-probability atoms at
+    # t = 100: crossing counts and section sums of the engine with the
+    # type-class leap against the same system stepped one crossing at a time
+    # about 100 / nu_tau crossings per path
+    for make, crossings in ((osc_system, 140), (coin_system, 99),
+                            (zeros_system, 60)):
+        sys = make()
+        n = 1 << 16
+        leapt = _paths(sys, 100.0, n, np.random.default_rng(31))
+        stepped = stepped_paths(sys, 100.0, n, np.random.default_rng(32))
+        assert leapt["ncross"].mean() > crossings
+        assert np.all((leapt["s_end"] >= 0)
+                      & (leapt["s_end"] < sys.tau(leapt["end"])))
+        # the leap took most crossings: the loop is left with its last cells
+        count = sys.leap(leapt["start"], leapt["s0"] + 100.0
+                         - sys.tau(leapt["start"]),
+                         np.random.default_rng(33))[0]
+        assert count.mean() > 0.9 * leapt["ncross"].mean()
+        for field in ("ncross", "psi"):
+            a, b = (np.rint(blk[field]).astype(np.int64)
+                    for blk in (leapt, stepped))
+            assert _two_sample_chi2_p(a, b) > 0.01, (make.__name__, field)
 
 
 def bench_chain():
@@ -239,13 +254,28 @@ def test_block_sums_keep_the_law_of_the_base_walk(kind):
 
 def test_coin_chain_block_sums_count_their_cells():
     # unit roofs: the tau sum of m cells is m, and the phi sum has m's
-    # parity, for every m the levels split differently
-    sys = coin_chain()
+    # parity, for every m the levels split differently; the same for the
+    # iid coin's count vectors
     rng = np.random.default_rng(55)
-    for m in (1, 2, 5, 12, 13, 50, 1000):
-        phi, tau = sys.block_sums(300, m, rng)
-        assert np.array_equal(tau, np.full(300, float(m)))
-        assert np.all((phi - m) % 2 == 0) and np.all(np.abs(phi) <= m)
+    for sys in (coin_chain(), coin_system()):
+        for m in (1, 2, 5, 12, 13, 50, 1000, 5000):
+            phi, tau = sys.block_sums(300, m, rng)
+            assert np.array_equal(tau, np.full(300, float(m)))
+            assert np.all((phi - m) % 2 == 0) and np.all(np.abs(phi) <= m)
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_leap_and_engine_leave_the_start_states(kind):
+    # every leap returns its current cells as a new array, so the engine
+    # needs no copy and a block's start states stay as drawn
+    sys = SYSTEMS[kind]()
+    rng = np.random.default_rng(57)
+    states = sys.draw_start(1000, rng)
+    kept = states.copy()
+    after = sys.leap(states, np.full(1000, 20.0), rng)[3]
+    assert after is not states and np.array_equal(states, kept)
+    _flow(sys, states, np.zeros(1000), 20.0, rng)
+    assert np.array_equal(states, kept)
 
 
 PATH_FIELDS = ("end", "psi", "ncross", "s_end", "raw")
@@ -330,6 +360,33 @@ def test_pm_correlation_equals_the_stepped_series():
         ab, a, bb = ((a0 & b).sum() / N, a0.sum() / N, b.sum() / N)
         ref.append((t, ab - a * bb))
     assert [g[:2] for g in got] == ref
+
+
+class BlockFailure(Exception):
+    pass
+
+
+def test_worker_exceptions_reach_the_caller():
+    # blocks run in forked children: results come back in block order, an
+    # exception raised in a block comes back with its type, and no child
+    # process is left behind either way
+    def block_fn(b, n, rng):
+        return b, n, rng.random()
+
+    ref = _run_blocks(20, 9, 1, block_fn, block=3)
+    assert [r[:2] for r in ref] == [(b, 3) for b in range(6)] + [(6, 2)]
+    for workers in (2, 3, 8):
+        assert _run_blocks(20, 9, workers, block_fn, block=3) == ref
+
+    def failing(b, n, rng):
+        if b == 3:
+            raise BlockFailure(f"block {b}")
+        return b
+
+    with pytest.raises(BlockFailure, match="block 3"):
+        _run_blocks(20, 9, 2, failing, block=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_seed_changes_samples():

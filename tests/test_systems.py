@@ -11,8 +11,8 @@ from lcltflow.errors import ConfigError, MixedRingError
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.spectral import TwistedOperatorModel
 from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
-                              _pm_left, _pm_pullback, load_system,
-                              pm_map)
+                              _count_vectors, _multinomial_masses, _pm_left,
+                              _pm_pullback, load_system, pm_map)
 
 from flowref import (FlowPoint, WithoutLeap, flow_integrate,
                      pm_first_return, pm_map_where, sample_stationary,
@@ -90,8 +90,9 @@ def test_renewal_leap_stays_within_budget():
     budget = rng.uniform(-2, 300, 20_000)
     states = sys.draw_base(len(budget), rng)
     count, phi_sum, tau_sum, after = sys.leap(states, budget, rng)
-    # iid cells: the leapt cells come before the current one, which stays
-    assert after is states
+    # iid cells: the leapt cells come before the current one, which stays,
+    # in a new array
+    assert after is not states and np.array_equal(after, states)
     assert count.dtype == np.int64 and np.all(count >= 0)
     slack = np.maximum(budget, 0) - tau_sum
     assert np.all(slack >= 0) and np.all(slack < sys.ys.max())
@@ -135,6 +136,78 @@ def test_renewal_leap_skips_zero_probability_atoms():
     count, phi_sum, tau_sum, _ = single.leap(np.zeros(2, dtype=np.intp),
                                              np.array([10.0, 0.5]), rng)
     assert count.tolist() == [7, 0] and phi_sum.tolist() == [0.0, 0.0]
+
+
+# type-class tables of the renewal leap
+
+def eight_atom_system():
+    # symmetric rewards and unequal probabilities; durations 8^i, so that
+    # each count vector of |n| <= 7 has its own tau-sum
+    p = [Fraction(k, 16) for k in (1, 2, 3, 2, 2, 3, 2, 1)]
+    xs = (-4, -3, -2, -1, 1, 2, 3, 4)
+    return RenewalBase(list(zip(xs, (8 ** i for i in range(8)), p)))
+
+
+def _exact_multinomial(n, probs):
+    mass = Fraction(math.factorial(int(sum(n))))
+    for c, p in zip(n, probs):
+        mass *= p ** int(c) / math.factorial(int(c))
+    return mass
+
+
+@pytest.mark.parametrize("make, levels", [
+    (osc_system, [89, 44, 22, 11, 5, 2, 1]),
+    (lambda: RenewalBase([(0, S2, 1), (1, 3, 0)]),
+     [1 << k for k in range(12, -1, -1)]),
+    (eight_atom_system, [7, 3, 1])], ids=["cap", "one-atom", "eight-atom"])
+def test_type_tables_hold_every_count_vector_with_its_mass(make, levels):
+    sys = make()
+    pos = [j for j, a in enumerate(sys.atoms) if a[2] > 0]
+    probs = [sys.atoms[j][2] for j in pos]
+    tables = sys.path_tables()
+    # M is the largest m with at most 2^12 vectors, or the cap itself for
+    # a single atom
+    assert [t.m for t in tables] == levels
+    top = len(_count_vectors(levels[0], len(pos)))
+    assert top <= 1 << 12
+    if len(pos) > 1:
+        assert len(_count_vectors(levels[0] + 1, len(pos))) > 1 << 12
+    for table in tables:
+        counts = _count_vectors(table.m, len(pos))
+        assert np.all(counts.sum(axis=1) == table.m)
+        assert len({tuple(c) for c in counts.tolist()}) == len(counts)
+        assert len(counts) == math.comb(table.m + len(pos) - 1,
+                                        len(pos) - 1)
+        mass = _multinomial_masses(counts, probs)
+        exact = np.array([float(_exact_multinomial(c, probs))
+                          for c in counts.tolist()])
+        np.testing.assert_allclose(mass, exact, rtol=1e-12, atol=0)
+        assert abs(mass.sum() - 1) <= 1e-12
+        # the table: the same masses, heaviest first, with n.x and n.y
+        assert np.array_equal(table.prob, np.sort(mass)[::-1])
+        assert abs(table.prob.sum() - 1) <= 1e-12
+        assert table.reach[0] == table.tau.max()
+        np.testing.assert_allclose(table.reach[0],
+                                   table.m * sys.ys[pos].max(), rtol=1e-12)
+        if make is eight_atom_system:
+            # each tau-sum names its vector: phi and mass follow it
+            key = {float(t): k for k, t in
+                   enumerate(counts @ sys.ys[pos])}
+            k = [key[float(t)] for t in table.tau]
+            np.testing.assert_allclose(table.phi, counts[k] @ sys.xs[pos],
+                                       atol=1e-12)
+            np.testing.assert_allclose(table.prob, exact[k], rtol=1e-12,
+                                       atol=0)
+
+
+def test_renewal_tables_are_built_on_first_use():
+    sys = osc_system()
+    sys.step(sys.draw_base(4, np.random.default_rng(0)),
+             np.random.default_rng(1))
+    assert sys._tables is None
+    sys.leap(sys.draw_start(4, np.random.default_rng(0)), np.ones(4),
+             np.random.default_rng(1))
+    assert sys._tables is not None
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +584,13 @@ def test_pm_return_time_matches_direct_iteration():
     for x in (0.75, 1.0):
         got = sys.return_time(x)
         assert type(got) is int and got == pm_first_return(x, 0.25)[1]
+    # 2x - 1 below the threshold table's last entry: iterated past it
+    edge = np.nextafter(0.5, 1)
+    assert sys.return_time(edge) == 27574 == pm_first_return(edge, 0.25)[1]
+    deep = np.array([edge, 0.5 + 3e-16, 0.5 + 1e-14, 0.75])
+    assert 2 * deep[2] - 1 < sys.thresholds[-1]
+    assert sys.return_time(deep).tolist() == [
+        pm_first_return(float(x), 0.25)[1] for x in deep]
 
 
 @pytest.mark.parametrize("x", [0.3, 0.5, 1.5, 0.0, -0.2, float("nan"),
