@@ -24,10 +24,12 @@ so they make the same draws.  Batch-means sums come from each system's
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
 import signal
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -83,7 +85,9 @@ def _in_children(fn, args):
     pickles its result, or the exception it raised, back over a pipe and
     leaves by ``os._exit``.  The first exception, in the order of args, is
     raised here.  Every child is reaped before this returns, and killed
-    first if this is interrupted."""
+    first if this is interrupted; where the kernel allows, a child is also
+    killed when this process dies without cleaning up (SIGTERM, SIGKILL)."""
+    parent = os.getpid()
     children = []
     try:
         for a in args:
@@ -91,7 +95,7 @@ def _in_children(fn, args):
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _child(fn, a, w)
+                _child(fn, a, w, parent)
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
         outcomes = []
@@ -113,9 +117,10 @@ def _in_children(fn, args):
     return [value for _, value in outcomes]
 
 
-def _child(fn, a, w):
+def _child(fn, a, w, parent):
     """The body of one forked worker: never returns."""
     try:
+        _die_with(parent)
         try:
             outcome = (True, fn(a))
         except BaseException as e:
@@ -131,6 +136,19 @@ def _child(fn, a, w):
             fh.write(data)
     finally:
         os._exit(0)
+
+
+def _die_with(parent):
+    """Have the kernel send SIGKILL to this process when its parent exits
+    (Linux prctl PR_SET_PDEATHSIG; elsewhere nothing), and leave at once if
+    the parent is already gone."""
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)            # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 # ---------------------------------------------------------------------------

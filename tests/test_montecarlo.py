@@ -3,6 +3,11 @@
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
 from fractions import Fraction
 
@@ -10,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lcltflow import montecarlo
 from lcltflow.errors import EmptySetWarning
 from lcltflow.montecarlo import (_base_walk, _block_rng, _flow, _paths,
                                  _run_blocks, estimate_lclt, estimate_mlclt,
@@ -387,6 +393,56 @@ def test_worker_exceptions_reach_the_caller():
         _run_blocks(20, 9, 2, failing, block=3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _running(pid):
+    """Whether pid is a live process: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux's")
+def test_workers_die_with_a_killed_parent(tmp_path):
+    # a command ended by SIGTERM cleans nothing up: its workers, each
+    # asleep in a block, must go with it
+    code = textwrap.dedent(f"""
+        import os, time
+        from lcltflow.montecarlo import _run_blocks
+
+        def block_fn(b, n, rng):
+            open(os.path.join({str(tmp_path)!r}, str(os.getpid())),
+                 "w").close()
+            time.sleep(60)
+
+        _run_blocks(4, 1, 2, block_fn, block=2)
+    """)
+    src = os.path.join(os.path.dirname(montecarlo.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(tmp_path)) < 2:
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.05)
+        pids = [int(p) for p in os.listdir(tmp_path)]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, pids
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_seed_changes_samples():
