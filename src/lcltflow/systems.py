@@ -560,6 +560,8 @@ def pm_map(x, alpha):
 
 _PULLBACK_FLOOR = 1e-13      # _pm_pullback stops below this length ...
 _PULLBACK_CAP = 100_000      # ... or at this many rows
+_PULLBACK_BLOCK = 256        # rows per Newton solve
+_PULLBACK_STEPS = 16         # Newton steps per block before giving up
 
 
 def _pm_pullback(alpha, z, depth=None):
@@ -568,26 +570,57 @@ def _pm_pullback(alpha, z, depth=None):
     Returns (U, D) with rows U[k] = L^{-k}(z) and D[k] = dU[k]/dz for
     k = 0, 1, ...: ``depth`` rows, or without a depth rows up to the first
     one whose last entry is <= _PULLBACK_FLOOR (at most _PULLBACK_CAP
-    rows).  Each row is solved by Newton's method from a geometric
-    extrapolation of the two before it.
+    rows).  z is a nonempty vector of points of (0, 1], else ValueError.
+
+    The rows come in blocks of _PULLBACK_BLOCK, each one Newton solve of
+    F[j] = L(V[j]) - V[j - 1] = 0 with V[0] the row before the block.  The
+    Jacobian is lower bidiagonal (L'(V[j]) on the diagonal, -1 below it),
+    so each step is one cumprod and one cumsum.  The start is the
+    second-order Fatou-coordinate guess: w = V^-alpha grows by
+    alpha 2^alpha per row, less (1 + alpha) 2^alpha / 2 log(w / w0).  A
+    block is done after a step that moves no entry by more than 1e-8
+    relative (the next would be below 1e-16); ArithmeticError if that
+    takes more than _PULLBACK_STEPS steps.
     """
+    z = np.asarray(z, dtype=float)
+    # NaN fails both comparisons
+    if z.ndim != 1 or not z.size or not np.all((z > 0) & (z <= 1)):
+        raise ValueError("z must be a nonempty vector of points in (0, 1]")
     c = 2.0 ** alpha
     rows = depth or _PULLBACK_CAP
     U = np.empty((rows, len(z)))
     U[0] = z
     k = 1
     while k < rows and (depth or U[k - 1, -1] > _PULLBACK_FLOOR):
-        w = U[k - 1]
-        u = w / (1 + c * w ** alpha) if k == 1 else w * (w / U[k - 2])
-        while True:
-            t = c * u ** alpha
-            step = (u * (1 + t) - w) / (1 + (1 + alpha) * t)
-            u = u - step
-            # quadratic convergence: the next step would be below 1e-16
-            if np.abs(step).max() <= 1e-8 * u.min():
+        n = min(_PULLBACK_BLOCK, rows - k)
+        w0 = U[k - 1] ** -alpha
+        w = w0 + alpha * c * np.arange(1, n + 1)[:, None]
+        V = (w - (1 + alpha) * c / 2 * np.log(w / w0)) ** (-1 / alpha)
+        for _ in range(_PULLBACK_STEPS):
+            t = c * V ** alpha
+            F = V * (1 + t)
+            F[0] -= U[k - 1]
+            F[1:] -= V[:-1]
+            a = 1 / (1 + (1 + alpha) * t)
+            # with a = 1 / L'(V) and A = cumprod(a), the step
+            # d[j] = a[j] (d[j - 1] - F[j]) = -A[j] sum_{i<=j} a[i] F[i] / A[i]
+            A = np.cumprod(a, axis=0)
+            F *= a
+            F /= A
+            step = A * np.cumsum(F, axis=0)
+            V -= step
+            if np.max(np.abs(step) / V) <= 1e-8:
                 break
-        U[k] = u
-        k += 1
+        else:
+            raise ArithmeticError(
+                f"the pull-back at alpha = {alpha} did not converge in "
+                f"{_PULLBACK_STEPS} Newton steps")
+        U[k:k + n] = V
+        if not depth:
+            below = np.flatnonzero(V[:, -1] <= _PULLBACK_FLOOR)
+            if below.size:
+                n = below[0] + 1
+        k += n
     U = U[:k]
     D = np.ones_like(U)
     np.cumprod(1 / (1 + (1 + alpha) * c * U[1:] ** alpha), axis=0,
@@ -669,12 +702,13 @@ class PMTowerBase:
         # |T_j| <= 1 on [-1, 1], so this bounds h
         self._hmax = float(np.abs(self._hcoef).sum())
         # Kac: the tower over branch r at node i has the weight
-        # quad_i h(psi_r) psi_r', and its orbit is psi_r, U[k], ..., U[1]
+        # quad_i h(psi_r) psi_r', and its orbit is psi_r, U[k], ..., U[1],
+        # so U[k] carries the weight of every branch from k + 1 on
         wts = quad * dP * self.induced_density(P)
+        tail = np.cumsum(wts[:0:-1], axis=0)[::-1]
 
         def kac(g):
-            return float(np.sum(wts * g(P))
-                         + np.sum(wts[1:] * np.cumsum(g(U[1:]), axis=0)))
+            return float(np.sum(wts * g(P)) + np.sum(tail * g(U[1:])))
 
         roof_mass = kac(self._roof)
         self.nu_tau = roof_mass / kac(PM_ROOFS["unit"])
@@ -691,7 +725,14 @@ class PMTowerBase:
     def induced_density(self, y):
         """The invariant density h of the first-return map on Y = (1/2, 1],
         normalised to integrate to 1 over Y."""
-        return chebval(4 * np.asarray(y, dtype=float) - 3, self._hcoef)
+        y = np.asarray(y, dtype=float)
+        h = (4 * y - 3).ravel()
+        # 4y - 3 becomes h in slices of _LEAP_SLICE points, which keep
+        # Clenshaw's temporaries in cache
+        for lo in range(0, h.size, _LEAP_SLICE):
+            sl = slice(lo, lo + _LEAP_SLICE)
+            h[sl] = chebval(h[sl], self._hcoef)
+        return h.reshape(y.shape)[()]
 
     # -- ambient suspension interface -----------------------------------
 
@@ -843,7 +884,11 @@ class PMTowerBase:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["alpha"], obj.get("roof", "unit"))
+        alpha = obj["alpha"]
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            raise ConfigError(
+                f"cannot read alpha {alpha!r}: give a JSON number in (0, 1/2)")
+        return cls(alpha, obj.get("roof", "unit"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@
   every state and one picked by ``np.where``.
 - ``pm_first_return``: the first return to (1/2, 1] of the intermittent map,
   one scalar step at a time.
+- ``pm_pullback``: the backward orbits of the intermittent map's left
+  branch, one Newton solve per row.
 
 Tests compare them against ``montecarlo._flow``, ``montecarlo._paths``,
 ``montecarlo.estimate_sigma``, ``systems._GuideTable``,
-``systems.pm_map`` and ``PMTowerBase.return_time``, on the same random
+``systems.pm_map``, ``PMTowerBase.return_time`` and
+``systems._pm_pullback``, on the same random
 stream where one is drawn.
 """
 
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcltflow.montecarlo import _base_walk
-from lcltflow.systems import _pm_left, pm_map
+from lcltflow.systems import (_PULLBACK_CAP, _PULLBACK_FLOOR, _pm_left,
+                              pm_map)
 
 
 @dataclass
@@ -202,3 +206,36 @@ def pm_first_return(x: float, alpha: float):
         y = _pm_left(y, alpha)
         r += 1
     return y, r
+
+
+def pm_pullback(alpha, z, depth=None):
+    """Backward orbits of the left branch L(u) = u(1 + 2^alpha u^alpha).
+
+    Returns (U, D) with rows U[k] = L^{-k}(z) and D[k] = dU[k]/dz for
+    k = 0, 1, ...: ``depth`` rows, or without a depth rows up to the first
+    one whose last entry is <= _PULLBACK_FLOOR (at most _PULLBACK_CAP
+    rows).  Each row is solved by Newton's method from a geometric
+    extrapolation of the two before it.
+    """
+    c = 2.0 ** alpha
+    rows = depth or _PULLBACK_CAP
+    U = np.empty((rows, len(z)))
+    U[0] = z
+    k = 1
+    while k < rows and (depth or U[k - 1, -1] > _PULLBACK_FLOOR):
+        w = U[k - 1]
+        u = w / (1 + c * w ** alpha) if k == 1 else w * (w / U[k - 2])
+        while True:
+            t = c * u ** alpha
+            step = (u * (1 + t) - w) / (1 + (1 + alpha) * t)
+            u = u - step
+            # quadratic convergence: the next step would be below 1e-16
+            if np.abs(step).max() <= 1e-8 * u.min():
+                break
+        U[k] = u
+        k += 1
+    U = U[:k]
+    D = np.ones_like(U)
+    np.cumprod(1 / (1 + (1 + alpha) * c * U[1:] ** alpha), axis=0,
+               out=D[1:])
+    return U, D

@@ -617,6 +617,21 @@ def test_math_domain_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("alpha, code", [
+    (True, 2), (False, 2), ("0.25", 2), (None, 2), ([1, 4], 2),
+    (0.6, 3), (0, 3), (math.nan, 3)])
+def test_pm_alpha_of_the_wrong_type_is_parse_error(tmp_path, capsys, alpha,
+                                                   code):
+    # Python reads true as 1, but a bool is no number here; a number
+    # outside (0, 1/2) is a domain error
+    cfg = {"system": {"type": "pm", "alpha": alpha}, "t": 2, "N": 10,
+           "windows": [["flow", 0, -1, 1]]}
+    assert run(tmp_path, "simulate", cfg)[0] == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert ("cannot read alpha" if code == 2 else "alpha must lie") in err
+
+
 def _markov_with(P=None, entry=None, value=None):
     system = {"type": "markov", "P": P or [[0.5, 0.5], [0.5, 0.5]],
               "f": [[[-1.0, 1.0], [1.0, 1.0]], [[-1.0, 1.0], [1.0, 1.0]]]}

@@ -1,22 +1,27 @@
 """Concrete suspension-flow models: renewal, Markov shift, intermittent map."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy import stats
 
+from lcltflow import systems
 from lcltflow.errors import ConfigError, MixedRingError
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.spectral import TwistedOperatorModel
-from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
-                              _count_vectors, _multinomial_masses, _pm_left,
+from lcltflow.systems import (_PULLBACK_BLOCK, _PULLBACK_CAP, _PULLBACK_FLOOR,
+                              MarkovShiftBase, PMTowerBase, RenewalBase,
+                              _count_vectors, _induced_fixed_point,
+                              _multinomial_masses, _pm_left,
                               _pm_pullback, load_system, pm_map)
 
 from flowref import (FlowPoint, WithoutLeap, flow_integrate,
-                     pm_first_return, pm_map_where, sample_stationary,
-                     scan_edges, scan_index)
+                     pm_first_return, pm_map_where, pm_pullback,
+                     sample_stationary, scan_edges, scan_index)
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -634,6 +639,82 @@ def test_pm_observable_centered():
     assert 0 < sys.nu_tau <= 1.5
 
 
+# the Chebyshev-Lobatto nodes of Y that PMTowerBase pulls back
+PM_NODES = (3 + np.cos(np.pi * np.arange(33) / 32)) / 4
+
+
+@functools.lru_cache(maxsize=None)
+def stepped_orbit_of_half():
+    """The stepped reference's backward orbit of 1/2 at alpha = 1/4, down
+    to the floor."""
+    return pm_pullback(0.25, [0.5])[0][:, 0]
+
+
+def assert_pullbacks_agree(alpha, got, want):
+    """Equal row counts, rows within 1e-13 and D within 1e-12 relative,
+    and every row solves L(U[k]) = U[k - 1] to 1e-14."""
+    (U, D), (U0, D0) = got, want
+    assert U.shape == U0.shape
+    assert np.max(np.abs(U / U0 - 1)) <= 1e-13
+    assert np.max(np.abs(D / D0 - 1)) <= 1e-12
+    if len(U) > 1:
+        assert np.max(np.abs(_pm_left(U[1:], alpha) / U[:-1] - 1)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.125, 0.25, 0.3, 0.4])
+def test_pm_pullback_matches_the_stepped_reference(alpha):
+    got = _pm_pullback(alpha, PM_NODES)
+    assert_pullbacks_agree(alpha, got, pm_pullback(alpha, PM_NODES))
+    U = got[0]
+    if alpha == 0.4:
+        # the last node, 1/2, is still above the floor at the row cap,
+        # which is not a whole number of blocks
+        assert len(U) == _PULLBACK_CAP and U[-1, -1] > _PULLBACK_FLOOR
+        assert _PULLBACK_CAP % _PULLBACK_BLOCK
+    else:
+        assert U[-1, -1] <= _PULLBACK_FLOOR < U[-2, -1]
+
+
+@pytest.mark.parametrize("depth", [1, _PULLBACK_BLOCK - 1,
+                                   _PULLBACK_BLOCK + 1, "thresholds"])
+def test_pm_pullback_depth_matches_the_stepped_reference(depth):
+    if depth == "thresholds":
+        depth = len(PMTowerBase(0.25).thresholds)
+    z = 0.5 + 0.5 * np.random.default_rng(8).random(50)
+    got = _pm_pullback(0.25, z, depth=depth)
+    assert len(got[0]) == depth
+    assert_pullbacks_agree(0.25, got, pm_pullback(0.25, z, depth=depth))
+
+
+@pytest.mark.parametrize("row", [0, 1, _PULLBACK_BLOCK, _PULLBACK_BLOCK + 1,
+                                 2 * _PULLBACK_BLOCK])
+def test_pm_pullback_stops_at_the_floor_on_any_row_of_a_block(row):
+    # started from a row of the reference's orbit of 1/2, the orbit first
+    # reaches the floor on the given row: row 0 is the start, rows 1 and
+    # B + 1 open a block of B rows, rows B and 2B close one
+    x = stepped_orbit_of_half()
+    assert x[-1] <= _PULLBACK_FLOOR < x[-2]
+    z = x[[len(x) - 1 - row]]
+    got = _pm_pullback(0.25, z)
+    assert len(got[0]) == row + 1
+    assert_pullbacks_agree(0.25, got, pm_pullback(0.25, z))
+
+
+@pytest.mark.parametrize("z", [[1.0, float("nan"), 0.5], [0.75, 0.0],
+                               [1.5], [-0.25], [float("inf")], [],
+                               [[0.75]]])
+def test_pm_pullback_rejects_points_outside_the_unit_interval(z):
+    with pytest.raises(ValueError, match=r"z must"):
+        _pm_pullback(0.25, z)
+
+
+def test_pm_pullback_bounds_its_newton_steps(monkeypatch):
+    # the first block of the nodes needs more than one step
+    monkeypatch.setattr(systems, "_PULLBACK_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _pm_pullback(0.25, PM_NODES)
+
+
 def test_pm_induced_density_is_invariant():
     # the backward orbits solve L(U[k]) = U[k - 1], and the induced density
     # is a fixed point of L_F h(z) = sum_r h(psi_r(z)) psi_r'(z) at points of
@@ -650,10 +731,41 @@ def test_pm_induced_density_is_invariant():
     assert np.mean(sys.induced_density(y)) / 2 == pytest.approx(1, abs=1e-9)
 
 
+def test_pm_induced_density_is_the_chebyshev_series_in_any_shape():
+    # evaluated in slices, bit for bit the series at once
+    sys = PMTowerBase(0.25)
+    y = 0.5 + 0.5 * np.random.default_rng(9).random((3, 50_000))
+    want = chebval(4 * y - 3, sys._hcoef)
+    assert np.array_equal(sys.induced_density(y), want)
+    assert np.array_equal(sys.induced_density(y[0]), want[0])
+    got = sys.induced_density(0.75)
+    assert np.ndim(got) == 0 and got == chebval(0.0, sys._hcoef)
+
+
 def test_pm_rate_mean_matches_ensemble_estimate():
     # a Monte Carlo estimate (200k uniform starts pushed 2000 steps) gave
     # 0.4565232845 with standard error 6.6e-4
     assert abs(PMTowerBase(0.25).rate_mean - 0.4565232845) <= 3 * 6.6e-4
+
+
+@pytest.mark.parametrize("roof", ["unit", "affine"])
+def test_pm_kac_sums_equal_the_sums_along_each_orbit(roof):
+    # Kac's formula as first written: each branch's weight times g summed
+    # along its orbit psi_r, U[k], ..., U[1], one cumsum per observable
+    sys = PMTowerBase(0.25, roof)
+    s = 4 * PM_NODES - 3
+    U, D = _pm_pullback(0.25, PM_NODES)
+    P, dP = (1 + U) / 2, D / 2
+    quad = _induced_fixed_point(s, P, dP)[1]
+    wts = quad * dP * sys.induced_density(P)
+    g = systems.PM_ROOFS[roof]
+
+    def kac(f):
+        return np.sum(wts * f(P)) + np.sum(wts[1:] * np.cumsum(f(U[1:]), 0))
+
+    assert sys.nu_tau == pytest.approx(kac(g) / kac(np.ones_like), rel=1e-13)
+    assert sys.rate_mean == pytest.approx(
+        kac(lambda x: x * g(x)) / kac(g), rel=1e-13)
 
 
 def test_pm_affine_roof_kac_constants():
