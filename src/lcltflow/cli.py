@@ -5,6 +5,11 @@ correlate.  Every run writes a ``manifest.json`` into the output directory
 with the command, a hash of the configuration, the seed, library versions,
 and a checksum per emitted file, so any run can be reproduced exactly.
 
+A process pays only for the layers its subcommand runs: this module imports
+the stdlib, ``errors`` and ``quadfield``, and each command or helper imports
+its layers when it is called.  ``classify`` on explicit generators and
+``predict`` never load numpy; their manifests record ``"numpy": null``.
+
 Exit codes: 0 success, 2 configuration/parse failure, 3 mathematical domain
 error, 4 verification failure.
 """
@@ -20,21 +25,9 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, LcltError
-from .groups import (CaseLabel, classify_case, closure_1d, closure_of_group,
-                     covolume, interval)
-from .montecarlo import estimate_correlation, estimate_lclt, estimate_sigma
-from .predict import (FlowMLCLTParams, PredictionRequest, _d_params,
-                      flow_variance, mixing_classify, predict,
-                      prediction_record)
 from .quadfield import QuadScalar, as_quad
-from .renewal_exact import (counterexample_scan, scan_csv_rows,
-                            stationary_event_probability)
-from .spectral import TwistedOperatorModel, eigen_curve_rows
-from .systems import load_system
 
 DEFAULT_SEED = 20260823
 
@@ -132,16 +125,29 @@ class Run:
         self.args = args
         self.config = config
         self.outdir = args.out or "."
-        os.makedirs(self.outdir, exist_ok=True)
+        try:
+            os.makedirs(self.outdir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory "
+                              f"{self.outdir!r}: {e.strerror}") from e
         self.outputs = {}
 
-    def emit(self, name, text):
+    def _write(self, name, text):
         path = os.path.join(self.outdir, name)
-        _atomic_write(path, text)
+        try:
+            _atomic_write(path, text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {path!r}: {e.strerror}") from e
+        return path
+
+    def emit(self, name, text):
+        path = self._write(name, text)
         self.outputs[name] = _sha256(text)
         return path
 
     def finish(self, command):
+        # numpy only if this run loaded it: otherwise it shaped no output
+        numpy = sys.modules.get("numpy")
         manifest = {
             "command": command,
             "config_hash": _sha256(json.dumps(self.config, sort_keys=True)),
@@ -150,12 +156,12 @@ class Run:
             "versions": {
                 "package": __version__,
                 "python": sys.version.split()[0],
-                "numpy": np.__version__,
+                "numpy": numpy and numpy.__version__,
             },
             "outputs": self.outputs,
         }
-        _atomic_write(os.path.join(self.outdir, "manifest.json"),
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        self._write("manifest.json",
+                    json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +184,8 @@ def _object(cfg, key):
 
 def _system(cfg, kind, command):
     """The config's system, which ``command`` needs to be of ``kind``."""
+    from .systems import load_system
+
     system = load_system(cfg["system"])
     if system.kind != kind:
         raise ConfigError(
@@ -193,6 +201,8 @@ _CASE_PARAMS = {"A": (), "B": ("a",), "C": ("alpha", "beta"),
 
 
 def _case_from_config(cfg):
+    from .groups import CaseLabel
+
     case_cfg = _object(cfg, "case")
     D = cfg.get("D", 2)
     variant = case_cfg["variant"]
@@ -215,6 +225,8 @@ def _pair(req, key, read):
 
 
 def _params_from_config(cfg):
+    from .predict import FlowMLCLTParams
+
     return FlowMLCLTParams(_case_from_config(cfg),
                            _number(cfg, cfg["sigma_flow"]),
                            _number(cfg, cfg["nu_tau"]))
@@ -223,6 +235,9 @@ def _params_from_config(cfg):
 def _request_from_config(cfg):
     """predict's request, its event (t, W, I, J) read exactly as lattice
     verify reads it."""
+    from .groups import interval
+    from .predict import PredictionRequest
+
     req = _object(cfg, "request")
 
     def num(v):
@@ -246,6 +261,9 @@ def _request_from_config(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_classify(run):
+    from .groups import classify_case, closure_1d, closure_of_group, covolume
+    from .predict import mixing_classify
+
     cfg = run.config
     if "generators" in cfg:
         D = cfg.get("D", 2)
@@ -289,6 +307,8 @@ def cmd_classify(run):
 
 
 def cmd_predict(run):
+    from .predict import prediction_record
+
     params = _params_from_config(run.config)
     req = _request_from_config(run.config)
     rec = prediction_record(params, req)
@@ -321,6 +341,9 @@ def _mc_windows(cfg):
 
 
 def cmd_simulate(run):
+    from .montecarlo import estimate_lclt
+    from .systems import load_system
+
     cfg = run.config
     system = load_system(cfg["system"])
     wins = _mc_windows(cfg)
@@ -337,6 +360,8 @@ def cmd_simulate(run):
 
 
 def cmd_spectral(run):
+    from .spectral import TwistedOperatorModel, eigen_curve_rows
+
     cfg = run.config
     # the twisted operator needs a finite transfer matrix
     system = _system(cfg, "markov", "spectral")
@@ -366,6 +391,8 @@ def cmd_spectral(run):
 
 
 def cmd_renewal(run):
+    from .renewal_exact import counterexample_scan, scan_csv_rows
+
     cfg = run.config
     atoms = None
     if "system" in cfg:
@@ -380,12 +407,23 @@ def cmd_renewal(run):
 
 
 def _band_set(delta, period=1.0):
+    """The set {s mod period < delta}; it must be neither empty nor all."""
+    import numpy as np
+
+    if not 0 < delta < period:
+        raise ConfigError(f"correlate needs 0 < band_delta < band_period, "
+                          f"not band_delta = {delta:g}, band_period = "
+                          f"{period:g}")
+
     def pred(states, s):
         return np.mod(s, period) < delta
     return pred
 
 
 def cmd_correlate(run):
+    from .montecarlo import estimate_correlation
+    from .systems import load_system
+
     cfg = run.config
     system = load_system(cfg["system"])
     pred = _band_set(_number(cfg, cfg.get("band_delta", 0.3)),
@@ -406,6 +444,9 @@ def cmd_correlate(run):
 def _sigma_flow(run, system):
     """The config's sigma_flow, else the flow variance estimated from the
     system's base sums."""
+    from .montecarlo import estimate_sigma
+    from .predict import flow_variance
+
     if "sigma_flow" in run.config:
         return _number(run.config, run.config["sigma_flow"])
     cov, _ = estimate_sigma(system, seed=run.args.seed,
@@ -414,6 +455,12 @@ def _sigma_flow(run, system):
 
 
 def cmd_verify(run):
+    from .groups import CaseLabel, interval
+    from .montecarlo import estimate_lclt
+    from .predict import FlowMLCLTParams, PredictionRequest, _d_params, predict
+    from .renewal_exact import stationary_event_probability
+    from .systems import load_system
+
     cfg = run.config
     scale = run.args.tolerance_scale
     system = load_system(cfg["system"])
@@ -503,14 +550,32 @@ _COMMANDS = {
 }
 
 
+def _int_in(lo, hi, what):
+    """An argparse type: an integer k with lo <= k < hi."""
+    def parse(text):
+        try:
+            k = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if not lo <= k < hi:
+            raise argparse.ArgumentTypeError(f"must be {what}, not {k}")
+        return k
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="lcltflow",
         description="Verify local limit theorems for suspension flows.")
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("config", help="path to a JSON configuration file")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1,
+    # block b draws from Philox key seed + (b << 64): a seed of 2**64 or
+    # more would alias another seed's blocks
+    p.add_argument("--seed", type=_int_in(0, 1 << 64, "in [0, 2**64)"),
+                   default=DEFAULT_SEED)
+    p.add_argument("--workers", type=_int_in(1, math.inf, "at least 1"),
+                   default=1,
                    help="processes for the Monte Carlo blocks, forked from "
                         "this one; results are bit-identical for any count")
     p.add_argument("--out", default=None, help="output directory")
@@ -531,9 +596,8 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_PARSE
-    run = Run(args, config)
     try:
-        return _COMMANDS[args.command](run)
+        return _COMMANDS[args.command](Run(args, config))
     except (KeyError, IndexError, TypeError) as e:
         print(f"error: bad configuration: {e!r}", file=sys.stderr)
         return EXIT_PARSE

@@ -66,6 +66,9 @@ def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
     w, w + W, ... in a forked child process; otherwise the blocks run here.
     Each block draws from its own substream, so the results are the same
     for every worker count."""
+    if not 0 <= seed < 1 << 64:
+        # block b's key seed + (b << 64) would be another seed's block
+        raise ValueError(f"seed must lie in [0, 2**64), not {seed}")
     plan = _block_plan(N, block)
     W = min(workers or 1, len(plan))
 

@@ -277,16 +277,17 @@ def test_verify_lattice_needs_a_D_or_E_label(tmp_path, capsys, case):
 def test_verify_lattice_hands_the_oracle_the_exact_event(tmp_path,
                                                           monkeypatch):
     from fractions import Fraction
+    from lcltflow import renewal_exact
     from lcltflow.quadfield import QuadScalar
 
     seen = []
-    real = cli.stationary_event_probability
+    real = renewal_exact.stationary_event_probability
 
     def spy(atoms, t, v, I=None, J=None):
         seen.append((t, v, I, J))
         return real(atoms, t, v, I=I, J=J)
 
-    monkeypatch.setattr(cli, "stationary_event_probability", spy)
+    monkeypatch.setattr(renewal_exact, "stationary_event_probability", spy)
     sq = [0, [-1, 1, 1, 1]]
     cfg = _bench_lattice_cfg(1 << 12)
     for request in ({"t": [200, 2], "W": 1, "l": -1, "I": sq, "J": sq},
@@ -340,6 +341,7 @@ def test_verify_lattice_predicts_at_w_v_over_sqrt_t(tmp_path):
 def test_verify_lattice_without_sigma_flow_uses_the_estimate(tmp_path,
                                                              monkeypatch):
     import numpy as np
+    from lcltflow import montecarlo
 
     seeds = []
 
@@ -347,7 +349,7 @@ def test_verify_lattice_without_sigma_flow_uses_the_estimate(tmp_path,
         seeds.append(seed)
         return np.array([[0.8, 0.0], [0.0, 1.0]]), None
 
-    monkeypatch.setattr(cli, "estimate_sigma", fake_sigma)
+    monkeypatch.setattr(montecarlo, "estimate_sigma", fake_sigma)
     cfg = _bench_lattice_cfg(1 << 12)
     del cfg["sigma_flow"]
     row = _verify_row(tmp_path, cfg)
@@ -515,6 +517,20 @@ def test_correlate(tmp_path):
     # integer-roof coin at integer time: band fully correlated
     t, c, se = (float(v) for v in lines[1].split(","))
     assert c == pytest.approx(0.3 - 0.09, abs=0.02)
+
+
+@pytest.mark.parametrize("band", [
+    {"band_period": 0}, {"band_period": -1}, {"band_period": math.inf},
+    {"band_delta": 0}, {"band_delta": -0.2}, {"band_delta": 1},
+    {"band_delta": 1.5}, {"band_delta": 2, "band_period": 2}])
+def test_correlate_band_must_be_a_proper_subset(tmp_path, capsys, band):
+    # an empty or full band (or none, at period 0) once exited 0 with an
+    # all-zero series
+    cfg = {"system": COIN_SYSTEM, "t_grid": [2.0], "N": 100, **band}
+    assert run(tmp_path, "correlate", cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "band_delta" in err or "cannot read number inf" in err
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +715,97 @@ def test_lattice_verify_identical_across_worker_counts(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+def _fresh_python(code):
+    """stdout of ``code`` run by a fresh interpreter on this lcltflow."""
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_process_pool():
     # the blocks run in forked children; no pool module is imported, as
     # every command pays for what the package imports
     code = ("import sys, lcltflow.cli; print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+    # nor numpy or any layer: each command imports the layers it runs
+    layers = ("montecarlo", "renewal_exact", "spectral", "systems", "groups",
+              "predict")
+    code = ("import sys, lcltflow.cli; print(sorted(m for m in sys.modules"
+            f" if m == 'numpy' or m.split('.')[-1] in {layers!r}))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    # classify on explicit generators and predict load no numpy, and their
+    # manifests say so; a command that loads numpy records its version
+    import numpy as np
+
+    gens = write_cfg(tmp_path, {"generators": [[0, 1], [1, [0, 1, 1, 1]],
+                                               [1, [1, 1, 1, 1]]]}, "g.json")
+    pred = write_cfg(tmp_path, PREDICT_CFG, "p.json")
+    runs = [["classify", gens, "--out", str(tmp_path / "c")],
+            ["predict", pred, "--out", str(tmp_path / "p")]]
+    code = (f"import sys; from lcltflow import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            f"print(codes, 'numpy' in sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == "[0, 0] False"
+    for out in ("c", "p"):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["versions"]["numpy"] is None
+    assert run(tmp_path, "renewal", {"t_values": [10.5]})[0] == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"]["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_created_is_parse_error(tmp_path, capsys, under):
+    # --out naming a file, or a directory under a file, once died with a
+    # traceback
+    (tmp_path / "f").write_text("")
+    out = tmp_path / "f" / "out" if under else tmp_path / "f"
+    cfg = write_cfg(tmp_path, {"t_values": [10.5]})
+    assert cli.main(["renewal", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: cannot create output directory")
+    assert (tmp_path / "f").read_text() == ""
+
+
+def test_output_that_cannot_be_written_is_parse_error(tmp_path, capsys):
+    # a directory where scan.csv would go
+    (tmp_path / "out" / "scan.csv").mkdir(parents=True)
+    assert run(tmp_path, "renewal", {"t_values": [10.5]})[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: cannot write") and "scan.csv" in err
+    assert os.listdir(tmp_path / "out") == ["scan.csv"]
+
+
+@pytest.mark.parametrize("extra", [
+    ("--seed", "-1"), ("--seed", str(1 << 64)), ("--seed", "x"),
+    ("--workers", "0"), ("--workers", "-2")])
+def test_seed_and_workers_out_of_range_are_parse_errors(tmp_path, capsys,
+                                                        extra):
+    # seed 2**64 + s would draw seed s's block 1 as its block 0, and workers
+    # below 1 once ran serially
+    cfg = {"system": COIN_SYSTEM, "t": 2, "N": 10,
+           "windows": [["section", 1, 0]]}
+    assert run(tmp_path, "simulate", cfg, *extra)[0] == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert f"argument {extra[0]}" in err and "Traceback" not in err
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    cfg = {"system": COIN_SYSTEM, "t": 2, "N": 10,
+           "windows": [["section", 1, 0]]}
+    seed = (1 << 64) - 1
+    assert run(tmp_path, "simulate", cfg, "--seed", str(seed))[0] == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["seed"] == seed
 
 
 def test_no_stray_tempfiles(tmp_path):

@@ -445,6 +445,14 @@ def test_workers_die_with_a_killed_parent(tmp_path):
                 os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # block b's key is seed + (b << 64): seed 2**64 + 5 would draw seed 5's
+    # block 1 as its block 0
+    with pytest.raises(ValueError, match="seed"):
+        sample_flow_integrals(osc_system(), 10.0, 10, seed=seed)
+
+
 def test_seed_changes_samples():
     sys = osc_system()
     a = sample_flow_integrals(sys, 10.0, 10_000, seed=1)
