@@ -8,7 +8,10 @@ and a checksum per emitted file, so any run can be reproduced exactly.
 A process pays only for the layers its subcommand runs: this module imports
 the stdlib, ``errors`` and ``quadfield``, and each command or helper imports
 its layers when it is called.  ``classify`` on explicit generators and
-``predict`` never load numpy; their manifests record ``"numpy": null``.
+``predict`` never load numpy.  The manifest's ``versions.numpy`` is the numpy
+loaded in this process when the run ends, or null if none is: null for those
+two commands in a fresh process, but a caller that ran ``main`` in-process
+after numpy was loaded gets its version.
 
 Exit codes: 0 success, 2 configuration/parse failure, 3 mathematical domain
 error, 4 verification failure.
@@ -146,7 +149,7 @@ class Run:
         return path
 
     def finish(self, command):
-        # numpy only if this run loaded it: otherwise it shaped no output
+        # numpy only if this process loaded it: otherwise it shaped no output
         numpy = sys.modules.get("numpy")
         manifest = {
             "command": command,

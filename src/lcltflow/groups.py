@@ -302,23 +302,23 @@ def ball(radius):
     return interval(-radius, radius, True, True)
 
 
-def _lattice_count(a, item, shift=0.0, np=None):
-    """Number of k in Z with a*k in the item translated by ``shift``: one
-    count for a float shift, in math, so that the exact layer loads no
-    numpy; with ``np`` (numpy), an array of counts for an array of shifts."""
+def _lattice_count(a, item, shift=0.0):
+    """Number of k in Z with a*k in the item translated by ``shift``, as a
+    float; OverflowError when the count or a bound of it overflows a float."""
     tol = 1e-9          # slack of a float bound on the lattice
-    floor, ceil, rnd = ((np.floor, np.ceil, np.round) if np
-                        else (math.floor, math.ceil, round))
-    if item[0] == "pt":
-        x = item[1] + shift
-        return 1.0 * (abs(a * rnd(x / a) - x) <= tol)
-    _, lo, hi, lc, rc = item
-    lo = lo + shift
-    hi = hi + shift
-    klo = ceil(lo / a - tol) if lc else floor(lo / a + tol) + 1
-    khi = floor(hi / a + tol) if rc else ceil(hi / a - tol) - 1
-    n = khi - klo + 1
-    return np.maximum(0.0, n) if np else float(max(0, n))
+    try:
+        if item[0] == "pt":
+            x = item[1] + shift
+            return 1.0 * (abs(a * round(x / a) - x) <= tol)
+        _, lo, hi, lc, rc = item
+        lo = lo + shift
+        hi = hi + shift
+        klo = math.ceil(lo / a - tol) if lc else math.floor(lo / a + tol) + 1
+        khi = math.floor(hi / a + tol) if rc else math.ceil(hi / a - tol) - 1
+        return float(max(0, khi - klo + 1))
+    except OverflowError:
+        raise OverflowError(f"the points of the lattice {a!r}Z in {item!r} "
+                            f"overflow a float") from None
 
 
 def haar_mass(V: Group1D, items):
@@ -357,13 +357,11 @@ def weyl_average(M: Group1D, r, N, test_set):
         return haar_mass(M, test_set)
     if M.kind != "lattice":
         raise UnsupportedGroupError("weyl_average needs M = R or a lattice")
-    import numpy as np  # the N shifts are counted as one array
-
     a = float(M.a)
-    kappa = np.mod(-np.arange(1, N + 1, dtype=np.float64) * float(r), a)
-    total = sum((_lattice_count(a, it, kappa, np) for it in test_set),
-                np.zeros(N))
-    return a * float(total.mean())
+    r = float(r)
+    total = sum(_lattice_count(a, it, (-n * r) % a)
+                for n in range(1, N + 1) for it in test_set)
+    return a * (total / N)
 
 
 # ---------------------------------------------------------------------------

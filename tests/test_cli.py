@@ -121,6 +121,19 @@ PREDICT_CFG = {
 }
 
 
+def test_predict_lattice_count_that_overflows_is_math_error(tmp_path,
+                                                            capsys):
+    # a finite target whose count on 1/2 Z overflows a float: one error line
+    # naming the overflow, not a bare "cannot convert float infinity"
+    cfg = dict(PREDICT_CFG, case={"variant": "B", "a": [1, 2]},
+               request={"t": 100, "target": [-1e308, 1e308]})
+    assert run(tmp_path, "predict", cfg)[0] == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: the points of the lattice 0.5Z in")
+    assert err.rstrip().endswith("overflow a float")
+
+
 def test_predict_writes_record(tmp_path, capsys):
     cfg = dict(PREDICT_CFG)
     cfg["nu_tau"] = 2 / 3
@@ -757,6 +770,11 @@ def test_exact_commands_run_without_numpy(tmp_path):
         assert manifest["versions"]["numpy"] is None
     assert run(tmp_path, "renewal", {"t_values": [10.5]})[0] == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"]["numpy"] == np.__version__
+    # the field is the numpy in the process: in this one, numpy is loaded,
+    # so predict records it too
+    assert cli.main(runs[1]) == 0
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
     assert manifest["versions"]["numpy"] == np.__version__
 
 

@@ -160,6 +160,13 @@ def test_fiber_groups():
         fiber_group(CaseLabel("D", a=1, b=S2, d=1))
 
 
+def test_lattice_count_that_overflows_a_float_says_so():
+    M = Group1D.lattice(Fraction(1, 2))
+    for item in (interval(-1e308, 1e308), point(1e308)):
+        with pytest.raises(OverflowError, match="overflow a float"):
+            haar_mass(M, item)
+
+
 def test_weyl_average_irrational_converges_to_lebesgue():
     # <Z, sqrt2> is dense: averaged translates approach Lebesgue measure
     got = weyl_average(Group1D.lattice(1), S2, 10 ** 5, interval(0, 0.5))
