@@ -445,15 +445,20 @@ def cmd_correlate(run):
 
 
 def _sigma_flow(run, system):
-    """The config's sigma_flow, else the flow variance estimated from the
-    system's base sums."""
-    from .montecarlo import estimate_sigma
+    """The config's sigma_flow, else the flow variance from the system's
+    asymptotic covariance: exact where the system gives ``sigma()``
+    (renewal, Markov), else estimated by batch means of its base sums."""
     from .predict import flow_variance
 
     if "sigma_flow" in run.config:
         return _number(run.config, run.config["sigma_flow"])
-    cov, _ = estimate_sigma(system, seed=run.args.seed,
-                            workers=run.args.workers)
+    if hasattr(system, "sigma"):
+        cov = system.sigma()
+    else:
+        from .montecarlo import estimate_sigma
+
+        cov, _ = estimate_sigma(system, seed=run.args.seed,
+                                workers=run.args.workers)
     return flow_variance(cov[0, 0], system.nu_tau)
 
 
@@ -588,6 +593,11 @@ def build_parser():
 
 
 def main(argv=None):
+    # numpy's OpenBLAS starts a thread pool when it loads, which burns CPU
+    # while the commands' matrices are too small to gain from it: one
+    # thread, unless the caller chose a number.  Set before any layer
+    # imports numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

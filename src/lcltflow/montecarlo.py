@@ -54,6 +54,15 @@ def _block_rng(seed: int, b: int):
     return np.random.Generator(np.random.Philox(key=seed + (b << 64)))
 
 
+def _build_tables(system):
+    """Build the system's leap tables (``path_tables``, where it has them)
+    here, before the blocks fork: every worker then inherits them instead
+    of building its own, and this process keeps them for the next call."""
+    build = getattr(system, "path_tables", None)
+    if build is not None:
+        build()
+
+
 def _block_plan(N: int, block: int):
     n_blocks = (N + block - 1) // block
     return [(b, min(block, N - b * block)) for b in range(n_blocks)]
@@ -262,6 +271,7 @@ def estimate_lclt(system, t, windows, N, seed, workers=1, *, I=None,
         return ([int(np.sum(_window_mask(blk, w, t, W_of_t) & both))
                  for w in windows], int(ma.sum()), int(mb.sum()))
 
+    _build_tables(system)
     res = _run_blocks(N, seed, workers, block_fn)
     if any(fiber is not None and sum(r[k] for r in res) < 10
            for k, fiber in ((1, I), (2, J))):
@@ -288,6 +298,7 @@ def sample_flow_integrals(system, t, N, seed, workers=1, field="raw"):
     def block_fn(b, n, rng):
         return _paths(system, t, n, rng)[field]
 
+    _build_tables(system)
     return np.concatenate(_run_blocks(N, seed, workers, block_fn))
 
 
@@ -304,6 +315,7 @@ def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
     def block_fn(b, n_traj, rng):
         return np.column_stack(system.block_sums(n_traj, block_len, rng))
 
+    _build_tables(system)
     # one rng block per chunk of trajectories
     all_sums = _run_blocks(n_blocks, seed, workers, block_fn,
                            block=_SIGMA_BLOCK)
@@ -335,6 +347,7 @@ def estimate_correlation(system, setA, setB, t_grid, N, seed, workers=1):
                          int(bmask.sum())))
         return rows
 
+    _build_tables(system)
     res = _run_blocks(N, seed, workers, block_fn)
     series = []
     for k, t in enumerate(t_grid):

@@ -11,7 +11,6 @@ decides (exactly, in the quadratic field) whether the flow mixes at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -34,22 +33,20 @@ def flow_variance(var_phi: float, nu_tau: float) -> float:
     return float(var_phi) / nu_tau
 
 
-@dataclass
 class FlowMLCLTParams:
     """Everything the limit formulas need besides the request itself, in
     the minimal specialization (transfer functions h = h_tau = 0)."""
-    case: CaseLabel
-    sigma_flow: float
-    nu_tau: float
 
-    def __post_init__(self):
-        if self.nu_tau <= 0:
-            raise NonPositiveNuTau(f"nu(tau) = {self.nu_tau}")
-        if self.sigma_flow <= 0:
+    def __init__(self, case: CaseLabel, sigma_flow: float, nu_tau: float):
+        if nu_tau <= 0:
+            raise NonPositiveNuTau(f"nu(tau) = {nu_tau}")
+        if sigma_flow <= 0:
             raise SingularCovariance("flow variance must be positive")
+        self.case = case
+        self.sigma_flow = sigma_flow
+        self.nu_tau = nu_tau
 
 
-@dataclass
 class PredictionRequest:
     """A single MLCLT evaluation point.
 
@@ -59,15 +56,14 @@ class PredictionRequest:
     For cases D/E, ``I`` and ``J`` are the fiber intervals of the product
     sets and ``l`` indexes the target fiber {l a}.
     """
-    t: float
-    W_of_t: float = 0.0
-    w: float = 0.0
-    l: int = 0
-    nu_A: float = 1.0
-    nu_B: float = 1.0
-    I: Optional[tuple] = None
-    J: Optional[tuple] = None
-    target: object = None
+
+    def __init__(self, t: float, W_of_t: float = 0.0, w: float = 0.0,
+                 l: int = 0, nu_A: float = 1.0, nu_B: float = 1.0,
+                 I: Optional[tuple] = None, J: Optional[tuple] = None,
+                 target: object = None):
+        self.t, self.W_of_t, self.w, self.l = t, W_of_t, w, l
+        self.nu_A, self.nu_B = nu_A, nu_B
+        self.I, self.J, self.target = I, J, target
 
     def marginal_masses(self, nu_tau):
         ma = (self.nu_A * float(self.I[1] - self.I[0]) / nu_tau

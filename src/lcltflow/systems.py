@@ -29,6 +29,10 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
 - ``block_sums(n, m, rng)``: (phi_sum, tau_sum) over the first m cells of
   n trajectories from the base-invariant measure, by the same means.
 
+Renewal and Markov systems also give ``sigma()``, the 2 x 2 asymptotic
+covariance of the base sums of (phi, tau), in closed form: the limit of
+Cov(S_m) / m that batch means over ``block_sums`` estimates.
+
 States are atom indices (renewal), flat edge indices i*n + j for the
 transition i -> j being traversed (Markov), and points of (0, 1] (the
 intermittent map).
@@ -142,7 +146,8 @@ class _PathTable:
 class _TableLeap:
     """``leap`` by ``_PathTable`` levels m = M, M // 2, ..., 1, shared by the
     systems that have them.  A subclass builds the tables in
-    ``_build_path_tables`` (called once, on first use), maps current cells
+    ``_build_path_tables`` (called once, on first use: the Monte Carlo
+    estimators ask for them before they fork), maps current cells
     to table vertices in ``_vertex`` and draws one entry per cell in
     ``_leap_paths(table, cur, rng)``, which returns (phi added, tau added,
     current cells after)."""
@@ -353,6 +358,27 @@ class RenewalBase(_TableLeap):
                 left -= table.m
         return phi_sum, tau_sum
 
+    def sigma(self):
+        """Cov((x, y)) of one atom, which is the asymptotic covariance of
+        iid cells: exact in Q(sqrt D), cast to floats at the end, or from
+        the float atoms when they span several quadratic rings."""
+        # E[x] = 0, so the covariances are means of x x, x dy and dy dy,
+        # dy = y - E[y]
+        x = [a[0] for a in self.atoms]
+        p = [a[2] for a in self.atoms]
+        try:
+            if self.nu_tau_exact is None:
+                raise MixedRingError("durations in several quadratic rings")
+            dy = [a[1] - self.nu_tau_exact for a in self.atoms]
+            cov = [float(sum((w * s * r for w, s, r in zip(p, u, v)),
+                             start=as_quad(0)))
+                   for u, v in ((x, x), (x, dy), (dy, dy))]
+        except MixedRingError:
+            x, dy = self.xs, self.ys - self.nu_tau
+            cov = [self.probs @ (u * v)
+                   for u, v in ((x, x), (x, dy), (dy, dy))]
+        return np.array([[cov[0], cov[1]], [cov[1], cov[2]]])
+
     def value_group(self):
         """Generators and shift for the support group of (phi_check, tau):
         the closed group generated by the support values, with one value as
@@ -529,6 +555,23 @@ class MarkovShiftBase(_TableLeap):
                 tau_sum += ts
                 left -= table.m
         return phi_sum, tau_sum - self.edge_tau[cur]
+
+    def sigma(self):
+        """The asymptotic covariance of the edge sums of f = (phi, tau), by
+        Green-Kubo on the vertex chain.  With fb = f - nu(f), the lag-0 term
+        is E[fb fb'] over the stationary edges, and lag k >= 1 pairs edge
+        (i, j) with edge (l, m) through P^(k-1)_jl, so the lags sum to
+        a' Z g with a_j = sum_i pi_i P_ij fb_ij, g_l = sum_m P_lm fb_lm and
+        the fundamental matrix Z = (I - P + 1 pi)^-1 (Kemeny and Snell,
+        Finite Markov Chains, 1960): a sums to 0 and pi g = 0, so each
+        P^k acts as P^k - 1 pi, whose sum over k >= 0 is Z - 1 pi."""
+        n, P, pi = self.n_states, self.P, self.stationary
+        fb = self.f - [self.nu_phi, self.nu_tau]
+        edge_w = pi[:, None] * P
+        a = np.einsum("ij,ijk->jk", edge_w, fb)
+        g = np.einsum("ij,ijk->ik", P, fb)
+        lags = a.T @ np.linalg.solve(np.eye(n) - P + pi, g)
+        return np.einsum("ij,ijk,ijl->kl", edge_w, fb, fb) + lags + lags.T
 
     @classmethod
     def from_json(cls, obj):

@@ -351,25 +351,89 @@ def test_verify_lattice_predicts_at_w_v_over_sqrt_t(tmp_path):
     assert expected != _lattice_prediction(cfg, lambda nu: 1.0, **event)
 
 
-def test_verify_lattice_without_sigma_flow_uses_the_estimate(tmp_path,
-                                                             monkeypatch):
-    import numpy as np
+def _forbid_estimate_sigma(monkeypatch):
+    """Fail the test if verify estimates Sigma by batch means."""
     from lcltflow import montecarlo
 
-    seeds = []
+    def fail(*args, **kwargs):
+        pytest.fail("estimate_sigma was called")
 
-    def fake_sigma(system, seed, workers):
-        seeds.append(seed)
-        return np.array([[0.8, 0.0], [0.0, 1.0]]), None
+    monkeypatch.setattr(montecarlo, "estimate_sigma", fail)
 
-    monkeypatch.setattr(montecarlo, "estimate_sigma", fake_sigma)
+
+def test_verify_lattice_without_sigma_flow_uses_the_system_sigma(
+        tmp_path, monkeypatch):
+    from lcltflow.systems import load_system
+
+    _forbid_estimate_sigma(monkeypatch)
     cfg = _bench_lattice_cfg(1 << 12)
     del cfg["sigma_flow"]
     row = _verify_row(tmp_path, cfg)
-    assert seeds == [cli.DEFAULT_SEED]
+    var = load_system(cfg["system"]).sigma()[0, 0]
     I = tuple(cfg["request"]["I"])
     assert float(row["predicted"]) == _lattice_prediction(
-        cfg, lambda nu: 0.8 / nu, t=100, I=I, J=I)
+        cfg, lambda nu: var / nu, t=100, I=I, J=I)
+
+
+def _bench_flow_cfg(N):
+    """The benchmark's Markov flow config with N sample paths."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "configs",
+                        "markov_flow_verify.json")
+    with open(path) as fh:
+        return dict(json.load(fh), N=N)
+
+
+# criterion 4's durations 1, sqrt 2, sqrt 3 as decimals: one ring, so Sigma
+# is exact, and flow windows of width 1 see a Gaussian
+DECIMAL_C4_SYSTEM = {
+    "type": "renewal",
+    "atoms": [[-1, 0, 1, 0, 1, 3], [0, 0, 1.4142135623730951, 0, 1, 3],
+              [1, 0, 1.7320508075688772, 0, 1, 3]],
+}
+
+# section 6.1 as a Markov shift: identical rows of P, and f(i, j) the atom j
+SECTION_61_CHAIN = {
+    "type": "markov",
+    "P": [[1 / 3] * 3] * 3,
+    "f": [[[-1.0, 2 - SQ2], [0.0, 1.0], [1.0, SQ2 - 1]]] * 3,
+}
+
+
+@pytest.mark.parametrize("cfg", [
+    _bench_flow_cfg(1 << 16),
+    {"system": DECIMAL_C4_SYSTEM, "mode": "flow", "t": 100, "N": 1 << 16,
+     "windows": [[0, -0.5, 0.5], [1, -0.5, 0.5]]},
+    {k: v for k, v in _bench_lattice_cfg(1 << 16).items()
+     if k != "sigma_flow"},
+    {k: v for k, v in _bench_lattice_cfg(1 << 16).items()
+     if k != "sigma_flow"} | {"system": SECTION_61_CHAIN},
+], ids=["markov-flow", "renewal-flow", "renewal-lattice", "markov-lattice"])
+def test_verify_without_sigma_flow_passes_on_the_exact_sigma(
+        tmp_path, monkeypatch, capsys, cfg):
+    # renewal and Markov systems give Sigma in closed form: no batch means
+    _forbid_estimate_sigma(monkeypatch)
+    code, _ = run(tmp_path, "verify", cfg)
+    assert code == 0, capsys.readouterr().out
+
+
+def test_verify_pm_without_sigma_flow_estimates_sigma(tmp_path, monkeypatch):
+    import numpy as np
+    from lcltflow import montecarlo
+
+    calls = []
+
+    def fake_sigma(system, seed, workers):
+        calls.append((system.kind, seed))
+        return np.array([[0.4, 0.0], [0.0, 1.0]]), None
+
+    monkeypatch.setattr(montecarlo, "estimate_sigma", fake_sigma)
+    cfg = {"system": {"type": "pm", "alpha": 0.25}, "mode": "flow", "t": 20,
+           "N": 1024, "windows": [[0, -0.5, 0.5]]}
+    row = _verify_row(tmp_path, cfg)
+    assert calls == [("pm", cli.DEFAULT_SEED)]
+    assert float(row["predicted"]) == pytest.approx(
+        1 / math.sqrt(2 * math.pi * 0.4), rel=1e-12)
 
 
 def test_verify_negative_control_fails(tmp_path, capsys):
@@ -728,10 +792,12 @@ def test_lattice_verify_identical_across_worker_counts(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-def _fresh_python(code):
-    """stdout of ``code`` run by a fresh interpreter on this lcltflow."""
+def _fresh_python(code, environ=None):
+    """stdout of ``code`` run by a fresh interpreter on this lcltflow, in
+    ``environ`` (default: this process's environment)."""
     src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ if environ is None else environ,
+               PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     return out.stdout.strip()
@@ -763,8 +829,9 @@ def test_exact_commands_run_without_numpy(tmp_path):
             ["predict", pred, "--out", str(tmp_path / "p")]]
     code = (f"import sys; from lcltflow import cli\n"
             f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-            f"print(codes, 'numpy' in sys.modules)")
-    assert _fresh_python(code).splitlines()[-1] == "[0, 0] False"
+            f"print(codes, 'numpy' in sys.modules, 'dataclasses' in "
+            f"sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == "[0, 0] False False"
     for out in ("c", "p"):
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
         assert manifest["versions"]["numpy"] is None
@@ -776,6 +843,31 @@ def test_exact_commands_run_without_numpy(tmp_path):
     assert cli.main(runs[1]) == 0
     manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
     assert manifest["versions"]["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("chosen", [None, "2"])
+def test_openblas_runs_one_thread_unless_the_caller_chose(tmp_path, chosen):
+    # main sets OPENBLAS_NUM_THREADS before a command loads numpy, where
+    # OpenBLAS reads it; a value in the caller's environment is kept
+    cfg = write_cfg(tmp_path, {"t_values": [10.5]})
+    environ = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+    if chosen is not None:
+        environ["OPENBLAS_NUM_THREADS"] = chosen
+    argv = ["renewal", cfg, "--out", str(tmp_path / "out")]
+    script = ("import os, sys; from lcltflow import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "tasks = '/proc/self/task'\n"
+              "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) "
+              "else 0\n"
+              "print(code, 'numpy' in sys.modules, "
+              "os.environ['OPENBLAS_NUM_THREADS'], threads)")
+    code, numpy, value, threads = \
+        _fresh_python(script, environ).splitlines()[-1].split()
+    assert (code, numpy, value) == ("0", "True", chosen or "1")
+    if chosen is None and threads != "0":
+        # no OpenBLAS pool beside the main thread
+        assert threads == "1"
 
 
 @pytest.mark.parametrize("under", [False, True])

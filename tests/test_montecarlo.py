@@ -523,6 +523,40 @@ def test_estimate_sigma_matches_exact_iid_covariance():
         1.0, abs=6 * se[0, 0] / sys.nu_tau)
 
 
+def criterion4_system():
+    # durations in Q(sqrt 2) and Q(sqrt 3): sigma() takes the float path
+    third = Fraction(1, 3)
+    return RenewalBase([(-1, 1, third), (0, S2, third),
+                        (1, QuadScalar.sqrtD(3), third)])
+
+
+@pytest.mark.parametrize("make", [osc_system, criterion4_system, bench_chain],
+                         ids=["osc", "criterion4", "bench"])
+def test_estimate_sigma_is_within_3_se_of_sigma(make):
+    # batch means at the CLI's former sizes against the closed form
+    sys = make()
+    cov, se = estimate_sigma(sys, n_blocks=2000, block_len=1000, seed=19)
+    assert np.all(np.abs(cov - sys.sigma()) <= 3 * se)
+
+
+@pytest.mark.parametrize("make", [osc_system, bench_chain],
+                         ids=["renewal", "markov"])
+def test_estimators_build_path_tables_before_forking(make):
+    # two path blocks on two workers: the tables are built here, once, and
+    # the workers inherit them
+    N = (1 << 18) + 300
+    win = [("flow", 0.0, -0.5, 0.5)]
+    two = make()
+    assert two._tables is None
+    e2 = estimate_lclt(two, 6.0, win, N, 8, workers=2)
+    assert two._tables is not None
+    e1 = estimate_lclt(make(), 6.0, win, N, 8, workers=1)
+    assert (e1[0].point, e1[0].std_error) == (e2[0].point, e2[0].std_error)
+    sums = make()
+    estimate_sigma(sums, n_blocks=1100, block_len=50, seed=8, workers=2)
+    assert sums._tables is not None
+
+
 # ---------------------------------------------------------------------------
 # correlations
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Concrete suspension-flow models: renewal, Markov shift, intermittent map."""
 
 import functools
+import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from scipy import stats
 from lcltflow import systems
 from lcltflow.errors import ConfigError, MixedRingError
 from lcltflow.quadfield import QuadScalar, as_quad
-from lcltflow.spectral import TwistedOperatorModel
+from lcltflow.spectral import EigenCurve, TwistedOperatorModel, expansion_fit
 from lcltflow.systems import (_PULLBACK_BLOCK, _PULLBACK_CAP, _PULLBACK_FLOOR,
                               MarkovShiftBase, PMTowerBase, RenewalBase,
                               _count_vectors, _induced_fixed_point,
@@ -213,6 +215,31 @@ def test_renewal_tables_are_built_on_first_use():
     sys.leap(sys.draw_start(4, np.random.default_rng(0)), np.ones(4),
              np.random.default_rng(1))
     assert sys._tables is not None
+
+
+def test_renewal_sigma_is_the_exact_atom_covariance():
+    # section 6.1: Var x = 2/3, Cov(x, y) = (2 sqrt2 - 3) / 3 and Var y =
+    # (26 - 18 sqrt2) / 9, each the float of its exact value
+    expected = [[2 / 3, float((2 * S2 - 3) / 3)],
+                [float((2 * S2 - 3) / 3), float((26 - 18 * S2) / 9)]]
+    assert osc_system().sigma().tolist() == expected
+
+
+def test_renewal_sigma_falls_back_to_floats_across_rings():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    # durations in two rings, so no exact mean roof (criterion 4) ...
+    c4 = RenewalBase([(-1, 1, third), (0, S2, third), (1, S3, third)])
+    ey = (1 + math.sqrt(2) + math.sqrt(3)) / 3
+    np.testing.assert_allclose(c4.sigma(), [
+        [2 / 3, (math.sqrt(3) - 1) / 3],
+        [(math.sqrt(3) - 1) / 3, 2 - ey ** 2]], rtol=1e-14, atol=0)
+    # ... and rewards in Q(sqrt 3) against durations in Q(sqrt 2): an exact
+    # mean roof, but no exact Cov(x, y)
+    mixed = RenewalBase([(-S3, 1, half), (S3, S2, half)])
+    assert mixed.nu_tau_exact is not None
+    cxy = math.sqrt(3) * (math.sqrt(2) - 1) / 2
+    np.testing.assert_allclose(mixed.sigma(), [
+        [3, cxy], [cxy, (3 - 2 * math.sqrt(2)) / 4]], rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +517,51 @@ def test_construction_builds_no_path_table():
     chain.leap(chain.draw_start(4, np.random.default_rng(0)), np.ones(4),
                np.random.default_rng(1))
     assert chain._tables is not None
+
+
+def criterion3_chain():
+    f = np.zeros((3, 3, 2))
+    f[:, :, 1] = 1.0
+    f[0, 0] = [0.5, 1.0]
+    f[0, 1] = [1.0, 2.0]
+    f[1, 1] = [-0.5, 1.0]
+    f[1, 2] = [-1.0, 3.0]
+    f[2, 0] = [0.0, 2.0]
+    f[2, 2] = [0.0, 1.0]
+    return MarkovShiftBase(BENCH_P, f)
+
+
+def bench_chain():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "configs",
+                        "markov_flow_verify.json")
+    with open(path) as fh:
+        return load_system(json.load(fh)["system"])
+
+
+def zeros_chain():
+    # four states, zeros in P and a stationary law far from uniform
+    return MarkovShiftBase(ZEROS_P, _random_values(4, 5))
+
+
+@pytest.mark.parametrize("make", [criterion3_chain, bench_chain, zeros_chain],
+                         ids=["criterion3", "bench", "zeros"])
+def test_markov_sigma_is_twice_the_eigenvalue_expansion(make):
+    # log lambda(t) = i <drift, t> - t' m t + O(|t|^3), so Sigma = 2 m; the
+    # fit's own roundoff is about 3e-11 here
+    chain = make()
+    _, m, _ = expansion_fit(EigenCurve(TwistedOperatorModel(chain)))
+    np.testing.assert_allclose(chain.sigma(), 2 * m, rtol=0, atol=1e-10)
+
+
+def test_markov_sigma_of_identical_rows_is_the_renewal_covariance():
+    # identical rows and f(i, j) = (x_j, y_j) make the cells iid: the lags
+    # add nothing
+    osc = osc_system()
+    P = np.tile(osc.probs, (3, 1))
+    f = np.tile(np.stack([osc.xs, osc.ys], axis=-1), (3, 1, 1))
+    np.testing.assert_allclose(MarkovShiftBase(P, f).sigma(), osc.sigma(),
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("P", [BENCH_P, SKEWED_P, ZEROS_P],
