@@ -444,10 +444,18 @@ def cmd_correlate(run):
     return EXIT_OK
 
 
+def _drift(system):
+    """c = nu(phi) / nu(tau), the mean rate of the flow integral: 0 unless
+    a Markov system's phi has a nonzero stationary mean."""
+    return getattr(system, "nu_phi", 0.0) / system.nu_tau
+
+
 def _sigma_flow(run, system):
     """The config's sigma_flow, else the flow variance from the system's
-    asymptotic covariance: exact where the system gives ``sigma()``
-    (renewal, Markov), else estimated by batch means of its base sums."""
+    asymptotic covariance of (phi, tau): exact where the system gives
+    ``sigma()`` (renewal, Markov), else estimated by batch means of its base
+    sums.  It is the variance of phi - c tau, c = ``_drift``, over
+    nu(tau)."""
     from .predict import flow_variance
 
     if "sigma_flow" in run.config:
@@ -459,7 +467,9 @@ def _sigma_flow(run, system):
 
         cov, _ = estimate_sigma(system, seed=run.args.seed,
                                 workers=run.args.workers)
-    return flow_variance(cov[0, 0], system.nu_tau)
+    c = _drift(system)
+    return flow_variance(cov[0, 0] - 2 * c * cov[0, 1] + c * c * cov[1, 1],
+                         system.nu_tau)
 
 
 def cmd_verify(run):
@@ -475,8 +485,10 @@ def cmd_verify(run):
     N = _sample_count(cfg)
 
     if cfg.get("mode", "flow") == "flow":
-        # non-arithmetic LCLT: flow windows against the Gaussian density
-        t, W, v, I, J = _exact(cfg, cfg["t"], "t"), 0, None, None, None
+        # non-arithmetic LCLT: flow windows, centred at the mean t c of
+        # the flow integral, against the Gaussian density
+        t, v, I, J = _exact(cfg, cfg["t"], "t"), None, None, None
+        W = float(t) * _drift(system)
         wins = [_flow_window(cfg, win) for win in cfg["windows"]]
         if not wins:
             raise ConfigError("verify needs at least one window")
@@ -584,8 +596,10 @@ def build_parser():
                    default=DEFAULT_SEED)
     p.add_argument("--workers", type=_int_in(1, math.inf, "at least 1"),
                    default=1,
-                   help="processes for the Monte Carlo blocks, forked from "
-                        "this one; results are bit-identical for any count")
+                   help="processes for the Monte Carlo blocks of 2^15 "
+                        "paths, forked from this one: at most one per block "
+                        "and per usable CPU; results are bit-identical for "
+                        "any count")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--tolerance-scale", type=float, default=1.0,
                    dest="tolerance_scale")

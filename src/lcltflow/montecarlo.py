@@ -1,11 +1,16 @@
 """Seeded, parallel Monte Carlo estimation of the LCLT/MLCLT quantities.
 
 Reproducibility scheme: all randomness flows from one 64-bit seed through
-counter-based Philox substreams, one per fixed-size sample block (block b
-uses key seed + (b << 64)).  With several workers the blocks run in forked
-child processes, worker w of W taking blocks w, w + W, ..., and their
-results come back over pipes; blocks are reduced in block order, so results
-are bit-identical for any worker count.
+counter-based Philox substreams, one per block of BLOCK_SIZE = 2^15 samples
+(block b uses key seed + (b << 64)).  The block is the engine's one unit:
+the substream, the task a worker takes and the slice that its arrays keep
+in cache (256 KiB per float array).  With several workers the blocks run in
+W = min(workers, blocks, usable CPUs) forked child processes, worker w of W
+taking blocks w, w + W, ..., and their results come back over pipes; blocks
+are reduced in block order, so results are bit-identical for any worker
+count.  Each worker sets glibc's heap thresholds above one block's arrays,
+so the arrays it frees are reused by the next pass instead of being handed
+back to the kernel and faulted in again.
 
 One vectorized path engine serves every system through the protocol of
 ``systems`` (``draw_start``, ``draw_base``, ``step``, ``tau``, ``phi``,
@@ -37,7 +42,7 @@ import numpy as np
 
 from .errors import EmptySetWarning
 
-BLOCK_SIZE = 1 << 18
+BLOCK_SIZE = 1 << 15
 _SIGMA_BLOCK = 512
 _LATTICE_TOL = 1e-6
 
@@ -68,24 +73,34 @@ def _block_plan(N: int, block: int):
     return [(b, min(block, N - b * block)) for b in range(n_blocks)]
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, or all of them where the platform
+    cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
     """Run block_fn(block_index, block_size, rng) for every block of at most
     ``block`` samples and return the results in block order.  With W =
-    min(workers, blocks) > 1 and ``os.fork`` at hand, worker w runs blocks
-    w, w + W, ... in a forked child process; otherwise the blocks run here.
-    Each block draws from its own substream, so the results are the same
-    for every worker count."""
+    min(workers, blocks, usable CPUs) > 1 and ``os.fork`` at hand, worker w
+    runs blocks w, w + W, ... in a forked child process; otherwise the
+    blocks run here.  Each block draws from its own substream, so the
+    results are the same for every worker count."""
     if not 0 <= seed < 1 << 64:
         # block b's key seed + (b << 64) would be another seed's block
         raise ValueError(f"seed must lie in [0, 2**64), not {seed}")
     plan = _block_plan(N, block)
-    W = min(workers or 1, len(plan))
+    W = min(workers or 1, len(plan), _usable_cpus())
 
     def run(items):
         return [block_fn(b, n, _block_rng(seed, b)) for b, n in items]
 
     if W < 2 or not hasattr(os, "fork"):
         return run(plan)
+    # loaded once here, not by every worker after the fork
+    import numpy.random  # noqa: F401
     out = [None] * len(plan)
     for w, res in enumerate(_in_children(run, [plan[w::W] for w in range(W)])):
         out[w::W] = res
@@ -133,6 +148,7 @@ def _child(fn, a, w, parent):
     """The body of one forked worker: never returns."""
     try:
         _die_with(parent)
+        _keep_block_heap()
         try:
             outcome = (True, fn(a))
         except BaseException as e:
@@ -161,6 +177,30 @@ def _die_with(parent):
         prctl(1, signal.SIGKILL)            # PR_SET_PDEATHSIG
     if os.getppid() != parent:
         os._exit(1)
+
+
+# glibc mallopt parameters, and the thresholds a worker sets: arrays of up
+# to four float64 block arrays (1 MiB) come from the heap, not from mmap,
+# and up to 64 of them (16 MiB, above one block's working set) stay mapped
+# when freed
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 4 * 8 * BLOCK_SIZE
+_TRIM_THRESHOLD = 64 * 8 * BLOCK_SIZE
+
+
+def _keep_block_heap():
+    """Have glibc keep the memory of one block's arrays for the next
+    (mallopt; elsewhere nothing).  Left to its defaults, glibc hands a
+    freed block array back to the kernel and the next pass faults it in
+    again.  Only workers set this: in the calling process it would also
+    keep the memory of work that is not Monte Carlo, and raise its peak."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+            mallopt.restype = ctypes.c_int
+            mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

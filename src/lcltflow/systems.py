@@ -115,7 +115,6 @@ class _GuideTable:
 # leaps by multi-cell tables
 # ---------------------------------------------------------------------------
 
-_LEAP_SLICE = 1 << 15        # paths per slice in a leap
 _PATH_CAP = 1 << 12          # entries per vertex in the longest table
 
 
@@ -167,8 +166,8 @@ class _TableLeap:
         It then certainly ends within the budget, and the decision depends
         only on the cells before, so the sums have the law of the same m
         crossings stepped one at a time.  A system without an m >= 2 level
-        leaps nothing, and the engine's loop steps it.  Paths go in slices
-        of _LEAP_SLICE, which keeps the gathers in cache."""
+        leaps nothing, and the engine's loop steps it.  The engine hands it
+        one Monte Carlo block at a time, whose gathers stay in cache."""
         n = len(states)
         count = np.zeros(n, dtype=np.int64)
         phi_sum = np.zeros(n)
@@ -177,20 +176,17 @@ class _TableLeap:
         tables = self.path_tables()
         if tables[0].m < 2:
             return count, phi_sum, tau_sum, cur
-        for lo in range(0, n, _LEAP_SLICE):
-            sl = slice(lo, lo + _LEAP_SLICE)
-            b, cnt, ps, ts, cu = (budget[sl], count[sl], phi_sum[sl],
-                                  tau_sum[sl], cur[sl])
-            for table in tables:
-                idx = np.flatnonzero(b - ts >= table.reach[self._vertex(cu)])
-                while idx.size:
-                    p, t, last = self._leap_paths(table, cu[idx], rng)
-                    ps[idx] += p
-                    ts[idx] += t
-                    cnt[idx] += table.m
-                    cu[idx] = last
-                    idx = idx[b[idx] - ts[idx]
-                              >= table.reach[self._vertex(last)]]
+        for table in tables:
+            idx = np.flatnonzero(budget - tau_sum
+                                 >= table.reach[self._vertex(cur)])
+            while idx.size:
+                p, t, last = self._leap_paths(table, cur[idx], rng)
+                phi_sum[idx] += p
+                tau_sum[idx] += t
+                count[idx] += table.m
+                cur[idx] = last
+                idx = idx[budget[idx] - tau_sum[idx]
+                          >= table.reach[self._vertex(last)]]
         return count, phi_sum, tau_sum, cur
 
 
@@ -680,6 +676,7 @@ PM_ROOFS = {
 # ~0.13 per degree, so the induced-operator residual is at the 1e-13 level
 # of the truncated branch tail already at degree 16
 _PM_DEG = 32
+_LEAP_SLICE = 1 << 15        # points per slice of induced_density
 
 
 def _induced_fixed_point(s, P, dP):
@@ -831,27 +828,23 @@ class PMTowerBase:
         the roof is the unit one, its roof to tau (tau is None then).
         These are the float operations of ``phi`` and ``pm_map`` in the
         order of the crossing loop, so psi is the loop's to the last bit.
-        Paths go in slices of _LEAP_SLICE, which stay in cache: a slice
-        steps as a whole while each of its paths has cells left, and by
-        index after that."""
-        for lo in range(0, len(x), _LEAP_SLICE):
-            sl = slice(lo, lo + _LEAP_SLICE)
-            xs, ms, ps = x[sl], m[sl], psi[sl]
-            ts = None if tau is None else tau[sl]
-            buf, mask = np.empty(len(xs)), np.empty(len(xs), dtype=bool)
-            k = int(ms.min())
-            for _ in range(k):
-                self._orbit_step(xs, ps, ts, buf, mask)
-            idx = np.flatnonzero(ms > k)
-            while idx.size:
-                xi, pi = xs[idx], ps[idx]
-                ti = None if ts is None else ts[idx]
-                self._orbit_step(xi, pi, ti, buf[:idx.size], mask[:idx.size])
-                xs[idx], ps[idx] = xi, pi
-                if ts is not None:
-                    ts[idx] = ti
-                k += 1
-                idx = idx[ms[idx] > k]
+        The paths step as a whole while each has cells left, and by index
+        after that; the engine hands them over one Monte Carlo block at a
+        time, which stays in cache."""
+        buf, mask = np.empty(len(x)), np.empty(len(x), dtype=bool)
+        k = int(m.min()) if len(m) else 0
+        for _ in range(k):
+            self._orbit_step(x, psi, tau, buf, mask)
+        idx = np.flatnonzero(m > k)
+        while idx.size:
+            xi, pi = x[idx], psi[idx]
+            ti = None if tau is None else tau[idx]
+            self._orbit_step(xi, pi, ti, buf[:idx.size], mask[:idx.size])
+            x[idx], psi[idx] = xi, pi
+            if tau is not None:
+                tau[idx] = ti
+            k += 1
+            idx = idx[m[idx] > k]
 
     def _orbit_step(self, x, psi, tau, buf, mask):
         """One cell of ``_orbit``: phi (and the roof) of x, then x mapped in

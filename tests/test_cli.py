@@ -417,6 +417,36 @@ def test_verify_without_sigma_flow_passes_on_the_exact_sigma(
     assert code == 0, capsys.readouterr().out
 
 
+@pytest.mark.parametrize("shift", ["constant", "roof"])
+def test_verify_centres_a_markov_flow_whose_phi_has_a_mean(tmp_path, capsys,
+                                                           shift):
+    # phi + 0.1 or phi + 0.1 tau: the flow integral drifts at c = nu(phi) /
+    # nu(tau), so the windows sit at t c and Sigma_flow is the variance of
+    # phi - c tau.  phi + 0.1 tau moves the flow integral by exactly 0.1 t,
+    # so its Sigma_flow is that of phi.
+    from lcltflow.systems import load_system
+
+    cfg = _bench_flow_cfg(1 << 16)
+    for row in cfg["system"]["f"]:
+        for edge in row:
+            edge[0] += 0.1 if shift == "constant" else 0.1 * edge[1]
+    code, out = run(tmp_path, "verify", cfg, "--seed", "1")
+    assert code == 0, capsys.readouterr().out
+    system = load_system(cfg["system"])
+    c = system.nu_phi / system.nu_tau
+    assert c > 0.05
+    cov = system.sigma()
+    var = (cov[0, 0] - 2 * c * cov[0, 1] + c * c * cov[1, 1]) / system.nu_tau
+    if shift == "roof":
+        plain = load_system(_bench_flow_cfg(1 << 16)["system"])
+        assert var == pytest.approx(plain.sigma()[0, 0] / plain.nu_tau,
+                                    rel=1e-9)
+    with open(os.path.join(out, "verify.csv")) as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["predicted"]) == pytest.approx(
+        1 / math.sqrt(2 * math.pi * var), rel=1e-12)
+
+
 def test_verify_pm_without_sigma_flow_estimates_sigma(tmp_path, monkeypatch):
     import numpy as np
     from lcltflow import montecarlo
@@ -776,7 +806,7 @@ def test_manifest_written_and_reruns_identical(tmp_path):
 
 
 def test_lattice_verify_identical_across_worker_counts(tmp_path):
-    # the benchmark's lattice config over two path blocks
+    # the benchmark's lattice config over nine path blocks, the last one short
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "configs", "lattice_verify.json")
     with open(path) as fh:

@@ -17,10 +17,10 @@ from scipy import stats
 
 from lcltflow import montecarlo
 from lcltflow.errors import EmptySetWarning
-from lcltflow.montecarlo import (_base_walk, _block_rng, _flow, _paths,
-                                 _run_blocks, estimate_lclt, estimate_mlclt,
-                                 estimate_correlation, estimate_sigma,
-                                 moderate_dev_diagnostic,
+from lcltflow.montecarlo import (BLOCK_SIZE, _base_walk, _block_rng, _flow,
+                                 _paths, _run_blocks, estimate_lclt,
+                                 estimate_mlclt, estimate_correlation,
+                                 estimate_sigma, moderate_dev_diagnostic,
                                  sample_flow_integrals)
 from lcltflow.quadfield import QuadScalar
 from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
@@ -76,14 +76,22 @@ def test_bit_identical_across_worker_counts():
     assert e1.point == e3.point and e1.std_error == e3.std_error
 
 
+def _cpus(monkeypatch, n):
+    """Have montecarlo see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
-def test_engine_bit_identical_across_worker_counts(kind):
+def test_engine_bit_identical_across_worker_counts(kind, monkeypatch):
+    _cpus(monkeypatch, 3)
     sys = SYSTEMS[kind]()
-    # two path blocks
-    N = (1 << 18) + 300
+    # four path blocks, the last one short
+    N = 3 * BLOCK_SIZE + 300
     a = sample_flow_integrals(sys, 6.0, N, seed=8, workers=1)
-    b = sample_flow_integrals(sys, 6.0, N, seed=8, workers=2)
-    assert np.array_equal(a, b)
+    for workers in (2, 3):
+        b = sample_flow_integrals(sys, 6.0, N, seed=8, workers=workers)
+        assert np.array_equal(a, b)
     # three 512-trajectory blocks of base sums
     s1 = estimate_sigma(sys, n_blocks=1100, block_len=50, seed=8, workers=1)
     s2 = estimate_sigma(sys, n_blocks=1100, block_len=50, seed=8, workers=3)
@@ -395,6 +403,69 @@ def test_worker_exceptions_reach_the_caller():
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    # 64 workers over 10 blocks: as many as the CPUs this process may use,
+    # else as the CPU count where the platform has no affinity.  The
+    # children's shares run here, so nothing forks.
+    shares = []
+
+    def in_children(fn, args):
+        shares.append([[b for b, _ in a] for a in args])
+        return [fn(a) for a in args]
+
+    monkeypatch.setattr(montecarlo, "_in_children", in_children)
+    ref = _run_blocks(20, 1, 1, lambda b, n, rng: rng.random(), block=2)
+    _cpus(monkeypatch, 3)
+    assert _run_blocks(20, 1, 64, lambda b, n, rng: rng.random(),
+                       block=2) == ref
+    assert shares == [[[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _run_blocks(20, 1, 64, lambda b, n, rng: b, block=2)
+    assert len(shares[1]) == 4
+    # one usable CPU runs every block here
+    _cpus(monkeypatch, 1)
+    assert _run_blocks(20, 1, 64, lambda b, n, rng: b, block=2) \
+        == list(range(10))
+    assert len(shares) == 2
+
+
+def test_200000_paths_run_as_seven_blocks_on_two_workers(monkeypatch):
+    _cpus(monkeypatch, 2)
+    shares = []
+    in_children = montecarlo._in_children
+
+    def spy(fn, args):
+        shares.append([[(b, n) for b, n in a] for a in args])
+        return in_children(fn, args)
+
+    monkeypatch.setattr(montecarlo, "_in_children", spy)
+    win = [("flow", 0.0, -0.5, 0.5)]
+    e2 = estimate_lclt(osc_system(), 6.0, win, 200_000, 3, workers=2)
+    last = (6, 200_000 - 6 * BLOCK_SIZE)
+    assert shares == [[[(b, BLOCK_SIZE) for b in (0, 2, 4)] + [last],
+                       [(b, BLOCK_SIZE) for b in (1, 3, 5)]]]
+    e1 = estimate_lclt(osc_system(), 6.0, win, 200_000, 3, workers=1)
+    assert (e1[0].point, e1[0].std_error) == (e2[0].point, e2[0].std_error)
+
+
+def test_only_workers_keep_their_block_heap(monkeypatch, tmp_path):
+    # the heap thresholds are set in each forked worker, never here
+    _cpus(monkeypatch, 2)
+    keep = montecarlo._keep_block_heap
+
+    def spy():
+        (tmp_path / str(os.getpid())).touch()
+        keep()
+
+    monkeypatch.setattr(montecarlo, "_keep_block_heap", spy)
+    pids = _run_blocks(4, 1, 2, lambda b, n, rng: os.getpid(), block=2)
+    assert sorted(int(p.name) for p in tmp_path.iterdir()) == sorted(pids)
+    assert os.getpid() not in pids
+    _run_blocks(4, 1, 1, lambda b, n, rng: b, block=2)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def _running(pid):
     """Whether pid is a live process: neither gone nor a zombie."""
     try:
@@ -544,7 +615,7 @@ def test_estimate_sigma_is_within_3_se_of_sigma(make):
 def test_estimators_build_path_tables_before_forking(make):
     # two path blocks on two workers: the tables are built here, once, and
     # the workers inherit them
-    N = (1 << 18) + 300
+    N = BLOCK_SIZE + 300
     win = [("flow", 0.0, -0.5, 0.5)]
     two = make()
     assert two._tables is None
