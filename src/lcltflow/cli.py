@@ -483,6 +483,11 @@ def cmd_verify(run):
     scale = run.args.tolerance_scale
     system = load_system(cfg["system"])
     N = _sample_count(cfg)
+    # every check takes nu_tau from the system: a config's must agree
+    nu_tau = _number(cfg, cfg.get("nu_tau", system.nu_tau))
+    if not math.isclose(nu_tau, system.nu_tau, rel_tol=1e-9):
+        raise ConfigError(f"the config's nu_tau = {nu_tau!r} differs from "
+                          f"the system's nu_tau = {system.nu_tau!r}")
 
     if cfg.get("mode", "flow") == "flow":
         # non-arithmetic LCLT: flow windows, centred at the mean t c of

@@ -13,8 +13,8 @@ so the arrays it frees are reused by the next pass instead of being handed
 back to the kernel and faulted in again.
 
 One vectorized path engine serves every system through the protocol of
-``systems`` (``draw_start``, ``draw_base``, ``step``, ``tau``, ``phi``,
-``leap``, ``block_sums``): each sample carries its current cell, accumulated
+``systems`` (``draw_start``, ``step``, ``tau``, ``phi``, ``leap``,
+``block_sums``): each sample carries its current cell, accumulated
 roof time and accumulated section sum.  A ``leap`` pre-pass first adds the
 sums over the whole cells that certainly fit in each budget (iid renewal
 cells many at a time as count vectors, Markov edge paths many steps at a
@@ -24,7 +24,7 @@ While every sample of the block is live, a pass works on the whole arrays
 through views; once some have finished, it gathers and scatters the live
 ones by index.  Both passes hand ``step`` the same states in the same order,
 so they make the same draws.  Batch-means sums come from each system's
-``block_sums``; only the moderate-deviation diagnostic steps its base walk.
+``block_sums``.
 """
 
 from __future__ import annotations
@@ -254,15 +254,6 @@ def _paths(system, t, n, rng):
     return blk
 
 
-def _base_walk(system, n, rng):
-    """Yield (phi, tau) along n parallel base trajectories started from the
-    base-invariant measure, one base step per item."""
-    state = system.draw_base(n, rng)
-    while True:
-        yield system.phi(state), system.tau(state)
-        state = system.step(state, rng)
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -343,7 +334,7 @@ def sample_flow_integrals(system, t, N, seed, workers=1, field="raw"):
 
 
 # ---------------------------------------------------------------------------
-# base sums for variance and moderate deviations
+# base sums for variance
 # ---------------------------------------------------------------------------
 
 def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
@@ -396,51 +387,3 @@ def estimate_correlation(system, setA, setB, t_grid, N, seed, workers=1):
         bb = sum(r[k][2] for r in res) / N
         series.append((t, ab - a * bb, _binomial_se(max(ab, a * bb), N)))
     return series
-
-
-def moderate_dev_diagnostic(system, w_list, K_list, R=1.0, seed=0,
-                            N=200_000, workers=1):
-    """Empirical moderate-deviation table: for each w, the scaled sum
-    sqrt(w) * sum_{n : |n - w| > K sqrt(w)} P(S_f(n) in B(w nu(f), R))
-    over the K values, plus the truncation point.
-
-    f = (phi_check, tau); the ball is Euclidean in R^2.  The table is
-    non-increasing in K by construction (the index sets are nested).
-    """
-    nu = np.array([getattr(system, "nu_phi", 0.0), system.nu_tau])
-    results = {}
-    for w in w_list:
-        center = w * nu
-        n_cap = int(10 * w / system.nu_tau)
-
-        def block_fn(b, n, rng):
-            walk = _base_walk(system, n, rng)
-            S = np.zeros((n, 2))
-            counts = np.zeros(len(K_list))
-            step = 0
-            while step < n_cap:
-                step += 1
-                phi, tau = next(walk)
-                S[:, 0] += phi
-                S[:, 1] += tau
-                # ball unreachable once the roof sum is far past the center
-                if float(np.min(S[:, 1])) > center[1] + R + 1:
-                    break
-                d2 = (S[:, 0] - center[0]) ** 2 + (S[:, 1] - center[1]) ** 2
-                inball = int(np.sum(d2 <= R * R))
-                if inball:
-                    for kk, K in enumerate(K_list):
-                        if abs(step - w) > K * math.sqrt(w):
-                            counts[kk] += inball
-            return counts, step
-
-        res = _run_blocks(N, seed, workers, block_fn)
-        counts = sum(r[0] for r in res)
-        truncation = max(r[1] for r in res)
-        results[w] = {
-            "K": list(K_list),
-            "value": [math.sqrt(w) * c / N for c in counts],
-            "truncation": truncation,
-            "n_samples": N,
-        }
-    return results

@@ -12,7 +12,6 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
 
 - ``draw_start(n, rng)``: n states from the roof-size-biased measure (the
   base marginal of the flow-invariant measure);
-- ``draw_base(n, rng)``: n states from the base-invariant measure;
 - ``step(states, rng)``: one application of the base dynamics;
 - ``tau(states)`` and ``phi(states)``: roof and per-cell integral;
 - ``leap(states, budget, rng)``: (count, phi_sum, tau_sum, states) per
@@ -27,11 +26,13 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
   under the largest roof.  A system with nothing to leap returns zero
   counts;
 - ``block_sums(n, m, rng)``: (phi_sum, tau_sum) over the first m cells of
-  n trajectories from the base-invariant measure, by the same means.
+  n trajectories from the base-invariant measure (their starts drawn by
+  ``draw_base``), by the same means.
 
 Renewal and Markov systems also give ``sigma()``, the 2 x 2 asymptotic
 covariance of the base sums of (phi, tau), in closed form: the limit of
-Cov(S_m) / m that batch means over ``block_sums`` estimates.
+Cov(S_m) / m that batch means over ``block_sums`` estimates.  Renewal
+systems give their exact moderate-deviation table (``moderate_dev_table``).
 
 States are atom indices (renewal), flat edge indices i*n + j for the
 transition i -> j being traversed (Markov), and points of (0, 1] (the
@@ -40,7 +41,6 @@ intermittent map).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -190,14 +190,35 @@ class _TableLeap:
         return count, phi_sum, tau_sum, cur
 
 
-def _count_vectors(m, k):
-    """Every vector of k nonnegative counts summing to m, one per row: stars
-    and bars, the places of k - 1 bars among m + k - 1 in lexicographic
-    order."""
-    bars = list(itertools.combinations(range(m + k - 1), k - 1))
-    bars = np.array(bars, dtype=np.int64).reshape(len(bars), k - 1)
-    ends = np.full((len(bars), 1), m + k - 1)
-    return np.diff(np.hstack([np.full_like(ends, -1), bars, ends])) - 1
+_CHUNK_ROWS = 1 << 16        # rows per array of _count_vectors_between
+
+
+def _count_vectors_between(y, lo, hi):
+    """The count vectors n >= 0 with lo <= n.y <= hi (y > 0) in lexicographic
+    order, as arrays of rows for runs of leading values n_0 that hold at most
+    _CHUNK_ROWS rows (or one n_0).  A run is built one coordinate at a time:
+    each row takes every value of the next coordinate that can still end in
+    the window.  With y = 1 and lo = hi = m, the vectors with |n| = m."""
+    y, k = np.asarray(y, dtype=float), len(y)
+    # no n_0 has more rows than the product of the other coordinates' ranges
+    most = math.prod(math.floor((hi - max(lo, 0) if j == k - 1 else hi)
+                                / y[j]) + 1 for j in range(1, k))
+    run = max(_CHUNK_ROWS // max(most, 1), 1)
+    end = math.floor(hi / y[0]) + 1
+    for n0 in range(max(math.ceil(lo / y[0]), 0) if k == 1 else 0, end, run):
+        rows = np.arange(n0, min(n0 + run, end))[:, None]
+        s = rows[:, 0] * y[0]
+        for j in range(1, k):
+            top = np.floor((hi - s) / y[j]).astype(np.int64)
+            low = 0 if j < k - 1 else np.maximum(
+                np.ceil((lo - s) / y[j]), 0).astype(np.int64)
+            width = np.maximum(top - low + 1, 0)
+            rep = np.repeat(np.arange(len(rows)), width)
+            n_j = np.arange(len(rep)) + np.repeat(
+                low + width - np.cumsum(width), width)
+            rows, s = np.column_stack([rows[rep], n_j]), s[rep] + n_j * y[j]
+        if len(rows):
+            yield rows
 
 
 def _binomial_pmf(N, odds):
@@ -289,14 +310,11 @@ class RenewalBase(_TableLeap):
 
     kind = "renewal"
 
-    def _draw(self, cum, n, rng):
-        return np.searchsorted(cum, rng.random(n), side="right")
-
     def draw_start(self, n, rng):
-        return self._draw(self.size_biased_cum, n, rng)
+        return np.searchsorted(self.size_biased_cum, rng.random(n), "right")
 
     def draw_base(self, n, rng):
-        return self._draw(self.cum, n, rng)
+        return np.searchsorted(self.cum, rng.random(n), "right")
 
     def step(self, states, rng):
         # iid atoms: the next cell does not depend on the current one
@@ -319,7 +337,8 @@ class RenewalBase(_TableLeap):
             M += 1
         tables = []
         for m in _levels(M):
-            counts = _count_vectors(m, k)
+            counts = np.concatenate(list(_count_vectors_between(np.ones(k),
+                                                                m, m)))
             mass = _multinomial_masses(counts, [self.atoms[j][2]
                                                 for j in pos])
             order = np.argsort(-mass, kind="stable")
@@ -353,6 +372,34 @@ class RenewalBase(_TableLeap):
                 tau_sum += table.tau[k]
                 left -= table.m
         return phi_sum, tau_sum
+
+    # -- moderate deviations ----------------------------------------------
+
+    def ball_masses(self, w, R):
+        """P(S_n in B(w nu, R)) for n = 0, 1, ... up to the last n with mass:
+        S_n is the sum of (phi, tau) over n cells, nu = (0, nu_tau) and B the
+        closed disc.  It is the multinomial mass of the count vectors n of
+        the positive atoms whose (n.x, n.y) lies in B."""
+        pos = [j for j, a in enumerate(self.atoms) if a[2] > 0]
+        xs, ys, c = self.xs[pos], self.ys[pos], w * self.nu_tau
+        inside = np.concatenate([np.zeros((0, len(pos)), dtype=np.int64)] + [
+            n[(n @ xs) ** 2 + (n @ ys - c) ** 2 <= R * R]
+            for n in _count_vectors_between(ys, c - R, c + R)])
+        mass = _multinomial_masses(inside, [self.atoms[j][2] for j in pos])
+        return np.bincount(inside.sum(axis=1), weights=mass)
+
+    def moderate_dev_table(self, w_list, K_list, R):
+        """{w: [sqrt(w) sum_{n : |n - w| > K sqrt(w)} P(S_n in B(w nu, R))
+        for each K]}.  The masses are added from the farthest n inward, so
+        the table is non-increasing in K to the last bit."""
+        table = {}
+        for w in w_list:
+            mass = self.ball_masses(w, R)
+            far = np.abs(np.arange(len(mass)) - w)
+            tail = np.cumsum(np.r_[0.0, mass[np.argsort(-far, kind="stable")]])
+            table[w] = [math.sqrt(w) * float(tail[np.count_nonzero(
+                far > K * math.sqrt(w))]) for K in K_list]
+        return table
 
     def sigma(self):
         """Cov((x, y)) of one atom, which is the asymptotic covariance of
@@ -392,9 +439,13 @@ class RenewalBase(_TableLeap):
         D = obj.get("D", 2)
         atoms = []
         for row in obj["atoms"]:
-            xp, xq, yp, yq, pn, pd = map(as_fraction, row)
-            atoms.append((QuadScalar(xp, xq, D), QuadScalar(yp, yq, D),
-                          pn / pd))
+            try:
+                xp, xq, yp, yq, pn, pd = map(as_fraction, row)
+                p = pn / pd
+            except (TypeError, ValueError, ZeroDivisionError) as e:
+                raise ConfigError(f"cannot read renewal atom {row!r} as "
+                                  f"[xp, xq, yp, yq, pn, pd]: {e!r}") from e
+            atoms.append((QuadScalar(xp, xq, D), QuadScalar(yp, yq, D), p))
         return cls(atoms)
 
 

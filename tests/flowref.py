@@ -7,8 +7,9 @@
   through the indices of the live paths, whole-block passes included, and
   without a leap pre-pass where the system has no ``leap``.
 - ``WithoutLeap``: a system with its ``leap`` hidden and its ``block_sums``
-  stepped one cell at a time along ``montecarlo._base_walk``, so that
-  ``estimate_sigma`` on it gives the stepped batch means.
+  stepped one cell at a time along a base walk (``draw_base``, then
+  ``step``), so that ``estimate_sigma`` on it gives the stepped batch
+  means.
 - ``stepped_paths``: ``montecarlo._paths`` with every crossing stepped,
   through ``flow_masked`` on ``WithoutLeap``.
 - ``scan_index`` and ``scan_edges``: inverse-CDF draws by a full comparison
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lcltflow.montecarlo import _base_walk
 from lcltflow.systems import (_PULLBACK_CAP, _PULLBACK_FLOOR, _pm_left,
                               pm_map)
 
@@ -139,14 +139,15 @@ class WithoutLeap:
         return getattr(self.system, name)
 
     def block_sums(self, n, m, rng):
-        """(phi_sum, tau_sum) over the first m cells of n base walks, added
-        one step at a time."""
-        walk = _base_walk(self.system, n, rng)
+        """(phi_sum, tau_sum) over the first m cells of n base walks from
+        the base-invariant measure, added one step at a time."""
+        state = self.system.draw_base(n, rng)
         sums = np.zeros((2, n))
-        for _ in range(m):
-            phi, tau = next(walk)
-            sums[0] += phi
-            sums[1] += tau
+        for k in range(m):
+            if k:
+                state = self.system.step(state, rng)
+            sums[0] += self.system.phi(state)
+            sums[1] += self.system.tau(state)
         return sums[0], sums[1]
 
 

@@ -19,8 +19,7 @@ from lcltflow.groups import (CaseLabel, Group1D, GroupWithShift, case_group,
                              shear_reduce, weyl_average)
 from lcltflow.montecarlo import (estimate_correlation,
                                  estimate_lclt, estimate_mlclt,
-                                 estimate_sigma, moderate_dev_diagnostic,
-                                 sample_flow_integrals)
+                                 estimate_sigma, sample_flow_integrals)
 from lcltflow.predict import (FlowMLCLTParams, PredictionRequest,
                               mixing_classify, predict)
 from lcltflow.quadfield import QuadScalar, as_quad
@@ -307,13 +306,27 @@ def _dist_to(group, pt):
 
 
 def test_criterion_9_moderate_deviations():
-    """The excluded-index mass is non-increasing in K and drops at least
-    5x between K = 2 and K = 10 at w = 400."""
-    table = moderate_dev_diagnostic(osc_system(), [400.0], [2.0, 5.0, 10.0],
-                                    R=10.0, seed=SEED, N=200_000,
-                                    workers=WORKERS)
-    vals = table[400.0]["value"]
+    """The exact moderate-deviation table at w = 400, R = 10 is
+    non-increasing in K, 0.0021681 at K = 2, below 1e-30 at K = 5 and 0 at
+    K = 10, so it drops at least 5x by K = 10; and its ball masses at sizes
+    400 and 360 lie within 3 SE of the base sums of 2^20 paths."""
+    sys = osc_system()
+    w, R, N = 400, 10.0, 1 << 20
+    vals = sys.moderate_dev_table([w], [2.0, 5.0, 10.0], R)[w]
     ok = (vals[0] >= vals[1] >= vals[2] >= 0
-          and vals[0] > 0 and vals[2] <= vals[0] / 5)
-    report(9, "moderate-deviation table decays in K (5x by K = 10)", ok,
-           f"values {[float(v) for v in vals]}")
+          and vals[0] > 0 and vals[2] <= vals[0] / 5
+          and abs(vals[0] / 0.0021681 - 1) <= 1e-4
+          and 0 < vals[1] < 1e-30 and vals[2] == 0)
+    exact = sys.ball_masses(w, R)
+    rng = np.random.default_rng(SEED)
+    detail = []
+    for n in (400, 360):
+        phi, tau = sys.block_sums(N, n, rng)
+        p = np.count_nonzero(phi ** 2 + (tau - w * sys.nu_tau) ** 2
+                             <= R * R) / N
+        se = math.sqrt(max(p * (1 - p), 1 / N) / N)
+        ok = ok and abs(p - exact[n]) <= 3 * se
+        detail.append(f"n={n}: {exact[n]:.6g} vs {p:.6g} +- {se:.2g}")
+    report(9, "exact moderate-deviation table decays in K (5x by K = 10) "
+           "and its ball masses match Monte Carlo", ok,
+           f"values {[float(v) for v in vals]}; " + "; ".join(detail))

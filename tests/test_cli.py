@@ -73,6 +73,18 @@ def test_classify_markov_points_to_spectral(tmp_path, capsys):
     assert "spectral" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("row, words", [
+    ([0, 0, 1, 0, 1], "not enough values to unpack"),
+    ([0, 0, 1, 0, 1, 0], "Fraction(1, 0)")],
+    ids=["five-entries", "zero-denominator"])
+def test_malformed_renewal_atom_exits_2(tmp_path, capsys, row, words):
+    system = dict(OSC_SYSTEM, atoms=OSC_SYSTEM["atoms"][:2] + [row])
+    assert run(tmp_path, "classify", {"system": system})[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and words in err
+
+
 def test_classify_six_atom_split_matches_three_atom(tmp_path, capsys):
     # each section-6.1 atom split in two: the same law with 5 generators
     split = {"type": "renewal", "D": 2,
@@ -263,10 +275,11 @@ def test_verify_lattice_case_E_targets_its_sheared_a(tmp_path):
 
 @pytest.mark.parametrize("where, key, value", [
     ("request", "w", 1), ("request", "nu_A", 0.5), ("request", "nu_B", 3),
-    ("config", "nu_tau", 0.7)])
+    ("config", "nu_tau", [2, 3])])
 def test_verify_lattice_reads_only_its_event(tmp_path, where, key, value):
     # Monte Carlo and the oracle never read the request's w, nu_A or nu_B,
-    # nor the config's nu_tau, so neither does the prediction
+    # so neither does the prediction; a config's nu_tau only has to agree
+    # with the system's
     cfg = _bench_lattice_cfg(1 << 14)
     changed = json.loads(json.dumps(cfg))
     (changed if where == "config" else changed["request"])[key] = value
@@ -276,6 +289,18 @@ def test_verify_lattice_reads_only_its_event(tmp_path, where, key, value):
         assert code == 0
         csvs.append((tmp_path / "out" / "verify.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("nu_tau", [5.0, 2 / 3 * (1 + 1e-8)])
+def test_verify_rejects_a_nu_tau_that_is_not_the_systems(tmp_path, capsys,
+                                                         nu_tau):
+    code, _ = run(tmp_path, "verify", dict(_bench_lattice_cfg(16),
+                                           nu_tau=nu_tau))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert f"nu_tau = {nu_tau!r}" in err
+    assert f"nu_tau = {2 / 3!r}" in err
 
 
 @pytest.mark.parametrize("case", [{"variant": "A"}, {"variant": "B", "a": 1}])

@@ -17,10 +17,9 @@ from scipy import stats
 
 from lcltflow import montecarlo
 from lcltflow.errors import EmptySetWarning
-from lcltflow.montecarlo import (BLOCK_SIZE, _base_walk, _block_rng, _flow,
-                                 _paths, _run_blocks, estimate_lclt,
-                                 estimate_mlclt, estimate_correlation,
-                                 estimate_sigma, moderate_dev_diagnostic,
+from lcltflow.montecarlo import (BLOCK_SIZE, _block_rng, _flow, _paths,
+                                 _run_blocks, estimate_lclt, estimate_mlclt,
+                                 estimate_correlation, estimate_sigma,
                                  sample_flow_integrals)
 from lcltflow.quadfield import QuadScalar
 from lcltflow.systems import (MarkovShiftBase, PMTowerBase, RenewalBase,
@@ -252,10 +251,8 @@ def test_block_sums_keep_the_law_of_the_base_walk(kind):
     sys = osc_system() if kind == "renewal" else MARKOV_CHAINS[kind]()
     n, L = 1 << 14, 50
     phi, tau = sys.block_sums(n, L, np.random.default_rng(51))
-    walk = _base_walk(sys, n, np.random.default_rng(52))
-    steps = [next(walk) for _ in range(L)]
-    ref_phi = sum(p for p, _ in steps)
-    ref_tau = sum(t for _, t in steps)
+    ref_phi, ref_tau = WithoutLeap(sys).block_sums(
+        n, L, np.random.default_rng(52))
     # phi values are multiples of 1/2; tau sums compared on unit bins
     for a, b in ((phi, ref_phi), (tau, ref_tau)):
         assert _two_sample_chi2_p(np.rint(2 * a).astype(np.int64),
@@ -671,15 +668,3 @@ def test_empty_conditioning_set_warns():
     with pytest.warns(EmptySetWarning):
         estimate_mlclt(sys, 5.0, 2000, 0, window=("flow", 0.0, -1, 1),
                        I=(0.0, 1e-9))
-
-
-def test_moderate_deviation_table_monotone():
-    sys = osc_system()
-    table = moderate_dev_diagnostic(sys, [100.0], [1.0, 2.0, 4.0], R=10.0,
-                                    seed=6, N=50_000)
-    row = table[100.0]
-    vals = row["value"]
-    assert list(row["K"]) == [1.0, 2.0, 4.0]
-    # the excluded index set shrinks as K grows: values are non-increasing
-    assert vals[0] >= vals[1] >= vals[2] >= 0
-    assert row["n_samples"] == 50_000

@@ -1,6 +1,7 @@
 """Concrete suspension-flow models: renewal, Markov shift, intermittent map."""
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.spectral import EigenCurve, TwistedOperatorModel, expansion_fit
 from lcltflow.systems import (_PULLBACK_BLOCK, _PULLBACK_CAP, _PULLBACK_FLOOR,
                               MarkovShiftBase, PMTowerBase, RenewalBase,
-                              _count_vectors, _induced_fixed_point,
+                              _count_vectors_between, _induced_fixed_point,
                               _multinomial_masses, _pm_left,
                               _pm_pullback, load_system, pm_map)
 
@@ -155,6 +156,55 @@ def eight_atom_system():
     return RenewalBase(list(zip(xs, (8 ** i for i in range(8)), p)))
 
 
+def _size_level(m, k):
+    """The count vectors of k atoms with |n| = m, as one array."""
+    return np.concatenate(list(_count_vectors_between(np.ones(k), m, m)))
+
+
+def _stars_and_bars(m, k):
+    """Every vector of k nonnegative counts summing to m: the places of
+    k - 1 bars among m + k - 1, in lexicographic order."""
+    rows = []
+    for bars in itertools.combinations(range(m + k - 1), k - 1):
+        ends = (-1,) + bars + (m + k - 1,)
+        rows.append([b - a - 1 for a, b in zip(ends, ends[1:])])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_count_vectors_of_one_size_are_stars_and_bars(k):
+    # the same rows in the same order, which keeps the leap tables and
+    # every Monte Carlo stream as they were
+    for m in range(41):
+        assert np.array_equal(_size_level(m, k), _stars_and_bars(m, k)), m
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_count_vectors_between_match_a_grid_filter(monkeypatch, chunk):
+    # irrational durations: every vector of the full grid whose sum lies in
+    # the window, in lexicographic order, whatever the chunk size
+    if chunk:
+        monkeypatch.setattr(systems, "_CHUNK_ROWS", chunk)
+    for y, lo, hi in (([math.sqrt(2), 1.0, math.sqrt(3) - 1], 4.3, 6.1),
+                      ([math.pi / 3, math.sqrt(5), 0.7071, math.e / 4],
+                       2.05, 3.3),
+                      ([math.sqrt(2) - 1], 1.1, 3.9),
+                      ([2 - math.sqrt(2), 1.0], -3.0, 2.5),
+                      ([math.sqrt(2), 1.0], 2.7, 2.6)):
+        grid = np.indices([int(hi // v) + 1 for v in y]).reshape(len(y), -1).T
+        total = grid @ np.array(y)
+        want = grid[(total >= lo) & (total <= hi)]
+        arrays = list(_count_vectors_between(y, lo, hi))
+        got = np.concatenate(arrays) if arrays else np.zeros((0, len(y)))
+        assert np.array_equal(got, want), (y, lo, hi)
+        # each array is a run of whole leading values
+        leads = [a[:, 0] for a in arrays]
+        assert all(a[-1] < b[0] for a, b in zip(leads, leads[1:]))
+        if chunk:
+            assert all(len(a) <= chunk or len(set(a[:, 0])) == 1
+                       for a in arrays)
+
+
 def _exact_multinomial(n, probs):
     mass = Fraction(math.factorial(int(sum(n))))
     for c, p in zip(n, probs):
@@ -175,12 +225,12 @@ def test_type_tables_hold_every_count_vector_with_its_mass(make, levels):
     # M is the largest m with at most 2^12 vectors, or the cap itself for
     # a single atom
     assert [t.m for t in tables] == levels
-    top = len(_count_vectors(levels[0], len(pos)))
+    top = len(_size_level(levels[0], len(pos)))
     assert top <= 1 << 12
     if len(pos) > 1:
-        assert len(_count_vectors(levels[0] + 1, len(pos))) > 1 << 12
+        assert len(_size_level(levels[0] + 1, len(pos))) > 1 << 12
     for table in tables:
-        counts = _count_vectors(table.m, len(pos))
+        counts = _size_level(table.m, len(pos))
         assert np.all(counts.sum(axis=1) == table.m)
         assert len({tuple(c) for c in counts.tolist()}) == len(counts)
         assert len(counts) == math.comb(table.m + len(pos) - 1,
@@ -223,6 +273,43 @@ def test_renewal_sigma_is_the_exact_atom_covariance():
     expected = [[2 / 3, float((2 * S2 - 3) / 3)],
                 [float((2 * S2 - 3) / 3), float((26 - 18 * S2) / 9)]]
     assert osc_system().sigma().tolist() == expected
+
+
+def _ball_masses_by_sequences(sys, w, R):
+    """P(S_n in B(w nu, R)) for n = 0, 1, ... by every atom sequence of
+    length n, each with the product of its probabilities, until every
+    sequence's tau-sum has passed the ball."""
+    c = w * sys.nu_tau
+    phi, tau, prob = np.zeros(1), np.zeros(1), np.ones(1)
+    masses = []
+    while tau.min() <= c + R:
+        inside = phi ** 2 + (tau - c) ** 2 <= R * R
+        masses.append(prob[inside].sum())
+        phi = (phi[:, None] + sys.xs).ravel()
+        tau = (tau[:, None] + sys.ys).ravel()
+        prob = (prob[:, None] * sys.probs).ravel()
+    return np.array(masses)
+
+
+@pytest.mark.parametrize("make, w, R", [(osc_system, 4, 1.5),
+                                        (coin_system, 9, 3.0)],
+                         ids=["section-6.1", "coin"])
+def test_moderate_deviation_table_is_the_sum_over_atom_sequences(make, w,
+                                                                  R):
+    sys = make()
+    ref = _ball_masses_by_sequences(sys, w, R)
+    mass = sys.ball_masses(w, R)
+    n = min(len(mass), len(ref))
+    assert np.all(ref[n:] == 0) and np.all(mass[n:] == 0)
+    np.testing.assert_allclose(mass[:n], ref[:n], rtol=1e-12, atol=0)
+    K_list = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0]
+    vals = sys.moderate_dev_table([w], K_list, R)[w]
+    sizes = np.arange(len(ref))
+    want = [math.sqrt(w) * ref[np.abs(sizes - w) > K * math.sqrt(w)].sum()
+            for K in K_list]
+    assert want[0] > 0 and want[-1] == 0
+    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
+    assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_renewal_sigma_falls_back_to_floats_across_rings():
