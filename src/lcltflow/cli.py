@@ -96,6 +96,22 @@ def _number(cfg, v, integral=False):
     return int(x)
 
 
+def _flow_time(t, what):
+    """t, a flow time, which must be positive."""
+    if not t > 0:
+        raise ConfigError(f"{what} must be a positive flow time, not "
+                          f"{float(t):g}")
+    return t
+
+
+def _list(cfg, key):
+    """cfg[key], which must be a non-empty JSON list."""
+    v = cfg[key]
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{key!r} must be a non-empty list, not {v!r}")
+    return v
+
+
 def _sample_count(cfg):
     """The config's number of sample paths N, a positive integer."""
     N = _number(cfg, cfg["N"], integral=True)
@@ -350,8 +366,9 @@ def cmd_simulate(run):
     cfg = run.config
     system = load_system(cfg["system"])
     wins = _mc_windows(cfg)
-    ests = estimate_lclt(system, _number(cfg, cfg["t"]), wins,
-                         _sample_count(cfg), run.args.seed, run.args.workers)
+    t = _flow_time(_number(cfg, cfg["t"]), "t")
+    ests = estimate_lclt(system, t, wins, _sample_count(cfg), run.args.seed,
+                         run.args.workers)
     recs = [{"window": list(w), "point": e.point, "std_error": e.std_error,
              "n_samples": e.n_samples, "seed": e.seed}
             for w, e in zip(wins, ests)]
@@ -368,9 +385,13 @@ def cmd_spectral(run):
     cfg = run.config
     # the twisted operator needs a finite transfer matrix
     system = _system(cfg, "markov", "spectral")
-    model = TwistedOperatorModel(
-        system, components=tuple(cfg["components"])
-        if cfg.get("components") is not None else None)
+    comps = cfg.get("components")
+    if comps is not None:
+        comps = tuple(_number(cfg, k, integral=True) for k in comps)
+        if comps not in ((0,), (1,), (0, 1), (1, 0)):
+            raise ConfigError(f"components must be 1 or 2 distinct indices "
+                              f"of (phi, tau), 0 or 1, not {list(comps)}")
+    model = TwistedOperatorModel(system, components=comps)
     grid = cfg.get("t_grid")
     if grid is None:
         grid = [k * math.pi / 4 for k in range(-8, 9)]
@@ -383,8 +404,7 @@ def cmd_spectral(run):
             f"this system; scalar points need \"components\" naming one "
             f"observable")
     rows = eigen_curve_rows(model, ts)
-    d = len(rows[0]) - 4 if rows else 1
-    header = ",".join(f"t{k}" for k in range(d)) \
+    header = ",".join(f"t{k}" for k in range(model.d)) \
         + ",re_lambda,im_lambda,abs_lambda,gap"
     lines = [header] + [",".join(repr(float(v)) for v in r) for r in rows]
     run.emit("eigen_curve.csv", "\n".join(lines) + "\n")
@@ -400,7 +420,7 @@ def cmd_renewal(run):
     atoms = None
     if "system" in cfg:
         atoms = _system(cfg, "renewal", "renewal").atoms
-    ts = [_exact(cfg, t, "t_values") for t in cfg["t_values"]]
+    ts = [_exact(cfg, t, "t_values") for t in _list(cfg, "t_values")]
     rows = counterexample_scan(ts, atoms=atoms)
     run.emit("scan.csv", "\n".join(scan_csv_rows(rows)) + "\n")
     for r in rows:
@@ -432,7 +452,8 @@ def cmd_correlate(run):
     pred = _band_set(_number(cfg, cfg.get("band_delta", 0.3)),
                      _number(cfg, cfg.get("band_period", 1.0)))
     series = estimate_correlation(system, pred, pred,
-                                  [_number(cfg, t) for t in cfg["t_grid"]],
+                                  [_flow_time(_number(cfg, t), "t_grid")
+                                   for t in _list(cfg, "t_grid")],
                                   _sample_count(cfg), run.args.seed,
                                   workers=run.args.workers)
     rows = ["t,correlation,std_error"]
@@ -492,11 +513,10 @@ def cmd_verify(run):
     if cfg.get("mode", "flow") == "flow":
         # non-arithmetic LCLT: flow windows, centred at the mean t c of
         # the flow integral, against the Gaussian density
-        t, v, I, J = _exact(cfg, cfg["t"], "t"), None, None, None
+        t = _flow_time(_exact(cfg, cfg["t"], "t"), "t")
+        v = I = J = None
         W = float(t) * _drift(system)
-        wins = [_flow_window(cfg, win) for win in cfg["windows"]]
-        if not wins:
-            raise ConfigError("verify needs at least one window")
+        wins = [_flow_window(cfg, win) for win in _list(cfg, "windows")]
         params = FlowMLCLTParams(CaseLabel("A"), _sigma_flow(run, system),
                                  system.nu_tau)
         checks = [(f"flow window w={w} [{lo},{hi})",
@@ -517,7 +537,8 @@ def cmd_verify(run):
             return _exact(cfg, x, "the request's numbers")
 
         # a top-level t may repeat the request's but not differ from it
-        t, W = exact(req["t"]), exact(req.get("W", 0))
+        t = _flow_time(exact(req["t"]), "the request's t")
+        W = exact(req.get("W", 0))
         if exact(cfg.get("t", req["t"])) != t:
             raise ConfigError(f"the request's t = {float(t):g} differs from "
                               f"the config's t = {cfg['t']}")

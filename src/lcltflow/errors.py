@@ -62,10 +62,6 @@ class NoGapError(LcltError):
     """Two eigenvalues tie in modulus; leading eigenvalue ill-defined."""
 
 
-class IllConditionedFit(LcltError):
-    """Expansion fit sample design is unusable."""
-
-
 # -- warnings --------------------------------------------------------------
 
 class EmptySetWarning(UserWarning):

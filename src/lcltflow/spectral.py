@@ -6,9 +6,11 @@ expansion at 0, the Fourier-inversion point probabilities and the
 unit-modulus eigenvalue set are all computable to near machine precision.
 These serve as rigorous oracles, independent of Monte Carlo sampling.
 
-Each oracle stacks its operators over all its t values and makes one
-stacked eigen-solve or matrix power.  Fourier inversion is an exact finite
-inverse DFT on integer-valued f, so no oracle uses quadrature.
+``expansion_fit`` reads the chain's exact perturbation series of log
+lambda_t and makes no eigen-solve; every other oracle stacks its operators
+over all its t values and makes one stacked eigen-solve or matrix power.
+Fourier inversion is an exact finite inverse DFT on integer-valued f, so no
+oracle uses quadrature.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import IllConditionedFit, NoGapError
+from .errors import NoGapError
 from .groups import Group1D
 from .systems import MarkovShiftBase
 
@@ -32,14 +34,10 @@ class TwistedOperatorModel:
 
     def __init__(self, chain: MarkovShiftBase, components=None):
         self.chain = chain
-        f = chain.f
-        if components is not None:
-            f = f[:, :, list(components)]
-        self.f = f
-        self.d = f.shape[2]
-        edge_w = chain.stationary[:, None] * chain.P
-        self.nu_f = np.array([float(np.sum(edge_w * f[:, :, k]))
-                              for k in range(self.d)])
+        self.components = [0, 1] if components is None else list(components)
+        self.f = chain.f[:, :, self.components]
+        self.d = len(self.components)
+        self.nu_f = np.array([chain.nu_phi, chain.nu_tau])[self.components]
 
 
 def twisted_matrix(model: TwistedOperatorModel, t) -> np.ndarray:
@@ -84,8 +82,11 @@ def _eig_sorted(P_t: np.ndarray):
     return w, V, gap
 
 
-def _leading(P_t: np.ndarray):
-    """(lambda, v, gap) of one matrix; see leading_eigenvalue."""
+def leading_eigenvalue(P_t: np.ndarray):
+    """Maximal-modulus eigenvalue and its eigenvector, residual <= 1e-12,
+    eigenvector phase fixed by making its largest-modulus entry real
+    positive.  Raises NoGapError when the top two moduli tie within
+    ``_GAP_TOL``."""
     w, V, gap = _eig_sorted(P_t)
     if gap < _GAP_TOL:
         raise NoGapError(f"leading moduli tie: |{w[0]:.6g}| vs |{w[1]:.6g}|")
@@ -97,95 +98,43 @@ def _leading(P_t: np.ndarray):
     resid = float(np.linalg.norm(P_t @ v - lam * v))
     if resid > 1e-12 * max(1.0, float(np.linalg.norm(P_t))):
         raise NoGapError(f"eigenpair residual {resid:.3g} above tolerance")
-    return lam, v, float(gap)
-
-
-def leading_eigenvalue(P_t: np.ndarray):
-    """Maximal-modulus eigenvalue and its eigenvector, residual <= 1e-12,
-    eigenvector phase fixed by making its largest-modulus entry real
-    positive.  Raises NoGapError when the top two moduli tie within
-    ``_GAP_TOL``."""
-    lam, v, _gap = _leading(P_t)
     return lam, v
 
 
 class EigenCurve:
-    """Lazy cache of leading eigendata (lambda, v, gap) of a
-    twisted-operator model, keyed by t."""
+    """The leading eigenvalue curve t -> lambda_t of a twisted-operator
+    model."""
 
     def __init__(self, model: TwistedOperatorModel):
         self.model = model
-        self._cache = {}
-
-    def eig(self, t):
-        key = tuple(np.atleast_1d(np.asarray(t, dtype=float)))
-        if key not in self._cache:
-            self._cache[key] = _leading(twisted_matrix(self.model, key))
-        return self._cache[key]
 
     def lam(self, t):
-        return self.eig(t)[0]
+        return leading_eigenvalue(twisted_matrix(self.model, t))[0]
 
 
-def _richardson(F, h):
-    """Two-level Richardson extrapolation in h^2: error drops from O(h^2)
-    to O(h^6) for an even-in-h error expansion."""
-    f1, f2, f4 = F(h), F(h / 2), F(h / 4)
-    r1 = (4 * f2 - f1) / 3
-    r2 = (4 * f4 - f2) / 3
-    return (16 * r2 - r1) / 15
+_MAX_ORDER = 8       # expansion_fit looks for a nonzero coefficient up to here
+_ZERO_REL = 1e-12    # a k-th coefficient below this times max|g|^k is zero
 
 
-def expansion_fit(curve: EigenCurve, h=0.02):
-    """Quadratic expansion log lambda_t = i <drift, t> - t' m t + O(|t|^3).
-
-    drift and the symmetric matrix m are extracted from odd/even parts of
-    log lambda along coordinate (and diagonal) directions with Richardson
-    extrapolation; ``residual_order`` is the log-log slope of the remainder
-    over |t| in [1e-3, 1e-1].
+def expansion_fit(curve: EigenCurve):
+    """Quadratic expansion log lambda_t = i <drift, t> - t' m t + O(|t|^r),
+    exact: drift is the stationary mean nu(f) and m half the chain's
+    ``sigma()`` on the model's components, and the residual order r is that
+    of the first nonzero Taylor coefficient past 2 of the chain's series for
+    g = <f, u>, u = (1, ..., 1) / sqrt(d), up to ``_MAX_ORDER`` (inf if none
+    is nonzero, as for a deterministic f).  A k-th coefficient is zero below
+    ``_ZERO_REL`` max|g|^k, max over the edges of positive probability.
     """
     model = curve.model
-    d = model.d
-    if not 0 < h <= 0.1:
-        raise IllConditionedFit(f"sample radius h = {h} outside (0, 0.1]")
-
-    def logl(tvec):
-        return cmath.log(curve.lam(tvec))
-
-    def odd_coef(u):
-        def F(hh):
-            return ((logl(hh * u) - logl(-hh * u)) / 2 / (1j * hh)).real
-        return _richardson(F, h)
-
-    def even_coef(u):
-        def F(hh):
-            return -((logl(hh * u) + logl(-hh * u)) / 2).real / hh ** 2
-        return _richardson(F, h)
-
-    e = np.eye(d)
-    drift = np.array([odd_coef(e[k]) for k in range(d)])
-    m = np.zeros((d, d))
-    for k in range(d):
-        m[k, k] = even_coef(e[k])
-    for k in range(d):
-        for j in range(k + 1, d):
-            mixed = even_coef(e[k] + e[j])
-            m[k, j] = m[j, k] = (mixed - m[k, k] - m[j, j]) / 2
-
-    u = np.ones(d) / math.sqrt(d)
-    hs = np.geomspace(1e-3, 1e-1, 13)
-    res, hh_used = [], []
-    for hh in hs:
-        t = hh * u
-        r = abs(logl(t) - (1j * float(drift @ t) - float(t @ m @ t)))
-        if r > 1e-13:
-            res.append(r)
-            hh_used.append(hh)
-    if len(res) < 3:
-        # the quadratic model is exact to roundoff (e.g. deterministic f)
-        return drift, m, math.inf
-    residual_order = float(np.polyfit(np.log(hh_used), np.log(res), 1)[0])
-    return drift, m, residual_order
+    chain = model.chain
+    c = model.components
+    m = chain.sigma()[np.ix_(c, c)] / 2
+    g = model.f @ (np.ones(model.d) / math.sqrt(model.d))
+    coef = chain._log_eigenvalue_series(g, _MAX_ORDER)
+    scale = float(np.max(np.abs(g[chain.P > 0])))
+    order = next((float(k) for k in range(3, _MAX_ORDER + 1)
+                  if abs(coef[k - 1]) > _ZERO_REL * scale ** k), math.inf)
+    return model.nu_f.copy(), m, order
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,8 @@ class RenewalBase(_TableLeap):
         atoms = []
         for row in obj["atoms"]:
             try:
+                if not all(type(x) in (int, float) for x in row):
+                    raise TypeError("its entries must be JSON numbers")
                 xp, xq, yp, yq, pn, pd = map(as_fraction, row)
                 p = pn / pd
             except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -603,22 +605,43 @@ class MarkovShiftBase(_TableLeap):
                 left -= table.m
         return phi_sum, tau_sum - self.edge_tau[cur]
 
+    def _log_eigenvalue_series(self, g, order):
+        """Taylor coefficients c_1..c_order at s = 0 of log lambda(s), with
+        lambda(s) the leading eigenvalue of P_s = P o exp(s g) for a scalar
+        edge observable g (n x n): c_k = kappa_k / k!, kappa_k the k-th
+        cumulant rate of the edge sums of g.  The Nagaev-Guivarc'h expansion
+        (Hennion and Herve, Lecture Notes in Math. 1766, 2001) order by
+        order: with P_b = P o g^b / b!, v_0 = 1 and pi v_k = 0,
+        lambda_k = pi sum_b P_b v_{k-b} and
+        v_k = Z (sum_b P_b v_{k-b} - sum_b lambda_b v_{k-b}) over b = 1..k,
+        where Z = (I - P + 1 pi)^-1 (Kemeny and Snell, Finite Markov Chains,
+        1960).  Then c_k = lambda_k - sum_{j<k} j c_j lambda_{k-j} / k."""
+        P, pi = self.P, self.stationary
+        Z = np.linalg.inv(np.eye(self.n_states) - P + pi)
+        P_b = [P * g ** b / math.factorial(b) for b in range(order + 1)]
+        lam, v = [1.0], [np.ones(self.n_states)]
+        for k in range(1, order + 1):
+            r = sum(P_b[b] @ v[k - b] for b in range(1, k + 1))
+            lam.append(float(pi @ r))
+            v.append(Z @ (r - sum(lam[b] * v[k - b]
+                                  for b in range(1, k + 1))))
+        c = [0.0]
+        for k in range(1, order + 1):
+            c.append(lam[k] - sum(j * c[j] * lam[k - j]
+                                  for j in range(1, k)) / k)
+        return np.array(c[1:])
+
     def sigma(self):
-        """The asymptotic covariance of the edge sums of f = (phi, tau), by
-        Green-Kubo on the vertex chain.  With fb = f - nu(f), the lag-0 term
-        is E[fb fb'] over the stationary edges, and lag k >= 1 pairs edge
-        (i, j) with edge (l, m) through P^(k-1)_jl, so the lags sum to
-        a' Z g with a_j = sum_i pi_i P_ij fb_ij, g_l = sum_m P_lm fb_lm and
-        the fundamental matrix Z = (I - P + 1 pi)^-1 (Kemeny and Snell,
-        Finite Markov Chains, 1960): a sums to 0 and pi g = 0, so each
-        P^k acts as P^k - 1 pi, whose sum over k >= 0 is Z - 1 pi."""
-        n, P, pi = self.n_states, self.P, self.stationary
-        fb = self.f - [self.nu_phi, self.nu_tau]
-        edge_w = pi[:, None] * P
-        a = np.einsum("ij,ijk->jk", edge_w, fb)
-        g = np.einsum("ij,ijk->ik", P, fb)
-        lags = a.T @ np.linalg.solve(np.eye(n) - P + pi, g)
-        return np.einsum("ij,ijk,ijl->kl", edge_w, fb, fb) + lags + lags.T
+        """The asymptotic covariance of the edge sums of f = (phi, tau):
+        kappa_2 of phi, of tau and, polarised, of phi + tau, from the
+        perturbation series of the leading eigenvalue."""
+        def kappa2(g):
+            return 2 * self._log_eigenvalue_series(g, 2)[1]
+
+        phi, tau = self.f[:, :, 0], self.f[:, :, 1]
+        var_phi, var_tau = kappa2(phi), kappa2(tau)
+        cov = (kappa2(phi + tau) - var_phi - var_tau) / 2
+        return np.array([[var_phi, cov], [cov, var_tau]])
 
     @classmethod
     def from_json(cls, obj):

@@ -73,12 +73,16 @@ def test_classify_markov_points_to_spectral(tmp_path, capsys):
     assert "spectral" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("row, words", [
-    ([0, 0, 1, 0, 1], "not enough values to unpack"),
-    ([0, 0, 1, 0, 1, 0], "Fraction(1, 0)")],
-    ids=["five-entries", "zero-denominator"])
-def test_malformed_renewal_atom_exits_2(tmp_path, capsys, row, words):
-    system = dict(OSC_SYSTEM, atoms=OSC_SYSTEM["atoms"][:2] + [row])
+@pytest.mark.parametrize("atoms, words", [
+    (OSC_SYSTEM["atoms"][:2] + [[0, 0, 1, 0, 1]],
+     "not enough values to unpack"),
+    (OSC_SYSTEM["atoms"][:2] + [[0, 0, 1, 0, 1, 0]], "Fraction(1, 0)"),
+    ([["-1", 0, 1, 0, "1/2", 1], [1, 0, 1, 0, 1, 2]], "JSON numbers"),
+    ([[-1, 0, 1, 0, True, 2], [1, 0, 1, 0, 1, 2]], "JSON numbers"),
+    ([[-1, 0, 1, None, 1, 2], [1, 0, 1, 0, 1, 2]], "JSON numbers")],
+    ids=["five-entries", "zero-denominator", "strings", "bool", "null"])
+def test_malformed_renewal_atom_exits_2(tmp_path, capsys, atoms, words):
+    system = dict(OSC_SYSTEM, atoms=atoms)
     assert run(tmp_path, "classify", {"system": system})[0] == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -560,6 +564,14 @@ def test_spectral_curve(tmp_path):
     assert row[1] == pytest.approx(math.cos(0.5), abs=1e-12)
 
 
+def test_spectral_header_has_a_column_per_component(tmp_path):
+    # an empty grid writes the header alone
+    cfg = {"system": MARKOV_SYSTEM, "t_grid": []}
+    assert run(tmp_path, "spectral", cfg)[0] == 0
+    lines = (tmp_path / "out" / "eigen_curve.csv").read_text().splitlines()
+    assert lines == ["t0,t1,re_lambda,im_lambda,abs_lambda,gap"]
+
+
 def test_renewal_scan(tmp_path, capsys):
     cfg = {"t_values": [20.2, 20.5, 20.9]}
     code, out = run(tmp_path, "renewal", cfg)
@@ -728,6 +740,49 @@ def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("verify", {"system": OSC_SYSTEM, "t": -5, "N": 10, "sigma_flow": 1.0,
+                "windows": [[0, -1, 1]]}, "t"),
+    ("verify", {"system": OSC_SYSTEM, "t": 0, "N": 10, "sigma_flow": 1.0,
+                "windows": [[0, -1, 1]]}, "t"),
+    ("verify", dict(PREDICT_CFG, mode="lattice", system=OSC_SYSTEM, N=10,
+                    request=dict(PREDICT_CFG["request"], t=-3)),
+     "the request's t"),
+    ("simulate", {"system": OSC_SYSTEM, "t": 0, "N": 10,
+                  "windows": [["flow", 0, -1, 1]]}, "t"),
+    ("correlate", {"system": COIN_SYSTEM, "t_grid": [-3, 2], "N": 10},
+     "t_grid")],
+    ids=["verify-negative", "verify-zero", "lattice-request-negative",
+         "simulate-zero", "correlate-negative"])
+def test_non_positive_flow_time_exits_2(tmp_path, capsys, command, cfg,
+                                        field):
+    # these once exited 3 ("math domain error"), 4 or 0
+    assert run(tmp_path, command, cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {field} must be a positive flow time")
+
+
+@pytest.mark.parametrize("command, cfg, words", [
+    ("renewal", {"t_values": []}, "'t_values' must be a non-empty list"),
+    ("correlate", {"system": COIN_SYSTEM, "t_grid": [], "N": 10},
+     "'t_grid' must be a non-empty list"),
+    ("spectral", {"system": MARKOV_SYSTEM, "components": []},
+     "components must be"),
+    ("spectral", {"system": MARKOV_SYSTEM, "components": [2]},
+     "components must be"),
+    ("spectral", {"system": MARKOV_SYSTEM, "components": [0, 0]},
+     "components must be")],
+    ids=["renewal-t_values", "correlate-t_grid", "components-empty",
+         "components-out-of-range", "components-repeated"])
+def test_empty_list_or_bad_components_names_the_field(tmp_path, capsys,
+                                                      command, cfg, words):
+    assert run(tmp_path, command, cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert words in err
 
 
 def test_unknown_command_is_parse_error(tmp_path):

@@ -1,17 +1,19 @@
 """Twisted transfer-operator oracles for finite Markov shifts."""
 
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from lcltflow.errors import IllConditionedFit, NoGapError
+from lcltflow.errors import NoGapError
 from lcltflow.spectral import (EigenCurve, TwistedOperatorModel,
                                eigen_curve_rows, expansion_fit, fourier_lclt,
                                leading_eigenvalue, twisted_matrix,
                                unit_modulus_scan)
-from lcltflow.systems import MarkovShiftBase
+from lcltflow.systems import MarkovShiftBase, load_system
 
 
 def coin_chain():
@@ -75,13 +77,30 @@ def test_no_gap_at_degenerate_twist():
         leading_eigenvalue(twisted_matrix(model, [math.pi / 2]))
 
 
+def bench_chain():
+    """The chain of the benchmark's markov-flow-verify config."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "configs",
+                        "markov_flow_verify.json")
+    with open(path) as fh:
+        return load_system(json.load(fh)["system"])
+
+
+def test_coin_cumulants():
+    # log cos t = -t^2/2 - t^4/12 - ...: cumulants 0, 1, 0, -2
+    coin = coin_chain()
+    coef = coin._log_eigenvalue_series(coin.f[:, :, 0], 4)
+    kappa = coef * [math.factorial(k) for k in range(1, 5)]
+    np.testing.assert_allclose(kappa, [0, 1, 0, -2], rtol=0, atol=1e-15)
+
+
 def test_coin_expansion_fit():
     model = TwistedOperatorModel(coin_chain(), components=(0,))
     drift, m, order = expansion_fit(EigenCurve(model))
     # log cos t = -t^2/2 - t^4/12 - ...: variance 1, drift 0, quartic tail
     assert abs(drift[0]) < 1e-10
-    assert m[0, 0] == pytest.approx(0.5, abs=1e-6)
-    assert order == pytest.approx(4.0, abs=0.2)
+    assert m[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert order == 4
 
 
 def test_chain3_expansion_drift_matches_means():
@@ -95,7 +114,13 @@ def test_chain3_expansion_drift_matches_means():
     # the covariance matrix must be symmetric positive definite
     assert np.allclose(m, m.T)
     assert np.all(np.linalg.eigvalsh(m) > 0)
-    assert order >= 2.9
+    assert order == 3
+
+
+def test_bench_chain_expansion_has_a_cubic_term():
+    # kappa_3 of phi is 0 on this chain, but not that of phi + tau
+    model = TwistedOperatorModel(bench_chain())
+    assert expansion_fit(EigenCurve(model))[2] == 3
 
 
 def test_deterministic_roof_expansion_is_exact():
@@ -105,12 +130,6 @@ def test_deterministic_roof_expansion_is_exact():
     assert drift[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(m[0, 0]) < 1e-9
     assert order == math.inf
-
-
-def test_expansion_fit_rejects_bad_radius():
-    model = TwistedOperatorModel(coin_chain(), components=(0,))
-    with pytest.raises(IllConditionedFit):
-        expansion_fit(EigenCurve(model), h=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Concrete suspension-flow models: renewal, Markov shift, intermittent map."""
 
+import cmath
 import functools
 import itertools
 import json
@@ -15,7 +16,8 @@ from scipy import stats
 from lcltflow import systems
 from lcltflow.errors import ConfigError, MixedRingError
 from lcltflow.quadfield import QuadScalar, as_quad
-from lcltflow.spectral import EigenCurve, TwistedOperatorModel, expansion_fit
+from lcltflow.spectral import (TwistedOperatorModel, leading_eigenvalue,
+                               twisted_matrix)
 from lcltflow.systems import (_PULLBACK_BLOCK, _PULLBACK_CAP, _PULLBACK_FLOOR,
                               MarkovShiftBase, PMTowerBase, RenewalBase,
                               _count_vectors_between, _induced_fixed_point,
@@ -631,14 +633,38 @@ def zeros_chain():
     return MarkovShiftBase(ZEROS_P, _random_values(4, 5))
 
 
+def green_kubo_sigma(chain):
+    """The reference Sigma: with fb = f - nu(f), the lag-0 term E[fb fb']
+    over the stationary edges plus the lags a' Z g + (a' Z g)', where
+    a_j = sum_i pi_i P_ij fb_ij, g_l = sum_m P_lm fb_lm and
+    Z = (I - P + 1 pi)^-1 sums the centred powers of P."""
+    n, P, pi = chain.n_states, chain.P, chain.stationary
+    fb = chain.f - [chain.nu_phi, chain.nu_tau]
+    edge_w = pi[:, None] * P
+    a = np.einsum("ij,ijk->jk", edge_w, fb)
+    g = np.einsum("ij,ijk->ik", P, fb)
+    lags = a.T @ np.linalg.solve(np.eye(n) - P + pi, g)
+    return np.einsum("ij,ijk,ijl->kl", edge_w, fb, fb) + lags + lags.T
+
+
 @pytest.mark.parametrize("make", [criterion3_chain, bench_chain, zeros_chain],
                          ids=["criterion3", "bench", "zeros"])
 def test_markov_sigma_is_twice_the_eigenvalue_expansion(make):
-    # log lambda(t) = i <drift, t> - t' m t + O(|t|^3), so Sigma = 2 m; the
-    # fit's own roundoff is about 3e-11 here
+    # two independent checks of the one series sigma() reads: its order-5
+    # truncation against log lambda from the eigen-solver, along phi, tau
+    # and phi + tau (the polarisation sigma() takes), where the order-6
+    # remainder is below 3e-14; and sigma() against Green-Kubo
     chain = make()
-    _, m, _ = expansion_fit(EigenCurve(TwistedOperatorModel(chain)))
-    np.testing.assert_allclose(chain.sigma(), 2 * m, rtol=0, atol=1e-10)
+    model = TwistedOperatorModel(chain)
+    for u in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
+        u = np.array(u) / np.linalg.norm(u)
+        coef = chain._log_eigenvalue_series(chain.f @ u, 5)
+        for t in (0.01, -0.01):
+            lam = leading_eigenvalue(twisted_matrix(model, t * u))[0]
+            series = sum(c * (1j * t) ** k for k, c in enumerate(coef, 1))
+            assert abs(cmath.log(lam) - series) < 1e-13
+    np.testing.assert_allclose(chain.sigma(), green_kubo_sigma(chain),
+                               rtol=0, atol=1e-14)
 
 
 def test_markov_sigma_of_identical_rows_is_the_renewal_covariance():
