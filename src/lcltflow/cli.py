@@ -348,7 +348,7 @@ def _flow_window(cfg, win):
 
 def _mc_windows(cfg):
     wins = []
-    for w in cfg["windows"]:
+    for w in _list(cfg, "windows"):
         if w[0] == "flow":
             wins.append(_flow_window(cfg, w[1:]))
         elif w[0] == "section":
@@ -451,11 +451,11 @@ def cmd_correlate(run):
     system = load_system(cfg["system"])
     pred = _band_set(_number(cfg, cfg.get("band_delta", 0.3)),
                      _number(cfg, cfg.get("band_period", 1.0)))
-    series = estimate_correlation(system, pred, pred,
-                                  [_flow_time(_number(cfg, t), "t_grid")
-                                   for t in _list(cfg, "t_grid")],
-                                  _sample_count(cfg), run.args.seed,
-                                  workers=run.args.workers)
+    ts = [_flow_time(_number(cfg, t), "t_grid") for t in _list(cfg, "t_grid")]
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ConfigError(f"t_grid must be increasing, not {cfg['t_grid']!r}")
+    series = estimate_correlation(system, pred, pred, ts, _sample_count(cfg),
+                                  run.args.seed, workers=run.args.workers)
     rows = ["t,correlation,std_error"]
     rows += [f"{t!r},{c!r},{se!r}" for t, c, se in series]
     run.emit("correlation.csv", "\n".join(rows) + "\n")
@@ -501,6 +501,10 @@ def cmd_verify(run):
     from .systems import load_system
 
     cfg = run.config
+    mode = cfg.get("mode", "flow")
+    if mode not in ("flow", "lattice"):
+        raise ConfigError(f"unknown verify mode {mode!r}: give \"flow\" "
+                          f"(the default) or \"lattice\"")
     scale = run.args.tolerance_scale
     system = load_system(cfg["system"])
     N = _sample_count(cfg)
@@ -510,7 +514,7 @@ def cmd_verify(run):
         raise ConfigError(f"the config's nu_tau = {nu_tau!r} differs from "
                           f"the system's nu_tau = {system.nu_tau!r}")
 
-    if cfg.get("mode", "flow") == "flow":
+    if mode == "flow":
         # non-arithmetic LCLT: flow windows, centred at the mean t c of
         # the flow integral, against the Gaussian density
         t = _flow_time(_exact(cfg, cfg["t"], "t"), "t")
@@ -648,6 +652,10 @@ def main(argv=None):
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    if not isinstance(config, dict):
+        print(f"error: a config is a JSON object, not {config!r:.60}",
+              file=sys.stderr)
         return EXIT_PARSE
     try:
         return _COMMANDS[args.command](Run(args, config))

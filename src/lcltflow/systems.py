@@ -645,6 +645,18 @@ class MarkovShiftBase(_TableLeap):
 
     @classmethod
     def from_json(cls, obj):
+        """P and f from nested lists of JSON numbers: true, a string or
+        null is none, although numpy would read the first two."""
+        for name in ("P", "f"):
+            todo = [((), obj[name])]
+            while todo:
+                at, v = todo.pop()
+                if isinstance(v, list):
+                    todo += [((*at, k), x) for k, x in enumerate(v)][::-1]
+                elif isinstance(v, bool) or not isinstance(v, (int, float)):
+                    where = "".join(f"[{k}]" for k in at)
+                    raise ConfigError(f"cannot read Markov {name}{where} = "
+                                      f"{v!r}: give a JSON number")
         return cls(obj["P"], obj["f"])
 
 
@@ -678,22 +690,26 @@ _PULLBACK_STEPS = 16         # Newton steps per block before giving up
 
 
 def _pm_pullback(alpha, z, depth=None):
-    """Backward orbits of the left branch L(u) = u(1 + 2^alpha u^alpha).
+    """Backward orbits of the left branch L(u) = u(1 + 2^alpha u^alpha),
+    as a stream of row blocks.
 
-    Returns (U, D) with rows U[k] = L^{-k}(z) and D[k] = dU[k]/dz for
-    k = 0, 1, ...: ``depth`` rows, or without a depth rows up to the first
-    one whose last entry is <= _PULLBACK_FLOOR (at most _PULLBACK_CAP
-    rows).  z is a nonempty vector of points of (0, 1], else ValueError.
+    Yields blocks (U, D) whose rows, stacked, are U[k] = L^{-k}(z) and
+    D[k] = dU[k]/dz for k = 0, 1, ...: ``depth`` rows, or without a depth
+    rows up to the first one whose last entry is <= _PULLBACK_FLOOR (at
+    most _PULLBACK_CAP rows).  z is a nonempty vector of points of (0, 1],
+    else ValueError (on the first block).
 
-    The rows come in blocks of _PULLBACK_BLOCK, each one Newton solve of
-    F[j] = L(V[j]) - V[j - 1] = 0 with V[0] the row before the block.  The
-    Jacobian is lower bidiagonal (L'(V[j]) on the diagonal, -1 below it),
-    so each step is one cumprod and one cumsum.  The start is the
-    second-order Fatou-coordinate guess: w = V^-alpha grows by
-    alpha 2^alpha per row, less (1 + alpha) 2^alpha / 2 log(w / w0).  A
-    block is done after a step that moves no entry by more than 1e-8
-    relative (the next would be below 1e-16); ArithmeticError if that
-    takes more than _PULLBACK_STEPS steps.
+    The first block is row 0, z itself.  The rest come in blocks of
+    _PULLBACK_BLOCK rows, each one Newton solve of F[j] = L(V[j]) -
+    V[j - 1] = 0 with V[0] the row before the block.  The Jacobian is
+    lower bidiagonal (L'(V[j]) on the diagonal, -1 below it), so each step
+    is one cumprod and one cumsum.  The start is the second-order
+    Fatou-coordinate guess: w = V^-alpha grows by alpha 2^alpha per row,
+    less (1 + alpha) 2^alpha / 2 log(w / w0).  A block is done after a
+    step that moves no entry by more than 1e-8 relative (the next would be
+    below 1e-16); ArithmeticError if that takes more than _PULLBACK_STEPS
+    steps.  Each block's D is a cumprod that starts from the last row of D
+    before it, so D is one cumprod down the stacked rows, bit for bit.
     """
     z = np.asarray(z, dtype=float)
     # NaN fails both comparisons
@@ -701,18 +717,18 @@ def _pm_pullback(alpha, z, depth=None):
         raise ValueError("z must be a nonempty vector of points in (0, 1]")
     c = 2.0 ** alpha
     rows = depth or _PULLBACK_CAP
-    U = np.empty((rows, len(z)))
-    U[0] = z
+    u, d = z, np.ones_like(z)
+    yield u[None], d[None]
     k = 1
-    while k < rows and (depth or U[k - 1, -1] > _PULLBACK_FLOOR):
+    while k < rows and (depth or u[-1] > _PULLBACK_FLOOR):
         n = min(_PULLBACK_BLOCK, rows - k)
-        w0 = U[k - 1] ** -alpha
+        w0 = u ** -alpha
         w = w0 + alpha * c * np.arange(1, n + 1)[:, None]
         V = (w - (1 + alpha) * c / 2 * np.log(w / w0)) ** (-1 / alpha)
         for _ in range(_PULLBACK_STEPS):
             t = c * V ** alpha
             F = V * (1 + t)
-            F[0] -= U[k - 1]
+            F[0] -= u
             F[1:] -= V[:-1]
             a = 1 / (1 + (1 + alpha) * t)
             # with a = 1 / L'(V) and A = cumprod(a), the step
@@ -728,17 +744,15 @@ def _pm_pullback(alpha, z, depth=None):
             raise ArithmeticError(
                 f"the pull-back at alpha = {alpha} did not converge in "
                 f"{_PULLBACK_STEPS} Newton steps")
-        U[k:k + n] = V
         if not depth:
             below = np.flatnonzero(V[:, -1] <= _PULLBACK_FLOOR)
             if below.size:
-                n = below[0] + 1
-        k += n
-    U = U[:k]
-    D = np.ones_like(U)
-    np.cumprod(1 / (1 + (1 + alpha) * c * U[1:] ** alpha), axis=0,
-               out=D[1:])
-    return U, D
+                V = V[:below[0] + 1]
+        a = 1 / (1 + (1 + alpha) * c * V ** alpha)
+        D = np.cumprod(np.concatenate((d[None], a)), axis=0)[1:]
+        u, d = V[-1], D[-1]
+        k += len(V)
+        yield V, D
 
 
 PM_ROOFS = {
@@ -751,21 +765,69 @@ PM_ROOFS = {
 # of the truncated branch tail already at degree 16
 _PM_DEG = 32
 _LEAP_SLICE = 1 << 15        # points per slice of induced_density
+_CHEB_DEGS = 8               # Chebyshev degrees per piece of the build
 
 
-def _induced_fixed_point(s, P, dP):
-    """Nystrom solve for the invariant density of the first-return map F on
-    Y = (1/2, 1], from its inverse branches psi_r evaluated at the
-    Chebyshev-Lobatto nodes y = (3 + s) / 4: P[r] = psi_r(y) and
-    dP[r] = psi_r'(y).  Returns the Chebyshev coefficients of h in
-    4y - 3, normalised to integrate to 1 over Y, and the Clenshaw-Curtis
-    weights of the nodes on Y."""
+def _tower_sums(alpha, s, gs):
+    """One pass over the inverse branches of the first-return map F on
+    Y = (1/2, 1] at the Chebyshev-Lobatto nodes y = (3 + s) / 4, block by
+    block as ``_pm_pullback`` solves them.  Branch r = k + 1 is
+    psi_r = (1 + U[k]) / 2 with derivative D[k] / 2, and the orbit of
+    psi_r(y) runs psi_r, U[k], ..., U[1] before it returns to y = U[0].
+
+    Returns the thresholds U[k, -1] (the orbit of the last node, 1/2) and
+    S with S[i, 0, j] = sum_r psi_r'(y_i) T_j(4 psi_r(y_i) - 3), the
+    Nystrom matrix of L_F on the Chebyshev series c of h, and
+    S[i, 1 + q, j] the same sum with each branch weighted by the sum of
+    g = gs[q] along its orbit.  Kac's sum int_Y h sum_{k<r} g o T^k is
+    then quad @ S[:, 1 + q] @ c, linear in c, so h needs no second pass.
+    """
+    deg = len(s) - 1
+    y = (3 + s) / 4
+    S = np.zeros((len(s), 1 + len(gs), deg + 1))
+    thresholds = []
+    # running sums of g down the rows, from -g(y) so that row 0, the
+    # orbits' common end y, sums to exactly 0
+    run = -np.stack([g(y) for g in gs])[:, None]
+    # the last _CHEB_DEGS Chebyshev degrees of a block, T_j(4 P[k, i] - 3)
+    # at [j % _CHEB_DEGS, i, k]
+    T = np.empty((_CHEB_DEGS, len(s), _PULLBACK_BLOCK))
+    for U, D in _pm_pullback(alpha, y):
+        # a copy, so that the block itself is freed
+        thresholds.append(U[:, -1].copy())
+        P, dP = (1 + U) / 2, D / 2
+        G = np.stack([g(U) for g in gs])
+        G = np.cumsum(np.concatenate((run, G), axis=1), axis=1)[:, 1:]
+        run = G[:, -1:]
+        # weight sets [node, set, row]: 1, then the sum of each g along
+        # each orbit, g(psi_r) + g(U[k]) + ... + g(U[1])
+        W = np.concatenate((dP[None], (G + np.stack([g(P) for g in gs]))
+                            * dP)).transpose(2, 0, 1).copy()
+        # [node, row] and contiguous, as the recurrence runs along rows
+        x = (4 * P - 3).T.copy()
+        t = T[:, :, :len(U)]
+        t[0] = 1
+        t[1] = x
+        x *= 2
+        for j0 in range(0, deg + 1, _CHEB_DEGS):
+            for j in range(max(j0, 2), min(j0 + _CHEB_DEGS, deg + 1)):
+                # T_j = 2x T_{j-1} - T_{j-2}
+                np.multiply(t[(j - 1) % _CHEB_DEGS], x, out=t[j % _CHEB_DEGS])
+                t[j % _CHEB_DEGS] -= t[(j - 2) % _CHEB_DEGS]
+            # degrees j0, j0 + 1, ... go into S by one matmul per node
+            piece = t[:deg + 1 - j0].transpose(1, 2, 0)
+            S[:, :, j0:j0 + _CHEB_DEGS] += W @ piece
+    return np.concatenate(thresholds), S
+
+
+def _induced_fixed_point(s, M):
+    """Nystrom solve for the invariant density h of the first-return map F
+    on Y = (1/2, 1], with M @ c the values of L_F h at the
+    Chebyshev-Lobatto nodes y = (3 + s) / 4 for the Chebyshev series c of
+    h in 4y - 3.  Returns c, normalised to integrate to 1 over Y, and the
+    Clenshaw-Curtis weights of the nodes on Y."""
     deg = len(s) - 1
     V = chebvander(s, deg)
-    # M @ c = node values of L_F h for the Chebyshev series c of h
-    M = sum(np.einsum("ri,rij->ij", dP[k:k + 512],
-                      chebvander(4 * P[k:k + 512] - 3, deg))
-            for k in range(0, len(P), 512))
     lam, vec = np.linalg.eig(np.linalg.solve(V.T, M.T).T)
     coef = np.linalg.solve(V, np.real(vec[:, np.argmin(np.abs(lam - 1))]))
     # integrals of T_j over [-1, 1]
@@ -805,28 +867,19 @@ class PMTowerBase:
         # Chebyshev-Lobatto nodes s of [-1, 1], y = (3 + s) / 4 in Y; the
         # last node is y = 1/2
         s = np.cos(np.pi * np.arange(_PM_DEG + 1) / _PM_DEG)
-        U, D = _pm_pullback(alpha, (3 + s) / 4)
+        # Kac's sums of the roof, 1 and x roof: on the unit roof the first
+        # two are one sum
+        gs = {"unit": PM_ROOFS["unit"], roof: self._roof,
+              "rate": lambda x: x * self._roof(x)}
         # preimages x_n = L^{-n}(1/2): the return time of x in (1/2, 1] is
         # 1 + #{n >= 0 : 2x - 1 <= x_n}
-        self.thresholds = U[:, -1].copy()
-        # inverse branch r = k + 1 of F at the nodes: psi_r = (1 + U[k]) / 2
-        # with derivative D[k] / 2
-        P, dP = (1 + U) / 2, D / 2
-        self._hcoef, quad = _induced_fixed_point(s, P, dP)
+        self.thresholds, S = _tower_sums(alpha, s, list(gs.values()))
+        self._hcoef, quad = _induced_fixed_point(s, S[:, 0])
         # |T_j| <= 1 on [-1, 1], so this bounds h
         self._hmax = float(np.abs(self._hcoef).sum())
-        # Kac: the tower over branch r at node i has the weight
-        # quad_i h(psi_r) psi_r', and its orbit is psi_r, U[k], ..., U[1],
-        # so U[k] carries the weight of every branch from k + 1 on
-        wts = quad * dP * self.induced_density(P)
-        tail = np.cumsum(wts[:0:-1], axis=0)[::-1]
-
-        def kac(g):
-            return float(np.sum(wts * g(P)) + np.sum(tail * g(U[1:])))
-
-        roof_mass = kac(self._roof)
-        self.nu_tau = roof_mass / kac(PM_ROOFS["unit"])
-        self.rate_mean = kac(lambda x: x * self._roof(x)) / roof_mass
+        kac = dict(zip(gs, (quad @ (S[:, 1:] @ self._hcoef)).tolist()))
+        self.nu_tau = kac[roof] / kac["unit"]
+        self.rate_mean = kac["rate"] / kac[roof]
         # tower draws: branch r = k + 1 has 2y - 1 in (x_k, x_{k-1}], with
         # x_{-1} = 1
         self._zwidth = np.concatenate(([1.0], self.thresholds[:-1])) \

@@ -20,20 +20,28 @@
   one scalar step at a time.
 - ``pm_pullback``: the backward orbits of the intermittent map's left
   branch, one Newton solve per row.
+- ``pm_pullback_table``: ``systems._pm_pullback``'s stream of row blocks
+  stacked into one table.
+- ``pm_tower_dense``: the intermittent-map tower built from that whole
+  table: the Nystrom matrix, h at every branch point and Kac's sums as
+  tail sums over the stored rows.
 
 Tests compare them against ``montecarlo._flow``, ``montecarlo._paths``,
 ``montecarlo.estimate_sigma``, ``systems._GuideTable``,
-``systems.pm_map``, ``PMTowerBase.return_time`` and
-``systems._pm_pullback``, on the same random
+``systems.pm_map``, ``PMTowerBase.return_time``,
+``systems._pm_pullback`` and ``PMTowerBase``, on the same random
 stream where one is drawn.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval, chebvander
 
-from lcltflow.systems import (_PULLBACK_CAP, _PULLBACK_FLOOR, _pm_left,
-                              pm_map)
+from lcltflow.systems import (_PM_DEG, _PULLBACK_CAP, _PULLBACK_FLOOR,
+                              PM_ROOFS, _induced_fixed_point, _pm_left,
+                              _pm_pullback, pm_map)
 
 
 @dataclass
@@ -240,3 +248,42 @@ def pm_pullback(alpha, z, depth=None):
     np.cumprod(1 / (1 + (1 + alpha) * c * U[1:] ** alpha), axis=0,
                out=D[1:])
     return U, D
+
+
+def pm_pullback_table(alpha, z, depth=None):
+    """The (U, D) table of ``systems._pm_pullback``: its row blocks
+    stacked."""
+    U, D = zip(*_pm_pullback(alpha, z, depth))
+    return np.concatenate(U), np.concatenate(D)
+
+
+def pm_tower_dense(alpha, roof="unit"):
+    """The intermittent-map tower from its whole branch table: U stacked
+    from the stream, D as one cumprod down it, the Nystrom matrix summed in
+    slices of 512 branch rows, h evaluated at every branch point, and Kac's
+    sums as tail sums, the weight of every branch from k + 1 on carried by
+    U[k].  Returns thresholds, D, hcoef, quad, nu_tau and rate_mean, and
+    the stream's own D as streamed_D."""
+    s = np.cos(np.pi * np.arange(_PM_DEG + 1) / _PM_DEG)
+    U, streamed_D = pm_pullback_table(alpha, (3 + s) / 4)
+    D = np.ones_like(U)
+    np.cumprod(1 / (1 + (1 + alpha) * 2.0 ** alpha * U[1:] ** alpha), axis=0,
+               out=D[1:])
+    P, dP = (1 + U) / 2, D / 2
+    M = sum(np.einsum("ri,rij->ij", dP[k:k + 512],
+                      chebvander(4 * P[k:k + 512] - 3, _PM_DEG))
+            for k in range(0, len(P), 512))
+    hcoef, quad = _induced_fixed_point(s, M)
+    wts = quad * dP * chebval(4 * P - 3, hcoef)
+    tail = np.cumsum(wts[:0:-1], axis=0)[::-1]
+
+    def kac(g):
+        return float(np.sum(wts * g(P)) + np.sum(tail * g(U[1:])))
+
+    g = PM_ROOFS[roof]
+    roof_mass = kac(g)
+    return SimpleNamespace(
+        thresholds=U[:, -1], D=D, streamed_D=streamed_D, hcoef=hcoef,
+        quad=quad,
+        nu_tau=roof_mass / kac(PM_ROOFS["unit"]),
+        rate_mean=kac(lambda x: x * g(x)) / roof_mass)

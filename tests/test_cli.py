@@ -677,6 +677,26 @@ def test_correlate_band_must_be_a_proper_subset(tmp_path, capsys, band):
     assert "band_delta" in err or "cannot read number inf" in err
 
 
+@pytest.mark.parametrize("t_grid", [[2, 1], [2.0, 2.0]])
+def test_correlate_t_grid_must_be_increasing(tmp_path, capsys, t_grid):
+    # [2, 1] once exited 3, the code of a mathematical domain error
+    cfg = {"system": COIN_SYSTEM, "t_grid": t_grid, "N": 100}
+    assert run(tmp_path, "correlate", cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "t_grid must be increasing" in err
+
+
+def test_simulate_rejects_an_empty_window_list(tmp_path, capsys):
+    # once exited 0 and wrote [] as simulate.json
+    cfg = {"system": COIN_SYSTEM, "t": 2, "N": 10, "windows": []}
+    assert run(tmp_path, "simulate", cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "'windows' must be a non-empty list" in err
+    assert not (tmp_path / "out" / "simulate.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes and manifests
 # ---------------------------------------------------------------------------
@@ -685,6 +705,16 @@ def test_bad_json_is_parse_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert cli.main(["classify", str(p)]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "classify"])
+@pytest.mark.parametrize("config", [None, [1, 2], "x", 3])
+def test_config_must_be_a_json_object(tmp_path, capsys, command, config):
+    # null once failed verify with an AttributeError traceback
+    assert run(tmp_path, command, write_cfg(tmp_path, config))[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "a config is a JSON object" in err
 
 
 def test_missing_file_is_parse_error(tmp_path):
@@ -861,6 +891,43 @@ def test_markov_negative_or_nonfinite_entries_are_domain_errors(
     assert code == 3
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("P, value, words", [
+    ([[0.5, "x"], [0.5, 0.5]], None, "Markov P[0][1] = 'x'"),
+    ([[0.5, 0.5], [None, 0.5]], None, "Markov P[1][0] = None"),
+    (None, True, "Markov f[0][1][1] = True"),
+    (None, "1", "Markov f[0][1][1] = '1'")],
+    ids=["P-string", "P-null", "f-bool", "f-string"])
+def test_markov_entries_must_be_json_numbers(tmp_path, capsys, P, value,
+                                             words):
+    # a string in P once exited 3 on numpy's "could not convert string to
+    # float", and a true roof was read as 1.0 and exited 0
+    system = _markov_with(P=P, entry=value is not None and (0, 1, 1),
+                          value=value)
+    cfg = {"system": system, "t": 2, "N": 10,
+           "windows": [["flow", 0, -1, 1]]}
+    assert run(tmp_path, "simulate", cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert words in err
+
+
+@pytest.mark.parametrize("mode", ["x", None, ["flow"]])
+@pytest.mark.parametrize("config", ["markov_flow_verify.json",
+                                    "lattice_verify.json"])
+def test_verify_rejects_an_unknown_mode(tmp_path, capsys, config, mode):
+    # "x" once failed on KeyError('case') with the flow config and ran
+    # lattice mode with the lattice one
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "configs", config)
+    with open(path) as fh:
+        cfg = dict(json.load(fh), mode=mode)
+    assert run(tmp_path, "verify", cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "unknown verify mode" in err
+    assert '"flow"' in err and '"lattice"' in err
 
 
 def test_manifest_written_and_reruns_identical(tmp_path):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,13 +21,13 @@ from lcltflow.spectral import (TwistedOperatorModel, leading_eigenvalue,
                                twisted_matrix)
 from lcltflow.systems import (_PULLBACK_BLOCK, _PULLBACK_CAP, _PULLBACK_FLOOR,
                               MarkovShiftBase, PMTowerBase, RenewalBase,
-                              _count_vectors_between, _induced_fixed_point,
-                              _multinomial_masses, _pm_left,
-                              _pm_pullback, load_system, pm_map)
+                              _count_vectors_between, _multinomial_masses,
+                              _pm_left, _pm_pullback, load_system, pm_map)
 
 from flowref import (FlowPoint, WithoutLeap, flow_integrate,
                      pm_first_return, pm_map_where, pm_pullback,
-                     sample_stationary, scan_edges, scan_index)
+                     pm_pullback_table, pm_tower_dense, sample_stationary,
+                     scan_edges, scan_index)
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -848,7 +849,7 @@ def assert_pullbacks_agree(alpha, got, want):
 
 @pytest.mark.parametrize("alpha", [0.125, 0.25, 0.3, 0.4])
 def test_pm_pullback_matches_the_stepped_reference(alpha):
-    got = _pm_pullback(alpha, PM_NODES)
+    got = pm_pullback_table(alpha, PM_NODES)
     assert_pullbacks_agree(alpha, got, pm_pullback(alpha, PM_NODES))
     U = got[0]
     if alpha == 0.4:
@@ -866,7 +867,7 @@ def test_pm_pullback_depth_matches_the_stepped_reference(depth):
     if depth == "thresholds":
         depth = len(PMTowerBase(0.25).thresholds)
     z = 0.5 + 0.5 * np.random.default_rng(8).random(50)
-    got = _pm_pullback(0.25, z, depth=depth)
+    got = pm_pullback_table(0.25, z, depth=depth)
     assert len(got[0]) == depth
     assert_pullbacks_agree(0.25, got, pm_pullback(0.25, z, depth=depth))
 
@@ -880,7 +881,7 @@ def test_pm_pullback_stops_at_the_floor_on_any_row_of_a_block(row):
     x = stepped_orbit_of_half()
     assert x[-1] <= _PULLBACK_FLOOR < x[-2]
     z = x[[len(x) - 1 - row]]
-    got = _pm_pullback(0.25, z)
+    got = pm_pullback_table(0.25, z)
     assert len(got[0]) == row + 1
     assert_pullbacks_agree(0.25, got, pm_pullback(0.25, z))
 
@@ -890,14 +891,54 @@ def test_pm_pullback_stops_at_the_floor_on_any_row_of_a_block(row):
                                [[0.75]]])
 def test_pm_pullback_rejects_points_outside_the_unit_interval(z):
     with pytest.raises(ValueError, match=r"z must"):
-        _pm_pullback(0.25, z)
+        pm_pullback_table(0.25, z)
 
 
 def test_pm_pullback_bounds_its_newton_steps(monkeypatch):
     # the first block of the nodes needs more than one step
     monkeypatch.setattr(systems, "_PULLBACK_STEPS", 1)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        _pm_pullback(0.25, PM_NODES)
+        pm_pullback_table(0.25, PM_NODES)
+
+
+def test_pm_pullback_streams_each_block_as_it_is_solved(monkeypatch):
+    # row 0 is z alone, then one Newton solve per block of at most
+    # _PULLBACK_BLOCK rows, and a block is handed on before the next solve
+    lens = [len(U) for U, _ in _pm_pullback(0.25, PM_NODES)]
+    assert lens[0] == 1 and lens[1:-1] == [_PULLBACK_BLOCK] * (len(lens) - 2)
+    assert 1 <= lens[-1] <= _PULLBACK_BLOCK
+    monkeypatch.setattr(systems, "_PULLBACK_STEPS", 1)
+    stream = _pm_pullback(0.25, PM_NODES)
+    U, D = next(stream)
+    assert np.array_equal(U, [PM_NODES]) and np.array_equal(D, np.ones((1, 33)))
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        next(stream)
+
+
+@pytest.mark.parametrize("roof", ["unit", "affine"])
+@pytest.mark.parametrize("alpha", [0.125, 0.25, 0.3, 0.4])
+def test_pm_streamed_build_matches_the_dense_build(alpha, roof):
+    # one pass over the streamed blocks gives the whole branch table's
+    # numbers: the same thresholds, D carried across blocks as one cumprod
+    # down the table, and h and Kac's constants to rounding
+    sys, ref = PMTowerBase(alpha, roof), pm_tower_dense(alpha, roof)
+    assert np.array_equal(sys.thresholds, ref.thresholds)
+    assert np.array_equal(ref.streamed_D, ref.D)
+    assert np.max(np.abs(sys._hcoef - ref.hcoef)) <= 1e-14
+    assert sys.nu_tau == pytest.approx(ref.nu_tau, rel=1e-14)
+    assert sys.rate_mean == pytest.approx(ref.rate_mean, rel=1e-14)
+
+
+def test_pm_build_memory_is_bounded_by_its_blocks():
+    # at alpha = 0.4 the branches run to the 100,000-row cap, where one
+    # stored array of branches by nodes takes 26 MB
+    tracemalloc.start()
+    try:
+        PMTowerBase(0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
 
 
 def test_pm_induced_density_is_invariant():
@@ -906,7 +947,7 @@ def test_pm_induced_density_is_invariant():
     # Y off the Chebyshev nodes, summed over the same branches
     sys = PMTowerBase(0.25)
     z = 0.5 + 0.5 * np.random.default_rng(3).random(200)
-    U, D = _pm_pullback(0.25, z, depth=len(sys.thresholds))
+    U, D = pm_pullback_table(0.25, z, depth=len(sys.thresholds))
     assert np.max(np.abs(_pm_left(U[1:], 0.25) / U[:-1] - 1)) <= 1e-14
     Lh = np.sum(sys.induced_density((1 + U) / 2) * D / 2, axis=0)
     h = sys.induced_density(z)
@@ -938,11 +979,9 @@ def test_pm_kac_sums_equal_the_sums_along_each_orbit(roof):
     # Kac's formula as first written: each branch's weight times g summed
     # along its orbit psi_r, U[k], ..., U[1], one cumsum per observable
     sys = PMTowerBase(0.25, roof)
-    s = 4 * PM_NODES - 3
-    U, D = _pm_pullback(0.25, PM_NODES)
+    U, D = pm_pullback_table(0.25, PM_NODES)
     P, dP = (1 + U) / 2, D / 2
-    quad = _induced_fixed_point(s, P, dP)[1]
-    wts = quad * dP * sys.induced_density(P)
+    wts = pm_tower_dense(0.25, roof).quad * dP * sys.induced_density(P)
     g = systems.PM_ROOFS[roof]
 
     def kac(f):
