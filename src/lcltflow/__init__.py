@@ -9,6 +9,7 @@ Subpackages:
 - ``spectral``      twisted transfer operators and Fourier-inversion oracles
 - ``montecarlo``    seeded parallel Monte Carlo estimation
 - ``renewal_exact`` exact renewal dynamic programming over quadratic integers
+- ``config``        the config reader: one table of keys per command and system
 - ``cli``           command-line front door
 """
 

@@ -5,13 +5,15 @@ correlate.  Every run writes a ``manifest.json`` into the output directory
 with the command, a hash of the configuration, the seed, library versions,
 and a checksum per emitted file, so any run can be reproduced exactly.
 
-A process pays only for the layers its subcommand runs: this module imports
-the stdlib, ``errors`` and ``quadfield``, and each command or helper imports
-its layers when it is called.  ``classify`` on explicit generators and
-``predict`` never load numpy.  The manifest's ``versions.numpy`` is the numpy
-loaded in this process when the run ends, or null if none is: null for those
-two commands in a fresh process, but a caller that ran ``main`` in-process
-after numpy was loaded gets its version.
+``main`` reads the whole config through its command's table in ``config``
+before the command runs.  A process pays only for the layers its subcommand
+runs: this module imports the stdlib, ``errors``, ``quadfield`` and
+``config``, and each command or helper imports its layers when it is
+called.  ``classify`` on explicit generators and ``predict`` never load
+numpy.  The manifest's ``versions.numpy`` is the numpy loaded in this
+process when the run ends, or null if none is: null for those two commands
+in a fresh process, but a caller that ran ``main`` in-process after numpy
+was loaded gets its version.
 
 Exit codes: 0 success, 2 configuration/parse failure, 3 mathematical domain
 error, 4 verification failure.
@@ -26,11 +28,11 @@ import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import __version__
+from .config import read_config
 from .errors import ConfigError, LcltError
-from .quadfield import QuadScalar, as_quad
+from .quadfield import QuadScalar
 
 DEFAULT_SEED = 20260823
 
@@ -41,84 +43,8 @@ EXIT_VERIFY = 4
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# output plumbing
 # ---------------------------------------------------------------------------
-
-def _is_integral(x):
-    return (isinstance(x, int) and not isinstance(x, bool)
-            or isinstance(x, float) and x.is_integer())
-
-
-def _parse_scalar(v, D=2):
-    """Exact scalar from JSON: an integer, [num, den] or [pn, pd, qn, qd],
-    all entries integral and denominators nonzero.  A non-integral float is
-    rejected, never rationalised."""
-    parts = v if isinstance(v, list) else [v]
-    lengths = (2, 4) if isinstance(v, list) else (1,)
-    if (len(parts) not in lengths or not all(map(_is_integral, parts))
-            or 0 in parts[1::2]):
-        raise ConfigError(
-            f"cannot parse scalar {v!r}: give an integer, [num, den] or "
-            f"[pn, pd, qn, qd] (p + q sqrt(D)) with integer entries")
-    n = [int(x) for x in parts]
-    if len(n) == 4:
-        return QuadScalar(Fraction(n[0], n[1]), Fraction(n[2], n[3]), D)
-    return as_quad(Fraction(*n), D)
-
-
-def _exact(cfg, v, what):
-    """An exact scalar of field ``what``: a finite float as its shortest
-    decimal (50.2 is 251/5), anything else by ``_parse_scalar``."""
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ConfigError(f"{what} must be finite, not {v!r}")
-        return as_quad(v, cfg.get("D", 2))
-    return _parse_scalar(v, cfg.get("D", 2))
-
-
-def _number(cfg, v, integral=False):
-    """A numeric config field as a float (an int if ``integral``): a JSON
-    number, or an exact [num, den] / [pn, pd, qn, qd] scalar in the
-    config's quadratic field."""
-    x = v
-    if isinstance(v, list):
-        q = _parse_scalar(v, cfg.get("D", 2))
-        x = q.p if q.is_rational() else float(q)
-    if (isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
-            or not math.isfinite(x)):
-        raise ConfigError(
-            f"cannot read number {v!r}: give a JSON number, [num, den] or "
-            f"[pn, pd, qn, qd]")
-    if not integral:
-        return float(x)
-    if x != int(x):
-        raise ConfigError(f"{v!r} must be an integer")
-    return int(x)
-
-
-def _flow_time(t, what):
-    """t, a flow time, which must be positive."""
-    if not t > 0:
-        raise ConfigError(f"{what} must be a positive flow time, not "
-                          f"{float(t):g}")
-    return t
-
-
-def _list(cfg, key):
-    """cfg[key], which must be a non-empty JSON list."""
-    v = cfg[key]
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{key!r} must be a non-empty list, not {v!r}")
-    return v
-
-
-def _sample_count(cfg):
-    """The config's number of sample paths N, a positive integer."""
-    N = _number(cfg, cfg["N"], integral=True)
-    if N < 1:
-        raise ConfigError(f"N must be a positive integer, not {N}")
-    return N
-
 
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
@@ -193,14 +119,6 @@ def _fmt_param(v):
     return str(v)
 
 
-def _object(cfg, key):
-    """cfg[key], which must be a JSON object."""
-    obj = cfg[key]
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, not {obj!r}")
-    return obj
-
-
 def _system(cfg, kind, command):
     """The config's system, which ``command`` needs to be of ``kind``."""
     from .systems import load_system
@@ -214,84 +132,35 @@ def _system(cfg, kind, command):
     return system
 
 
-# the exact parameters each case label carries
-_CASE_PARAMS = {"A": (), "B": ("a",), "C": ("alpha", "beta"),
-                "D": ("a", "b", "d"), "E": ("a_p", "b_p", "c_p", "d_p")}
-
-
-def _case_from_config(cfg):
-    from .groups import CaseLabel
-
-    case_cfg = _object(cfg, "case")
-    D = cfg.get("D", 2)
-    variant = case_cfg["variant"]
-    missing = [k for k in _CASE_PARAMS.get(variant, ()) if k not in case_cfg]
-    if missing:
-        raise ConfigError(f"case {variant} needs {', '.join(missing)}")
-    return CaseLabel(variant, **{k: _parse_scalar(v, D)
-                                 for k, v in case_cfg.items()
-                                 if k != "variant"})
-
-
-def _pair(req, key, read):
-    """The request's [lo, hi] at ``key`` through ``read``, or None."""
-    v = req.get(key)
-    if not v:
-        return None
-    if not isinstance(v, list) or len(v) != 2:
-        raise ConfigError(f"{key!r} must be a pair [lo, hi], not {v!r}")
-    return read(v[0]), read(v[1])
-
-
-def _params_from_config(cfg):
-    from .predict import FlowMLCLTParams
-
-    return FlowMLCLTParams(_case_from_config(cfg),
-                           _number(cfg, cfg["sigma_flow"]),
-                           _number(cfg, cfg["nu_tau"]))
-
-
-def _request_from_config(cfg):
-    """predict's request, its event (t, W, I, J) read exactly as lattice
-    verify reads it."""
+def _request(cfg, case):
+    """The config's request: its event (t, W, l, I, J), which predict and
+    lattice verify read alike, and predict's other keys.  A case D or E
+    label needs the fiber intervals I and J."""
     from .groups import interval
     from .predict import PredictionRequest
 
-    req = _object(cfg, "request")
-
-    def num(v):
-        return _number(cfg, v)
-
-    def exact(x):
-        return _exact(cfg, x, "the request's numbers")
-
-    target = _pair(req, "target", num)
-    return PredictionRequest(
-        t=exact(req["t"]), W_of_t=exact(req.get("W", 0)),
-        w=num(req.get("w", 0.0)),
-        l=_number(cfg, req.get("l", 0), integral=True),
-        nu_A=num(req.get("nu_A", 1.0)), nu_B=num(req.get("nu_B", 1.0)),
-        I=_pair(req, "I", exact), J=_pair(req, "J", exact),
-        target=target and [interval(*target)])
+    req = dict(cfg["request"])
+    missing = [k for k in ("I", "J") if req[k] is None]
+    if case.variant in ("D", "E") and missing:
+        raise ConfigError(f"the request's {missing[0]} is required for a "
+                          f"case {case.variant} label")
+    target = req.pop("target", None)
+    return PredictionRequest(W_of_t=req.pop("W"),
+                             target=target and [interval(*target)], **req)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(run):
+def cmd_classify(run, cfg):
     from .groups import classify_case, closure_1d, closure_of_group, covolume
     from .predict import mixing_classify
 
-    cfg = run.config
-    if "generators" in cfg:
-        D = cfg.get("D", 2)
-
-        def vec(v):
-            return (_parse_scalar(v[0], D), _parse_scalar(v[1], D))
-
-        gens = [vec(v) for v in cfg["generators"]]
-        shift = vec(cfg.get("shift", [0, 0]))
+    if cfg["generators"] is not None:
+        D, gens, shift = cfg["D"], cfg["generators"], cfg["shift"]
+    elif cfg["system"] is None:
+        raise ConfigError("classify needs generators or a system")
     else:
         # only renewal systems have an exact finite support group
         D = None
@@ -325,49 +194,27 @@ def cmd_classify(run):
     return EXIT_OK
 
 
-def cmd_predict(run):
-    from .predict import prediction_record
+def cmd_predict(run, cfg):
+    from .groups import CaseLabel
+    from .predict import FlowMLCLTParams, prediction_record
 
-    params = _params_from_config(run.config)
-    req = _request_from_config(run.config)
-    rec = prediction_record(params, req)
+    case = CaseLabel(**cfg["case"])
+    req = _request(cfg, case)
+    rec = prediction_record(
+        FlowMLCLTParams(case, cfg["sigma_flow"], cfg["nu_tau"]), req)
     print(json.dumps(rec, indent=2))
     run.emit("predict.json", json.dumps(rec, indent=2) + "\n")
     run.finish("predict")
     return EXIT_OK
 
 
-def _flow_window(cfg, win):
-    """("flow", w, lo, hi) from a config's [w, lo, hi]; the window [lo, hi)
-    must not be empty."""
-    w, lo, hi = (_number(cfg, win[k]) for k in range(3))
-    if hi <= lo:
-        raise ConfigError(f"flow window {win!r} is empty: it needs lo < hi")
-    return "flow", w, lo, hi
-
-
-def _mc_windows(cfg):
-    wins = []
-    for w in _list(cfg, "windows"):
-        if w[0] == "flow":
-            wins.append(_flow_window(cfg, w[1:]))
-        elif w[0] == "section":
-            wins.append(("section", _number(cfg, w[1]),
-                         _number(cfg, w[2], integral=True)))
-        else:
-            raise ConfigError(f"unknown window {w!r}")
-    return wins
-
-
-def cmd_simulate(run):
+def cmd_simulate(run, cfg):
     from .montecarlo import estimate_lclt
     from .systems import load_system
 
-    cfg = run.config
     system = load_system(cfg["system"])
-    wins = _mc_windows(cfg)
-    t = _flow_time(_number(cfg, cfg["t"]), "t")
-    ests = estimate_lclt(system, t, wins, _sample_count(cfg), run.args.seed,
+    wins = cfg["windows"]
+    ests = estimate_lclt(system, cfg["t"], wins, cfg["N"], run.args.seed,
                          run.args.workers)
     recs = [{"window": list(w), "point": e.point, "std_error": e.std_error,
              "n_samples": e.n_samples, "seed": e.seed}
@@ -379,25 +226,13 @@ def cmd_simulate(run):
     return EXIT_OK
 
 
-def cmd_spectral(run):
+def cmd_spectral(run, cfg):
     from .spectral import TwistedOperatorModel, eigen_curve_rows
 
-    cfg = run.config
     # the twisted operator needs a finite transfer matrix
     system = _system(cfg, "markov", "spectral")
-    comps = cfg.get("components")
-    if comps is not None:
-        comps = tuple(_number(cfg, k, integral=True) for k in comps)
-        if comps not in ((0,), (1,), (0, 1), (1, 0)):
-            raise ConfigError(f"components must be 1 or 2 distinct indices "
-                              f"of (phi, tau), 0 or 1, not {list(comps)}")
-    model = TwistedOperatorModel(system, components=comps)
-    grid = cfg.get("t_grid")
-    if grid is None:
-        grid = [k * math.pi / 4 for k in range(-8, 9)]
-    # each grid point is a scalar t or a list of d components
-    ts = [[_number(cfg, x) for x in (t if isinstance(t, list) else [t])]
-          for t in grid]
+    model = TwistedOperatorModel(system, components=cfg["components"])
+    ts = cfg["t_grid"]
     if any(len(t) != model.d for t in ts):
         raise ConfigError(
             f"spectral needs t_grid points with {model.d} component(s) for "
@@ -413,15 +248,13 @@ def cmd_spectral(run):
     return EXIT_OK
 
 
-def cmd_renewal(run):
+def cmd_renewal(run, cfg):
     from .renewal_exact import counterexample_scan, scan_csv_rows
 
-    cfg = run.config
     atoms = None
-    if "system" in cfg:
+    if cfg["system"] is not None:
         atoms = _system(cfg, "renewal", "renewal").atoms
-    ts = [_exact(cfg, t, "t_values") for t in _list(cfg, "t_values")]
-    rows = counterexample_scan(ts, atoms=atoms)
+    rows = counterexample_scan(cfg["t_values"], atoms=atoms)
     run.emit("scan.csv", "\n".join(scan_csv_rows(rows)) + "\n")
     for r in rows:
         print(f"t={r[0]:g} cell={r[1]} sqrt(t)P={r[2]:.6f} pruned={r[3]:.2g}")
@@ -429,7 +262,7 @@ def cmd_renewal(run):
     return EXIT_OK
 
 
-def _band_set(delta, period=1.0):
+def _band_set(delta, period):
     """The set {s mod period < delta}; it must be neither empty nor all."""
     import numpy as np
 
@@ -443,18 +276,13 @@ def _band_set(delta, period=1.0):
     return pred
 
 
-def cmd_correlate(run):
+def cmd_correlate(run, cfg):
     from .montecarlo import estimate_correlation
     from .systems import load_system
 
-    cfg = run.config
+    pred = _band_set(cfg["band_delta"], cfg["band_period"])
     system = load_system(cfg["system"])
-    pred = _band_set(_number(cfg, cfg.get("band_delta", 0.3)),
-                     _number(cfg, cfg.get("band_period", 1.0)))
-    ts = [_flow_time(_number(cfg, t), "t_grid") for t in _list(cfg, "t_grid")]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ConfigError(f"t_grid must be increasing, not {cfg['t_grid']!r}")
-    series = estimate_correlation(system, pred, pred, ts, _sample_count(cfg),
+    series = estimate_correlation(system, pred, pred, cfg["t_grid"], cfg["N"],
                                   run.args.seed, workers=run.args.workers)
     rows = ["t,correlation,std_error"]
     rows += [f"{t!r},{c!r},{se!r}" for t, c, se in series]
@@ -471,7 +299,7 @@ def _drift(system):
     return getattr(system, "nu_phi", 0.0) / system.nu_tau
 
 
-def _sigma_flow(run, system):
+def _sigma_flow(run, cfg, system):
     """The config's sigma_flow, else the flow variance from the system's
     asymptotic covariance of (phi, tau): exact where the system gives
     ``sigma()`` (renewal, Markov), else estimated by batch means of its base
@@ -479,8 +307,8 @@ def _sigma_flow(run, system):
     nu(tau)."""
     from .predict import flow_variance
 
-    if "sigma_flow" in run.config:
-        return _number(run.config, run.config["sigma_flow"])
+    if cfg["sigma_flow"] is not None:
+        return cfg["sigma_flow"]
     if hasattr(system, "sigma"):
         cov = system.sigma()
     else:
@@ -493,35 +321,41 @@ def _sigma_flow(run, system):
                          system.nu_tau)
 
 
-def cmd_verify(run):
+def cmd_verify(run, cfg):
     from .groups import CaseLabel, interval
     from .montecarlo import estimate_lclt
     from .predict import FlowMLCLTParams, PredictionRequest, _d_params, predict
     from .renewal_exact import stationary_event_probability
     from .systems import load_system
 
-    cfg = run.config
-    mode = cfg.get("mode", "flow")
-    if mode not in ("flow", "lattice"):
-        raise ConfigError(f"unknown verify mode {mode!r}: give \"flow\" "
-                          f"(the default) or \"lattice\"")
     scale = run.args.tolerance_scale
+    if cfg["mode"] == "lattice":
+        case = CaseLabel(**cfg["case"])
+        if case.variant not in ("D", "E"):
+            raise ConfigError(f"lattice verify needs a case D or E label, "
+                              f"not {case.variant}")
+        req = _request(cfg, case)
+        t, W, l, I, J = req.t, req.W_of_t, req.l, req.I, req.J
+        # a top-level t may repeat the request's but not differ from it
+        if cfg["t"] is not None and cfg["t"] != t:
+            raise ConfigError(f"the request's t = {float(t):g} differs from "
+                              f"the config's t = {float(cfg['t']):g}")
     system = load_system(cfg["system"])
-    N = _sample_count(cfg)
     # every check takes nu_tau from the system: a config's must agree
-    nu_tau = _number(cfg, cfg.get("nu_tau", system.nu_tau))
-    if not math.isclose(nu_tau, system.nu_tau, rel_tol=1e-9):
+    nu_tau = cfg["nu_tau"]
+    if nu_tau is not None and not math.isclose(nu_tau, system.nu_tau,
+                                               rel_tol=1e-9):
         raise ConfigError(f"the config's nu_tau = {nu_tau!r} differs from "
                           f"the system's nu_tau = {system.nu_tau!r}")
 
-    if mode == "flow":
+    if cfg["mode"] == "flow":
         # non-arithmetic LCLT: flow windows, centred at the mean t c of
         # the flow integral, against the Gaussian density
-        t = _flow_time(_exact(cfg, cfg["t"], "t"), "t")
+        t = cfg["t"]
         v = I = J = None
         W = float(t) * _drift(system)
-        wins = [_flow_window(cfg, win) for win in _list(cfg, "windows")]
-        params = FlowMLCLTParams(CaseLabel("A"), _sigma_flow(run, system),
+        wins = cfg["windows"]
+        params = FlowMLCLTParams(CaseLabel("A"), _sigma_flow(run, cfg, system),
                                  system.nu_tau)
         checks = [(f"flow window w={w} [{lo},{hi})",
                    predict(params, PredictionRequest(
@@ -530,36 +364,18 @@ def cmd_verify(run):
     else:
         # lattice fiber check: one exact event {start height in I, section
         # value v = W + l a, end height in J} at the request's t, for the
-        # prediction, the Monte Carlo window and the exact DP
-        case = _case_from_config(cfg)
-        if case.variant not in ("D", "E"):
-            raise ConfigError(f"lattice verify needs a case D or E label, "
-                              f"not {case.variant}")
-        req = _object(cfg, "request")
-
-        def exact(x):
-            return _exact(cfg, x, "the request's numbers")
-
-        # a top-level t may repeat the request's but not differ from it
-        t = _flow_time(exact(req["t"]), "the request's t")
-        W = exact(req.get("W", 0))
-        if exact(cfg.get("t", req["t"])) != t:
-            raise ConfigError(f"the request's t = {float(t):g} differs from "
-                              f"the config's t = {cfg['t']}")
-        l = _number(cfg, req.get("l", 0), integral=True)
-        I, J = _pair(req, "I", exact), _pair(req, "J", exact)
-        # a of the D label the prediction uses (E: its shear-reduced D)
+        # prediction, the Monte Carlo window and the exact DP; a of the D
+        # label the prediction uses (E: its shear-reduced D)
         a = _d_params(case)[0]
         v = W + l * a
-        params = FlowMLCLTParams(case, _sigma_flow(run, system),
+        params = FlowMLCLTParams(case, _sigma_flow(run, cfg, system),
                                  system.nu_tau)
         wins = [("section", float(a), l)]
-        checks = [(f"fiber l={l}", predict(params, PredictionRequest(
-            t=t, W_of_t=W, w=float(v) / math.sqrt(float(t)), l=l, I=I,
-            J=J)))]
+        req.w = float(v) / math.sqrt(float(t))
+        checks = [(f"fiber l={l}", predict(params, req))]
 
     # one set of sample paths serves every window
-    ests = estimate_lclt(system, float(t), wins, N, run.args.seed,
+    ests = estimate_lclt(system, float(t), wins, cfg["N"], run.args.seed,
                          run.args.workers, W_of_t=float(W),
                          I=I and tuple(map(float, I)),
                          J=J and tuple(map(float, J)))
@@ -600,16 +416,16 @@ _COMMANDS = {
 }
 
 
-def _int_in(lo, hi, what):
-    """An argparse type: an integer k with lo <= k < hi."""
+def _in(cast, lo, hi, what):
+    """An argparse type: cast(text), which must lie in [lo, hi)."""
     def parse(text):
         try:
-            k = int(text)
+            k = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
+                f"invalid {cast.__name__} value: {text!r}") from None
         if not lo <= k < hi:
-            raise argparse.ArgumentTypeError(f"must be {what}, not {k}")
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text}")
         return k
     return parse
 
@@ -622,17 +438,19 @@ def build_parser():
     p.add_argument("config", help="path to a JSON configuration file")
     # block b draws from Philox key seed + (b << 64): a seed of 2**64 or
     # more would alias another seed's blocks
-    p.add_argument("--seed", type=_int_in(0, 1 << 64, "in [0, 2**64)"),
+    p.add_argument("--seed", type=_in(int, 0, 1 << 64, "in [0, 2**64)"),
                    default=DEFAULT_SEED)
-    p.add_argument("--workers", type=_int_in(1, math.inf, "at least 1"),
+    p.add_argument("--workers", type=_in(int, 1, math.inf, "at least 1"),
                    default=1,
                    help="processes for the Monte Carlo blocks of 2^15 "
                         "paths, forked from this one: at most one per block "
                         "and per usable CPU; results are bit-identical for "
                         "any count")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--tolerance-scale", type=float, default=1.0,
-                   dest="tolerance_scale")
+    # an infinite scale would pass every check, and one <= 0 fail them all
+    p.add_argument("--tolerance-scale", default=1.0, dest="tolerance_scale",
+                   type=_in(float, math.ulp(0), math.inf,
+                            "finite and positive"))
     return p
 
 
@@ -658,7 +476,8 @@ def main(argv=None):
               file=sys.stderr)
         return EXIT_PARSE
     try:
-        return _COMMANDS[args.command](Run(args, config))
+        cfg = read_config(args.command, config)
+        return _COMMANDS[args.command](Run(args, config), cfg)
     except (KeyError, IndexError, TypeError) as e:
         print(f"error: bad configuration: {e!r}", file=sys.stderr)
         return EXIT_PARSE

@@ -41,15 +41,15 @@ intermittent map).
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval, chebvander
 
-from .errors import ConfigError, MixedRingError
-from .quadfield import QuadScalar, as_fraction, as_quad
+from .config import read_system
+from .errors import MixedRingError
+from .quadfield import as_fraction, as_quad
 
 
 def _cdf_table(weights):
@@ -433,23 +433,6 @@ class RenewalBase(_TableLeap):
             gens = [(as_quad(0), as_quad(0))]
         return gens, shift
 
-    @classmethod
-    def from_json(cls, obj):
-        """Atoms from rows [xp, xq, yp, yq, pn, pd], floats as decimals."""
-        D = obj.get("D", 2)
-        atoms = []
-        for row in obj["atoms"]:
-            try:
-                if not all(type(x) in (int, float) for x in row):
-                    raise TypeError("its entries must be JSON numbers")
-                xp, xq, yp, yq, pn, pd = map(as_fraction, row)
-                p = pn / pd
-            except (TypeError, ValueError, ZeroDivisionError) as e:
-                raise ConfigError(f"cannot read renewal atom {row!r} as "
-                                  f"[xp, xq, yp, yq, pn, pd]: {e!r}") from e
-            atoms.append((QuadScalar(xp, xq, D), QuadScalar(yp, yq, D), p))
-        return cls(atoms)
-
 
 # ---------------------------------------------------------------------------
 # finite Markov shift
@@ -642,22 +625,6 @@ class MarkovShiftBase(_TableLeap):
         var_phi, var_tau = kappa2(phi), kappa2(tau)
         cov = (kappa2(phi + tau) - var_phi - var_tau) / 2
         return np.array([[var_phi, cov], [cov, var_tau]])
-
-    @classmethod
-    def from_json(cls, obj):
-        """P and f from nested lists of JSON numbers: true, a string or
-        null is none, although numpy would read the first two."""
-        for name in ("P", "f"):
-            todo = [((), obj[name])]
-            while todo:
-                at, v = todo.pop()
-                if isinstance(v, list):
-                    todo += [((*at, k), x) for k, x in enumerate(v)][::-1]
-                elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                    where = "".join(f"[{k}]" for k in at)
-                    raise ConfigError(f"cannot read Markov {name}{where} = "
-                                      f"{v!r}: give a JSON number")
-        return cls(obj["P"], obj["f"])
 
 
 # ---------------------------------------------------------------------------
@@ -1045,14 +1012,6 @@ class PMTowerBase:
         out = 1 + deep + np.searchsorted(-self.thresholds, -z, side="right")
         return int(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
-    @classmethod
-    def from_json(cls, obj):
-        alpha = obj["alpha"]
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ConfigError(
-                f"cannot read alpha {alpha!r}: give a JSON number in (0, 1/2)")
-        return cls(alpha, obj.get("roof", "unit"))
-
 
 # ---------------------------------------------------------------------------
 # loading
@@ -1066,21 +1025,7 @@ _SYSTEM_TYPES = {
 
 
 def load_system(spec):
-    """Build a system from a JSON object, JSON string, or file path."""
-    obj = spec
-    if isinstance(spec, str):
-        try:
-            obj = json.loads(spec)
-        except json.JSONDecodeError:
-            try:
-                with open(spec) as fh:
-                    obj = json.load(fh)
-            except (OSError, json.JSONDecodeError) as e:
-                raise ConfigError(f"cannot read system {spec!r}: {e}")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"a system is a JSON object, not {obj!r}")
-    kind = obj.get("type")
-    if kind not in _SYSTEM_TYPES:
-        raise ConfigError(f"unknown system type {kind!r}; known types: "
-                          f"{', '.join(_SYSTEM_TYPES)}")
-    return _SYSTEM_TYPES[kind].from_json(obj)
+    """Build a system from a JSON object, JSON string, or file path, read
+    through ``config.SYSTEMS`` before any domain check."""
+    kind, args = read_system(spec)
+    return _SYSTEM_TYPES[kind](**args)

@@ -307,6 +307,41 @@ def test_verify_rejects_a_nu_tau_that_is_not_the_systems(tmp_path, capsys,
     assert f"nu_tau = {2 / 3!r}" in err
 
 
+@pytest.mark.parametrize("key", ["I", "J"])
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_case_D_without_a_fiber_interval_names_it(tmp_path, capsys, command,
+                                                  key):
+    # both once exited 3 with "cases D/E require fiber intervals I and J"
+    cfg = _bench_lattice_cfg(16)
+    del cfg["request"][key]
+    assert run(tmp_path, command, cfg)[0] == 2
+    assert capsys.readouterr().err == (
+        f"error: the request's {key} is required for a case D label\n")
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_tolerance_scale_must_be_finite_and_positive(tmp_path, capsys,
+                                                     scale):
+    # inf once passed every check with exit 0; nan, 0 and -1 failed every
+    # row with exit 4
+    code, _ = run(tmp_path, "verify", _bench_lattice_cfg(16),
+                  "--tolerance-scale", scale)
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"lcltflow: error: argument --tolerance-scale: must be finite and "
+        f"positive, not {scale}")
+
+
+def test_small_tolerance_scale_is_accepted():
+    # the benchmark's self-test runs verify at 0.001
+    args = cli.build_parser().parse_args(
+        ["verify", "cfg.json", "--tolerance-scale", "0.001"])
+    assert args.tolerance_scale == 0.001
+
+
 @pytest.mark.parametrize("case", [{"variant": "A"}, {"variant": "B", "a": 1}])
 def test_verify_lattice_needs_a_D_or_E_label(tmp_path, capsys, case):
     code, _ = run(tmp_path, "verify", dict(_bench_lattice_cfg(16), case=case))
@@ -764,6 +799,9 @@ def test_missing_key_is_parse_error(tmp_path):
                 "windows": [[0, 0.5, -0.5]]}),
     ("simulate", {"system": MARKOV_SYSTEM, "t": 2, "N": 10,
                   "windows": [["flow", 0, 0.5, -0.5]]}),
+    # an integer beyond the float range once exited 3
+    ("simulate", {"system": OSC_SYSTEM, "t": 10 ** 400, "N": 10,
+                  "windows": [["flow", 0, -1, 1]]}),
 ])
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)
@@ -780,12 +818,15 @@ def test_malformed_config_is_parse_error(tmp_path, capsys, command, cfg):
     ("verify", dict(PREDICT_CFG, mode="lattice", system=OSC_SYSTEM, N=10,
                     request=dict(PREDICT_CFG["request"], t=-3)),
      "the request's t"),
+    # predict once wrote a record for t = -5
+    ("predict", dict(PREDICT_CFG, request=dict(PREDICT_CFG["request"], t=-5)),
+     "the request's t"),
     ("simulate", {"system": OSC_SYSTEM, "t": 0, "N": 10,
                   "windows": [["flow", 0, -1, 1]]}, "t"),
     ("correlate", {"system": COIN_SYSTEM, "t_grid": [-3, 2], "N": 10},
      "t_grid")],
     ids=["verify-negative", "verify-zero", "lattice-request-negative",
-         "simulate-zero", "correlate-negative"])
+         "predict-request-negative", "simulate-zero", "correlate-negative"])
 def test_non_positive_flow_time_exits_2(tmp_path, capsys, command, cfg,
                                         field):
     # these once exited 3 ("math domain error"), 4 or 0

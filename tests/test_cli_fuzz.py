@@ -8,11 +8,13 @@ import functools
 import json
 import operator
 import os
+import re
 import tempfile
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from lcltflow import cli
+from lcltflow import cli, config
 
 RENEWAL = {"type": "renewal", "D": 2,
            "atoms": [[-1, 0, 2, -1, 1, 3], [0, 0, 1, 0, 1, 3],
@@ -144,3 +146,108 @@ def test_lattice_verify_bases_as_given(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "case D or E" in err
+
+
+# ---------------------------------------------------------------------------
+# the replay: every key path of each non-PM base deleted, or set to null,
+# "x", [] or true, and the PM system's own keys under one command
+# ---------------------------------------------------------------------------
+
+REPLAY_JUNK = [None, "x", [], True]
+REPLAY_BASES = [(command, cfg, ()) for command, cfg in BASES
+                if not (isinstance(cfg, dict) and cfg.get("system") == PM)]
+REPLAY_BASES.append(("simulate", {"system": dict(PM, roof="unit"), "t": 2,
+                                  "N": 16, "windows": [["flow", 0, -1, 1]]},
+                     ("system",)))
+
+
+def _mutations(cfg, under):
+    """(path, how, config) for every key path below ``under``: the key
+    deleted ("delete") or its value replaced by each of REPLAY_JUNK."""
+    for path in _paths(_at(cfg, under), under):
+        for how in ["delete"] + REPLAY_JUNK if path != under else []:
+            mutated = copy.deepcopy(cfg)
+            node, key = _at(mutated, path[:-1]), path[-1]
+            if how == "delete":
+                del node[key]
+            else:
+                node[key] = how
+            yield path, how, mutated
+
+
+def _names(path):
+    """The key path and its prefixes as messages name them: ``t``, ``the
+    request's I``, ``windows`` for a list's items; a system's keys from the
+    system (``P[0][1]``, ``alpha``)."""
+    if path[0] == "system" and len(path) > 1:
+        path = path[1:]
+    names, at = [], ""
+    for key in path:
+        if isinstance(key, int):
+            at += f"[{key}]"
+        else:
+            at = f"the {at}'s {key}" if at else key
+        names.append(at)
+    return names
+
+
+def _table(spec, obj):
+    """{key: (reader, default)} of the object ``obj`` that ``spec`` reads,
+    its tag included."""
+    if hasattr(spec, "tag"):
+        kind = obj.get(spec.tag, spec.default)
+        return {spec.tag: (None, spec.default), **spec.tables.get(kind, {})}
+    return spec.table
+
+
+def _declaration(command, cfg, path):
+    """(reader, default) of the last object key on ``path`` in the table
+    that reads it (for a list item, the list's), or None if none does."""
+    spec, obj = config.COMMANDS[command], cfg
+    for i, key in enumerate(path):
+        entry = _table(spec, obj).get(key)
+        if entry is None or i + 1 == len(path) or isinstance(path[i + 1], int):
+            return entry
+        spec = config.SYSTEMS if key == "system" else entry[0]
+        obj = obj[key]
+
+
+@pytest.mark.parametrize(
+    "command, base, under", REPLAY_BASES,
+    ids=[f"{i}-{c}" for i, (c, _, _) in enumerate(REPLAY_BASES)])
+def test_replay_of_each_key_path_exits_by_its_table(tmp_path, capsys,
+                                                     command, base, under):
+    # a value of the wrong type or shape exits 2 with one line naming its
+    # key; exit 3 is left to the mathematics (a deleted atom row leaves
+    # probabilities that sum to 2/3), and exit 0 to values that are
+    # still valid
+    d = str(tmp_path)
+    _run(command, copy.deepcopy(base), d)
+    as_given = capsys.readouterr().err
+    for path, how, cfg in _mutations(base, under):
+        code, _ = _run(command, cfg, d)
+        err = capsys.readouterr().err
+        case = (path, how, code, err)
+        assert "bad configuration" not in err, case
+        if code == 2:
+            assert len(err.splitlines()) == 1, case
+            assert err.startswith("error: "), case
+            assert (any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err)
+                        for name in _names(path))
+                    or err == as_given
+                    or how == "delete" and err.rstrip().endswith(
+                        "is required")), case
+        elif code == 3:
+            assert how == "delete" and path[:2] == ("system", "atoms") \
+                and len(path) == 3, case
+            assert "probabilities sum to 2/3" in err, case
+        else:
+            entry = _declaration(command, base, path)
+            assert code == 0, case
+            assert (entry is None
+                    or how == "delete" and (isinstance(path[-1], int)
+                                            or entry[1] is not
+                                            config.REQUIRED)
+                    # an empty grid writes the header alone
+                    or (command, path, how) == ("spectral", ("t_grid",), [])
+                    ), case
