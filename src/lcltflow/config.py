@@ -1,13 +1,14 @@
 """One reader for JSON configs: each key is declared once, with its form.
 
 A table maps each key of a JSON object to (reader, default), the default
-``REQUIRED``, None (may be left out) or a JSON value read as if given;
-keys it does not declare are ignored.  A reader ``reader(value, at, env)``
-returns the typed value or raises ConfigError naming ``at``, the key (a
-list's items take the list's key), and ``env`` holds the values read so
-far around it, such as ``D``.  Commands and systems are read whole before
-any mathematics, so a value that cannot be read exits 2, never 3.  Only
-the stdlib, ``errors`` and ``quadfield`` are imported: no numpy.
+``REQUIRED``, None (may be left out) or a JSON value read as if given; a
+key it does not declare exits 2, so a misspelt key never falls back to a
+default.  A reader ``reader(value, at, env)`` returns the typed value or
+raises ConfigError naming ``at``, the key (a list's items take the list's
+key), and ``env`` holds the values read so far around it, such as ``D``.
+Commands and systems are read whole before any mathematics, so a value
+that cannot be read exits 2, never 3.  Only the stdlib, ``errors`` and
+``quadfield`` are imported: no numpy.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def pair(read):
     return lo_hi
 
 
-def matrix(shape, name):
+def matrix(shape, name, rows_of=None):
     """Nested lists of JSON numbers (not bools) of ``shape``, as given; a
-    length "n" is the number of rows, at least 1."""
+    length "n" is the number of rows, at least 1, or that of the value read
+    at the key ``rows_of``."""
     def entries(v, at, dims, n):
         if not dims:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -144,7 +146,8 @@ def matrix(shape, name):
                 for i, x in enumerate(v)]
     # an empty list is one row short
     return lambda v, at, env: entries(
-        v, at, shape, len(v) or 1 if isinstance(v, list) else None)
+        v, at, shape, len(env[rows_of]) if rows_of else
+        len(v) or 1 if isinstance(v, list) else None)
 
 
 def atoms(v, at, env):
@@ -165,14 +168,26 @@ def atoms(v, at, env):
     return out
 
 
-def fields(table):
-    """A JSON object, as the dict of each key of ``table`` read."""
+def _key(at, key):
+    """The name of ``key`` of the object at ``at``: ``t`` at the top,
+    ``the request's t`` below it."""
+    return f"the {at}'s {key}" if at else key
+
+
+def fields(table, tag=None):
+    """A JSON object, as the dict of each key of ``table`` read; the object
+    holds no other key but ``tag``, which a ``tagged`` object reads."""
     def read(v, at, env):
         if not isinstance(v, dict):
             raise ConfigError(f"{at} must be a JSON object, not {v!r:.60}")
+        known = [tag] * (tag is not None) + list(table)
+        for key in v:
+            if key not in known:
+                raise ConfigError(f"unknown key {_key(at, key)}; known "
+                                  f"keys: {', '.join(known)}")
         got = {}
         for key, (reader, default) in table.items():
-            here = f"the {at}'s {key}" if at else key
+            here = _key(at, key)
             if key in v:
                 got[key] = reader(v[key], here, {**env, **got})
             elif default is REQUIRED:
@@ -187,7 +202,8 @@ def fields(table):
 
 def tagged(name, tag, tables, default=REQUIRED):
     """A JSON object whose ``tag`` picks the table of its other keys."""
-    pick, readers = enum(*tables), {k: fields(t) for k, t in tables.items()}
+    pick = enum(*tables)
+    readers = {k: fields(t, tag) for k, t in tables.items()}
 
     def read(v, at, env):
         if not isinstance(v, dict) or tag not in v and default is REQUIRED:
@@ -292,9 +308,8 @@ COMMANDS = {
 
 SYSTEMS = tagged("system", "type", {
     "renewal": {"D": _D, "atoms": (atoms, REQUIRED)},
-    # that f is as large as P is MarkovShiftBase's check
     "markov": {"P": (matrix(("n", "n"), "Markov"), REQUIRED),
-               "f": (matrix(("n", "n", 2), "Markov"), REQUIRED)},
+               "f": (matrix(("n", "n", 2), "Markov", "P"), REQUIRED)},
     "pm": {"alpha": (json_value("a JSON number", int, float), REQUIRED),
            "roof": (enum("unit", "affine"), "unit")}})
 

@@ -4,13 +4,16 @@ Reproducibility scheme: all randomness flows from one 64-bit seed through
 counter-based Philox substreams, one per block of BLOCK_SIZE = 2^15 samples
 (block b uses key seed + (b << 64)).  The block is the engine's one unit:
 the substream, the task a worker takes and the slice that its arrays keep
-in cache (256 KiB per float array).  With several workers the blocks run in
-W = min(workers, blocks, usable CPUs) forked child processes, worker w of W
+in cache (256 KiB per float array).  The blocks run in W = min(workers,
+blocks, usable CPUs) forked child processes, one included, worker w of W
 taking blocks w, w + W, ..., and their results come back over pipes; blocks
 are reduced in block order, so results are bit-identical for any worker
-count.  Each worker sets glibc's heap thresholds above one block's arrays,
-so the arrays it frees are reused by the next pass instead of being handed
-back to the kernel and faulted in again.
+count.  The calling process never draws: it loads no ``numpy.random``, and
+keeps glibc's default heap for the work that is not Monte Carlo.  Each
+worker sets glibc's heap thresholds above one block's arrays, so the arrays
+it frees are reused by the next pass instead of being handed back to the
+kernel and faulted in again.  Only where the platform has no ``os.fork``
+do the blocks run in the calling process.
 
 One vectorized path engine serves every system through the protocol of
 ``systems`` (``draw_start``, ``step``, ``tau``, ``phi``, ``leap``,
@@ -83,11 +86,11 @@ def _usable_cpus():
 
 def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
     """Run block_fn(block_index, block_size, rng) for every block of at most
-    ``block`` samples and return the results in block order.  With W =
-    min(workers, blocks, usable CPUs) > 1 and ``os.fork`` at hand, worker w
-    runs blocks w, w + W, ... in a forked child process; otherwise the
-    blocks run here.  Each block draws from its own substream, so the
-    results are the same for every worker count."""
+    ``block`` samples and return the results in block order.  Of W =
+    min(workers, blocks, usable CPUs) forked child processes, worker w runs
+    blocks w, w + W, ...; one worker runs them all.  Only without
+    ``os.fork`` do the blocks run here.  Each block draws from its own
+    substream, so the results are the same for every worker count."""
     if not 0 <= seed < 1 << 64:
         # block b's key seed + (b << 64) would be another seed's block
         raise ValueError(f"seed must lie in [0, 2**64), not {seed}")
@@ -97,10 +100,8 @@ def _run_blocks(N, seed, workers, block_fn, block=BLOCK_SIZE):
     def run(items):
         return [block_fn(b, n, _block_rng(seed, b)) for b, n in items]
 
-    if W < 2 or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return run(plan)
-    # loaded once here, not by every worker after the fork
-    import numpy.random  # noqa: F401
     out = [None] * len(plan)
     for w, res in enumerate(_in_children(run, [plan[w::W] for w in range(W)])):
         out[w::W] = res
@@ -192,8 +193,9 @@ def _keep_block_heap():
     """Have glibc keep the memory of one block's arrays for the next
     (mallopt; elsewhere nothing).  Left to its defaults, glibc hands a
     freed block array back to the kernel and the next pass faults it in
-    again.  Only workers set this: in the calling process it would also
-    keep the memory of work that is not Monte Carlo, and raise its peak."""
+    again.  Every worker sets this, a lone one too; the calling process
+    never does, as there it would also keep the memory of work that is not
+    Monte Carlo, and raise its peak."""
     if sys.platform.startswith("linux"):
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
         if mallopt is not None:

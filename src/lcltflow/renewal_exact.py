@@ -205,7 +205,8 @@ def _palm_sweep(atoms, groups):
             if off_zero[g[i]] is None:
                 off_zero[g[i]] = (int(P[i]), int(Q[i]))
         keep = T >= keep_from[g]
-        for k in np.unique(g[keep]):
+        # np.unique would import numpy.ma
+        for k in np.flatnonzero(np.bincount(g[keep], minlength=G)):
             sel = keep & (g == k)
             kept[k].append((S[sel], P[sel], Q[sel], T[sel], M[sel]))
         # every transition of the band at once, one row per state and atom;

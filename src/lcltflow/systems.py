@@ -45,7 +45,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval, chebvander
 
 from .config import read_system
 from .errors import MixedRingError
@@ -793,6 +792,9 @@ def _induced_fixed_point(s, M):
     Chebyshev-Lobatto nodes y = (3 + s) / 4 for the Chebyshev series c of
     h in 4y - 3.  Returns c, normalised to integrate to 1 over Y, and the
     Clenshaw-Curtis weights of the nodes on Y."""
+    # only the intermittent map loads numpy.polynomial
+    from numpy.polynomial.chebyshev import chebvander
+
     deg = len(s) - 1
     V = chebvander(s, deg)
     lam, vec = np.linalg.eig(np.linalg.solve(V.T, M.T).T)
@@ -859,6 +861,8 @@ class PMTowerBase:
     def induced_density(self, y):
         """The invariant density h of the first-return map on Y = (1/2, 1],
         normalised to integrate to 1 over Y."""
+        from numpy.polynomial.chebyshev import chebval
+
         y = np.asarray(y, dtype=float)
         h = (4 * y - 3).ravel()
         # 4y - 3 becomes h in slices of _LEAP_SLICE points, which keep

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from lcltflow import cli
+from lcltflow import cli, config
+from lcltflow.montecarlo import BLOCK_SIZE
 
 OSC_SYSTEM = {
     "type": "renewal", "D": 2,
@@ -193,7 +194,7 @@ def test_off_lattice_W_exits_3_in_predict_and_verify(tmp_path, capsys,
                                                       command):
     # both commands read the request's W exactly, and 1e-12 is off the
     # lattice Z of the benchmark's D label
-    cfg = _bench_lattice_cfg(1 << 10)
+    cfg = _bench_lattice_cfg(1 << 10, command)
     cfg["request"] = dict(cfg["request"], W=1e-12)
     code, _ = run(tmp_path, command, cfg)
     assert code == 3
@@ -240,13 +241,17 @@ def test_verify_lattice_zero_hit_estimate_passes(tmp_path):
     assert float(row[2]) == 0.0 and float(row[3]) > 1e-6
 
 
-def _bench_lattice_cfg(N):
-    """The benchmark's lattice config with N sample paths."""
+def _bench_lattice_cfg(N, command="verify"):
+    """The benchmark's lattice config with N sample paths, or for predict
+    the keys of it that predict reads."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "perfbench", "configs",
                         "lattice_verify.json")
     with open(path) as fh:
-        return dict(json.load(fh), N=N)
+        cfg = dict(json.load(fh), N=N)
+    if command == "predict":
+        cfg = {k: cfg[k] for k in config.COMMANDS["predict"].table if k in cfg}
+    return cfg
 
 
 def test_verify_lattice_reads_t_from_the_request(tmp_path):
@@ -280,13 +285,22 @@ def test_verify_lattice_case_E_targets_its_sheared_a(tmp_path):
 @pytest.mark.parametrize("where, key, value", [
     ("request", "w", 1), ("request", "nu_A", 0.5), ("request", "nu_B", 3),
     ("config", "nu_tau", [2, 3])])
-def test_verify_lattice_reads_only_its_event(tmp_path, where, key, value):
+def test_verify_lattice_reads_only_its_event(tmp_path, capsys, where, key,
+                                             value):
     # Monte Carlo and the oracle never read the request's w, nu_A or nu_B,
-    # so neither does the prediction; a config's nu_tau only has to agree
-    # with the system's
+    # so lattice verify's request does not declare them, and one given
+    # exits 2 naming it (it once exited 0, read by nothing); a config's
+    # nu_tau only has to agree with the system's
     cfg = _bench_lattice_cfg(1 << 14)
     changed = json.loads(json.dumps(cfg))
     (changed if where == "config" else changed["request"])[key] = value
+    if where == "request":
+        assert run(tmp_path, "verify", changed)[0] == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown key the request's {key}; known keys: t, W, l, "
+            f"I, J\n")
+        assert not (tmp_path / "out").exists()
+        return
     csvs = []
     for c in (cfg, changed):
         code, out = run(tmp_path, "verify", c)
@@ -312,7 +326,7 @@ def test_verify_rejects_a_nu_tau_that_is_not_the_systems(tmp_path, capsys,
 def test_case_D_without_a_fiber_interval_names_it(tmp_path, capsys, command,
                                                   key):
     # both once exited 3 with "cases D/E require fiber intervals I and J"
-    cfg = _bench_lattice_cfg(16)
+    cfg = _bench_lattice_cfg(16, command)
     del cfg["request"][key]
     assert run(tmp_path, command, cfg)[0] == 2
     assert capsys.readouterr().err == (
@@ -907,8 +921,13 @@ def test_pm_alpha_of_the_wrong_type_is_parse_error(tmp_path, capsys, alpha,
 
 
 def _markov_with(P=None, entry=None, value=None):
-    system = {"type": "markov", "P": P or [[0.5, 0.5], [0.5, 0.5]],
-              "f": [[[-1.0, 1.0], [1.0, 1.0]], [[-1.0, 1.0], [1.0, 1.0]]]}
+    """A Markov system on P (default a fair two-state chain) with values
+    -1, 1, 1, ... along each row and unit roofs, one f entry set to
+    value."""
+    P = P or [[0.5, 0.5], [0.5, 0.5]]
+    system = {"type": "markov", "P": P,
+              "f": [[[-1.0 if j == 0 else 1.0, 1.0] for j in range(len(P))]
+                    for _ in P]}
     if entry:
         i, j, k = entry
         system["f"][i][j][k] = value
@@ -952,6 +971,22 @@ def test_markov_entries_must_be_json_numbers(tmp_path, capsys, P, value,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert words in err
+
+
+@pytest.mark.parametrize("n_f, words", [
+    (2, "not enough values to unpack (expected 3, got 2)"),
+    (4, "too many values to unpack (expected 3, got 4)")])
+def test_markov_f_must_be_as_large_as_P(tmp_path, capsys, n_f, words):
+    # f's size is read from P's: a 2 x 2 x 2 f on a 3 x 3 P once exited 3
+    # ("f must give (phi, tau) per transition")
+    P = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    system = dict(_markov_with(P=P), f=_markov_with(P=[[1 / n_f] * n_f]
+                                                    * n_f)["f"])
+    cfg = {"system": system, "t": 2, "N": 10, "windows": [[0, -1, 1]]}
+    assert run(tmp_path, "verify", cfg)[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: cannot read Markov f = ") and words in err
 
 
 @pytest.mark.parametrize("mode", ["x", None, ["flow"]])
@@ -1033,6 +1068,33 @@ def test_cli_import_loads_no_process_pool():
     code = ("import sys, lcltflow.cli; print(sorted(m for m in sys.modules"
             f" if m == 'numpy' or m.split('.')[-1] in {layers!r}))")
     assert _fresh_python(code) == "[]"
+
+
+def test_the_calling_process_loads_only_what_it_runs(tmp_path):
+    # the blocks draw in forked workers, so the command's own process never
+    # loads numpy.random, at --workers 1 too; the renewal DP and the lattice
+    # oracle load no numpy.ma, and only the intermittent map loads
+    # numpy.polynomial.  Two blocks each, so --workers 2 forks two workers.
+    N = BLOCK_SIZE + 100
+    pm = {"system": {"type": "pm", "alpha": 0.25}, "mode": "flow", "t": 20,
+          "N": N, "windows": [[0, -0.5, 0.5]]}
+    runs = [("renewal", {"t_values": [50.2, 50.5]})]
+    for cfg in (_bench_lattice_cfg(N), _bench_flow_cfg(N), pm):
+        runs += [("verify", cfg, w) for w in ("1", "2")]
+    argvs = []
+    for k, (command, cfg, *workers) in enumerate(runs):
+        argvs.append([command, write_cfg(tmp_path, cfg, f"{k}.json"),
+                      "--out", str(tmp_path / str(k)), "--seed", "1",
+                      *(["--workers", *workers] if workers else [])])
+    code = ("import json, sys; from lcltflow import cli\n"
+            "seen = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    seen.append([cli.main(argv), sorted(\n"
+            "        m for m in ('numpy.random', 'numpy.ma',\n"
+            "                    'numpy.polynomial') if m in sys.modules)])\n"
+            "print(json.dumps(seen))")
+    seen = json.loads(_fresh_python(code).splitlines()[-1])
+    assert seen == [[0, []]] * 5 + [[0, ["numpy.polynomial"]]] * 2
 
 
 def test_exact_commands_run_without_numpy(tmp_path):

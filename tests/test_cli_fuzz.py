@@ -31,9 +31,12 @@ CASE_D = {"case": {"variant": "D", "a": 1, "b": [0, 1, 1, 1], "d": 1},
           "request": {"t": 2, "l": 0, "I": [0.0, 0.4], "J": [0.0, 0.4]}}
 
 
-# lattice verify with the request keys only predict reads, and with a
-# label lattice mode rejects
+# lattice verify with the E label whose shear-reduced D label is CASE_D's,
+# with the request keys only predict reads, and with a label lattice mode
+# rejects
 LATTICE = dict(CASE_D, system=RENEWAL, mode="lattice", t=2, N=16)
+LATTICE_CASE_E = dict(LATTICE, case={"variant": "E", "a_p": 1,
+                                     "b_p": [0, 1, 1, 1], "c_p": 0, "d_p": 1})
 LATTICE_PREDICT_KEYS = dict(LATTICE, request=dict(
     CASE_D["request"], w=1, nu_A=0.5, target=[0, 1]))
 LATTICE_CASE_A = dict(LATTICE, case={"variant": "A"})
@@ -44,7 +47,7 @@ def _base_configs():
                          "shift": [0, [1, 2]]}),
            ("predict", CASE_D),
            ("renewal", {"t_values": [1.5, [3, 2], 2]}),
-           ("verify", LATTICE_PREDICT_KEYS),
+           ("verify", LATTICE_CASE_E),
            ("verify", LATTICE_CASE_A)]
     for system in (RENEWAL, MARKOV, PM, SYSTEM_FILE):
         out += [
@@ -132,28 +135,33 @@ def test_cli_exit_codes_on_fuzzed_configs(case):
 
 
 def test_lattice_verify_bases_as_given(tmp_path, capsys):
-    # predict-only request keys change nothing; a case-A label exits 2
+    # an E label checks its shear-reduced D label; predict-only request
+    # keys, which lattice verify once ignored, and a case-A label exit 2
     results = []
-    for cfg in (LATTICE, LATTICE_PREDICT_KEYS):
+    for cfg in (LATTICE, LATTICE_CASE_E):
         d = tmp_path / str(len(results))
         d.mkdir()
         code, out = _run("verify", copy.deepcopy(cfg), str(d))
         with open(os.path.join(out, "verify.csv")) as fh:
-            results.append((code, fh.read()))
+            results.append((code, fh.read().splitlines()[1]))
     assert results[0] == results[1]
     capsys.readouterr()
-    code, _ = _run("verify", copy.deepcopy(LATTICE_CASE_A), str(tmp_path))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "case D or E" in err
+    for cfg, words in ((LATTICE_PREDICT_KEYS, "unknown key the request's w"),
+                       (LATTICE_CASE_A, "case D or E")):
+        code, _ = _run("verify", copy.deepcopy(cfg), str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and words in err
 
 
 # ---------------------------------------------------------------------------
 # the replay: every key path of each non-PM base deleted, or set to null,
-# "x", [] or true, and the PM system's own keys under one command
+# "x", [] or true, and an undeclared key added to each object; and the PM
+# system's own keys under one command
 # ---------------------------------------------------------------------------
 
 REPLAY_JUNK = [None, "x", [], True]
+UNDECLARED = "band_delt"
 REPLAY_BASES = [(command, cfg, ()) for command, cfg in BASES
                 if not (isinstance(cfg, dict) and cfg.get("system") == PM)]
 REPLAY_BASES.append(("simulate", {"system": dict(PM, roof="unit"), "t": 2,
@@ -163,8 +171,14 @@ REPLAY_BASES.append(("simulate", {"system": dict(PM, roof="unit"), "t": 2,
 
 def _mutations(cfg, under):
     """(path, how, config) for every key path below ``under``: the key
-    deleted ("delete") or its value replaced by each of REPLAY_JUNK."""
+    deleted ("delete") or its value replaced by each of REPLAY_JUNK; and
+    for each object from ``under`` down, the key path of an undeclared key
+    added to it ("add")."""
     for path in _paths(_at(cfg, under), under):
+        if isinstance(_at(cfg, path), dict):
+            mutated = copy.deepcopy(cfg)
+            _at(mutated, path)[UNDECLARED] = 1
+            yield path + (UNDECLARED,), "add", mutated
         for how in ["delete"] + REPLAY_JUNK if path != under else []:
             mutated = copy.deepcopy(cfg)
             node, key = _at(mutated, path[:-1]), path[-1]
@@ -202,7 +216,7 @@ def _table(spec, obj):
 
 def _declaration(command, cfg, path):
     """(reader, default) of the last object key on ``path`` in the table
-    that reads it (for a list item, the list's), or None if none does."""
+    that reads it (for a list item, the list's)."""
     spec, obj = config.COMMANDS[command], cfg
     for i, key in enumerate(path):
         entry = _table(spec, obj).get(key)
@@ -217,10 +231,10 @@ def _declaration(command, cfg, path):
     ids=[f"{i}-{c}" for i, (c, _, _) in enumerate(REPLAY_BASES)])
 def test_replay_of_each_key_path_exits_by_its_table(tmp_path, capsys,
                                                      command, base, under):
-    # a value of the wrong type or shape exits 2 with one line naming its
-    # key; exit 3 is left to the mathematics (a deleted atom row leaves
-    # probabilities that sum to 2/3), and exit 0 to values that are
-    # still valid
+    # a value of the wrong type or shape, or a key no table declares,
+    # exits 2 with one line naming its key; exit 3 is left to the
+    # mathematics (a deleted atom row leaves probabilities that sum to
+    # 2/3), and exit 0 to values that are still valid
     d = str(tmp_path)
     _run(command, copy.deepcopy(base), d)
     as_given = capsys.readouterr().err
@@ -229,7 +243,13 @@ def test_replay_of_each_key_path_exits_by_its_table(tmp_path, capsys,
         err = capsys.readouterr().err
         case = (path, how, code, err)
         assert "bad configuration" not in err, case
-        if code == 2:
+        if how == "add":
+            # a base that fails as given may fail before its system is read
+            assert code == 2, case
+            assert (err.startswith(f"error: unknown key {_names(path)[-1]}; "
+                                   f"known keys: ")
+                    or err == as_given), case
+        elif code == 2:
             assert len(err.splitlines()) == 1, case
             assert err.startswith("error: "), case
             assert (any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err)
@@ -244,10 +264,8 @@ def test_replay_of_each_key_path_exits_by_its_table(tmp_path, capsys,
         else:
             entry = _declaration(command, base, path)
             assert code == 0, case
-            assert (entry is None
-                    or how == "delete" and (isinstance(path[-1], int)
-                                            or entry[1] is not
-                                            config.REQUIRED)
+            assert (how == "delete" and (isinstance(path[-1], int)
+                                         or entry[1] is not config.REQUIRED)
                     # an empty grid writes the header alone
                     or (command, path, how) == ("spectral", ("t_grid",), [])
                     ), case

@@ -26,17 +26,54 @@ def test_every_benchmark_config_is_run_by_a_command():
     assert len(names) == 7
 
 
+def _benchmark_config(name):
+    with open(os.path.join(PERFBENCH, "configs", name)) as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("command, name", _benchmark_commands())
 def test_benchmark_config_reads_through_its_table(command, name):
-    # a stricter reader must not break a benchmark run: every key of the
-    # file is one its command's table declares, and every value reads
-    with open(os.path.join(PERFBENCH, "configs", name)) as fh:
-        cfg = json.load(fh)
-    got = config.read_config(command, cfg)
-    assert set(cfg) <= set(got)
+    # a stricter reader must not break a benchmark run: every value reads
+    cfg = _benchmark_config(name)
+    config.read_config(command, cfg)
     if "system" in cfg:
-        kind, args = config.read_system(cfg["system"])
-        assert set(cfg["system"]) <= {"type", "D", *args}
+        config.read_system(cfg["system"])
+
+
+def _objects(spec, obj, at="the config"):
+    """(where, its keys, the keys its table declares) of the object ``obj``
+    that the fields or tagged reader ``spec`` reads, and of every object
+    below it: a nested table's, and a system's through SYSTEMS."""
+    if hasattr(spec, "tag"):
+        table = spec.tables[obj.get(spec.tag, spec.default)]
+        yield at, set(obj), {spec.tag, *table}
+    else:
+        table = spec.table
+        yield at, set(obj), set(table)
+    for key, value in obj.items():
+        if isinstance(value, dict) and key in table:
+            reader = config.SYSTEMS if key == "system" else table[key][0]
+            yield from _objects(reader, value, f"{at}'s {key}")
+
+
+def _count_objects(node):
+    if isinstance(node, list):
+        return sum(map(_count_objects, node))
+    if isinstance(node, dict):
+        return 1 + sum(map(_count_objects, node.values()))
+    return 0
+
+
+@pytest.mark.parametrize("command, name", _benchmark_commands())
+def test_benchmark_config_declares_every_key_at_every_depth(command, name):
+    # config.fields rejects a key its table does not declare, so a key the
+    # tables lose, at any depth, would fail a benchmark run; every object
+    # of the file is walked
+    cfg = _benchmark_config(name)
+    objects = list(_objects(config.COMMANDS[command], cfg))
+    assert len(objects) == _count_objects(cfg)
+    for at, keys, declared in objects:
+        assert keys <= declared, (at, keys - declared)
 
 
 def _code_tables():

@@ -415,16 +415,17 @@ def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
     _cpus(monkeypatch, 3)
     assert _run_blocks(20, 1, 64, lambda b, n, rng: rng.random(),
                        block=2) == ref
-    assert shares == [[[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]]
+    assert shares[1:] == [[[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]]
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     _run_blocks(20, 1, 64, lambda b, n, rng: b, block=2)
-    assert len(shares[1]) == 4
-    # one usable CPU runs every block here
+    assert len(shares[2]) == 4
+    # one usable CPU, like one worker asked for, runs every block in one
+    # worker
     _cpus(monkeypatch, 1)
     assert _run_blocks(20, 1, 64, lambda b, n, rng: b, block=2) \
         == list(range(10))
-    assert len(shares) == 2
+    assert shares[0] == shares[3] == [list(range(10))]
 
 
 def test_200000_paths_run_as_seven_blocks_on_two_workers(monkeypatch):
@@ -447,7 +448,8 @@ def test_200000_paths_run_as_seven_blocks_on_two_workers(monkeypatch):
 
 
 def test_only_workers_keep_their_block_heap(monkeypatch, tmp_path):
-    # the heap thresholds are set in each forked worker, never here
+    # the heap thresholds are set in each forked worker, never here; one
+    # worker runs every block of a one-worker call and keeps the heap too
     _cpus(monkeypatch, 2)
     keep = montecarlo._keep_block_heap
 
@@ -456,11 +458,15 @@ def test_only_workers_keep_their_block_heap(monkeypatch, tmp_path):
         keep()
 
     monkeypatch.setattr(montecarlo, "_keep_block_heap", spy)
-    pids = _run_blocks(4, 1, 2, lambda b, n, rng: os.getpid(), block=2)
-    assert sorted(int(p.name) for p in tmp_path.iterdir()) == sorted(pids)
-    assert os.getpid() not in pids
-    _run_blocks(4, 1, 1, lambda b, n, rng: b, block=2)
-    assert len(list(tmp_path.iterdir())) == 2
+    for workers in (2, 1):
+        for p in tmp_path.iterdir():
+            p.unlink()
+        pids = _run_blocks(4, 1, workers, lambda b, n, rng: os.getpid(),
+                           block=2)
+        assert len(set(pids)) == workers
+        assert sorted(int(p.name) for p in tmp_path.iterdir()) \
+            == sorted(set(pids))
+        assert os.getpid() not in pids
 
 
 def _running(pid):
