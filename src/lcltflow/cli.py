@@ -325,7 +325,7 @@ def cmd_verify(run, cfg):
     from .groups import CaseLabel, interval
     from .montecarlo import estimate_lclt
     from .predict import FlowMLCLTParams, PredictionRequest, _d_params, predict
-    from .renewal_exact import stationary_event_probability
+    from .renewal_exact import integral_atoms, stationary_event_probability
     from .systems import load_system
 
     scale = run.args.tolerance_scale
@@ -373,6 +373,10 @@ def cmd_verify(run, cfg):
         wins = [("section", float(a), l)]
         req.w = float(v) / math.sqrt(float(t))
         checks = [(f"fiber l={l}", predict(params, req))]
+    exact = v is not None and system.kind == "renewal"
+    if exact:
+        # the oracle's checks of the atoms exit before any path is drawn
+        integral_atoms(system.atoms)
 
     # one set of sample paths serves every window
     ests = estimate_lclt(system, float(t), wins, cfg["N"], run.args.seed,
@@ -382,7 +386,7 @@ def cmd_verify(run, cfg):
     # the exact DP of the lattice check comes after Monte Carlo, so that
     # its tables do not stack on the Monte Carlo arrays in peak memory
     oracle = None
-    if v is not None and system.kind == "renewal":
+    if exact:
         p = stationary_event_probability(system.atoms, t, v, I=I, J=J)
         oracle = math.sqrt(float(t)) * float(p)
     rows = ["check,predicted,estimate,std_error,oracle,tolerance,status"]

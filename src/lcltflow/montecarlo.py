@@ -16,18 +16,18 @@ kernel and faulted in again.  Only where the platform has no ``os.fork``
 do the blocks run in the calling process.
 
 One vectorized path engine serves every system through the protocol of
-``systems`` (``draw_start``, ``step``, ``tau``, ``phi``, ``leap``,
-``block_sums``): each sample carries its current cell, accumulated
-roof time and accumulated section sum.  A ``leap`` pre-pass first adds the
-sums over the whole cells that certainly fit in each budget (iid renewal
-cells many at a time as count vectors, Markov edge paths many steps at a
-time, whole orbit passes of the intermittent map), and the live samples then
-advance one crossing per loop iteration until their time budget is spent.
-While every sample of the block is live, a pass works on the whole arrays
-through views; once some have finished, it gathers and scatters the live
-ones by index.  Both passes hand ``step`` the same states in the same order,
-so they make the same draws.  Batch-means sums come from each system's
-``block_sums``.
+``systems`` (``draw_start``, ``step``, ``tau``, ``phi``, ``leap``): each
+sample carries its current cell, accumulated roof time and accumulated
+section sum.  A ``leap`` pre-pass first adds the sums over the whole cells
+that certainly fit in each budget (iid renewal cells many at a time as
+count vectors, Markov edge paths many steps at a time, whole orbit passes
+of the intermittent map), and the live samples then advance one crossing
+per loop iteration until their time budget is spent.  While every sample
+of the block is live, a pass works on the whole arrays through views; once
+some have finished, it gathers and scatters the live ones by index.  Both
+passes hand ``step`` the same states in the same order, so they make the
+same draws.  Batch means step the base walk through the same protocol,
+from ``draw_base``, one cell per pass.
 """
 
 from __future__ import annotations
@@ -342,13 +342,19 @@ def sample_flow_integrals(system, t, N, seed, workers=1, field="raw"):
 def estimate_sigma(system, n_blocks=2000, block_len=1000, seed=0,
                    workers=1):
     """Batch-means covariance of block sums of (phi_check, tau)/sqrt(L),
-    centered at the block means.  A block is the first L cells of a path
-    from the base-invariant measure, summed by ``system.block_sums``.
-    Returns (2x2 covariance, 2x2 standard errors)."""
+    centered at the block means.  A block is the first L cells of a base
+    walk from the base-invariant measure: ``draw_base``, then ``step``,
+    with phi and tau added cell by cell.  Returns (2x2 covariance, 2x2
+    standard errors)."""
     def block_fn(b, n_traj, rng):
-        return np.column_stack(system.block_sums(n_traj, block_len, rng))
+        state = system.draw_base(n_traj, rng)
+        phi, tau = system.phi(state), system.tau(state)
+        for _ in range(block_len - 1):
+            state = system.step(state, rng)
+            phi += system.phi(state)
+            tau += system.tau(state)
+        return np.column_stack((phi, tau))
 
-    _build_tables(system)
     # one rng block per chunk of trajectories
     all_sums = _run_blocks(n_blocks, seed, workers, block_fn,
                            block=_SIGMA_BLOCK)

@@ -6,7 +6,9 @@ an exactly computable distribution: elapsed times live in the ring, and
 every comparison against t is exact.  This is the error-free oracle used to
 arbitrate Monte Carlo estimates and to exhibit the oscillating
 sqrt(t)-scaled probabilities that rule out a single local limit for
-arithmetic duration supports.
+arithmetic duration supports.  Stationary-start events also take rational
+rewards and durations in Q(sqrt(D)), scaled to those integers by
+``integral_atoms``.
 
 Every probability mass of the DP is a Python int over one denominator
 den = L**K.  L is the lcm of the atom-probability denominators, so atom k
@@ -70,6 +72,20 @@ def _exact_atoms(atoms):
     if sum(p for _, _, p in out) != 1:
         raise ValueError("probabilities must sum to 1")
     return out
+
+
+def integral_atoms(atoms):
+    """The atoms as the DP keys them, with rewards scaled by L_x, the lcm of
+    their denominators, and durations by L_y, the lcm of the denominators
+    of their p and q: integer rewards and quadratic-integer durations.
+    Returns (atoms, L_x, L_y).  Raises ValueError where ``_exact_atoms``
+    does, for a reward with a sqrt(D) part among others.  It is cheap, so
+    a caller can make its checks before any other work."""
+    atoms = [(as_quad(x), as_quad(y), p) for x, y, p in atoms]
+    L_x = math.lcm(*(x.p.denominator for x, _, _ in atoms))
+    L_y = math.lcm(*(d.denominator for _, y, _ in atoms for d in (y.p, y.q)))
+    return (_exact_atoms([(x * L_x, y * L_y, p) for x, y, p in atoms]),
+            L_x, L_y)
 
 
 def _nu_tau(atoms):
@@ -435,11 +451,18 @@ def stationary_event_probability(atoms, t, S_target, I=None, J=None):
     stay lattice-valued along the flow).  I and J are fiber intervals (lo,
     hi), half-open, exact; None means unconstrained.  Returns an exact
     element of Q(sqrt(D)); pruning is disabled, so this is error-free.
-    A value off the integers, where no reward sum lies, has probability 0.
+
+    Rational rewards and durations in Q(sqrt D) are scaled to the DP's
+    integers by ``integral_atoms``, the target with the rewards and t, I
+    and J with the durations, which leaves the event's probability as it
+    is.  A value off (1 / L_x) Z, where no reward sum lies, has
+    probability 0.
     """
-    atoms = _exact_atoms(atoms)
-    t = as_quad(t)
-    v = as_quad(S_target)
+    atoms, L_x, L_y = integral_atoms(atoms)
+    t = as_quad(t) * L_y
+    v = as_quad(S_target) * L_x
+    I, J = (None if e is None else (as_quad(e[0]) * L_y, as_quad(e[1]) * L_y)
+            for e in (I, J))
     if not (v.is_rational() and v.p.denominator == 1):
         return t - t
     masses, _pruned = _stationary_masses(atoms, t, prune_bound=None,

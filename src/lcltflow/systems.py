@@ -12,6 +12,8 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
 
 - ``draw_start(n, rng)``: n states from the roof-size-biased measure (the
   base marginal of the flow-invariant measure);
+- ``draw_base(n, rng)``: n states from the base-invariant measure, where
+  the base walks of batch means start;
 - ``step(states, rng)``: one application of the base dynamics;
 - ``tau(states)`` and ``phi(states)``: roof and per-cell integral;
 - ``leap(states, budget, rng)``: (count, phi_sum, tau_sum, states) per
@@ -24,15 +26,12 @@ protocol on arrays of base states, which is all the Monte Carlo engine uses:
   leaves its current edge along m-step edge paths drawn whole from path
   tables; the intermittent map runs each orbit through the cells that fit
   under the largest roof.  A system with nothing to leap returns zero
-  counts;
-- ``block_sums(n, m, rng)``: (phi_sum, tau_sum) over the first m cells of
-  n trajectories from the base-invariant measure (their starts drawn by
-  ``draw_base``), by the same means.
+  counts.
 
 Renewal and Markov systems also give ``sigma()``, the 2 x 2 asymptotic
 covariance of the base sums of (phi, tau), in closed form: the limit of
-Cov(S_m) / m that batch means over ``block_sums`` estimates.  Renewal
-systems give their exact moderate-deviation table (``moderate_dev_table``).
+Cov(S_m) / m that batch means estimate.  Renewal systems give their exact
+moderate-deviation table (``moderate_dev_table``).
 
 States are atom indices (renewal), flat edge indices i*n + j for the
 transition i -> j being traversed (Markov), and points of (0, 1] (the
@@ -264,15 +263,14 @@ class RenewalBase(_TableLeap):
     """iid atoms (x_i, y_i) with rational probabilities: reward x, duration
     y > 0, zero-mean rewards.  State = atom index.
 
-    ``leap`` and ``block_sums`` take m iid cells at once by their type
-    class (the method of types; Csiszar, IEEE Trans. IT 44, 1998): m cells
-    that fall n_i on atom i add n.x and n.y, with multinomial mass.  For
-    m = M, M // 2, ..., 1, a one-vertex ``_PathTable`` lists every count
-    vector n of the atoms of positive probability with |n| = m, heaviest
-    first, so the draws that need the guide table's advance passes are
-    rare.  M is the largest m with at most _PATH_CAP vectors (a single atom,
-    one vector per level, stops at the cap); the tables are built on first
-    use."""
+    ``leap`` takes m iid cells at once by their type class (the method
+    of types; Csiszar, IEEE Trans. IT 44, 1998): m cells that fall n_i on
+    atom i add n.x and n.y, with multinomial mass.  For m = M, M // 2,
+    ..., 1, a one-vertex ``_PathTable`` lists every count vector n of the
+    atoms of positive probability with |n| = m, heaviest first, so the
+    draws that need the guide table's advance passes are rare.  M is the
+    largest m with at most _PATH_CAP vectors (a single atom, one vector
+    per level, stops at the cap); the tables are built on first use."""
 
     def __init__(self, atoms):
         self.atoms = []
@@ -357,21 +355,6 @@ class RenewalBase(_TableLeap):
         k = table.sampler.draw(0, rng.random(len(cur)))
         return table.phi[k], table.tau[k], cur
 
-    def block_sums(self, n, m, rng):
-        """(phi_sum, tau_sum) over m iid cells for each of n paths: count
-        vectors of the longest level while at least that many cells remain,
-        then of the shorter levels."""
-        phi_sum = np.zeros(n)
-        tau_sum = np.zeros(n)
-        left = m
-        for table in self.path_tables():
-            while left >= table.m:
-                k = table.sampler.draw(0, rng.random(n))
-                phi_sum += table.phi[k]
-                tau_sum += table.tau[k]
-                left -= table.m
-        return phi_sum, tau_sum
-
     # -- moderate deviations ----------------------------------------------
 
     def ball_masses(self, w, R):
@@ -443,12 +426,12 @@ class MarkovShiftBase(_TableLeap):
     sits in the fiber over the transition being traversed.
 
     Next states are inverse-CDF draws on the rows of P through a
-    ``_GuideTable``.  ``leap`` and ``block_sums`` take many steps per pass
-    with path tables: for m = M, M // 2, ..., 1, every positive-probability
-    m-step path from each vertex, drawn whole by the same sampler.  M is the
-    largest m with at most _PATH_CAP paths from any vertex; the tables are
-    built on first use, so a chain that only serves the exact oracles never
-    pays for them."""
+    ``_GuideTable``.  ``leap`` takes many steps per pass with path tables:
+    for m = M, M // 2, ..., 1, every positive-probability m-step path from
+    each vertex, drawn whole by the same sampler.  M is the largest m with
+    at most _PATH_CAP paths from any vertex; the tables are built on first
+    use, so a chain that only serves the exact oracles never pays for
+    them."""
 
     def __init__(self, P, f):
         P = np.asarray(P, dtype=float)
@@ -569,24 +552,6 @@ class MarkovShiftBase(_TableLeap):
         k = table.sampler.draw(self._head[cur], rng.random(len(cur)))
         return self.edge_phi[cur] + table.phi[k], table.tau[k], table.last[k]
 
-    def block_sums(self, n, m, rng):
-        """(phi_sum, tau_sum) over the first m edges of n trajectories from
-        the base-invariant measure: leaps of the longest level while at
-        least that many edges remain, then the shorter levels."""
-        cur = self.draw_base(n, rng)
-        phi_sum = np.zeros(n)
-        # tau over the edges entered, the first included; the edge after
-        # the m-th is taken off at the end
-        tau_sum = self.edge_tau[cur].copy()
-        left = m
-        for table in self.path_tables():
-            while left >= table.m:
-                ps, ts, cur = self._leap_paths(table, cur, rng)
-                phi_sum += ps
-                tau_sum += ts
-                left -= table.m
-        return phi_sum, tau_sum - self.edge_tau[cur]
-
     def _log_eigenvalue_series(self, g, order):
         """Taylor coefficients c_1..c_order at s = 0 of log lambda(s), with
         lambda(s) the leading eigenvalue of P_s = P o exp(s g) for a scalar
@@ -655,15 +620,14 @@ _PULLBACK_BLOCK = 256        # rows per Newton solve
 _PULLBACK_STEPS = 16         # Newton steps per block before giving up
 
 
-def _pm_pullback(alpha, z, depth=None):
+def _pm_pullback(alpha, z):
     """Backward orbits of the left branch L(u) = u(1 + 2^alpha u^alpha),
     as a stream of row blocks.
 
     Yields blocks (U, D) whose rows, stacked, are U[k] = L^{-k}(z) and
-    D[k] = dU[k]/dz for k = 0, 1, ...: ``depth`` rows, or without a depth
-    rows up to the first one whose last entry is <= _PULLBACK_FLOOR (at
-    most _PULLBACK_CAP rows).  z is a nonempty vector of points of (0, 1],
-    else ValueError (on the first block).
+    D[k] = dU[k]/dz for k = 0, 1, ... up to the first row whose last entry
+    is <= _PULLBACK_FLOOR (at most _PULLBACK_CAP rows).  z is a nonempty
+    vector of points of (0, 1], else ValueError (on the first block).
 
     The first block is row 0, z itself.  The rest come in blocks of
     _PULLBACK_BLOCK rows, each one Newton solve of F[j] = L(V[j]) -
@@ -682,12 +646,11 @@ def _pm_pullback(alpha, z, depth=None):
     if z.ndim != 1 or not z.size or not np.all((z > 0) & (z <= 1)):
         raise ValueError("z must be a nonempty vector of points in (0, 1]")
     c = 2.0 ** alpha
-    rows = depth or _PULLBACK_CAP
     u, d = z, np.ones_like(z)
     yield u[None], d[None]
     k = 1
-    while k < rows and (depth or u[-1] > _PULLBACK_FLOOR):
-        n = min(_PULLBACK_BLOCK, rows - k)
+    while k < _PULLBACK_CAP and u[-1] > _PULLBACK_FLOOR:
+        n = min(_PULLBACK_BLOCK, _PULLBACK_CAP - k)
         w0 = u ** -alpha
         w = w0 + alpha * c * np.arange(1, n + 1)[:, None]
         V = (w - (1 + alpha) * c / 2 * np.log(w / w0)) ** (-1 / alpha)
@@ -710,10 +673,9 @@ def _pm_pullback(alpha, z, depth=None):
             raise ArithmeticError(
                 f"the pull-back at alpha = {alpha} did not converge in "
                 f"{_PULLBACK_STEPS} Newton steps")
-        if not depth:
-            below = np.flatnonzero(V[:, -1] <= _PULLBACK_FLOOR)
-            if below.size:
-                V = V[:below[0] + 1]
+        below = np.flatnonzero(V[:, -1] <= _PULLBACK_FLOOR)
+        if below.size:
+            V = V[:below[0] + 1]
         a = 1 / (1 + (1 + alpha) * c * V ** alpha)
         D = np.cumprod(np.concatenate((d[None], a)), axis=0)[1:]
         u, d = V[-1], D[-1]
@@ -722,7 +684,7 @@ def _pm_pullback(alpha, z, depth=None):
 
 
 PM_ROOFS = {
-    "unit": lambda y: np.ones_like(np.asarray(y, dtype=float)),
+    "unit": lambda y: np.ones(np.shape(y)),
     "affine": lambda y: 1.0 + np.asarray(y, dtype=float) / 2,
 }
 
@@ -916,7 +878,11 @@ class PMTowerBase:
         return self._roof(states)
 
     def phi(self, states):
-        return (states - self.rate_mean) * self._roof(states)
+        # on the unit roof, x - m is (x - m) * 1.0 to the last bit
+        centred = states - self.rate_mean
+        if self.roof_id == "unit":
+            return centred
+        return centred * self._roof(states)
 
     # -- whole-cell passes ------------------------------------------------
 
@@ -927,7 +893,7 @@ class PMTowerBase:
         These are the float operations of ``phi`` and ``pm_map`` in the
         order of the crossing loop, so psi is the loop's to the last bit.
         The paths step as a whole while each has cells left, and by index
-        after that; the engine hands them over one Monte Carlo block at a
+        after that; ``leap`` hands them over one Monte Carlo block at a
         time, which stays in cache."""
         buf, mask = np.empty(len(x)), np.empty(len(x), dtype=bool)
         k = int(m.min()) if len(m) else 0
@@ -980,15 +946,6 @@ class PMTowerBase:
             self._orbit(cur, m, phi_sum, tau_sum)
             tau_sum += self._roof(cur) - self._roof(states)
         return m.astype(np.int64), phi_sum, tau_sum, cur
-
-    def block_sums(self, n, m, rng):
-        """(phi_sum, tau_sum) over the first m cells of n orbits from the
-        invariant measure, summed in the order of a stepped walk."""
-        x = self.draw_base(n, rng)
-        phi_sum = np.zeros(n)
-        tau_sum = None if self.roof_id == "unit" else np.zeros(n)
-        self._orbit(x, np.full(n, m), phi_sum, tau_sum)
-        return phi_sum, np.full(n, float(m)) if tau_sum is None else tau_sum
 
     # -- induced first-return structure ---------------------------------
 

@@ -6,10 +6,7 @@
 - ``flow_masked``: the block engine with every pass gathered and scattered
   through the indices of the live paths, whole-block passes included, and
   without a leap pre-pass where the system has no ``leap``.
-- ``WithoutLeap``: a system with its ``leap`` hidden and its ``block_sums``
-  stepped one cell at a time along a base walk (``draw_base``, then
-  ``step``), so that ``estimate_sigma`` on it gives the stepped batch
-  means.
+- ``WithoutLeap``: a system with its ``leap`` hidden.
 - ``stepped_paths``: ``montecarlo._paths`` with every crossing stepped,
   through ``flow_masked`` on ``WithoutLeap``.
 - ``scan_index`` and ``scan_edges``: inverse-CDF draws by a full comparison
@@ -27,10 +24,9 @@
   tail sums over the stored rows.
 
 Tests compare them against ``montecarlo._flow``, ``montecarlo._paths``,
-``montecarlo.estimate_sigma``, ``systems._GuideTable``,
-``systems.pm_map``, ``PMTowerBase.return_time``,
-``systems._pm_pullback`` and ``PMTowerBase``, on the same random
-stream where one is drawn.
+``systems._GuideTable``, ``systems.pm_map``, ``PMTowerBase.return_time``,
+``systems._pm_pullback`` and ``PMTowerBase``, on the same random stream
+where one is drawn.
 """
 
 from dataclasses import dataclass
@@ -136,7 +132,7 @@ def flow_masked(system, state, s, dt, rng):
 
 class WithoutLeap:
     """A system with its ``leap`` hidden, so that the references cross one
-    cell per loop pass, and with block sums stepped one cell at a time."""
+    cell per loop pass."""
 
     def __init__(self, system):
         self.system = system
@@ -145,18 +141,6 @@ class WithoutLeap:
         if name == "leap":
             raise AttributeError(name)
         return getattr(self.system, name)
-
-    def block_sums(self, n, m, rng):
-        """(phi_sum, tau_sum) over the first m cells of n base walks from
-        the base-invariant measure, added one step at a time."""
-        state = self.system.draw_base(n, rng)
-        sums = np.zeros((2, n))
-        for k in range(m):
-            if k:
-                state = self.system.step(state, rng)
-            sums[0] += self.system.phi(state)
-            sums[1] += self.system.tau(state)
-        return sums[0], sums[1]
 
 
 def stepped_paths(system, t, n, rng):
@@ -217,21 +201,19 @@ def pm_first_return(x: float, alpha: float):
     return y, r
 
 
-def pm_pullback(alpha, z, depth=None):
+def pm_pullback(alpha, z):
     """Backward orbits of the left branch L(u) = u(1 + 2^alpha u^alpha).
 
     Returns (U, D) with rows U[k] = L^{-k}(z) and D[k] = dU[k]/dz for
-    k = 0, 1, ...: ``depth`` rows, or without a depth rows up to the first
-    one whose last entry is <= _PULLBACK_FLOOR (at most _PULLBACK_CAP
-    rows).  Each row is solved by Newton's method from a geometric
-    extrapolation of the two before it.
+    k = 0, 1, ... up to the first row whose last entry is <=
+    _PULLBACK_FLOOR (at most _PULLBACK_CAP rows).  Each row is solved by
+    Newton's method from a geometric extrapolation of the two before it.
     """
     c = 2.0 ** alpha
-    rows = depth or _PULLBACK_CAP
-    U = np.empty((rows, len(z)))
+    U = np.empty((_PULLBACK_CAP, len(z)))
     U[0] = z
     k = 1
-    while k < rows and (depth or U[k - 1, -1] > _PULLBACK_FLOOR):
+    while k < _PULLBACK_CAP and U[k - 1, -1] > _PULLBACK_FLOOR:
         w = U[k - 1]
         u = w / (1 + c * w ** alpha) if k == 1 else w * (w / U[k - 2])
         while True:
@@ -250,10 +232,10 @@ def pm_pullback(alpha, z, depth=None):
     return U, D
 
 
-def pm_pullback_table(alpha, z, depth=None):
+def pm_pullback_table(alpha, z):
     """The (U, D) table of ``systems._pm_pullback``: its row blocks
     stacked."""
-    U, D = zip(*_pm_pullback(alpha, z, depth))
+    U, D = zip(*_pm_pullback(alpha, z))
     return np.concatenate(U), np.concatenate(D)
 
 

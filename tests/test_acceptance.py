@@ -131,14 +131,11 @@ def test_criterion_3_eigenvalue_expansion_fit():
 
 def test_criterion_4_nonarithmetic_flow_lclt():
     """Renewal flow with rationally independent durations: the scaled
-    central-window mass matches the Gaussian density with variance from
-    batch means, and the w = +-1 windows reproduce the Gaussian ratio."""
+    central-window mass matches the Gaussian density with the variance of
+    ``sigma()``, and the w = +-1 windows reproduce the Gaussian ratio."""
     sysm = RenewalBase([(-1, as_quad(1), THIRD), (0, S2, THIRD),
                         (1, S3, THIRD)])
-    cov, cse = estimate_sigma(sysm, n_blocks=8000, block_len=2000,
-                              seed=SEED, workers=WORKERS)
-    Sigma = cov[0, 0] / sysm.nu_tau
-    sig_se = cse[0, 0] / sysm.nu_tau
+    Sigma = sysm.sigma()[0, 0] / sysm.nu_tau
     g0 = 1 / math.sqrt(2 * math.pi * Sigma)
     # one set of paths for all three windows, as `lcltflow verify` does
     ws = (0.0, 1.0, -1.0)
@@ -148,17 +145,13 @@ def test_criterion_4_nonarithmetic_flow_lclt():
     e0 = ests[0.0]
     ok = abs(e0.point - g0) <= 3 * e0.std_error + 0.10 * g0
     target = math.exp(-1 / (2 * Sigma))
-    # the ratio's uncertainty includes the variance-estimate error pushed
-    # through d/dSigma exp(-1/(2 Sigma))
-    dtarget = target / (2 * Sigma ** 2) * sig_se
     detail = [f"w=0: {e0.point:.4f} vs {g0:.4f}"]
     for w in (1.0, -1.0):
         e = ests[w]
         r = e.point / e0.point
         r_se = r * math.hypot(e.std_error / e.point,
                               e0.std_error / e0.point)
-        tol = 3 * math.hypot(r_se, dtarget)
-        ok = ok and abs(r - target) <= tol
+        ok = ok and abs(r - target) <= 3 * r_se
         detail.append(f"w={w:+g} ratio {r:.4f} vs {target:.4f}")
     report(4, "flow windows match Gaussian density and ratios", ok,
            "; ".join(detail))
@@ -309,7 +302,8 @@ def test_criterion_9_moderate_deviations():
     """The exact moderate-deviation table at w = 400, R = 10 is
     non-increasing in K, 0.0021681 at K = 2, below 1e-30 at K = 5 and 0 at
     K = 10, so it drops at least 5x by K = 10; and its ball masses at sizes
-    400 and 360 lie within 3 SE of the base sums of 2^20 paths."""
+    400 and 360 lie within 3 SE of 2^20 base sums S_n, each drawn as the
+    count vector of its n iid cells."""
     sys = osc_system()
     w, R, N = 400, 10.0, 1 << 20
     vals = sys.moderate_dev_table([w], [2.0, 5.0, 10.0], R)[w]
@@ -320,8 +314,9 @@ def test_criterion_9_moderate_deviations():
     exact = sys.ball_masses(w, R)
     rng = np.random.default_rng(SEED)
     detail = []
+    values = np.column_stack((sys.xs, sys.ys))
     for n in (400, 360):
-        phi, tau = sys.block_sums(N, n, rng)
+        phi, tau = (rng.multinomial(n, sys.probs, size=N) @ values).T
         p = np.count_nonzero(phi ** 2 + (tau - w * sys.nu_tau) ** 2
                              <= R * R) / N
         se = math.sqrt(max(p * (1 - p), 1 / N) / N)

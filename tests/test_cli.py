@@ -429,6 +429,45 @@ def test_verify_lattice_predicts_at_w_v_over_sqrt_t(tmp_path):
     assert expected != _lattice_prediction(cfg, lambda nu: 1.0, **event)
 
 
+def test_verify_lattice_oracle_takes_half_integer_rewards(tmp_path, capsys):
+    # section 6.1 with rewards -1/2, 0, 1/2: classify says D(a = 1/2,
+    # b = sqrt2 - 1, d = 1) and sigma_flow is 1/4.  The event at v = 0 is
+    # section 6.1's, so the oracle is lattice-verify's; it exited 3 with
+    # "rewards must be integers" once its Monte Carlo had run
+    cfg = _bench_lattice_cfg(1 << 12)
+    half = json.loads(json.dumps(cfg))
+    for row in half["system"]["atoms"]:
+        row[0] /= 2
+    half.update(case=dict(cfg["case"], a=[1, 2]), sigma_flow=0.25)
+    rows = []
+    for c in (cfg, half):
+        row = _verify_row(tmp_path, c)
+        assert row["status"] == "PASS"
+        rows.append(row)
+    assert "oracle 0.371459" in capsys.readouterr().out
+    assert rows[0]["oracle"] == rows[1]["oracle"] != ""
+
+
+def test_verify_lattice_rewards_off_the_rationals_exit_before_any_path(
+        tmp_path, capsys, monkeypatch):
+    # rewards -+sqrt2 cannot be scaled to the oracle's integers: exit 3
+    # from the oracle's checks, before Monte Carlo draws a path
+    from lcltflow import montecarlo
+
+    def fail(*args, **kwargs):
+        pytest.fail("Monte Carlo ran before the oracle's checks")
+
+    monkeypatch.setattr(montecarlo, "estimate_lclt", fail)
+    cfg = _bench_lattice_cfg(1 << 12)
+    cfg["system"] = {"type": "renewal", "D": 2,
+                     "atoms": [[0, -1, 1, 0, 1, 2], [0, 1, 1, 0, 1, 2]]}
+    del cfg["sigma_flow"], cfg["nu_tau"]
+    code, _ = run(tmp_path, "verify", cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "rewards must be integers" in err and "Traceback" not in err
+
+
 def _forbid_estimate_sigma(monkeypatch):
     """Fail the test if verify estimates Sigma by batch means."""
     from lcltflow import montecarlo

@@ -244,37 +244,6 @@ def test_markov_leap_keeps_the_law_of_the_crossing_loop(kind):
         assert _two_sample_chi2_p(a, b) > 0.01, field
 
 
-@pytest.mark.parametrize("kind", ["renewal", "bench", "skewed", "chain3"])
-def test_block_sums_keep_the_law_of_the_base_walk(kind):
-    # sums over block_len = 50 cells, drawn as sums against the stepped
-    # base walk, and the batch means of both
-    sys = osc_system() if kind == "renewal" else MARKOV_CHAINS[kind]()
-    n, L = 1 << 14, 50
-    phi, tau = sys.block_sums(n, L, np.random.default_rng(51))
-    ref_phi, ref_tau = WithoutLeap(sys).block_sums(
-        n, L, np.random.default_rng(52))
-    # phi values are multiples of 1/2; tau sums compared on unit bins
-    for a, b in ((phi, ref_phi), (tau, ref_tau)):
-        assert _two_sample_chi2_p(np.rint(2 * a).astype(np.int64),
-                                  np.rint(2 * b).astype(np.int64)) > 0.01
-    cov, se = estimate_sigma(sys, n_blocks=4000, block_len=L, seed=53)
-    ref, ref_se = estimate_sigma(WithoutLeap(sys), n_blocks=4000,
-                                 block_len=L, seed=54)
-    assert np.all(np.abs(cov - ref) < 4 * np.hypot(se, ref_se))
-
-
-def test_coin_chain_block_sums_count_their_cells():
-    # unit roofs: the tau sum of m cells is m, and the phi sum has m's
-    # parity, for every m the levels split differently; the same for the
-    # iid coin's count vectors
-    rng = np.random.default_rng(55)
-    for sys in (coin_chain(), coin_system()):
-        for m in (1, 2, 5, 12, 13, 50, 1000, 5000):
-            phi, tau = sys.block_sums(300, m, rng)
-            assert np.array_equal(tau, np.full(300, float(m)))
-            assert np.all((phi - m) % 2 == 0) and np.all(np.abs(phi) <= m)
-
-
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_leap_and_engine_leave_the_start_states(kind):
     # every leap returns its current cells as a new array, so the engine
@@ -328,18 +297,6 @@ def test_pm_budget_below_one_roof_leaps_nothing(roof):
     assert leapt["ncross"].max() == 1
     for field in PATH_FIELDS:
         assert np.array_equal(leapt[field], stepped[field]), field
-
-
-@pytest.mark.parametrize("roof", ["unit", "affine"])
-def test_pm_block_sums_equal_the_stepped_batch_means(roof):
-    # block sums add phi and tau along each orbit in the stepped walk's
-    # order, so the batch means are identical arrays
-    sys = PMTowerBase(0.25, roof)
-    got = estimate_sigma(sys, n_blocks=1100, block_len=300, seed=65,
-                         workers=2)
-    ref = estimate_sigma(WithoutLeap(sys), n_blocks=1100, block_len=300,
-                         seed=65, workers=2)
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def test_pm_correlation_equals_the_stepped_series():
@@ -626,9 +583,15 @@ def test_estimators_build_path_tables_before_forking(make):
     assert two._tables is not None
     e1 = estimate_lclt(make(), 6.0, win, N, 8, workers=1)
     assert (e1[0].point, e1[0].std_error) == (e2[0].point, e2[0].std_error)
+    # batch means step the base walk, which needs no tables: none is
+    # built here or in a worker
     sums = make()
+
+    def no_tables():
+        raise AssertionError("batch means asked for path tables")
+
+    sums.path_tables = no_tables
     estimate_sigma(sums, n_blocks=1100, block_len=50, seed=8, workers=2)
-    assert sums._tables is not None
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,35 @@ def test_stationary_event_interval_constraints_partition():
     assert (whole - parts).is_zero()
 
 
+@pytest.mark.parametrize("t", [5, 12])
+def test_stationary_event_of_scaled_atoms_is_section_61s(t):
+    # halved rewards: the event at v = l / 2 is section 6.1's at v = l, and
+    # a value off the half-integers has probability 0; halved durations:
+    # the event at t / 2 with I / 2 and J / 2 is section 6.1's at t, I, J.
+    # Both are exact, in Q(sqrt 2)
+    atoms = section_61_atoms()
+    I, J = (as_quad(0), S2 - 1), (ONE - S2 / 2, ONE)
+    half_x = [(x * HALF, y, p) for x, y, p in atoms]
+    half_y = [(x, y * HALF, p) for x, y, p in atoms]
+    for l in (0, 1):
+        want = stationary_event_probability(atoms, t, l, I=I, J=J)
+        assert want.sign() > 0
+        assert stationary_event_probability(half_x, t, l * HALF, I=I,
+                                            J=J) == want
+        assert stationary_event_probability(
+            half_y, as_quad(t) * HALF, l, I=tuple(e * HALF for e in I),
+            J=tuple(e * HALF for e in J)) == want
+    assert stationary_event_probability(half_x, t, Fraction(1, 4)) == 0
+
+
+def test_stationary_event_rejects_rewards_off_the_rationals():
+    # the DP keys on rational reward sums; a sqrt 2 part cannot be scaled
+    # away
+    atoms = [(-S2, ONE, HALF), (S2, ONE, HALF)]
+    with pytest.raises(ValueError, match="rewards must be integers"):
+        stationary_event_probability(atoms, 4, 0)
+
+
 # ---------------------------------------------------------------------------
 # the oscillation scan
 # ---------------------------------------------------------------------------

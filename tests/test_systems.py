@@ -861,17 +861,6 @@ def test_pm_pullback_matches_the_stepped_reference(alpha):
         assert U[-1, -1] <= _PULLBACK_FLOOR < U[-2, -1]
 
 
-@pytest.mark.parametrize("depth", [1, _PULLBACK_BLOCK - 1,
-                                   _PULLBACK_BLOCK + 1, "thresholds"])
-def test_pm_pullback_depth_matches_the_stepped_reference(depth):
-    if depth == "thresholds":
-        depth = len(PMTowerBase(0.25).thresholds)
-    z = 0.5 + 0.5 * np.random.default_rng(8).random(50)
-    got = pm_pullback_table(0.25, z, depth=depth)
-    assert len(got[0]) == depth
-    assert_pullbacks_agree(0.25, got, pm_pullback(0.25, z, depth=depth))
-
-
 @pytest.mark.parametrize("row", [0, 1, _PULLBACK_BLOCK, _PULLBACK_BLOCK + 1,
                                  2 * _PULLBACK_BLOCK])
 def test_pm_pullback_stops_at_the_floor_on_any_row_of_a_block(row):
@@ -944,10 +933,13 @@ def test_pm_build_memory_is_bounded_by_its_blocks():
 def test_pm_induced_density_is_invariant():
     # the backward orbits solve L(U[k]) = U[k - 1], and the induced density
     # is a fixed point of L_F h(z) = sum_r h(psi_r(z)) psi_r'(z) at points of
-    # Y off the Chebyshev nodes, summed over the same branches
+    # Y off the Chebyshev nodes, summed over the same branches: the node 1/2
+    # comes last, so the stream stops where the thresholds stop
     sys = PMTowerBase(0.25)
     z = 0.5 + 0.5 * np.random.default_rng(3).random(200)
-    U, D = pm_pullback_table(0.25, z, depth=len(sys.thresholds))
+    U, D = pm_pullback_table(0.25, np.append(z, 0.5))
+    assert len(U) == len(sys.thresholds)
+    U, D = U[:, :-1], D[:, :-1]
     assert np.max(np.abs(_pm_left(U[1:], 0.25) / U[:-1] - 1)) <= 1e-14
     Lh = np.sum(sys.induced_density((1 + U) / 2) * D / 2, axis=0)
     h = sys.induced_density(z)
