@@ -123,6 +123,18 @@ def pair(read):
     return lo_hi
 
 
+def interval(read):
+    """[lo, hi] of ``read``'s values with lo < hi, as a tuple."""
+    read_pair = pair(read)
+
+    def lo_hi(v, at, env):
+        lo, hi = read_pair(v, at, env)
+        if not lo < hi:
+            raise ConfigError(f"{at} = {v!r:.60} is empty: it needs lo < hi")
+        return lo, hi
+    return lo_hi
+
+
 def matrix(shape, name, rows_of=None):
     """Nested lists of JSON numbers (not bools) of ``shape``, as given; a
     length "n" is the number of rows, at least 1, or that of the value read
@@ -261,7 +273,7 @@ _FLOAT_TIME = positive(number, "flow time")
 _N = (positive(integer, "integer"), REQUIRED)
 # the request's event, which predict and lattice verify read alike
 _EVENT = {"t": (_TIME, REQUIRED), "W": (decimal, 0), "l": (integer, 0),
-          "I": (pair(decimal), None), "J": (pair(decimal), None)}
+          "I": (interval(decimal), None), "J": (interval(decimal), None)}
 _VERIFY = {"D": _D, "system": (_SYSTEM, REQUIRED), "N": _N,
            "nu_tau": (number, None), "sigma_flow": (number, None)}
 
@@ -280,7 +292,8 @@ COMMANDS = {
         "sigma_flow": (number, REQUIRED), "nu_tau": (number, REQUIRED),
         "request": (fields({**_EVENT, "w": (number, 0), "nu_A": (number, 1),
                             "nu_B": (number, 1),
-                            "target": (pair(number), None)}), REQUIRED)}),
+                            "target": (interval(number), None)}),
+                    REQUIRED)}),
     "verify": tagged("verify", "mode", {
         "flow": {**_VERIFY, "t": (_TIME, REQUIRED),
                  "windows": (list_of(flow_window), REQUIRED)},

@@ -192,10 +192,6 @@ class ClosedSubgroup2:
         return (f"ClosedSubgroup2(dim_linear={self.dim_linear}, "
                 f"dirs={self.linear_dirs}, lattice={self.lattice_basis})")
 
-    def contains(self, v):
-        """Exact membership test for a field vector: v reduces to zero."""
-        return all(c.is_zero() for c in reduce_shift(self, v))
-
     def to_json(self):
         return {
             "dim_linear": self.dim_linear,
@@ -295,11 +291,6 @@ def interval(lo, hi, lo_closed=True, hi_closed=False):
 
 def point(x):
     return ("pt", float(x))
-
-
-def ball(radius):
-    """Closed ball {z : |z| <= radius}."""
-    return interval(-radius, radius, True, True)
 
 
 def _lattice_count(a, item, shift=0.0):

@@ -224,11 +224,6 @@ class QuadScalar:
         return [[self.p.numerator, self.p.denominator],
                 [self.q.numerator, self.q.denominator]]
 
-    @classmethod
-    def from_pair(cls, pair, D: int = 2) -> "QuadScalar":
-        (pn, pd), (qn, qd) = pair
-        return cls(Fraction(pn, pd), Fraction(qn, qd), D)
-
 
 def as_fraction(x) -> Fraction:
     """x as an exact Fraction.  A float (numpy's included) is read as its
@@ -241,10 +236,3 @@ def as_quad(x, D: int = 2) -> QuadScalar:
     if isinstance(x, QuadScalar):
         return x
     return QuadScalar(as_fraction(x), 0, D)
-
-
-def ratio_is_rational(a: QuadScalar, b: QuadScalar) -> bool:
-    """Exact test whether a/b is rational (b != 0)."""
-    if b.is_zero():
-        raise ZeroDivisionError("ratio with zero denominator")
-    return (a / b).is_rational()

@@ -6,9 +6,10 @@ an exactly computable distribution: elapsed times live in the ring, and
 every comparison against t is exact.  This is the error-free oracle used to
 arbitrate Monte Carlo estimates and to exhibit the oscillating
 sqrt(t)-scaled probabilities that rule out a single local limit for
-arithmetic duration supports.  Stationary-start events also take rational
-rewards and durations in Q(sqrt(D)), scaled to those integers by
-``integral_atoms``.
+arithmetic duration supports.  ``dp_distribution`` is the unpruned Palm
+law of that pair.  The stationary start is answered one event at a time by
+``stationary_event_probability``, which also takes rational rewards and
+durations in Q(sqrt(D)), scaled to those integers by ``integral_atoms``.
 
 Every probability mass of the DP is a Python int over one denominator
 den = L**K.  L is the lcm of the atom-probability denominators, so atom k
@@ -40,16 +41,13 @@ horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import StateExplosion
 from .quadfield import QuadScalar, as_fraction, as_quad
-
-PalmStart = "PalmStart"
-StationaryStart = "StationaryStart"
 
 # a sweep raises StateExplosion once a group's states would pass
 # _MEMORY_BUDGET bytes, at _STATE_BYTES (190-250 B measured on CPython 3.11
@@ -98,17 +96,6 @@ def _prune_bound(atoms, t):
 
 
 @dataclass
-class ExactDistribution:
-    """Exact distribution over (S, overshoot = t - t_{N_t}); ``pruned_mass``
-    is the total rational path mass dropped by the |S| cutoff."""
-    mass: dict           # (S: int, overshoot: QuadScalar | None) -> exact
-    pruned_mass: Fraction = field(default_factory=lambda: Fraction(0))
-
-    def total(self):
-        return sum(self.mass.values(), start=self.pruned_mass)
-
-
-@dataclass
 class _Sweep:
     """One prune-bound group of a _palm_sweep, every mass over its den.
 
@@ -116,12 +103,10 @@ class _Sweep:
     T the float of the elapsed time p + q sqrt(D).  ``ends`` holds one
     (finals, cut) pair per horizon t: ``finals`` lists (S, p, q, mass) for
     the transitions out of a state with time <= t that land past t, and
-    ``cut`` is the mass pruned at times <= t.  ``pruned`` maps (p, q) to
-    the mass dropped there by the |S| cutoff.  ``off_zero`` is the (p, q)
+    ``cut`` is the mass pruned at times <= t.  ``off_zero`` is the (p, q)
     of the first state with S = 0 at an irrational time, or None."""
     states: tuple
     ends: list
-    pruned: dict
     off_zero: tuple | None
 
 
@@ -146,12 +131,12 @@ def _palm_sweep(atoms, groups):
     horizon falls back to exact sign evaluation within 1e-6 of it.
 
     Only the states within 2 max y of the group's first horizon are kept:
-    _horizon_end, the scan and _stationary_masses read no others.  Returns
-    (den, sweeps), one _Sweep per group.  Raises AssertionError unless
-    finals and cut add up to exactly ``den`` at every horizon, and
-    StateExplosion when a group passes its state budget or the packed state
-    key could leave the int64 range.  Durations must be quadratic integers
-    so elapsed times are exact integer pairs.
+    _horizon_end, the scan and stationary_event_probability read no
+    others.  Returns (den, sweeps), one _Sweep per group.  Raises
+    AssertionError unless finals and cut add up to exactly ``den`` at
+    every horizon, and StateExplosion when a group passes its state budget
+    or the packed state key could leave the int64 range.  Durations must be
+    quadratic integers so elapsed times are exact integer pairs.
     """
     D = next((y.D for _, y, _ in atoms if y.q != 0), groups[-1][0][-1].D)
     if any(h.q != 0 and h.D != D for hs, _ in groups for h in hs):
@@ -258,9 +243,7 @@ def _palm_sweep(atoms, groups):
         for finals, c in ends:
             if sum(f[3] for f in finals) + c != den:
                 raise AssertionError("mass leak in the renewal DP")
-        pruned = dict(zip(zip(cut[0].tolist(), cut[1].tolist()),
-                          cut[2].tolist()))
-        sweeps.append(_Sweep(table, ends, pruned, off_zero[k]))
+        sweeps.append(_Sweep(table, ends, off_zero[k]))
     return den, sweeps
 
 
@@ -316,118 +299,18 @@ def _horizon_end(table, cut, steps, L, t, D):
     return finals, int(cM[~past(cP, cQ)].sum())
 
 
-def dp_distribution(atoms, t, mode=PalmStart, prune=True) -> ExactDistribution:
-    """Exact law of (S_{N_t}, t - t_{N_t}) with N_t = max{n : t_n <= t}.
-
-    PalmStart places a renewal at time 0; overshoots are ring elements.
-    StationaryStart draws the first cell size-biased with uniform height and
-    integrates it exactly; the overshoot is then continuous, so the returned
-    distribution is the exact marginal over the reward sum (overshoot key
-    None, values exact ring elements).  Functionals that constrain the start
-    height or the overshoot go through stationary_event_probability.
-    """
+def dp_distribution(atoms, t):
+    """Exact Palm law of (S_{N_t}, t - t_{N_t}) with N_t = max{n : t_n <= t}
+    and a renewal at time 0, unpruned: {(S, overshoot): Fraction}, the
+    overshoots exact ring elements."""
     atoms = _exact_atoms(atoms)
     t = as_quad(t)
-    bound = _prune_bound(atoms, t) if prune else None
-    if mode == PalmStart:
-        den, [sweep] = _palm_sweep(atoms, [([t], bound)])
-        [(finals, cut)] = sweep.ends
-        D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
-        mass = {}
-        for S, Tp, Tq, w in finals:
-            # distinct states are distinct (S, T), so keys never repeat
-            mass[(S, t - QuadScalar(Tp, Tq, D))] = Fraction(w, den)
-        return ExactDistribution(mass, Fraction(cut, den))
-    if mode == StationaryStart:
-        masses, pruned_meas = _stationary_masses(atoms, t, bound)
-        dist = ExactDistribution({(S, None): w for S, w in masses.items()},
-                                 pruned_meas)
-        total = dist.total()
-        if not (total - 1).is_zero():
-            raise AssertionError(f"mass leak: total = {float(total)}")
-        return dist
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _stationary_masses(atoms, t, prune_bound=None, S_filter=None,
-                       I=None, J=None):
-    """Exact stationary-start event measure of each section value.
-
-    A stationary start picks the first cell size-biased with a uniform
-    height s0 (joint density p_i / nu(tau) over (cell i, s0)).  After the
-    first crossing the process is a Palm renewal path; a renewal state
-    (S, T) with next gap y_j is the realized final state exactly when
-    s_end = s0 + t - y_i - T lies in [0, y_j).  Every (first cell, state,
-    next atom) triple therefore contributes an s0-interval.  Intersected
-    with the constraints s0 in I and s_end in J, their exact weights are
-    summed into {value: weight}, returned with the pruned measure.  A
-    start height lies in [0, y_i), so I is cut to s0 >= 0.
-
-    Only states with T > t - y_i - y_j + lo(I) can give an s0-interval
-    (lo(I) >= 0 the lower end of the cut I, 0 without I), so states
-    clearly below t - 2 max y + lo(I) in the float embedding, by the
-    margin of the sweep's comparison against t, are skipped: the sweep
-    keeps no state below t - 2 max y.
-    """
-    nu = _nu_tau(atoms)
-    zero = t - t
-    den, [sweep] = _palm_sweep(atoms, [([t], prune_bound)])
+    den, [sweep] = _palm_sweep(atoms, [([t], None)])
+    [(finals, _cut)] = sweep.ends
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
-    I = None if I is None else (as_quad(I[0]), as_quad(I[1]))
-    J = None if J is None else (as_quad(J[0]), as_quad(J[1]))
-    i_lo = zero if I is None or I[0].sign() < 0 else I[0]
-    reach = (float(t) - 2 * max(float(y) for _, y, _ in atoms)
-             + float(i_lo) - 1e-6)
-    S, P, Q, T, M = sweep.states
-    near = T > reach
-    near = [(s, QuadScalar(p, q, D), m) for s, p, q, m in
-            zip(S[near].tolist(), P[near].tolist(), Q[near].tolist(),
-                M[near].tolist())]
-    acc = {}
-    masses = {}
-    pruned_meas = zero
-    for x_i, y_i, p_i in atoms:
-        dens = p_i / nu
-        i_hi = y_i if I is None or (I[1] - y_i).sign() > 0 else I[1]
-        # no-crossing branch: s0 + t < y_i, empty reward sum, s_end = s0 + t
-        if S_filter is None or S_filter == 0:
-            lo, hi = i_lo, i_hi
-            nc_hi = y_i - t
-            if (nc_hi - hi).sign() < 0:
-                hi = nc_hi
-            if J is not None:
-                if (J[0] - t - lo).sign() > 0:
-                    lo = J[0] - t
-                if (J[1] - t - hi).sign() < 0:
-                    hi = J[1] - t
-            seg = _interval_len(lo, hi)
-            if seg.sign() > 0:
-                masses[0] = masses.get(0, zero) + dens * seg
-        for S, T, m in near:
-            val = S + x_i
-            if S_filter is not None and val != S_filter:
-                continue
-            base = y_i + T - t
-            for _x_j, y_j, p_j in atoms:
-                lo = base
-                hi = base + y_j
-                if J is not None:
-                    if (base + J[0] - lo).sign() > 0:
-                        lo = base + J[0]
-                    if (base + J[1] - hi).sign() < 0:
-                        hi = base + J[1]
-                seg = _overlap(lo, hi, i_lo, i_hi)
-                if seg.sign() > 0:
-                    acc[val] = acc.get(val, zero) + dens * p_j * seg * m
-        # a path cut at Palm time T' is lost for every start height s0
-        # with T' <= t - y_i + s0: a length min(y_i, t - T') of [0, y_i)
-        for (Tp, Tq), m in sweep.pruned.items():
-            left = t - QuadScalar(Tp, Tq, D)
-            cross = y_i if (y_i - left).sign() < 0 else left
-            pruned_meas = pruned_meas + dens * Fraction(m, den) * cross
-    for val, a in acc.items():
-        masses[val] = masses.get(val, zero) + a / den
-    return masses, pruned_meas
+    # distinct states are distinct (S, T), so keys never repeat
+    return {(S, t - QuadScalar(Tp, Tq, D)): Fraction(w, den)
+            for S, Tp, Tq, w in finals}
 
 
 def _interval_len(lo, hi):
@@ -457,17 +340,72 @@ def stationary_event_probability(atoms, t, S_target, I=None, J=None):
     and J with the durations, which leaves the event's probability as it
     is.  A value off (1 / L_x) Z, where no reward sum lies, has
     probability 0.
+
+    The first cell i has joint density p_i / nu(tau) over (i, s0), and a
+    start height lies in [0, y_i), so I is cut to s0 >= 0.  After the first
+    crossing the process is a Palm renewal path: a state (S, T) of the
+    sweep with next gap y_j is the final one exactly when s_end = s0 + t -
+    y_i - T lies in [0, y_j), so each (i, state, j) with S + x_i = value
+    gives an s0-interval, which is cut to I and J and weighted.  Only
+    states with T > t - y_i - y_j + lo(I) can give one (lo(I) >= 0 the
+    lower end of the cut I), so those clearly below t - 2 max y + lo(I) in
+    the float embedding, by the margin of the sweep's comparison against t,
+    are skipped: the sweep keeps no state below t - 2 max y.  For value 0
+    the event also holds paths with no crossing, s0 + t < y_i.
     """
     atoms, L_x, L_y = integral_atoms(atoms)
     t = as_quad(t) * L_y
     v = as_quad(S_target) * L_x
     I, J = (None if e is None else (as_quad(e[0]) * L_y, as_quad(e[1]) * L_y)
             for e in (I, J))
+    zero = t - t
     if not (v.is_rational() and v.p.denominator == 1):
-        return t - t
-    masses, _pruned = _stationary_masses(atoms, t, prune_bound=None,
-                                         S_filter=int(v.p), I=I, J=J)
-    return masses.get(int(v.p), t - t)
+        return zero
+    v = int(v.p)
+    den, [sweep] = _palm_sweep(atoms, [([t], None)])
+    D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
+    i_lo = zero if I is None or I[0].sign() < 0 else I[0]
+    reach = (float(t) - 2 * max(float(y) for _, y, _ in atoms)
+             + float(i_lo) - 1e-6)
+    S, P, Q, T, M = sweep.states
+    near = (T > reach) & np.isin(S, [v - x for x, _, _ in atoms])
+    near = [(s, QuadScalar(p, q, D), m) for s, p, q, m in
+            zip(S[near].tolist(), P[near].tolist(), Q[near].tolist(),
+                M[near].tolist())]
+    nu = _nu_tau(atoms)
+    acc = zero          # the probability times den
+    for x_i, y_i, p_i in atoms:
+        dens = p_i / nu
+        i_hi = y_i if I is None or (I[1] - y_i).sign() > 0 else I[1]
+        if v == 0:
+            # no crossing: s0 + t < y_i, empty reward sum, s_end = s0 + t
+            lo, hi = i_lo, i_hi
+            if (y_i - t - hi).sign() < 0:
+                hi = y_i - t
+            if J is not None:
+                if (J[0] - t - lo).sign() > 0:
+                    lo = J[0] - t
+                if (J[1] - t - hi).sign() < 0:
+                    hi = J[1] - t
+            seg = _interval_len(lo, hi)
+            if seg.sign() > 0:
+                acc = acc + dens * seg * den
+        for s, T, m in near:
+            if s + x_i != v:
+                continue
+            base = y_i + T - t
+            for _x_j, y_j, p_j in atoms:
+                lo = base
+                hi = base + y_j
+                if J is not None:
+                    if (base + J[0] - lo).sign() > 0:
+                        lo = base + J[0]
+                    if (base + J[1] - hi).sign() < 0:
+                        hi = base + J[1]
+                seg = _overlap(lo, hi, i_lo, i_hi)
+                if seg.sign() > 0:
+                    acc = acc + dens * p_j * seg * m
+    return acc / den
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from lcltflow.quadfield import QuadScalar, as_quad
-from lcltflow.renewal_exact import (ExactDistribution, _exact_atoms,
-                                    _prune_bound, frac_cell, section_61_atoms)
+from lcltflow.renewal_exact import (_exact_atoms, _prune_bound, frac_cell,
+                                    section_61_atoms)
 
 _MARGIN = 1e-9     # float comparisons closer than this use the exact sign
 
@@ -27,9 +27,10 @@ class PathExplosion(Exception):
     """Enumeration would exceed the path budget."""
 
 
-def brute_force_enumerate(atoms, t) -> ExactDistribution:
+def brute_force_enumerate(atoms, t):
     """Exact law of (S_{N_t}, t - t_{N_t}) from a renewal at time 0, by
-    enumerating every path.  Durations must be quadratic integers."""
+    enumerating every path, as {(S, overshoot): Fraction}.  Durations must
+    be quadratic integers."""
     atoms = _exact_atoms(atoms)
     t = t if isinstance(t, QuadScalar) else as_quad(t)
     min_y = min((y for _, y, _ in atoms), key=float)
@@ -61,9 +62,9 @@ def brute_force_enumerate(atoms, t) -> ExactDistribution:
                 mass[key] = mass.get(key, Fraction(0)) + prob * p
 
     rec(0, 0, 0, Fraction(1))
-    dist = ExactDistribution({(S, t - QuadScalar(Tp, Tq, D)): m
-                              for (S, Tp, Tq), m in mass.items()})
-    assert dist.total() == 1
+    dist = {(S, t - QuadScalar(Tp, Tq, D)): m
+            for (S, Tp, Tq), m in mass.items()}
+    assert sum(dist.values()) == 1
     return dist
 
 
@@ -71,8 +72,8 @@ def palm_sweep_at(atoms, t, prune_bound):
     """One DP sweep to horizon t, one state at a time through a heap:
     (states, finals, pruned, den), the finals summed from the transitions
     past t as the loop meets them.  ``renewal_exact._palm_sweep`` must give
-    the same finals, cut and pruned masses, and the same states within its
-    kept window, up to a power of L."""
+    the same finals and cut, and the same states within its kept window, up
+    to a power of L."""
     D = next((y.D for _, y, _ in atoms if y.q != 0), t.D)
     L = math.lcm(*(p.denominator for _, _, p in atoms))
     steps = [(x, int(y.p), int(y.q), int(p * L)) for x, y, p in atoms]

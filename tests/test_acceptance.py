@@ -11,12 +11,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy import stats
 
-from lcltflow.groups import (CaseLabel, Group1D, GroupWithShift, case_group,
-                             classify_case, closure_of_group, interval,
-                             shear_reduce, weyl_average)
+from lcltflow.groups import (CaseLabel, Group1D, classify_case,
+                             closure_of_group, interval, shear_reduce,
+                             weyl_average)
 from lcltflow.montecarlo import (estimate_correlation,
                                  estimate_lclt, estimate_mlclt,
                                  estimate_sigma, sample_flow_integrals)
@@ -95,11 +94,10 @@ def test_criterion_2_fourier_and_dp_exactness():
     ok = abs(fo - 252 / 1024) < 1e-10
     atoms = section_61_atoms()
     for t in (2, Fraction(9, 2), 6):
-        a = dp_distribution(atoms, t, prune=False)
+        a = dp_distribution(atoms, t)
         b = brute_force_enumerate(atoms, t)
-        keys = set(a.mass) | set(b.mass)
-        ok = ok and all(a.mass.get(k, Fraction(0)) == b.mass.get(k, Fraction(0))
-                        for k in keys)
+        ok = ok and all(a.get(k, Fraction(0)) == b.get(k, Fraction(0))
+                        for k in set(a) | set(b))
     report(2, "Fourier oracle exact at 252/1024; DP == enumeration, t <= 6",
            ok, f"fourier error {abs(fo - 252 / 1024):.2e}")
 

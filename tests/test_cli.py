@@ -898,9 +898,29 @@ def test_non_positive_flow_time_exits_2(tmp_path, capsys, command, cfg,
     ("spectral", {"system": MARKOV_SYSTEM, "components": [2]},
      "components must be"),
     ("spectral", {"system": MARKOV_SYSTEM, "components": [0, 0]},
-     "components must be")],
+     "components must be"),
+    # reversed or empty intervals once exited 0: predict with a negative
+    # value, lattice verify with a check that could not fail
+    ("predict", {"case": {"variant": "A"}, "sigma_flow": 1, "nu_tau": 1,
+                 "request": {"t": 100, "I": [0.5, 0.2], "J": [0, 1],
+                             "target": [-0.5, 0.5]}},
+     "the request's I = [0.5, 0.2] is empty"),
+    ("predict", {"case": {"variant": "A"}, "sigma_flow": 1, "nu_tau": 1,
+                 "request": {"t": 100, "target": [0.5, 0.5]}},
+     "the request's target = [0.5, 0.5] is empty"),
+    ("verify", dict(_bench_lattice_cfg(16), request=dict(
+        _bench_lattice_cfg(16)["request"], I=[SQ2 - 1, 0.0])),
+     "the request's I = "),
+    ("verify", dict(_bench_lattice_cfg(16), request=dict(
+        _bench_lattice_cfg(16)["request"], I=[0.2, 0.2])),
+     "the request's I = [0.2, 0.2] is empty"),
+    ("verify", dict(_bench_lattice_cfg(16), request=dict(
+        _bench_lattice_cfg(16)["request"], J=[1, 0])),
+     "the request's J = [1, 0] is empty")],
     ids=["renewal-t_values", "correlate-t_grid", "components-empty",
-         "components-out-of-range", "components-repeated"])
+         "components-out-of-range", "components-repeated",
+         "predict-I-reversed", "predict-target-empty",
+         "lattice-I-reversed", "lattice-I-empty", "lattice-J-reversed"])
 def test_empty_list_or_bad_components_names_the_field(tmp_path, capsys,
                                                       command, cfg, words):
     assert run(tmp_path, command, cfg)[0] == 2

@@ -1,6 +1,5 @@
 """Closure, classification and shear reduction of value groups in R^2."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import pytest
 
 from lcltflow.errors import (InfiniteCovolumeError, NotShearableError,
                              UnsupportedGroupError)
-from lcltflow.groups import (CaseLabel, GroupWithShift, ball, case_group,
+from lcltflow.groups import (CaseLabel, GroupWithShift, case_group,
                              classify_case, closure_1d, closure_of_group,
                              covolume, fiber_group, haar_mass, interval,
                              point, reduce_shift, shear_reduce, apply_shear,
@@ -148,7 +147,6 @@ def test_haar_mass_full_and_lattice():
     assert haar_mass(M, interval(0, 1, True, True)) == pytest.approx(1.5)
     assert haar_mass(M, point(0.5)) == pytest.approx(0.5)
     assert haar_mass(M, point(0.3)) == 0.0
-    assert haar_mass(Group1D.full(), ball(2)) == 4.0
 
 
 def test_fiber_groups():
@@ -269,10 +267,15 @@ def test_clustering_oracle_on_random_generator_sets():
             assert _dist_to_group(form, pt) < 1e-6, (trial, gens, ns)
 
 
+def _contains(group, v):
+    """Exact membership of a field vector: v reduces to zero."""
+    return all(c.is_zero() for c in reduce_shift(group, v))
+
+
 def test_membership_is_exact_for_lattice_case():
     g = closure_of_group([(ZERO, ONE), (ONE, S2)])
-    assert g.group.contains((as_quad(3), 3 * S2 + 5))
-    assert not g.group.contains((as_quad(Fraction(1, 2)), ZERO))
+    assert _contains(g.group, (as_quad(3), 3 * S2 + 5))
+    assert not _contains(g.group, (as_quad(Fraction(1, 2)), ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +313,9 @@ def test_contains_and_reduce_shift_on_every_shape(shape):
     members += [_combination(gens, [rng.randint(-5, 5) for _ in gens])
                 for _ in range(6)]
     for m in members:
-        assert grp.contains(m), (shape, m)
+        assert _contains(grp, m), (shape, m)
     for v in off:
-        assert not grp.contains(v), (shape, v)
+        assert not _contains(grp, v), (shape, v)
     for _ in range(6):
         v = (QuadScalar(Fraction(rng.randint(-9, 9), 7),
                         Fraction(rng.randint(-9, 9), 5), 2),

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcltflow.errors import MixedRingError
-from lcltflow.quadfield import (QuadScalar, as_fraction, as_quad,
-                                ratio_is_rational)
+from lcltflow.quadfield import QuadScalar, as_fraction, as_quad
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -85,16 +84,9 @@ def test_square_free_validation():
     QuadScalar(1, 0, 4)  # rational: D irrelevant
 
 
-def test_ratio_is_rational():
-    assert ratio_is_rational(3 * S2, S2)
-    assert not ratio_is_rational(S2 + 1, S2)
-    with pytest.raises(ZeroDivisionError):
-        ratio_is_rational(S2, as_quad(0))
-
-
 def test_json_pair_round_trip():
     x = QuadScalar(Fraction(-7, 3), Fraction(2, 11), 2)
-    assert QuadScalar.from_pair(x.to_pair(), 2) == x
+    assert x.to_pair() == [[-7, 3], [2, 11]]
 
 
 def test_order_against_foreign_types_raises():

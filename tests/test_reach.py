@@ -21,16 +21,11 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "lcltflow")
 
 UNREACHED = {
-    "groups.ClosedSubgroup2.contains": "item 22: to a tests/ reference",
     "groups.apply_shear": "item 22: to a tests/ reference",
-    "groups.ball": "item 22: to a tests/ reference",
     "groups.case_group": "item 22: to a tests/ reference",
     "groups.weyl_average": "item 22: to a tests/ reference",
     "montecarlo.estimate_mlclt": "perfbench/spans.py",
     "montecarlo.sample_flow_integrals": "perfbench/spans.py",
-    "quadfield.QuadScalar.from_pair": "item 22: to a tests/ reference",
-    "quadfield.ratio_is_rational": "item 22: to a tests/ reference",
-    "renewal_exact.ExactDistribution": "item 17: goes with dp_distribution",
     "renewal_exact.dp_distribution": "perfbench/spans.py",
     "spectral.EigenCurve": "perfbench/oracles.py",
     "spectral.expansion_fit": "perfbench/oracles.py",

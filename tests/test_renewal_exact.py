@@ -13,9 +13,7 @@ from lcltflow import renewal_exact
 from lcltflow.errors import StateExplosion
 from lcltflow.montecarlo import estimate_mlclt
 from lcltflow.quadfield import QuadScalar, as_quad
-from lcltflow.renewal_exact import (ExactDistribution, PalmStart,
-                                    StationaryStart, _exact_atoms,
-                                    _prune_bound,
+from lcltflow.renewal_exact import (_exact_atoms, _prune_bound,
                                     counterexample_scan, dp_distribution,
                                     frac_cell, scan_csv_rows,
                                     section_61_atoms,
@@ -41,11 +39,9 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
 
 
-def same_distribution(a: ExactDistribution, b: ExactDistribution):
-    assert a.pruned_mass == 0 and b.pruned_mass == 0
-    keys = set(a.mass) | set(b.mass)
-    for k in keys:
-        assert a.mass.get(k, Fraction(0)) == b.mass.get(k, Fraction(0)), k
+def same_distribution(a, b):
+    for k in set(a) | set(b):
+        assert a.get(k, Fraction(0)) == b.get(k, Fraction(0)), k
     return True
 
 
@@ -55,20 +51,20 @@ def same_distribution(a: ExactDistribution, b: ExactDistribution):
 
 @pytest.mark.parametrize("t", [Fraction(1, 2), 1, Fraction(5, 2), 4, 6])
 def test_dp_equals_enumeration_coin(t):
-    same_distribution(dp_distribution(COIN, t, prune=False),
+    same_distribution(dp_distribution(COIN, t),
                       brute_force_enumerate(COIN, t))
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 2), 2, Fraction(9, 2), 6])
 def test_dp_equals_enumeration_section61(t):
     atoms = section_61_atoms()
-    same_distribution(dp_distribution(atoms, t, prune=False),
+    same_distribution(dp_distribution(atoms, t),
                       brute_force_enumerate(atoms, t))
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 2), 2, Fraction(7, 2), 5])
 def test_dp_equals_enumeration_mixed_weights(t):
-    same_distribution(dp_distribution(MIXED, t, prune=False),
+    same_distribution(dp_distribution(MIXED, t),
                       brute_force_enumerate(MIXED, t))
 
 
@@ -76,64 +72,41 @@ def test_small_t_palm_distribution_by_hand():
     # t = 1/2: only the first cell can be pending.  Atoms with duration
     # > 1/2 leave (S=0, overshoot 1/2); the sqrt2-1 ~ 0.414 atom completes
     # and its successor is always pending, overshoot 1/2 - (sqrt2 - 1)
-    dist = dp_distribution(section_61_atoms(), Fraction(1, 2), prune=False)
+    dist = dp_distribution(section_61_atoms(), Fraction(1, 2))
     over = as_quad(Fraction(1, 2))
     short = over - (S2 - 1)
-    assert dist.mass[(0, over)] == Fraction(2, 3)
-    assert dist.mass[(1, short)] == Fraction(1, 3)
-    assert len(dist.mass) == 2
+    assert dist[(0, over)] == Fraction(2, 3)
+    assert dist[(1, short)] == Fraction(1, 3)
+    assert len(dist) == 2
 
 
 def test_below_first_duration_is_point_mass():
-    dist = dp_distribution(COIN, Fraction(1, 3), prune=False)
-    assert dist.mass == {(0, as_quad(Fraction(1, 3))): Fraction(1)}
+    dist = dp_distribution(COIN, Fraction(1, 3))
+    assert dist == {(0, as_quad(Fraction(1, 3))): Fraction(1)}
 
 
 def test_single_deterministic_atom():
     atoms = [(0, as_quad(2), Fraction(1))]
-    dist = dp_distribution(atoms, 7, prune=False)
+    dist = dp_distribution(atoms, 7)
     # renewals at 0, 2, 4, 6: last one at 6, overshoot 1
-    assert dist.mass == {(0, ONE): Fraction(1)}
-
-
-def test_mass_conservation_with_pruning():
-    dist = dp_distribution(section_61_atoms(), 40, prune=True)
-    assert dist.total() == 1
-    assert dist.pruned_mass >= 0
-
-
-def test_stationary_distribution_sums_to_one():
-    dist = dp_distribution(section_61_atoms(), 20, mode=StationaryStart,
-                           prune=False)
-    assert dist.total() == 1
-    # the stationary marginal carries no overshoot key
-    assert all(o is None for _, o in dist.mass)
+    assert dist == {(0, ONE): Fraction(1)}
 
 
 def test_mixed_weights_distributions_sum_to_one():
-    for mode in (PalmStart, StationaryStart):
-        assert dp_distribution(MIXED, 12, mode=mode, prune=False).total() == 1
-    # at t = 40 the cutoff |S| <= 82 drops mass, which the total includes
-    cut = dp_distribution(MIXED, 40, prune=True)
-    assert cut.total() == 1 and cut.pruned_mass > 0
-
-
-def test_stationary_pruned_measure_counts_cut_times():
-    # a path cut at Palm time T' is lost only for start heights s0 with
-    # T' <= t - y_i + s0, so the pruned measure depends on T'
-    dist = dp_distribution(section_61_atoms(), 40, mode=StationaryStart,
-                           prune=True)
-    assert dist.total() == 1 and dist.pruned_mass > 0
+    assert sum(dp_distribution(MIXED, 12).values()) == 1
+    # at t = 12 at most 21 cells of the -1 atom and 9 of the +3 one count,
+    # so every stationary value lies in -21 ... 27
+    total = sum((stationary_event_probability(MIXED, 12, S)
+                 for S in range(-21, 28)), start=as_quad(0))
+    assert total == 1
 
 
 def test_coin_stationary_equals_palm():
     # unit deterministic roof: the size-biased first cell is again uniform
     # over atoms and by time t = 9 exactly 9 cells complete; the stationary
     # marginal is the binomial law of 9 flips
-    dist = dp_distribution(COIN, 9, mode=StationaryStart, prune=False)
     for k in range(10):
-        S = 2 * k - 9
-        assert dist.mass.get((S, None), Fraction(0)) == \
+        assert stationary_event_probability(COIN, 9, 2 * k - 9) == \
             Fraction(math.comb(9, k), 2 ** 9)
 
 
@@ -158,9 +131,9 @@ def _l_power(den, ref_den, atoms):
 
 def _equals_heap_sweeps(atoms, groups):
     """One band sweep over ``groups`` against palm_sweep_at at every
-    horizon: the same finals and cut, and at the last horizon the same
-    pruned masses and, inside the kept window, the same states in the same
-    order, all up to the common power of L."""
+    horizon: the same finals and cut, and at the last horizon, inside the
+    kept window, the same states in the same order, all up to the common
+    power of L."""
     den, sweeps = renewal_exact._palm_sweep(atoms, groups)
     max_y = max(float(y) for _, y, _ in atoms)
     for (horizons, bound), sweep in zip(groups, sweeps):
@@ -172,7 +145,6 @@ def _equals_heap_sweeps(atoms, groups):
             assert finals == [(S, p, q, m * scale)
                               for S, p, q, m in ref_finals]
             assert cut == sum(pruned.values()) * scale
-        assert sweep.pruned == {k: m * scale for k, m in pruned.items()}
         table = _table(sweep)
         ref = [(k, m * scale) for k, m in states.items()]
         window = float(horizons[0]) - 2 * max_y
@@ -227,7 +199,6 @@ def test_one_pass_equals_separate_passes():
         scale = _l_power(den, one_den, atoms)
         assert sweep.ends == [([(S, p, q, m * scale) for S, p, q, m in f],
                                c * scale) for f, c in one.ends]
-        assert sweep.pruned == {k: m * scale for k, m in one.pruned.items()}
         assert _table(sweep) == [(k, m * scale) for k, m in _table(one)]
         assert np.array_equal(sweep.states[3], one.states[3])
         assert sweep.off_zero == one.off_zero
@@ -243,20 +214,22 @@ def _heap_sweep(atoms, groups):
     table = (S, P, Q, P + Q * math.sqrt(2),
              np.array(list(states.values()), dtype=object))
     return den, [renewal_exact._Sweep(
-        table, [(finals, sum(pruned.values()))], pruned, None)]
+        table, [(finals, sum(pruned.values()))], None)]
 
 
 @pytest.mark.parametrize("I, J", [
     (None, None), ((0.3, 0.4), None), ((S2 - 1, ONE), (0.1, 0.9)),
     ((0.5, 2), (0, 0.3))])
-def test_stationary_masses_need_no_state_below_the_window(monkeypatch, I, J):
+def test_stationary_events_need_no_state_below_the_window(monkeypatch, I, J):
     # lo(I) > 0 reads fewer states than I = None; neither reads one that
-    # the sweep drops
-    atoms, t = _exact_atoms(MIXED), as_quad(9)
-    kept = renewal_exact._stationary_masses(atoms, t, 6, I=I, J=J)
-    assert kept[1].sign() > 0 and any(m.sign() > 0 for m in kept[0].values())
+    # the sweep drops.  At t = 9 every positive value lies in -16 ... 21
+    def events():
+        return [stationary_event_probability(MIXED, 9, S, I=I, J=J)
+                for S in range(-16, 22)]
+    kept = events()
+    assert any(p.sign() > 0 for p in kept)
     monkeypatch.setattr(renewal_exact, "_palm_sweep", _heap_sweep)
-    assert renewal_exact._stationary_masses(atoms, t, 6, I=I, J=J) == kept
+    assert events() == kept
 
 
 def test_stationary_start_heights_below_zero_are_cut():
@@ -429,7 +402,7 @@ def test_rejects_bad_probabilities():
     # these sum to 1, and a -1/2 atom would make a "distribution" of total 1
     with pytest.raises(ValueError, match="nonnegative"):
         dp_distribution([(0, ONE, -HALF), (0, ONE, HALF),
-                         (0, as_quad(2), 1)], 3, prune=False)
+                         (0, as_quad(2), 1)], 3)
 
 
 def test_state_budget_raises_state_explosion(monkeypatch):
@@ -439,7 +412,7 @@ def test_state_budget_raises_state_explosion(monkeypatch):
     with pytest.raises(StateExplosion, match="states"):
         dp_distribution(section_61_atoms(), 20)
     monkeypatch.setattr(renewal_exact, "_MEMORY_BUDGET", 1 << 20)
-    assert dp_distribution(section_61_atoms(), 20).total() == 1
+    assert sum(dp_distribution(section_61_atoms(), 20).values()) == 1
 
 
 def test_state_keys_beyond_int64_raise_state_explosion():
@@ -448,7 +421,7 @@ def test_state_keys_beyond_int64_raise_state_explosion():
     atoms = [(-1, as_quad(big), HALF), (1, big + S2, HALF)]
     with pytest.raises(StateExplosion, match="int64"):
         dp_distribution(atoms, 3 * big)
-    assert dp_distribution(atoms, 3 * (1 << 50)).total() == 1
+    assert sum(dp_distribution(atoms, 3 * (1 << 50)).values()) == 1
 
 
 def test_enumeration_budget_guard():

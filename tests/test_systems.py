@@ -15,7 +15,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy import stats
 
 from lcltflow import systems
-from lcltflow.errors import ConfigError, MixedRingError
+from lcltflow.errors import ConfigError
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.spectral import (TwistedOperatorModel, leading_eigenvalue,
                                twisted_matrix)
