@@ -9,11 +9,12 @@ and a checksum per emitted file, so any run can be reproduced exactly.
 before the command runs.  A process pays only for the layers its subcommand
 runs: this module imports the stdlib, ``errors``, ``quadfield`` and
 ``config``, and each command or helper imports its layers when it is
-called.  ``classify`` on explicit generators and ``predict`` never load
-numpy.  The manifest's ``versions.numpy`` is the numpy loaded in this
-process when the run ends, or null if none is: null for those two commands
-in a fresh process, but a caller that ran ``main`` in-process after numpy
-was loaded gets its version.
+called.  ``classify``, on explicit generators or on a renewal system's
+exact atoms, and ``predict`` never load numpy.  The manifest's
+``versions.numpy`` is the numpy loaded in this process when the run ends,
+or null if none is: null for those two commands in a fresh process, but a
+caller that ran ``main`` in-process after numpy was loaded gets its
+version.
 
 Exit codes: 0 success, 2 configuration/parse failure, 3 mathematical domain
 error, 4 verification failure.
@@ -22,15 +23,20 @@ error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
+
+# CPython's own SHA-256, the digest hashlib gives: hashlib would load
+# OpenSSL's libcrypto, which nothing else in a command's process calls
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    from _sha256 import sha256          # CPython 3.10-3.11
 
 from . import __version__
-from .config import read_config
+from .config import read_config, read_system, renewal_atoms
 from .errors import ConfigError, LcltError
 from .quadfield import QuadScalar
 
@@ -47,8 +53,12 @@ EXIT_VERIFY = 4
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    """Write ``text`` to a new file beside ``path``, then rename it over
+    ``path``.  The new file is created as ``open`` creates one, mode 0666
+    less the umask, so the output is as readable as any other file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -60,7 +70,7 @@ def _atomic_write(path, text):
 
 
 def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 class Run:
@@ -119,17 +129,17 @@ def _fmt_param(v):
     return str(v)
 
 
-def _system(cfg, kind, command):
-    """The config's system, which ``command`` needs to be of ``kind``."""
-    from .systems import load_system
-
-    system = load_system(cfg["system"])
-    if system.kind != kind:
+def _system_args(cfg, kind, command):
+    """The constructor arguments of the config's system, which ``command``
+    needs to be of ``kind``: the kind is checked before any system is
+    built."""
+    got, args = read_system(cfg["system"])
+    if got != kind:
         raise ConfigError(
-            f"{command} needs a {kind} system, not a {system.kind} system "
+            f"{command} needs a {kind} system, not a {got} system "
             f"(spectral takes a markov system; classify also takes explicit "
             f"generators)")
-    return system
+    return args
 
 
 def _request(cfg, case):
@@ -162,9 +172,11 @@ def cmd_classify(run, cfg):
     elif cfg["system"] is None:
         raise ConfigError("classify needs generators or a system")
     else:
-        # only renewal systems have an exact finite support group
+        # only renewal systems have an exact finite support group; a
+        # config's atoms share one D, so they have one
         D = None
-        gens, shift = _system(cfg, "renewal", "classify").value_group()
+        gens, shift = renewal_atoms(
+            _system_args(cfg, "renewal", "classify")["atoms"])[1]
     g = closure_of_group(gens, shift=shift, D=D)
     case = classify_case(g)
     if case.variant == "Degenerate":
@@ -228,9 +240,10 @@ def cmd_simulate(run, cfg):
 
 def cmd_spectral(run, cfg):
     from .spectral import TwistedOperatorModel, eigen_curve_rows
+    from .systems import MarkovShiftBase
 
     # the twisted operator needs a finite transfer matrix
-    system = _system(cfg, "markov", "spectral")
+    system = MarkovShiftBase(**_system_args(cfg, "markov", "spectral"))
     model = TwistedOperatorModel(system, components=cfg["components"])
     ts = cfg["t_grid"]
     if any(len(t) != model.d for t in ts):
@@ -253,7 +266,8 @@ def cmd_renewal(run, cfg):
 
     atoms = None
     if cfg["system"] is not None:
-        atoms = _system(cfg, "renewal", "renewal").atoms
+        atoms = renewal_atoms(
+            _system_args(cfg, "renewal", "renewal")["atoms"])[0]
     rows = counterexample_scan(cfg["t_values"], atoms=atoms)
     run.emit("scan.csv", "\n".join(scan_csv_rows(rows)) + "\n")
     for r in rows:
@@ -383,8 +397,10 @@ def cmd_verify(run, cfg):
                          run.args.workers, W_of_t=float(W),
                          I=I and tuple(map(float, I)),
                          J=J and tuple(map(float, J)))
-    # the exact DP of the lattice check comes after Monte Carlo, so that
-    # its tables do not stack on the Monte Carlo arrays in peak memory
+    # the exact DP of the lattice check (about 0.03 s on the benchmark's
+    # lattice config) runs after Monte Carlo: the workers draw inside
+    # ``estimate_lclt``, whose ``_run_blocks`` returns only when every block
+    # is back, so this process has no window to run it while they draw
     oracle = None
     if exact:
         p = stationary_event_probability(system.atoms, t, v, I=I, J=J)

@@ -7,8 +7,9 @@ default.  A reader ``reader(value, at, env)`` returns the typed value or
 raises ConfigError naming ``at``, the key (a list's items take the list's
 key), and ``env`` holds the values read so far around it, such as ``D``.
 Commands and systems are read whole before any mathematics, so a value
-that cannot be read exits 2, never 3.  Only the stdlib, ``errors`` and
-``quadfield`` are imported: no numpy.
+that cannot be read exits 2, never 3; ``renewal_atoms`` then checks that
+renewal atoms that read are a renewal law (exit 3).  Only the stdlib,
+``errors`` and ``quadfield`` are imported: no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, MixedRingError
 from .quadfield import QuadScalar, as_fraction, as_quad
 
 REQUIRED = object()
@@ -178,6 +179,38 @@ def atoms(v, at, env):
         out.append((QuadScalar(xp, xq, env["D"]),
                     QuadScalar(yp, yq, env["D"]), pn / pd))
     return out
+
+
+def renewal_atoms(atoms):
+    """(atoms, group) of a renewal law given as atoms (x, y, p): the atoms
+    as exact scalars, and the generators and shift of the support group of
+    (x, y), the closed group generated by the support values with one value
+    as the coset shift, or None when durations in several quadratic rings
+    leave no group over one field.  Atoms that read but are no renewal law
+    raise ValueError (exit 3): a duration not positive, a negative
+    probability, probabilities not summing to 1, rewards of nonzero mean."""
+    out = []
+    psum = Fraction(0)
+    xsum = as_quad(0)
+    for x, y, p in atoms:
+        x, y, p = as_quad(x), as_quad(y), as_fraction(p)
+        if y.sign() <= 0:
+            raise ValueError("durations must be positive")
+        if p < 0:
+            raise ValueError("probabilities must be nonnegative")
+        out.append((x, y, p))
+        psum += p
+        xsum = xsum + x * p
+    if psum != 1:
+        raise ValueError(f"probabilities sum to {psum}, not 1")
+    if not xsum.is_zero():
+        raise ValueError(f"rewards have nonzero mean {xsum}")
+    sx, sy, _ = out[0]
+    try:
+        gens = [(x - sx, y - sy) for x, y, _ in out[1:]]
+    except MixedRingError:
+        return out, None
+    return out, (gens or [(as_quad(0), as_quad(0))], (sx, sy))
 
 
 def _key(at, key):

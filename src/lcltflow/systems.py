@@ -45,9 +45,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import read_system
+from .config import read_system, renewal_atoms
 from .errors import MixedRingError
-from .quadfield import as_fraction, as_quad
+from .quadfield import as_quad
 
 
 def _cdf_table(weights):
@@ -273,22 +273,7 @@ class RenewalBase(_TableLeap):
     per level, stops at the cap); the tables are built on first use."""
 
     def __init__(self, atoms):
-        self.atoms = []
-        psum = Fraction(0)
-        xsum = as_quad(0)
-        for x, y, p in atoms:
-            x, y, p = as_quad(x), as_quad(y), as_fraction(p)
-            if y.sign() <= 0:
-                raise ValueError("durations must be positive")
-            if p < 0:
-                raise ValueError("probabilities must be nonnegative")
-            self.atoms.append((x, y, p))
-            psum += p
-            xsum = xsum + x * p
-        if psum != 1:
-            raise ValueError(f"probabilities sum to {psum}, not 1")
-        if not xsum.is_zero():
-            raise ValueError(f"rewards have nonzero mean {xsum}")
+        self.atoms = renewal_atoms(atoms)[0]
         self.xs = np.array([float(a[0]) for a in self.atoms])
         self.ys = np.array([float(a[1]) for a in self.atoms])
         self.probs = np.array([float(a[2]) for a in self.atoms])
@@ -403,17 +388,6 @@ class RenewalBase(_TableLeap):
             cov = [self.probs @ (u * v)
                    for u, v in ((x, x), (x, dy), (dy, dy))]
         return np.array([[cov[0], cov[1]], [cov[1], cov[2]]])
-
-    def value_group(self):
-        """Generators and shift for the support group of (phi_check, tau):
-        the closed group generated by the support values, with one value as
-        the coset shift."""
-        vals = [(a[0], a[1]) for a in self.atoms]
-        shift = vals[0]
-        gens = [(v[0] - shift[0], v[1] - shift[1]) for v in vals[1:]]
-        if not gens:
-            gens = [(as_quad(0), as_quad(0))]
-        return gens, shift
 
 
 # ---------------------------------------------------------------------------

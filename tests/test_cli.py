@@ -74,6 +74,28 @@ def test_classify_markov_points_to_spectral(tmp_path, capsys):
     assert "spectral" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, system", [
+    ("classify", {**MARKOV_SYSTEM, "P": [[0.5, 0.6], [0.5, 0.5]]}),
+    ("classify", {"type": "pm", "alpha": 0.7}),
+    ("spectral", {"type": "pm", "alpha": 0.25}),
+    ("spectral", OSC_SYSTEM)], ids=["markov-rows", "pm-alpha", "pm", "renewal"])
+def test_a_system_of_the_wrong_kind_exits_2_before_it_is_built(
+        tmp_path, capsys, monkeypatch, command, system):
+    # once the system was built first: rows that do not sum to 1, or an
+    # alpha outside (0, 1/2), exited 3, and a PM tower was built to be
+    # refused
+    from lcltflow import systems
+
+    def build(*args, **kwargs):
+        raise AssertionError("a system was built")
+    for cls in systems._SYSTEM_TYPES.values():
+        monkeypatch.setattr(cls, "__init__", build)
+    assert run(tmp_path, command, {"system": system})[0] == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{command} needs a " in err and "spectral takes a markov" in err
+
+
 @pytest.mark.parametrize("atoms, words", [
     (OSC_SYSTEM["atoms"][:2] + [[0, 0, 1, 0, 1]],
      "not enough values to unpack"),
@@ -1129,58 +1151,85 @@ def test_cli_import_loads_no_process_pool():
     assert _fresh_python(code) == "[]"
 
 
-def test_the_calling_process_loads_only_what_it_runs(tmp_path):
-    # the blocks draw in forked workers, so the command's own process never
-    # loads numpy.random, at --workers 1 too; the renewal DP and the lattice
-    # oracle load no numpy.ma, and only the intermittent map loads
-    # numpy.polynomial.  Two blocks each, so --workers 2 forks two workers.
-    N = BLOCK_SIZE + 100
-    pm = {"system": {"type": "pm", "alpha": 0.25}, "mode": "flow", "t": 20,
-          "N": N, "windows": [[0, -0.5, 0.5]]}
-    runs = [("renewal", {"t_values": [50.2, 50.5]})]
-    for cfg in (_bench_lattice_cfg(N), _bench_flow_cfg(N), pm):
-        runs += [("verify", cfg, w) for w in ("1", "2")]
+# which of WATCHED each command's own process loads, by run: the blocks
+# draw in forked workers, so the command's process never loads numpy.random
+# (nor, through it, OpenSSL's _hashlib), at --workers 1 too; the checksums
+# come from CPython's own SHA-256, so no process loads _hashlib; the exact
+# layer (classify, predict) loads no numpy or dataclasses; the renewal DP
+# and the lattice oracle load no numpy.ma; only the intermittent map loads
+# numpy.polynomial.  Two blocks each, so --workers 2 forks two workers.
+WATCHED = ("numpy", "numpy.random", "numpy.ma", "numpy.polynomial",
+           "_hashlib", "dataclasses")
+_N2 = BLOCK_SIZE + 100
+_PM_FLOW = {"system": {"type": "pm", "alpha": 0.25}, "mode": "flow", "t": 20,
+            "N": _N2, "windows": [[0, -0.5, 0.5]]}
+_MC = ["dataclasses", "numpy"]
+COMMAND_PROCESSES = [
+    ("classify", {"generators": [[0, 1], [1, [0, 1, 1, 1]],
+                                 [1, [1, 1, 1, 1]]]}, None, []),
+    ("classify", {"system": OSC_SYSTEM}, None, []),
+    ("predict", PREDICT_CFG, None, []),
+    ("spectral", {"system": MARKOV_SYSTEM, "t_grid": [[0, 0], [1, 2]]}, None,
+     ["numpy"]),
+    ("renewal", {"t_values": [50.2, 50.5]}, None, _MC),
+    ("verify", _bench_lattice_cfg(_N2), "1", _MC),
+    ("verify", _bench_lattice_cfg(_N2), "2", _MC),
+    ("verify", _bench_flow_cfg(_N2), "1", _MC),
+    ("verify", _bench_flow_cfg(_N2), "2", _MC),
+    ("verify", _PM_FLOW, "1", _MC + ["numpy.polynomial"]),
+    ("verify", _PM_FLOW, "2", _MC + ["numpy.polynomial"]),
+]
+
+
+@pytest.fixture(scope="module")
+def command_processes(tmp_path_factory):
+    """(exit code, the WATCHED modules loaded, manifest) of each run of
+    COMMAND_PROCESSES, each in its own process forked from a fresh
+    interpreter that has imported lcltflow.cli and nothing else of it."""
+    tmp = tmp_path_factory.mktemp("processes")
     argvs = []
-    for k, (command, cfg, *workers) in enumerate(runs):
-        argvs.append([command, write_cfg(tmp_path, cfg, f"{k}.json"),
-                      "--out", str(tmp_path / str(k)), "--seed", "1",
-                      *(["--workers", *workers] if workers else [])])
-    code = ("import json, sys; from lcltflow import cli\n"
+    for k, (command, cfg, workers, _) in enumerate(COMMAND_PROCESSES):
+        argvs.append([command, write_cfg(tmp, cfg, f"{k}.json"),
+                      "--out", str(tmp / str(k)), "--seed", "1",
+                      *(["--workers", workers] if workers else [])])
+    code = ("import json, os, sys; from lcltflow import cli\n"
             "seen = []\n"
             f"for argv in {argvs!r}:\n"
-            "    seen.append([cli.main(argv), sorted(\n"
-            "        m for m in ('numpy.random', 'numpy.ma',\n"
-            "                    'numpy.polynomial') if m in sys.modules)])\n"
+            "    r, w = os.pipe()\n"
+            "    if os.fork() == 0:\n"
+            "        got = [cli.main(argv), sorted(\n"
+            f"            m for m in {WATCHED!r} if m in sys.modules)]\n"
+            "        os.write(w, json.dumps(got).encode())\n"
+            "        os._exit(0)\n"
+            "    os.close(w)\n"
+            "    with os.fdopen(r) as fh:\n"
+            "        seen.append(json.load(fh))\n"
+            "    os.wait()\n"
             "print(json.dumps(seen))")
     seen = json.loads(_fresh_python(code).splitlines()[-1])
-    assert seen == [[0, []]] * 5 + [[0, ["numpy.polynomial"]]] * 2
+    return [(exit_code, loaded, exit_code == 0 and json.loads(
+                 (tmp / str(k) / "manifest.json").read_text()))
+            for k, (exit_code, loaded) in enumerate(seen)]
 
 
-def test_exact_commands_run_without_numpy(tmp_path):
-    # classify on explicit generators and predict load no numpy, and their
-    # manifests say so; a command that loads numpy records its version
+def test_the_calling_process_loads_only_what_it_runs(command_processes):
+    assert [(code, loaded) for code, loaded, _ in command_processes] == \
+        [(0, loaded) for *_, loaded in COMMAND_PROCESSES]
+
+
+def test_exact_commands_run_without_numpy(tmp_path, command_processes):
+    # a command's manifest records the numpy loaded in its process: none
+    # for the exact commands, classify on a renewal system included
     import numpy as np
 
-    gens = write_cfg(tmp_path, {"generators": [[0, 1], [1, [0, 1, 1, 1]],
-                                               [1, [1, 1, 1, 1]]]}, "g.json")
-    pred = write_cfg(tmp_path, PREDICT_CFG, "p.json")
-    runs = [["classify", gens, "--out", str(tmp_path / "c")],
-            ["predict", pred, "--out", str(tmp_path / "p")]]
-    code = (f"import sys; from lcltflow import cli\n"
-            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-            f"print(codes, 'numpy' in sys.modules, 'dataclasses' in "
-            f"sys.modules)")
-    assert _fresh_python(code).splitlines()[-1] == "[0, 0] False False"
-    for out in ("c", "p"):
-        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
-        assert manifest["versions"]["numpy"] is None
-    assert run(tmp_path, "renewal", {"t_values": [10.5]})[0] == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["versions"]["numpy"] == np.__version__
+    assert [manifest["versions"]["numpy"]
+            for _, _, manifest in command_processes] == \
+        [np.__version__ if "numpy" in loaded else None
+         for *_, loaded in COMMAND_PROCESSES]
     # the field is the numpy in the process: in this one, numpy is loaded,
     # so predict records it too
-    assert cli.main(runs[1]) == 0
-    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert run(tmp_path, "predict", PREDICT_CFG)[0] == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["versions"]["numpy"] == np.__version__
 
 
@@ -1255,6 +1304,27 @@ def test_largest_seed_is_accepted(tmp_path):
     assert run(tmp_path, "simulate", cfg, "--seed", str(seed))[0] == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["seed"] == seed
+
+
+@pytest.mark.parametrize("text", ["case D, covolume=1\n", "σ² ≈ 0.5, ν_τ\n"],
+                         ids=["ascii", "non-ascii"])
+def test_checksum_is_sha256_of_the_utf8_text(text):
+    import hashlib
+    assert cli._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_are_created_under_the_umask(tmp_path):
+    # the temporary file an output is renamed from was once made 0600, so
+    # outputs came out unreadable by other users
+    old = os.umask(0o022)
+    try:
+        code, out = run(tmp_path, "classify", {"system": OSC_SYSTEM})
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert sorted(os.listdir(out)) == ["classify.json", "manifest.json"]
+    for name in os.listdir(out):
+        assert os.stat(os.path.join(out, name)).st_mode & 0o777 == 0o644
 
 
 def test_no_stray_tempfiles(tmp_path):

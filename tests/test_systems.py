@@ -15,6 +15,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy import stats
 
 from lcltflow import systems
+from lcltflow.config import renewal_atoms
 from lcltflow.errors import ConfigError
 from lcltflow.quadfield import QuadScalar, as_quad
 from lcltflow.spectral import (TwistedOperatorModel, leading_eigenvalue,
@@ -75,10 +76,18 @@ def test_renewal_mixed_ring_falls_back_to_float_mean():
 
 
 def test_renewal_value_group_and_tau_support():
-    sys = osc_system()
-    gens, shift = sys.value_group()
+    atoms, (gens, shift) = renewal_atoms(osc_system().atoms)
+    assert atoms == osc_system().atoms
     assert shift == (as_quad(-1), 2 - S2)
     assert gens == [(as_quad(1), S2 - 1), (as_quad(2), 2 * S2 - 3)]
+    # one atom: the trivial group, shifted to its value
+    assert renewal_atoms([(0, 2, 1)])[1] == ([(as_quad(0), as_quad(0))],
+                                             (as_quad(0), as_quad(2)))
+    # durations in two rings span no group over one field, but still make
+    # a system (its mean roof a float)
+    half = Fraction(1, 2)
+    assert renewal_atoms([(-1, S2, half), (1, S3, half)])[1] is None
+    assert RenewalBase([(-1, S2, half), (1, S3, half)]).nu_tau_exact is None
 
 
 def test_renewal_sampling_frequencies():
