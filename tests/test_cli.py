@@ -1153,8 +1153,11 @@ def test_cli_import_loads_no_process_pool():
 
 # which of WATCHED each command's own process loads, by run: the blocks
 # draw in forked workers, so the command's process never loads numpy.random
-# (nor, through it, OpenSSL's _hashlib), at --workers 1 too; the checksums
-# come from CPython's own SHA-256, so no process loads _hashlib; the exact
+# (nor, through it, OpenSSL's _hashlib), at --workers 1 too; a worker loads
+# numpy.random but marks _hashlib unavailable first (test_montecarlo), so
+# it peaks no higher than the command's process (33.3 / 33.0 MB on the
+# lattice verify config); the checksums come from CPython's own SHA-256,
+# so no process loads _hashlib; the exact
 # layer (classify, predict) loads no numpy or dataclasses; the renewal DP
 # and the lattice oracle load no numpy.ma; only the intermittent map loads
 # numpy.polynomial.  Two blocks each, so --workers 2 forks two workers.

@@ -8,12 +8,13 @@ import pytest
 
 from lcltflow.errors import (InfiniteCovolumeError, NotShearableError,
                              UnsupportedGroupError)
-from lcltflow.groups import (CaseLabel, GroupWithShift, case_group,
-                             classify_case, closure_1d, closure_of_group,
-                             covolume, fiber_group, haar_mass, interval,
-                             point, reduce_shift, shear_reduce, apply_shear,
-                             weyl_average, Group1D)
+from lcltflow.groups import (CaseLabel, GroupWithShift, classify_case,
+                             closure_1d, closure_of_group, covolume,
+                             fiber_group, haar_mass, interval, point,
+                             reduce_shift, shear_reduce, Group1D)
 from lcltflow.quadfield import QuadScalar, as_quad
+
+from groupref import apply_shear, case_group, weyl_average
 
 S2 = QuadScalar.sqrtD(2)
 ZERO = QuadScalar(0, 0, 2)

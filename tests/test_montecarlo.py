@@ -1,5 +1,6 @@
 """Monte Carlo estimators: reproducibility, distributional checks, variance."""
 
+import importlib.util
 import json
 import math
 import os
@@ -426,6 +427,67 @@ def test_only_workers_keep_their_block_heap(monkeypatch, tmp_path):
         assert os.getpid() not in pids
 
 
+def _fresh_env():
+    """This process's environment with this lcltflow on the path, for a
+    fresh interpreter."""
+    src = os.path.join(os.path.dirname(montecarlo.__file__), os.pardir)
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or importlib.util.find_spec("_hashlib") is None,
+                    reason="needs fork and an OpenSSL build")
+def test_workers_draw_without_openssl_and_the_caller_keeps_it():
+    # a fresh interpreter that has imported only montecarlo, since this
+    # one may hold _hashlib already and a fork would inherit it: every
+    # worker loads numpy.random but not OpenSSL's _hashlib, and the
+    # caller's hashlib still loads it
+    seed = 11
+    code = textwrap.dedent(f"""
+        import json, os, sys
+        from lcltflow.montecarlo import _run_blocks
+
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+
+        def block_fn(b, n, rng):
+            return (b, os.getpid(), rng.random(n).tolist(),
+                    [m for m in ("numpy.random", "_hashlib")
+                     if sys.modules.get(m) is not None])
+
+        runs = {{W: _run_blocks(4, {seed}, W, block_fn, block=2)
+                for W in (1, 2)}}
+        marked = "_hashlib" in sys.modules
+        import hashlib
+        print(json.dumps({{"pid": os.getpid(), "runs": runs,
+                          "marked": marked,
+                          "openssl": sys.modules.get("_hashlib") is not None}}))
+    """)
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", code], env=_fresh_env(), check=True,
+        capture_output=True, text=True).stdout)
+    assert not out["marked"] and out["openssl"]
+    for W, blocks in out["runs"].items():
+        assert [b for b, *_ in blocks] == [0, 1]
+        pids = {pid for _, pid, _, _ in blocks}
+        assert len(pids) == int(W) and out["pid"] not in pids
+        for b, _, draws, loaded in blocks:
+            assert loaded == ["numpy.random"]
+            rng = np.random.Generator(np.random.Philox(key=seed + (b << 64)))
+            assert draws == rng.random(2).tolist()
+
+
+def test_blocks_run_here_without_fork_leave_the_modules_as_they_were(
+        monkeypatch):
+    # without fork the blocks draw in this process, which keeps whatever
+    # it had of _hashlib: nothing is marked unavailable here
+    monkeypatch.delattr(os, "fork")
+    before = dict(sys.modules)
+    res = _run_blocks(4, 1, 2, lambda b, n, rng: (
+        os.getpid(), sys.modules.get("_hashlib", "absent")), block=2)
+    assert res == [(os.getpid(), before.get("_hashlib", "absent"))] * 2
+    assert sys.modules == before
+
+
 def _running(pid):
     """Whether pid is a live process: neither gone nor a zombie."""
     try:
@@ -452,9 +514,7 @@ def test_workers_die_with_a_killed_parent(tmp_path):
 
         _run_blocks(4, 1, 2, block_fn, block=2)
     """)
-    src = os.path.join(os.path.dirname(montecarlo.__file__), os.pardir)
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=_fresh_env())
     pids = []
     try:
         deadline = time.monotonic() + 30

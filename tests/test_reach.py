@@ -21,9 +21,6 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "lcltflow")
 
 UNREACHED = {
-    "groups.apply_shear": "item 22: to a tests/ reference",
-    "groups.case_group": "item 22: to a tests/ reference",
-    "groups.weyl_average": "item 22: to a tests/ reference",
     "montecarlo.estimate_mlclt": "perfbench/spans.py",
     "montecarlo.sample_flow_integrals": "perfbench/spans.py",
     "renewal_exact.dp_distribution": "perfbench/spans.py",
@@ -31,7 +28,6 @@ UNREACHED = {
     "spectral.expansion_fit": "perfbench/oracles.py",
     "spectral.fourier_lclt": "perfbench/oracles.py",
     "spectral.unit_modulus_scan": "item 3: classify's cross-check",
-    "systems.PMTowerBase.return_time": "item 22: to a tests/ reference",
     "systems.RenewalBase.ball_masses": "item 21: base verify's oracle",
     "systems.RenewalBase.moderate_dev_table": "item 21: base verify's row",
 }

@@ -27,8 +27,8 @@ from lcltflow.systems import (_PULLBACK_BLOCK, _PULLBACK_CAP, _PULLBACK_FLOOR,
 
 from flowref import (FlowPoint, WithoutLeap, flow_integrate,
                      pm_first_return, pm_map_where, pm_pullback,
-                     pm_pullback_table, pm_tower_dense, sample_stationary,
-                     scan_edges, scan_index)
+                     pm_pullback_table, pm_tower_dense, return_time,
+                     sample_stationary, scan_edges, scan_index)
 
 S2 = QuadScalar.sqrtD(2)
 S3 = QuadScalar.sqrtD(3)
@@ -777,19 +777,19 @@ def test_pm_return_time_matches_direct_iteration():
     sys = PMTowerBase(0.25)
     rng = np.random.default_rng(21)
     xs = 0.5 + 0.5 * rng.random(300)
-    fast = sys.return_time(xs)
+    fast = return_time(sys, xs)
     slow = np.array([pm_first_return(float(x), 0.25)[1] for x in xs])
     assert np.array_equal(fast, slow)
     # scalars in Y = (1/2, 1], its right end included
     for x in (0.75, 1.0):
-        got = sys.return_time(x)
+        got = return_time(sys, x)
         assert type(got) is int and got == pm_first_return(x, 0.25)[1]
     # 2x - 1 below the threshold table's last entry: iterated past it
     edge = np.nextafter(0.5, 1)
-    assert sys.return_time(edge) == 27574 == pm_first_return(edge, 0.25)[1]
+    assert return_time(sys, edge) == 27574 == pm_first_return(edge, 0.25)[1]
     deep = np.array([edge, 0.5 + 3e-16, 0.5 + 1e-14, 0.75])
     assert 2 * deep[2] - 1 < sys.thresholds[-1]
-    assert sys.return_time(deep).tolist() == [
+    assert return_time(sys, deep).tolist() == [
         pm_first_return(float(x), 0.25)[1] for x in deep]
 
 
@@ -799,7 +799,7 @@ def test_pm_return_time_rejects_points_outside_Y(x):
     # the first-return reference's domain, with its error
     sys = PMTowerBase(0.25)
     with pytest.raises(ValueError, match=r"x must lie in \(1/2, 1\]"):
-        sys.return_time(x)
+        return_time(sys, x)
     if np.ndim(x) == 0:
         with pytest.raises(ValueError, match=r"x must lie in \(1/2, 1\]"):
             pm_first_return(x, 0.25)
@@ -819,7 +819,7 @@ def test_pm_return_time_tail_exponent():
     sys = PMTowerBase(0.25)
     rng = np.random.default_rng(2)
     xs = 0.5 + 0.5 * rng.random(2_000_000)
-    r = sys.return_time(xs)
+    r = return_time(sys, xs)
     ns = np.arange(10, 51)
     tail = np.array([(r > n).mean() for n in ns])
     slope = np.polyfit(np.log(ns), np.log(tail), 1)[0]
