@@ -339,7 +339,6 @@ def cmd_verify(run, cfg):
     from .groups import CaseLabel, interval
     from .montecarlo import estimate_lclt
     from .predict import FlowMLCLTParams, PredictionRequest, _d_params, predict
-    from .renewal_exact import integral_atoms, stationary_event_probability
     from .systems import load_system
 
     scale = run.args.tolerance_scale
@@ -389,6 +388,9 @@ def cmd_verify(run, cfg):
         checks = [(f"fiber l={l}", predict(params, req))]
     exact = v is not None and system.kind == "renewal"
     if exact:
+        # only the lattice oracle loads renewal_exact
+        from .renewal_exact import integral_atoms, stationary_event_probability
+
         # the oracle's checks of the atoms exit before any path is drawn
         integral_atoms(system.atoms)
 

@@ -418,8 +418,15 @@ class MarkovShiftBase(_TableLeap):
             raise ValueError("transition probabilities must be nonnegative")
         if np.max(np.abs(P.sum(axis=1) - 1)) > 1e-12:
             raise ValueError("rows must sum to 1")
-        if np.min(np.linalg.matrix_power(np.where(P > 0, 1.0, 0.0), 2 * n)) \
-                <= 0:
+        # primitive (irreducible and aperiodic) iff some power of the
+        # support is positive, and then every power from (n - 1)^2 + 1 on
+        # is (Wielandt): square the support, saturated at 1 so that path
+        # counts cannot overflow, until the exponent reaches that bound
+        B, k = np.where(P > 0, 1.0, 0.0), 1
+        while k < (n - 1) ** 2 + 1:
+            B = np.minimum(B @ B, 1.0)
+            k *= 2
+        if not B.all():
             raise ValueError("chain must be irreducible and aperiodic")
         self.P = P
         self.n_states = n
@@ -430,10 +437,11 @@ class MarkovShiftBase(_TableLeap):
             raise ValueError("transition values must be finite")
         if np.any(self.f[:, :, 1][P > 0] <= 0):
             raise ValueError("roof values must be positive")
-        w, v = np.linalg.eig(P.T)
-        k = int(np.argmin(np.abs(w - 1)))
-        pi = np.real(v[:, k])
-        pi = pi / pi.sum()
+        # pi (P - I) = 0 has rank n - 1 on an irreducible chain: one of its
+        # equations, replaced by sum(pi) = 1, makes it nonsingular
+        A = P.T - np.eye(n)
+        A[-1] = 1
+        pi = np.linalg.solve(A, np.eye(n)[-1])
         if np.max(np.abs(pi @ P - pi)) > 1e-12:
             raise ValueError("stationary vector inaccurate")
         self.stationary = pi
@@ -668,14 +676,17 @@ PM_ROOFS = {
 _PM_DEG = 32
 _LEAP_SLICE = 1 << 15        # points per slice of induced_density
 _CHEB_DEGS = 8               # Chebyshev degrees per piece of the build
+_SUM_ROWS = 64               # rows of a Newton block per pass of the build
 
 
 def _tower_sums(alpha, s, gs):
     """One pass over the inverse branches of the first-return map F on
     Y = (1/2, 1] at the Chebyshev-Lobatto nodes y = (3 + s) / 4, block by
-    block as ``_pm_pullback`` solves them.  Branch r = k + 1 is
-    psi_r = (1 + U[k]) / 2 with derivative D[k] / 2, and the orbit of
-    psi_r(y) runs psi_r, U[k], ..., U[1] before it returns to y = U[0].
+    block as ``_pm_pullback`` solves them, and each block in slices of
+    _SUM_ROWS rows, so that the Chebyshev and weight tables hold one slice.
+    Branch r = k + 1 is psi_r = (1 + U[k]) / 2 with derivative D[k] / 2,
+    and the orbit of psi_r(y) runs psi_r, U[k], ..., U[1] before it returns
+    to y = U[0].
 
     Returns the thresholds U[k, -1] (the orbit of the last node, 1/2) and
     S with S[i, 0, j] = sum_r psi_r'(y_i) T_j(4 psi_r(y_i) - 3), the
@@ -691,34 +702,37 @@ def _tower_sums(alpha, s, gs):
     # running sums of g down the rows, from -g(y) so that row 0, the
     # orbits' common end y, sums to exactly 0
     run = -np.stack([g(y) for g in gs])[:, None]
-    # the last _CHEB_DEGS Chebyshev degrees of a block, T_j(4 P[k, i] - 3)
+    # the last _CHEB_DEGS Chebyshev degrees of a slice, T_j(4 P[k, i] - 3)
     # at [j % _CHEB_DEGS, i, k]
-    T = np.empty((_CHEB_DEGS, len(s), _PULLBACK_BLOCK))
-    for U, D in _pm_pullback(alpha, y):
+    T = np.empty((_CHEB_DEGS, len(s), _SUM_ROWS))
+    for block in _pm_pullback(alpha, y):
         # a copy, so that the block itself is freed
-        thresholds.append(U[:, -1].copy())
-        P, dP = (1 + U) / 2, D / 2
-        G = np.stack([g(U) for g in gs])
-        G = np.cumsum(np.concatenate((run, G), axis=1), axis=1)[:, 1:]
-        run = G[:, -1:]
-        # weight sets [node, set, row]: 1, then the sum of each g along
-        # each orbit, g(psi_r) + g(U[k]) + ... + g(U[1])
-        W = np.concatenate((dP[None], (G + np.stack([g(P) for g in gs]))
-                            * dP)).transpose(2, 0, 1).copy()
-        # [node, row] and contiguous, as the recurrence runs along rows
-        x = (4 * P - 3).T.copy()
-        t = T[:, :, :len(U)]
-        t[0] = 1
-        t[1] = x
-        x *= 2
-        for j0 in range(0, deg + 1, _CHEB_DEGS):
-            for j in range(max(j0, 2), min(j0 + _CHEB_DEGS, deg + 1)):
-                # T_j = 2x T_{j-1} - T_{j-2}
-                np.multiply(t[(j - 1) % _CHEB_DEGS], x, out=t[j % _CHEB_DEGS])
-                t[j % _CHEB_DEGS] -= t[(j - 2) % _CHEB_DEGS]
-            # degrees j0, j0 + 1, ... go into S by one matmul per node
-            piece = t[:deg + 1 - j0].transpose(1, 2, 0)
-            S[:, :, j0:j0 + _CHEB_DEGS] += W @ piece
+        thresholds.append(block[0][:, -1].copy())
+        for k in range(0, len(block[0]), _SUM_ROWS):
+            U, D = (a[k:k + _SUM_ROWS] for a in block)
+            P, dP = (1 + U) / 2, D / 2
+            G = np.stack([g(U) for g in gs])
+            G = np.cumsum(np.concatenate((run, G), axis=1), axis=1)[:, 1:]
+            run = G[:, -1:]
+            # weight sets [node, set, row]: 1, then the sum of each g along
+            # each orbit, g(psi_r) + g(U[k]) + ... + g(U[1])
+            W = np.concatenate((dP[None], (G + np.stack([g(P) for g in gs]))
+                                * dP)).transpose(2, 0, 1).copy()
+            # [node, row] and contiguous, as the recurrence runs along rows
+            x = (4 * P - 3).T.copy()
+            t = T[:, :, :len(U)]
+            t[0] = 1
+            t[1] = x
+            x *= 2
+            for j0 in range(0, deg + 1, _CHEB_DEGS):
+                for j in range(max(j0, 2), min(j0 + _CHEB_DEGS, deg + 1)):
+                    # T_j = 2x T_{j-1} - T_{j-2}
+                    np.multiply(t[(j - 1) % _CHEB_DEGS], x,
+                                out=t[j % _CHEB_DEGS])
+                    t[j % _CHEB_DEGS] -= t[(j - 2) % _CHEB_DEGS]
+                # degrees j0, j0 + 1, ... go into S by one matmul per node
+                piece = t[:deg + 1 - j0].transpose(1, 2, 0)
+                S[:, :, j0:j0 + _CHEB_DEGS] += W @ piece
     return np.concatenate(thresholds), S
 
 
@@ -727,18 +741,29 @@ def _induced_fixed_point(s, M):
     on Y = (1/2, 1], with M @ c the values of L_F h at the
     Chebyshev-Lobatto nodes y = (3 + s) / 4 for the Chebyshev series c of
     h in 4y - 3.  Returns c, normalised to integrate to 1 over Y, and the
-    Clenshaw-Curtis weights of the nodes on Y."""
+    Clenshaw-Curtis weights of the nodes on Y.
+
+    With V the values of T_j at the nodes, c solves M c = V c, found by
+    inverse iteration at shift 1, c <- (M - V)^-1 V c from h = 1,
+    normalised at each step.  The cut branches leave the discrete
+    operator's eigenvalue at 1 - O(1e-12), so M - V is invertible and
+    three steps reach the eigenvector to rounding; one solve with a
+    normalisation row in place of an equation would instead miss it by up
+    to ~1e-10."""
     # only the intermittent map loads numpy.polynomial
     from numpy.polynomial.chebyshev import chebvander
 
     deg = len(s) - 1
     V = chebvander(s, deg)
-    lam, vec = np.linalg.eig(np.linalg.solve(V.T, M.T).T)
-    coef = np.linalg.solve(V, np.real(vec[:, np.argmin(np.abs(lam - 1))]))
     # integrals of T_j over [-1, 1]
     moments = np.zeros(deg + 1)
     moments[::2] = 2 / (1 - np.arange(0, deg + 1, 2) ** 2)
-    return coef / (moments @ coef / 4), np.linalg.solve(V.T, moments) / 4
+    shifted = M - V
+    coef = np.linalg.solve(V, np.ones(deg + 1))
+    for _ in range(3):
+        coef = np.linalg.solve(shifted, V @ coef)
+        coef /= moments @ coef / 4
+    return coef, np.linalg.solve(V.T, moments) / 4
 
 
 class PMTowerBase:

@@ -21,8 +21,12 @@
   branch, one Newton solve per row.
 - ``pm_pullback_table``: ``systems._pm_pullback``'s stream of row blocks
   stacked into one table.
+- ``induced_fixed_point_eig``: the Nystrom fixed point of the induced
+  operator as the eigenvector of eigenvalue nearest 1, from LAPACK's
+  general eigensolver.
 - ``pm_tower_dense``: the intermittent-map tower built from that whole
-  table: the Nystrom matrix, h at every branch point and Kac's sums as
+  table: the Nystrom matrix, its fixed point by
+  ``induced_fixed_point_eig``, h at every branch point and Kac's sums as
   tail sums over the stored rows.
 
 Tests compare them against ``montecarlo._flow``, ``montecarlo._paths``,
@@ -38,8 +42,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval, chebvander
 
 from lcltflow.systems import (_PM_DEG, _PULLBACK_CAP, _PULLBACK_FLOOR,
-                              PM_ROOFS, _induced_fixed_point, _pm_left,
-                              _pm_pullback, pm_map)
+                              PM_ROOFS, _pm_left, _pm_pullback, pm_map)
 
 
 @dataclass
@@ -266,13 +269,28 @@ def pm_pullback_table(alpha, z):
     return np.concatenate(U), np.concatenate(D)
 
 
+def induced_fixed_point_eig(s, M):
+    """``systems._induced_fixed_point`` by an eigensolver: with V the
+    values of T_j at the nodes, the eigenvector of M V^-1 whose eigenvalue
+    is nearest 1, read as Chebyshev coefficients and normalised to
+    integrate to 1 over Y, and the Clenshaw-Curtis weights of the nodes."""
+    V = chebvander(s, len(s) - 1)
+    lam, vec = np.linalg.eig(np.linalg.solve(V.T, M.T).T)
+    coef = np.linalg.solve(V, np.real(vec[:, np.argmin(np.abs(lam - 1))]))
+    # integrals of T_j over [-1, 1]
+    moments = np.zeros(len(s))
+    moments[::2] = 2 / (1 - np.arange(0, len(s), 2) ** 2)
+    return coef / (moments @ coef / 4), np.linalg.solve(V.T, moments) / 4
+
+
 def pm_tower_dense(alpha, roof="unit"):
     """The intermittent-map tower from its whole branch table: U stacked
     from the stream, D as one cumprod down it, the Nystrom matrix summed in
-    slices of 512 branch rows, h evaluated at every branch point, and Kac's
-    sums as tail sums, the weight of every branch from k + 1 on carried by
-    U[k].  Returns thresholds, D, hcoef, quad, nu_tau and rate_mean, and
-    the stream's own D as streamed_D."""
+    slices of 512 branch rows, its fixed point by an eigensolver, h
+    evaluated at every branch point, and Kac's sums as tail sums, the
+    weight of every branch from k + 1 on carried by U[k].  Returns
+    thresholds, D, hcoef, quad, nu_tau and rate_mean, and the stream's own
+    D as streamed_D."""
     s = np.cos(np.pi * np.arange(_PM_DEG + 1) / _PM_DEG)
     U, streamed_D = pm_pullback_table(alpha, (3 + s) / 4)
     D = np.ones_like(U)
@@ -282,7 +300,7 @@ def pm_tower_dense(alpha, roof="unit"):
     M = sum(np.einsum("ri,rij->ij", dP[k:k + 512],
                       chebvander(4 * P[k:k + 512] - 3, _PM_DEG))
             for k in range(0, len(P), 512))
-    hcoef, quad = _induced_fixed_point(s, M)
+    hcoef, quad = induced_fixed_point_eig(s, M)
     wts = quad * dP * chebval(4 * P - 3, hcoef)
     tail = np.cumsum(wts[:0:-1], axis=0)[::-1]
 

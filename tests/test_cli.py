@@ -1159,14 +1159,17 @@ def test_cli_import_loads_no_process_pool():
 # lattice verify config); the checksums come from CPython's own SHA-256,
 # so no process loads _hashlib; the exact
 # layer (classify, predict) loads no numpy or dataclasses; the renewal DP
-# and the lattice oracle load no numpy.ma; only the intermittent map loads
-# numpy.polynomial.  Two blocks each, so --workers 2 forks two workers.
+# and the lattice oracle load no numpy.ma, and only they load
+# renewal_exact (a flow-mode verify does not); only the intermittent map
+# loads numpy.polynomial.  Two blocks each, so --workers 2 forks two
+# workers.
 WATCHED = ("numpy", "numpy.random", "numpy.ma", "numpy.polynomial",
-           "_hashlib", "dataclasses")
+           "_hashlib", "dataclasses", "lcltflow.renewal_exact")
 _N2 = BLOCK_SIZE + 100
 _PM_FLOW = {"system": {"type": "pm", "alpha": 0.25}, "mode": "flow", "t": 20,
             "N": _N2, "windows": [[0, -0.5, 0.5]]}
 _MC = ["dataclasses", "numpy"]
+_DP = ["dataclasses", "lcltflow.renewal_exact", "numpy"]
 COMMAND_PROCESSES = [
     ("classify", {"generators": [[0, 1], [1, [0, 1, 1, 1]],
                                  [1, [1, 1, 1, 1]]]}, None, []),
@@ -1174,9 +1177,9 @@ COMMAND_PROCESSES = [
     ("predict", PREDICT_CFG, None, []),
     ("spectral", {"system": MARKOV_SYSTEM, "t_grid": [[0, 0], [1, 2]]}, None,
      ["numpy"]),
-    ("renewal", {"t_values": [50.2, 50.5]}, None, _MC),
-    ("verify", _bench_lattice_cfg(_N2), "1", _MC),
-    ("verify", _bench_lattice_cfg(_N2), "2", _MC),
+    ("renewal", {"t_values": [50.2, 50.5]}, None, _DP),
+    ("verify", _bench_lattice_cfg(_N2), "1", _DP),
+    ("verify", _bench_lattice_cfg(_N2), "2", _DP),
     ("verify", _bench_flow_cfg(_N2), "1", _MC),
     ("verify", _bench_flow_cfg(_N2), "2", _MC),
     ("verify", _PM_FLOW, "1", _MC + ["numpy.polynomial"]),

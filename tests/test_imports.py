@@ -1,5 +1,6 @@
 """Every module of ``src/lcltflow`` and ``tests/`` uses each name it
-imports, and no module of ``src/lcltflow`` imports OpenSSL.
+imports, no module of ``src/lcltflow`` imports OpenSSL, and only
+``spectral.py`` calls a general eigensolver.
 
 A static walk over each file's AST, stdlib only: every name an import
 binds (``import a.b`` binds ``a``, ``from m import x as y`` binds ``y``)
@@ -7,7 +8,11 @@ must appear somewhere in the module as a ``Name``, which is also the root
 of every ``Attribute`` chain.  ``from __future__ import annotations`` binds
 nothing and is exempt.  ``hashlib`` loads OpenSSL's libcrypto (several MB
 of a process's memory), and ``hmac`` and ``secrets`` load ``hashlib``: the
-package's checksums come from CPython's own SHA-256 instead.
+package's checksums come from CPython's own SHA-256 instead.  LAPACK's
+general eigensolver (``eig``, ``eigvals``) maps about 1.5 MB of code
+pages into the process that first calls it; the systems find their one
+null vector by linear solves, and only the references in ``tests/`` call
+it.
 """
 
 import ast
@@ -19,6 +24,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "lcltflow")
 DIRS = [SRC, os.path.join(ROOT, "tests")]
 OPENSSL = {"hashlib", "hmac", "secrets"}
+EIGENSOLVERS = {"eig", "eigvals"}
 
 
 def _modules(dirs=DIRS):
@@ -75,3 +81,30 @@ def test_the_check_finds_an_openssl_import():
 def test_no_module_imports_openssl(path):
     with open(os.path.join(ROOT, path)) as fh:
         assert imported_modules(fh.read()) & OPENSSL == set()
+
+
+def eigensolver_uses(source):
+    """The names in ``EIGENSOLVERS`` that ``source`` reads as an attribute
+    (``np.linalg.eig``) or imports (``from numpy.linalg import eig``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names}
+    return found & EIGENSOLVERS
+
+
+def test_the_check_finds_an_eigensolver():
+    assert eigensolver_uses(
+        "import numpy as np\nnp.linalg.eigvalsh(a)\n"
+        "w, v = np.linalg.eig(a)\n"
+        "def f():\n    from scipy.linalg import eigvals\n") == \
+        {"eig", "eigvals"}
+
+
+@pytest.mark.parametrize("path", [p for p in _modules([SRC])
+                                  if os.path.basename(p) != "spectral.py"])
+def test_only_spectral_calls_an_eigensolver(path):
+    with open(os.path.join(ROOT, path)) as fh:
+        assert eigensolver_uses(fh.read()) == set()

@@ -437,6 +437,26 @@ def test_markov_validation():
                 MarkovShiftBase([[0.5, 0.5], [0.5, 0.5]], bad)
 
 
+def test_markov_rejects_a_large_reducible_chain():
+    # two closed blocks of 100 states: no power of the support is positive,
+    # though its path counts overflow a float power long before 2n
+    P = np.zeros((200, 200))
+    P[:100, :100] = P[100:, 100:] = 1 / 100
+    with pytest.raises(ValueError, match="irreducible"):
+        MarkovShiftBase(P, np.ones((200, 200, 2)))
+
+
+def test_markov_accepts_a_primitive_chain_of_wielandt_exponent():
+    # i -> i + 1 and 4 -> {0, 1}: the first positive power of the support
+    # is the (n - 1)^2 + 1 = 17th, past 2n = 10
+    P = np.zeros((5, 5))
+    P[np.arange(4), np.arange(1, 5)] = 1
+    P[4, :2] = 0.5
+    chain = MarkovShiftBase(P, np.ones((5, 5, 2)))
+    assert np.max(np.abs(chain.stationary @ P - chain.stationary)) <= 1e-15
+    assert chain.stationary.sum() == pytest.approx(1, abs=1e-15)
+
+
 def test_markov_step_follows_transition_structure():
     sys = MarkovShiftBase(P3, f3_table())
     rng = np.random.default_rng(5)
@@ -929,14 +949,17 @@ def test_pm_streamed_build_matches_the_dense_build(alpha, roof):
 
 def test_pm_build_memory_is_bounded_by_its_blocks():
     # at alpha = 0.4 the branches run to the 100,000-row cap, where one
-    # stored array of branches by nodes takes 26 MB
-    tracemalloc.start()
-    try:
-        PMTowerBase(0.4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 << 20
+    # stored array of branches by nodes takes 26 MB; at alpha = 1/4 the
+    # Chebyshev and weight tables of a whole 256-row Newton block took the
+    # peak to 2.0 MiB, where those of a 64-row slice keep it under 1.25 MiB
+    for alpha, bound in ((0.4, 16 << 20), (0.25, 1.25 * (1 << 20))):
+        tracemalloc.start()
+        try:
+            PMTowerBase(alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_pm_induced_density_is_invariant():
